@@ -27,6 +27,7 @@ CANDIDATES = 200
 # with the machine's speed instead of jumping between per-design modes.
 SCALES = (0.2, 0.25, 0.3, 0.35, 0.4)
 REPLAY_SHARE = 0.06
+SETUP_SAMPLES = 9
 _WIDTH = re.compile(r"\bW=(\S+)")
 
 
@@ -161,12 +162,15 @@ def run(seed: int, seconds: float, trace: bool, size: str = "full") -> harness.O
         return _run_traced(outcome, inputs, artifact, seconds, candidates)
 
     check_rng = np.random.default_rng([seed, 1])
-    setup_s, engine = harness.timed_setup(lambda: harness.load_engine(artifact), repeats=9)
+    # A load takes ~60 ms, so each set-up sample times four back to back.
+    window = harness.Window(lambda: harness.load_engine(artifact), seconds,
+                            samples=SETUP_SAMPLES, repeats=4)
+    engine = window.result
     for _ in range(3):
         annotate(engine, *inputs.next(), candidates)
     durations, links, replay = [], [], []
-    deadline = time.perf_counter() + seconds
-    while time.perf_counter() < deadline:
+    window.open()
+    while window.running():
         name, text, op_seed = inputs.next()
         start = time.perf_counter()
         report = annotate(engine, name, text, op_seed, candidates)
@@ -188,7 +192,7 @@ def run(seed: int, seconds: float, trace: bool, size: str = "full") -> harness.O
             outcome.fail(f"{name}: replay on a fresh engine differs")
     summary = harness.latency_summary(durations)
     outcome.metrics.update(
-        setup_s=setup_s,
+        setup_s=window.setup_s,
         links_per_s=harness.block_rate(links, durations),
         latency_p50_s=summary["latency_p50_s"],
         latency_p90_s=summary["latency_p90_s"],

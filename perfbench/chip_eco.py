@@ -169,14 +169,14 @@ def run(seed: int, seconds: float, trace: bool, size: str = "full") -> harness.O
     if trace:
         return _run_traced(outcome, inputs, engine, artifact, seconds)
 
-    setup_s, first = harness.timed_setup(lambda: sharded_pass(engine, inputs))
-    report = first
+    window = harness.Window(lambda: sharded_pass(engine, inputs), seconds)
+    report = first = window.result
     for _ in range(2):  # the first ECO also flattens the hierarchical report
         report = engine.reannotate(report, inputs.delta(report.circuit))
     durations, kept = [], []
     check_rng = np.random.default_rng([seed, 3])
-    deadline = time.perf_counter() + seconds
-    while time.perf_counter() < deadline:
+    window.open()
+    while window.running():
         delta = inputs.delta(report.circuit)
         start = time.perf_counter()
         new = engine.reannotate(report, delta)
@@ -200,7 +200,7 @@ def run(seed: int, seconds: float, trace: bool, size: str = "full") -> harness.O
             outcome.fail(f"{label} differs from a from-scratch annotate")
     summary = harness.latency_summary(durations)
     outcome.metrics.update(
-        setup_s=setup_s,
+        setup_s=window.setup_s,
         links_per_s=harness.block_rate([len(inputs.pairs)] * len(durations), durations),
         latency_p50_s=summary["latency_p50_s"],
         latency_p90_s=summary["latency_p90_s"],

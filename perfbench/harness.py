@@ -3,10 +3,11 @@
 Everything here is benchmark-side: it times calls into :mod:`repro` from the
 outside and never patches the program.  Workload modules use
 
-* :func:`pinned_env` / :func:`environment` — one BLAS thread everywhere, and
-  the record of what the numbers were measured on;
+* :func:`pinned_env` / :func:`environment` — one BLAS thread and a fixed
+  hash seed everywhere, and the record of what the numbers were measured on;
 * :func:`checkpoint_path` — the serving checkpoint, built once per source tree
   with ``repro.api.fit`` + ``save`` in a child process and cached;
+* :class:`Window` — the timed window of a run, with set-up re-timed across it;
 * :class:`Tracer` — spans around layer calls, grouped per operation, with the
   unattributed remainder of each operation kept;
 * :class:`Outcome` — attempted/failed counts plus the metrics a workload
@@ -27,6 +28,8 @@ import subprocess
 import sys
 import time
 from dataclasses import dataclass, field
+
+import numpy as np
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -50,8 +53,13 @@ CHECKPOINT_DESIGNS = ("SSRAM", "ULTRA8T")
 
 
 def pinned_env() -> dict:
-    """The environment for this process and every child it starts."""
-    env = dict(os.environ)
+    """The environment for every process the benchmark starts.
+
+    One BLAS thread, and a fixed string-hash seed, which makes set and dict
+    iteration order, and with it the order work is done in, repeat from run
+    to run.
+    """
+    env = dict(os.environ, PYTHONHASHSEED="0")
     env.update({name: "1" for name in THREAD_VARS})
     path = env.get("PYTHONPATH")
     env["PYTHONPATH"] = str(SRC) if not path else f"{SRC}{os.pathsep}{path}"
@@ -60,8 +68,6 @@ def pinned_env() -> dict:
 
 def environment() -> dict:
     """What a result was measured on: CPUs, thread env, numpy and BLAS."""
-    import numpy as np
-
     blas = "unknown"
     with contextlib.suppress(Exception):
         config = np.show_config(mode="dicts")
@@ -98,7 +104,9 @@ def checkpoint_path() -> pathlib.Path:
     """The cached serving checkpoint for this source tree (built on first use).
 
     Training runs in a child process so its memory never shows in a
-    workload's peak RSS.
+    workload's peak RSS.  ``run.py`` calls this before it starts the
+    workload process, so the training child is never among the workload's
+    waited-for children either (see :func:`children_peak_rss_mb`).
     """
     target = CACHE_DIR / f"ckpt-{_source_digest()}"
     artifact = target / "pipeline.npz"
@@ -138,32 +146,22 @@ def vm_hwm_mb(pid: int | str = "self") -> float:
 
 
 def children_peak_rss_mb() -> float:
-    """Largest peak RSS of any waited-for child process, in MiB."""
+    """Largest peak RSS of any waited-for child process, in MiB.
+
+    This covers every descendant the process has waited for, so it is only
+    the shard workers' peak in a workload process that started no other
+    child; ``run.py`` builds the checkpoint before starting that process.
+    """
     return resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0
 
 
 # --------------------------------------------------------------------------- #
 # Statistics
 # --------------------------------------------------------------------------- #
-def median(values) -> float:
-    ordered = sorted(values)
-    mid = len(ordered) // 2
-    return ordered[mid] if len(ordered) % 2 else 0.5 * (ordered[mid - 1] + ordered[mid])
-
-
-def percentile(values, fraction: float) -> float:
-    """Linear-interpolated percentile (numpy's default definition)."""
-    ordered = sorted(values)
-    position = fraction * (len(ordered) - 1)
-    low = int(position)
-    high = min(low + 1, len(ordered) - 1)
-    return ordered[low] + (ordered[high] - ordered[low]) * (position - low)
-
-
 def latency_summary(durations) -> dict:
     """p50/p90 plus the sample count behind them."""
-    p90 = percentile(durations, 0.9)
-    return {"latency_p50_s": percentile(durations, 0.5), "latency_p90_s": p90,
+    p50, p90 = (float(p) for p in np.percentile(durations, [50, 90]))
+    return {"latency_p50_s": p50, "latency_p90_s": p90,
             "ops": len(durations), "beyond_p90": sum(1 for d in durations if d > p90)}
 
 
@@ -178,22 +176,54 @@ def block_rate(work, durations, blocks: int = 5) -> float:
     if len(groups) > 1 and len(durations) % size:
         groups[-2] = slice(groups[-2].start, None)  # fold the short tail in
         groups.pop()
-    return median(sum(work[g]) / sum(durations[g]) for g in groups)
+    return float(np.median([sum(work[g]) / sum(durations[g]) for g in groups]))
 
 
-def timed_setup(setup, repeats: int = 3):
-    """Run ``setup()`` ``repeats`` times; return (median seconds, last result).
+class Window:
+    """The timed window of a run, with the set-up re-timed across it.
 
-    Earlier results are dropped before the next repeat so their memory is
-    not held twice.
+    ``setup()`` is timed once on construction (its result is :attr:`result`)
+    and again at ``samples - 1`` evenly spaced points of the window, the last
+    at its end; the window is stretched by the time those take, so ops keep
+    their full ``seconds``.  One sample times ``repeats`` set-ups back to
+    back and keeps their mean, so a short set-up is timed as a larger unit.
+    The host runs the same code up to ~1.5x slower in phases of a few
+    seconds; samples spread like this see the same mix of phases as the
+    ops, where set-ups timed back to back before the window all land in
+    one phase.  :attr:`setup_s` is the median sample.
     """
-    durations, result = [], None
-    for _ in range(repeats):
-        result = None
+
+    def __init__(self, setup, seconds: float, samples: int = 5, repeats: int = 1):
+        self.setup, self.seconds = setup, seconds
+        self.samples, self.repeats = samples, repeats
+        self.setup_times: list[float] = []
+        self.result = self._sample()
+        self._start = self._paused = 0.0
+
+    def _sample(self):
         start = time.perf_counter()
-        result = setup()
-        durations.append(time.perf_counter() - start)
-    return median(durations), result
+        for _ in range(self.repeats):
+            result = self.setup()
+        self.setup_times.append((time.perf_counter() - start) / self.repeats)
+        return result
+
+    def open(self) -> None:
+        """Start the window (after warm-up)."""
+        self._start, self._paused = time.perf_counter(), 0.0
+
+    def running(self) -> bool:
+        """True while the window lasts; takes the set-up samples due."""
+        elapsed = time.perf_counter() - self._start - self._paused
+        due = min(self.samples, 1 + int(elapsed / self.seconds * (self.samples - 1)))
+        while len(self.setup_times) < due:
+            start = time.perf_counter()
+            self._sample()
+            self._paused += time.perf_counter() - start
+        return elapsed < self.seconds
+
+    @property
+    def setup_s(self) -> float:
+        return float(np.median(self.setup_times))
 
 
 # --------------------------------------------------------------------------- #

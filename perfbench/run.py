@@ -14,18 +14,18 @@ failures); the last line is the result::
 
 The exit code is 1 when any output check failed and 2 when the program
 under test is missing.
+
+This process is a launcher: it builds the serving checkpoint if needed, then
+runs the workload in a fresh child process with ``PYTHONHASHSEED=0`` and one
+BLAS thread, and passes the child's output and exit code through.  The
+workload process thus waits for no child but its own, so its peak RSS and
+its children's peak never include checkpoint training.
 """
 
 from __future__ import annotations
 
 import os
 import sys
-
-# A fixed string-hash seed makes set and dict iteration order, and with it
-# the order work is done in, repeat from run to run.
-if os.environ.get("PYTHONHASHSEED") != "0":
-    os.environ["PYTHONHASHSEED"] = "0"
-    os.execv(sys.executable, [sys.executable, *sys.argv])
 
 # One BLAS thread, set before numpy is imported anywhere in this process;
 # children inherit it through harness.pinned_env().
@@ -36,10 +36,13 @@ import argparse  # noqa: E402
 import importlib  # noqa: E402
 import json  # noqa: E402
 import math  # noqa: E402
+import subprocess  # noqa: E402
 
 import harness  # noqa: E402
 
 WORKLOADS = ("annotate_local", "serve_http", "chip_eco", "train_link")
+# Set in the workload process the launcher starts.
+WORKER = "PERFBENCH_WORKER"
 
 
 def declared_metrics(trace: bool) -> list[dict]:
@@ -58,12 +61,22 @@ def parse_args(argv):
     return parser.parse_args(argv)
 
 
+def launch(argv) -> int:
+    """Build the checkpoint, then run the workload in its own process."""
+    harness.checkpoint_path()
+    env = dict(harness.pinned_env(), **{WORKER: "1"})
+    return subprocess.run([sys.executable, os.path.abspath(__file__), *argv],
+                          env=env, check=False).returncode
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     if not (harness.SRC / "repro" / "__init__.py").is_file():
         print(f"perfbench: no program under test at {harness.SRC / 'repro'}",
               file=sys.stderr)
         return 2
+    if os.environ.get(WORKER) != "1":
+        return launch(sys.argv[1:] if argv is None else argv)
     sys.path.insert(0, str(harness.SRC))
     os.environ["PYTHONPATH"] = harness.pinned_env()["PYTHONPATH"]
     print(json.dumps({"env": harness.environment()}), flush=True)

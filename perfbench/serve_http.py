@@ -32,6 +32,7 @@ CANDIDATES = 32
 CONNECTIONS = 2
 NEW_EVERY = 10
 PARITY_CHECKS = 16
+SEGMENTS = 4
 BOOT_TIMEOUT_S = 120.0
 
 
@@ -224,39 +225,42 @@ def run(seed: int, seconds: float, trace: bool, size: str = "full") -> harness.O
     artifact = harness.checkpoint_path()
     requests = Requests(seed, size)
 
-    # Set-up: three boots; the last daemon stays up for the measurement.
-    boots = []
-    for _ in range(3):
-        if boots:
-            boots[-1].stop()
-        boots.append(Daemon(artifact))
-    daemon = boots[-1]
+    # Set-up: the serving daemon's boot, then one more boot after each
+    # segment of the timed window (clients idle meanwhile), so the boot
+    # times see the same mix of host phases as the requests.
+    daemon = Daemon(artifact)
+    boots, results, segments = [daemon.boot_s], [], []
     try:
         # Warm-up: parse every base design once, then a short closed loop.
         warm = [requests.body(base) for base in range(len(requests.bases))]
         asyncio.run(closed_loop(daemon.url, requests, 0.0, fixed=warm))
         asyncio.run(closed_loop(daemon.url, requests, min(1.0, seconds / 4)))
         before = daemon.metrics()
-        start = time.perf_counter()
-        results = asyncio.run(closed_loop(daemon.url, requests, seconds))
-        end = time.perf_counter()
+        for _ in range(SEGMENTS):
+            start = time.perf_counter()
+            segment = asyncio.run(closed_loop(daemon.url, requests, seconds / SEGMENTS))
+            segments.append((len(segment), time.perf_counter() - start))
+            results += segment
+            extra = Daemon(artifact)
+            extra.stop()
+            boots.append(extra.boot_s)
         after = daemon.metrics()
         peak = daemon.peak_rss_mb()
     finally:
         daemon.stop()
 
     latencies, answered = [], []
-    for body, status, payload, latency, finished_at in results:
+    for body, status, payload, latency, _ in results:
         outcome.attempted += 1
         latencies.append(latency)
         problem = response_problem(status, payload)
         if problem:
             outcome.fail(f"{body['name']}: {problem}")
-        else:
-            answered.append(finished_at)
-    # Links answered per wall second, as the median over 5 equal time blocks.
-    counts, _ = np.histogram(answered, bins=5, range=(start, end))
-    links_per_s = harness.median(counts * CANDIDATES / ((end - start) / 5))
+        answered.append(problem is None)
+    # Links answered per wall second, as the median over the segments.
+    bounds = np.cumsum([0] + [count for count, _ in segments])
+    rates = [sum(answered[lo:hi]) * CANDIDATES / duration
+             for lo, hi, (_, duration) in zip(bounds, bounds[1:], segments)]
 
     # Wire parity on a seeded sample, new uploads included.
     engine = harness.load_engine(artifact)
@@ -274,8 +278,8 @@ def run(seed: int, seconds: float, trace: bool, size: str = "full") -> harness.O
                          new_upload_share=1 / NEW_EVERY)
     if not trace:
         outcome.metrics.update(
-            setup_s=harness.median([d.boot_s for d in boots]),
-            links_per_s=links_per_s,
+            setup_s=float(np.median(boots)),
+            links_per_s=float(np.median(rates)),
             latency_p50_s=summary["latency_p50_s"],
             latency_p90_s=summary["latency_p90_s"],
             peak_rss_mb=peak,
@@ -292,10 +296,13 @@ def run(seed: int, seconds: float, trace: bool, size: str = "full") -> harness.O
         "server.batch_size_mean": _counter_delta(before, after, "batched_items_total") / batches,
         "server.design_cache_hit_rate":
             _counter_delta(before, after, "design_cache_hits_total") / designs,
-        "server.max_queue_depth": float(after["max_queue_depth"]),
         "server.batch_retries_total": _counter_delta(before, after, "batch_retries_total"),
         "server.errors_total": float(sum(after["errors_total"].values())
                                      - sum(before["errors_total"].values())),
+        # /metrics gives only a running maximum and a hit rate, not counters
+        # that could be diffed, so these two cover the daemon's lifetime,
+        # warm-up included (its first parse of every base design misses).
+        "server.max_queue_depth": float(after["max_queue_depth"]),
         "data.pe_cache_hit_rate": float(after["pe_cache_hit_rate"]),
     })
     return outcome

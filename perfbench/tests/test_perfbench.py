@@ -106,6 +106,23 @@ def test_spans_plus_unattributed_equal_op_time():
     assert tracer.ops == 3
 
 
+def test_window_spreads_setup_samples_over_the_run():
+    calls = []
+    window = harness.Window(lambda: calls.append(time.perf_counter()) or len(calls),
+                            seconds=0.2, samples=5, repeats=2)
+    assert window.result == 2 and len(window.setup_times) == 1
+    window.open()
+    start = time.perf_counter()
+    while window.running():
+        time.sleep(0.005)
+    wall = time.perf_counter() - start
+    assert len(window.setup_times) == 5 and len(calls) == 10
+    # Samples land inside the window and do not eat into its 0.2 s of ops.
+    assert calls[2] > calls[1] + 0.02
+    assert wall >= 0.2 + 2 * sum(window.setup_times[1:])
+    assert window.setup_s == pytest.approx(sorted(window.setup_times)[2])
+
+
 def test_traced_workload_shares_cover_the_op():
     import annotate_local
 

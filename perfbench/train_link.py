@@ -148,11 +148,12 @@ def run(seed: int, seconds: float, trace: bool, size: str = "full") -> harness.O
     if trace:
         return _run_traced(outcome, seconds, size, op_seeds)
 
-    setup_s, samples = harness.timed_setup(lambda: build_samples(size))
+    window = harness.Window(lambda: build_samples(size), seconds)
+    samples = window.result
     fit(samples, size, int(op_seeds.integers(2 ** 31)))  # warm-up
     durations, steps = [], []
-    deadline = time.perf_counter() + seconds
-    while time.perf_counter() < deadline:
+    window.open()
+    while window.running():
         start = time.perf_counter()
         losses, op_steps, _ = fit(samples, size, int(op_seeds.integers(2 ** 31)))
         durations.append(time.perf_counter() - start)
@@ -162,7 +163,7 @@ def run(seed: int, seconds: float, trace: bool, size: str = "full") -> harness.O
             outcome.fail(f"fit {outcome.attempted}: non-finite loss {losses}")
     summary = harness.latency_summary(steps)
     outcome.metrics.update(
-        setup_s=setup_s,
+        setup_s=window.setup_s,
         links_per_s=harness.block_rate([EPOCHS * len(samples)] * len(durations), durations),
         latency_p50_s=summary["latency_p50_s"],
         latency_p90_s=summary["latency_p90_s"],
