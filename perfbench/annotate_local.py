@@ -162,16 +162,18 @@ def run(seed: int, seconds: float, trace: bool, size: str = "full") -> harness.O
         return _run_traced(outcome, inputs, artifact, seconds, candidates)
 
     check_rng = np.random.default_rng([seed, 1])
-    # A load takes ~60 ms, so each set-up sample times four back to back.
-    window = harness.Window(lambda: harness.load_engine(artifact), seconds,
+    pace = harness.Pace()
+    # A load takes ~40-60 ms, so each set-up sample times four back to back.
+    window = harness.Window(lambda: harness.load_engine(artifact), seconds, pace,
                             samples=SETUP_SAMPLES, repeats=4)
     engine = window.result
     for _ in range(3):
         annotate(engine, *inputs.next(), candidates)
-    durations, links, replay = [], [], []
+    durations, links, probes, replay = [], [], [], []
     window.open()
     while window.running():
         name, text, op_seed = inputs.next()
+        probes.append(pace.probe())
         start = time.perf_counter()
         report = annotate(engine, name, text, op_seed, candidates)
         durations.append(time.perf_counter() - start)
@@ -190,16 +192,18 @@ def run(seed: int, seconds: float, trace: bool, size: str = "full") -> harness.O
         again = annotate(fresh, name, text, op_seed, candidates)
         if json.dumps(again.records) != expected:
             outcome.fail(f"{name}: replay on a fresh engine differs")
-    summary = harness.latency_summary(durations)
+    scaled = pace.calibrate(durations, probes)
+    summary = harness.latency_summary(scaled)
     outcome.metrics.update(
         setup_s=window.setup_s,
-        links_per_s=harness.block_rate(links, durations),
+        links_per_s=harness.block_rate(links, scaled),
         latency_p50_s=summary["latency_p50_s"],
         latency_p90_s=summary["latency_p90_s"],
         peak_rss_mb=peak,
     )
     outcome.notes.update(ops=len(durations), replayed=len(replay),
-                         beyond_p90=summary["beyond_p90"])
+                         beyond_p90=summary["beyond_p90"],
+                         wall=pace.wall_notes(window.wall_setup_s, links, durations, probes))
     return outcome
 
 

@@ -33,6 +33,8 @@ PAIRS = 400
 NUM_SHARDS = 4
 WORKERS = 2
 CHECKED_OPS = 3
+# Devices in the host-speed probe's graph walk (see harness.Pace).
+PROBE_WALK = 1000
 
 
 class Inputs:
@@ -169,15 +171,17 @@ def run(seed: int, seconds: float, trace: bool, size: str = "full") -> harness.O
     if trace:
         return _run_traced(outcome, inputs, engine, artifact, seconds)
 
-    window = harness.Window(lambda: sharded_pass(engine, inputs), seconds)
+    pace = harness.Pace(walk=PROBE_WALK)
+    window = harness.Window(lambda: sharded_pass(engine, inputs), seconds, pace)
     report = first = window.result
     for _ in range(2):  # the first ECO also flattens the hierarchical report
         report = engine.reannotate(report, inputs.delta(report.circuit))
-    durations, kept = [], []
+    durations, probes, kept = [], [], []
     check_rng = np.random.default_rng([seed, 3])
     window.open()
     while window.running():
         delta = inputs.delta(report.circuit)
+        probes.append(pace.probe())
         start = time.perf_counter()
         new = engine.reannotate(report, delta)
         durations.append(time.perf_counter() - start)
@@ -198,17 +202,20 @@ def run(seed: int, seconds: float, trace: bool, size: str = "full") -> harness.O
         scratch = engine.annotate(circuit, pairs=inputs.pairs)
         if wire(scratch.records) != wire(records):
             outcome.fail(f"{label} differs from a from-scratch annotate")
-    summary = harness.latency_summary(durations)
+    scaled = pace.calibrate(durations, probes)
+    summary = harness.latency_summary(scaled)
+    links = [len(inputs.pairs)] * len(durations)
     outcome.metrics.update(
         setup_s=window.setup_s,
-        links_per_s=harness.block_rate([len(inputs.pairs)] * len(durations), durations),
+        links_per_s=harness.block_rate(links, scaled),
         latency_p50_s=summary["latency_p50_s"],
         latency_p90_s=summary["latency_p90_s"],
         peak_rss_mb=peak,
     )
     outcome.notes.update(ops=len(durations), beyond_p90=summary["beyond_p90"],
                          children_peak_rss_mb=harness.children_peak_rss_mb(),
-                         devices=len(flat.devices), checked_ecos=len(kept))
+                         devices=len(flat.devices), checked_ecos=len(kept),
+                         wall=pace.wall_notes(window.wall_setup_s, links, durations, probes))
     return outcome
 
 

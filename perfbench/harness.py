@@ -7,6 +7,8 @@ outside and never patches the program.  Workload modules use
   hash seed everywhere, and the record of what the numbers were measured on;
 * :func:`checkpoint_path` — the serving checkpoint, built once per source tree
   with ``repro.api.fit`` + ``save`` in a child process and cached;
+* :class:`Pace` — the host's speed, probed next to every op, and op times
+  scaled to a reference host;
 * :class:`Window` — the timed window of a run, with set-up re-timed across it;
 * :class:`Tracer` — spans around layer calls, grouped per operation, with the
   unattributed remainder of each operation kept;
@@ -179,6 +181,118 @@ def block_rate(work, durations, blocks: int = 5) -> float:
     return float(np.median([sum(work[g]) / sum(durations[g]) for g in groups]))
 
 
+# --------------------------------------------------------------------------- #
+# Host speed
+# --------------------------------------------------------------------------- #
+# Time of one Pace probe, without and with a 1000-device walk, in a fast
+# phase of the host the bounds were set on (2-vCPU Xeon VM, one BLAS thread,
+# numpy 2.4).  Scaled times read as seconds on that host at that speed.
+REFERENCE_S = {0: 0.0036, 1000: 0.0069}
+
+
+class Pace:
+    """The host's speed, probed next to every op with a fixed reference task.
+
+    The host runs the same code up to ~2x slower in phases that last from
+    a fraction of a second to many minutes (the other tenants of the
+    machine), so whole runs, not just single ops, land in slow or fast
+    phases, and no run length or median within a run absorbs that.  A probe
+    times a fixed task of a few ms made of the kind of work the workload's
+    ops spend their time in; it calls nothing in :mod:`repro`, so no change
+    to the program moves it, and :meth:`calibrate` divides it out of the op
+    times.
+
+    The task always runs interpreted Python over strings, dicts and lists
+    and small numpy calls (matmul, element-wise, bincount, argsort, gather):
+    the mix of parsing and model forwards.  With ``walk`` devices it also
+    builds a netlist-like adjacency of that many 4-terminal devices and
+    walks 3 hops out from 20 of them: the pointer chasing of flatten, graph
+    build and k-hop.  Across the host's phases, chip_eco's ECO ops moved
+    ~1.4x as much as the first part alone (in log time), and about as much
+    as the two parts together; annotate ops moved about as much as the
+    first part alone.
+    """
+
+    def __init__(self, walk: int = 0):
+        self.reference_s = REFERENCE_S[walk]
+        rng = np.random.default_rng(0)
+        self._keys = [f"n{i % 97}=d{i}" for i in range(2000)]
+        self._x = rng.standard_normal((96, 32))
+        self._w = rng.standard_normal((32, 32)) / 6.0
+        self._index = rng.integers(0, 96, 20000)
+        self._devices = [(f"M{i}", [f"n{int(j)}" for j in rng.integers(0, max(1, walk // 2), 4)])
+                         for i in range(walk)]
+
+    def _task(self) -> float:
+        nets: dict[str, list] = {}
+        for i, key in enumerate(self._keys):
+            name, _, value = key.partition("=")
+            nets.setdefault(name, []).append((i, value.upper()))
+        h = self._x
+        for _ in range(40):
+            h = np.maximum(h @ self._w, 0.0)
+            h = h / (1.0 + np.abs(h).sum(axis=1, keepdims=True))
+        order = np.argsort(self._index, kind="stable")
+        return (sum(len(v) for v in nets.values()) + float(h.sum())
+                + float(np.bincount(self._index).max())
+                + float(self._x[self._index[order]].sum()) + self._walk())
+
+    def _walk(self) -> int:
+        if not self._devices:
+            return 0
+        adjacency: dict[str, list] = {}
+        for name, nets in self._devices:
+            for terminal, net in enumerate(nets):
+                node = f"{name}:{terminal}"
+                adjacency.setdefault(name, []).append(node)
+                adjacency.setdefault(node, []).extend((name, net))
+                adjacency.setdefault(net, []).append(node)
+        step = max(1, len(self._devices) // 20)
+        frontier = [name for name, _ in self._devices[::step]]
+        seen = set(frontier)
+        for _ in range(3):
+            frontier = [other for node in frontier for other in adjacency[node]
+                        if not (other in seen or seen.add(other))]
+        return len(seen)
+
+    def probe(self, repeats: int = 1) -> float:
+        """Mean wall time of ``repeats`` runs of the reference task."""
+        start = time.perf_counter()
+        for _ in range(repeats):
+            self._task()
+        return (time.perf_counter() - start) / repeats
+
+    def calibrate(self, durations, probes, radius: int = 5) -> list[float]:
+        """Op wall times scaled to the reference host: ``d * reference_s / speed``.
+
+        ``probes[i]`` was taken next to op ``i``; ``speed`` is the mean of
+        the probes within ``radius`` ops of it.  The mean, not the median,
+        because a probe that the host preempts takes the same share of time
+        from the ops around it.  Over 5 s blocks of annotate_local and
+        chip_eco runs on a 2-vCPU VM, the block p50 varied least at a radius
+        of 5 (quartile spread 0.07-0.08 of its median, against 0.10-0.16 at
+        10 and 0.10-0.13 at 0, where one probe's jitter moves its op); the
+        block p90 varied 0.04-0.11 at every radius.
+        """
+        if len(durations) != len(probes):
+            raise ValueError(f"{len(durations)} ops but {len(probes)} probes")
+        sums = np.concatenate([[0.0], np.cumsum(probes)])
+        out = []
+        for i, duration in enumerate(durations):
+            lo, hi = max(0, i - radius), min(len(probes), i + radius + 1)
+            out.append(duration * self.reference_s * (hi - lo) / (sums[hi] - sums[lo]))
+        return out
+
+    def wall_notes(self, setup_s: float, work, durations, probes) -> dict:
+        """The unscaled wall-clock figures of a run, and the host's mean speed
+        relative to the reference host (above 1: faster), for the notes line."""
+        summary = latency_summary(durations)
+        return {"setup_s": setup_s, "links_per_s": block_rate(work, durations),
+                "latency_p50_s": summary["latency_p50_s"],
+                "latency_p90_s": summary["latency_p90_s"],
+                "host_speed": self.reference_s / float(np.mean(probes))}
+
+
 class Window:
     """The timed window of a run, with the set-up re-timed across it.
 
@@ -187,24 +301,32 @@ class Window:
     at its end; the window is stretched by the time those take, so ops keep
     their full ``seconds``.  One sample times ``repeats`` set-ups back to
     back and keeps their mean, so a short set-up is timed as a larger unit.
-    The host runs the same code up to ~1.5x slower in phases of a few
-    seconds; samples spread like this see the same mix of phases as the
-    ops, where set-ups timed back to back before the window all land in
-    one phase.  :attr:`setup_s` is the median sample.
+    Samples spread like this see the same mix of host phases as the ops,
+    where set-ups timed back to back before the window all land in one.
+    Each sample is scaled to the reference host by the mean of ``PROBES``
+    ``pace`` probes taken just before it, as :meth:`Pace.calibrate` scales
+    ops, and :attr:`wall_times` keeps the unscaled ones.  :attr:`setup_s` is
+    the median sample.
     """
 
-    def __init__(self, setup, seconds: float, samples: int = 5, repeats: int = 1):
+    PROBES = 5
+
+    def __init__(self, setup, seconds: float, pace: Pace, samples: int = 5,
+                 repeats: int = 1):
         self.setup, self.seconds = setup, seconds
-        self.samples, self.repeats = samples, repeats
+        self.samples, self.repeats, self.pace = samples, repeats, pace
         self.setup_times: list[float] = []
+        self.wall_times: list[float] = []
         self.result = self._sample()
         self._start = self._paused = 0.0
 
     def _sample(self):
+        scale = self.pace.reference_s / self.pace.probe(self.PROBES)
         start = time.perf_counter()
         for _ in range(self.repeats):
             result = self.setup()
-        self.setup_times.append((time.perf_counter() - start) / self.repeats)
+        self.wall_times.append((time.perf_counter() - start) / self.repeats)
+        self.setup_times.append(self.wall_times[-1] * scale)
         return result
 
     def open(self) -> None:
@@ -224,6 +346,10 @@ class Window:
     @property
     def setup_s(self) -> float:
         return float(np.median(self.setup_times))
+
+    @property
+    def wall_setup_s(self) -> float:
+        return float(np.median(self.wall_times))
 
 
 # --------------------------------------------------------------------------- #

@@ -32,7 +32,9 @@ CANDIDATES = 32
 CONNECTIONS = 2
 NEW_EVERY = 10
 PARITY_CHECKS = 16
-SEGMENTS = 4
+SEGMENTS = 16
+BOOT_EVERY = 4
+BOUNDARY_PROBES = 10
 BOOT_TIMEOUT_S = 120.0
 
 
@@ -225,9 +227,14 @@ def run(seed: int, seconds: float, trace: bool, size: str = "full") -> harness.O
     artifact = harness.checkpoint_path()
     requests = Requests(seed, size)
 
-    # Set-up: the serving daemon's boot, then one more boot after each
-    # segment of the timed window (clients idle meanwhile), so the boot
-    # times see the same mix of host phases as the requests.
+    # Set-up: the serving daemon's boot, then one more boot after every
+    # BOOT_EVERY-th segment of the timed window (clients idle meanwhile), so
+    # the boot times see the same mix of host phases as the requests.
+    # Host-speed probes (harness.Pace) run in this process at the segment
+    # boundaries, while the daemon idles: before each boot, and on both
+    # sides of each segment, whose times are scaled by the mean of the two.
+    pace = harness.Pace()
+    marks = [pace.probe(BOUNDARY_PROBES)]
     daemon = Daemon(artifact)
     boots, results, segments = [daemon.boot_s], [], []
     try:
@@ -236,14 +243,19 @@ def run(seed: int, seconds: float, trace: bool, size: str = "full") -> harness.O
         asyncio.run(closed_loop(daemon.url, requests, 0.0, fixed=warm))
         asyncio.run(closed_loop(daemon.url, requests, min(1.0, seconds / 4)))
         before = daemon.metrics()
-        for _ in range(SEGMENTS):
+        marks.append(pace.probe(BOUNDARY_PROBES))
+        boot_speeds = [marks[0]]
+        for index in range(SEGMENTS):
             start = time.perf_counter()
             segment = asyncio.run(closed_loop(daemon.url, requests, seconds / SEGMENTS))
             segments.append((len(segment), time.perf_counter() - start))
             results += segment
-            extra = Daemon(artifact)
-            extra.stop()
-            boots.append(extra.boot_s)
+            marks.append(pace.probe(BOUNDARY_PROBES))
+            if index % BOOT_EVERY == BOOT_EVERY - 1:
+                extra = Daemon(artifact)
+                extra.stop()
+                boots.append(extra.boot_s)
+                boot_speeds.append(marks[-1])
         after = daemon.metrics()
         peak = daemon.peak_rss_mb()
     finally:
@@ -257,10 +269,15 @@ def run(seed: int, seconds: float, trace: bool, size: str = "full") -> harness.O
         if problem:
             outcome.fail(f"{body['name']}: {problem}")
         answered.append(problem is None)
-    # Links answered per wall second, as the median over the segments.
+    # Links answered per second, as the median over the segments.
     bounds = np.cumsum([0] + [count for count, _ in segments])
-    rates = [sum(answered[lo:hi]) * CANDIDATES / duration
-             for lo, hi, (_, duration) in zip(bounds, bounds[1:], segments)]
+    speeds = [(a + b) / 2 for a, b in zip(marks[1:], marks[2:])]
+    wall_rates = [sum(answered[lo:hi]) * CANDIDATES / duration
+                  for lo, hi, (_, duration) in zip(bounds, bounds[1:], segments)]
+    rates = [rate * speed / pace.reference_s for rate, speed in zip(wall_rates, speeds)]
+    scaled = [latency * pace.reference_s / speed
+              for lo, hi, speed in zip(bounds, bounds[1:], speeds)
+              for latency in latencies[lo:hi]]
 
     # Wire parity on a seeded sample, new uploads included.
     engine = harness.load_engine(artifact)
@@ -272,13 +289,20 @@ def run(seed: int, seconds: float, trace: bool, size: str = "full") -> harness.O
         if status == 200 and local_wire_bytes(engine, body) != payload:
             outcome.fail(f"{body['name']}: response differs from local annotate")
 
-    summary = harness.latency_summary(latencies)
+    summary = harness.latency_summary(scaled)
+    wall = harness.latency_summary(latencies)
     outcome.notes.update(requests=len(results), beyond_p90=summary["beyond_p90"],
                          parity_checked=len(picks), connections=CONNECTIONS,
-                         new_upload_share=1 / NEW_EVERY)
+                         new_upload_share=1 / NEW_EVERY, wall={
+                             "setup_s": float(np.median(boots)),
+                             "links_per_s": float(np.median(wall_rates)),
+                             "latency_p50_s": wall["latency_p50_s"],
+                             "latency_p90_s": wall["latency_p90_s"],
+                             "host_speed": pace.reference_s / float(np.mean(marks))})
     if not trace:
         outcome.metrics.update(
-            setup_s=float(np.median(boots)),
+            setup_s=float(np.median([boot * pace.reference_s / speed
+                                     for boot, speed in zip(boots, boot_speeds)])),
             links_per_s=float(np.median(rates)),
             latency_p50_s=summary["latency_p50_s"],
             latency_p90_s=summary["latency_p90_s"],

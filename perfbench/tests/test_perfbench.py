@@ -109,7 +109,7 @@ def test_spans_plus_unattributed_equal_op_time():
 def test_window_spreads_setup_samples_over_the_run():
     calls = []
     window = harness.Window(lambda: calls.append(time.perf_counter()) or len(calls),
-                            seconds=0.2, samples=5, repeats=2)
+                            seconds=0.2, pace=harness.Pace(), samples=5, repeats=2)
     assert window.result == 2 and len(window.setup_times) == 1
     window.open()
     start = time.perf_counter()
@@ -119,8 +119,32 @@ def test_window_spreads_setup_samples_over_the_run():
     assert len(window.setup_times) == 5 and len(calls) == 10
     # Samples land inside the window and do not eat into its 0.2 s of ops.
     assert calls[2] > calls[1] + 0.02
-    assert wall >= 0.2 + 2 * sum(window.setup_times[1:])
+    assert wall >= 0.2 + 2 * sum(window.wall_times[1:])
     assert window.setup_s == pytest.approx(sorted(window.setup_times)[2])
+
+
+def test_calibrate_divides_out_host_speed():
+    # The host runs twice as slow for the second half: ops and probes double.
+    pace = harness.Pace()
+    ops = [0.1] * 30 + [0.2] * 30
+    probes = [pace.reference_s] * 30 + [2 * pace.reference_s] * 30
+    assert pace.calibrate(ops, probes, radius=0) == pytest.approx([0.1] * 60)
+    smoothed = pace.calibrate(ops, probes, radius=10)
+    assert smoothed[:20] == pytest.approx([0.1] * 20)
+    assert smoothed[-20:] == pytest.approx([0.1] * 20)
+    with pytest.raises(ValueError):
+        pace.calibrate(ops, probes[:-1])
+    assert 0.0 < pace.probe(3) < harness.Pace(walk=1000).probe(3) < 1.0
+
+
+def test_window_scales_setup_by_the_probes_before_it():
+    class HalfSpeed(harness.Pace):
+        def probe(self, repeats=1):
+            return 2 * self.reference_s
+
+    window = harness.Window(lambda: time.sleep(0.01), seconds=0.0, pace=HalfSpeed(),
+                            samples=1)
+    assert window.setup_s == pytest.approx(window.wall_setup_s / 2)
 
 
 def test_traced_workload_shares_cover_the_op():

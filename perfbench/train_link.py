@@ -10,6 +10,8 @@ This is the only workload that runs autograd backward and the optimizer,
 and its forward runs with grad enabled, so a forward optimisation that
 costs backward shows here.  Step latency is read from the loader: the time
 between successive batch requests is one load + forward + backward + step.
+A host-speed probe (``harness.Pace``) runs after each step, outside the
+step's time and the fit's.
 """
 
 from __future__ import annotations
@@ -62,8 +64,9 @@ def build_samples(size: str, tracer=None):
                 for sample in build_link_samples(design, data, rng=rng)]
 
 
-def step_timed_loader(samples, batch_size: int, seed: int):
-    """A shuffling :class:`DataLoader` that records the time of every step."""
+def step_timed_loader(samples, batch_size: int, seed: int, pace=None):
+    """A shuffling :class:`DataLoader` that records the time of every step,
+    and takes a ``pace`` probe after each one, outside its time."""
     from repro.core import DataLoader
 
     class StepTimedLoader(DataLoader):
@@ -71,12 +74,13 @@ def step_timed_loader(samples, batch_size: int, seed: int):
             start = time.perf_counter()
             for batch in super().__iter__():
                 yield batch
-                now = time.perf_counter()
-                self.steps.append(now - start)
-                start = now
+                self.steps.append(time.perf_counter() - start)
+                if pace is not None:
+                    self.probes.append(pace.probe())
+                start = time.perf_counter()
 
     loader = StepTimedLoader(samples, batch_size=batch_size, shuffle=True, rng=seed)
-    loader.steps = []
+    loader.steps, loader.probes = [], []
     return loader
 
 
@@ -88,12 +92,13 @@ def new_trainer(size: str, seed: int):
     return Trainer(model, task="link", config=train, rng=seed)
 
 
-def fit(samples, size: str, seed: int):
-    """The measured op; returns (per-epoch losses, step times, trainer)."""
+def fit(samples, size: str, seed: int, pace=None):
+    """The measured op; returns (per-epoch losses, step times, the probe
+    taken after each step, trainer)."""
     trainer = new_trainer(size, seed)
-    loader = step_timed_loader(samples, trainer.config.batch_size, seed)
+    loader = step_timed_loader(samples, trainer.config.batch_size, seed, pace)
     history = trainer.fit(loader)
-    return [row["loss"] for row in history.history], loader.steps, trainer
+    return [row["loss"] for row in history.history], loader.steps, loader.probes, trainer
 
 
 def fit_traced(samples, size: str, seed: int, tracer):
@@ -148,29 +153,39 @@ def run(seed: int, seconds: float, trace: bool, size: str = "full") -> harness.O
     if trace:
         return _run_traced(outcome, seconds, size, op_seeds)
 
-    window = harness.Window(lambda: build_samples(size), seconds)
+    pace = harness.Pace()
+    window = harness.Window(lambda: build_samples(size), seconds, pace)
     samples = window.result
-    fit(samples, size, int(op_seeds.integers(2 ** 31)))  # warm-up
-    durations, steps = [], []
+    fit(samples, size, int(op_seeds.integers(2 ** 31)), pace)  # warm-up
+    durations, fit_probes, steps, probes = [], [], [], []
     window.open()
     while window.running():
         start = time.perf_counter()
-        losses, op_steps, _ = fit(samples, size, int(op_seeds.integers(2 ** 31)))
-        durations.append(time.perf_counter() - start)
+        losses, op_steps, op_probes, _ = fit(samples, size, int(op_seeds.integers(2 ** 31)),
+                                             pace)
+        durations.append(time.perf_counter() - start - sum(op_probes))
+        fit_probes.append(float(np.mean(op_probes)))
         steps.extend(op_steps)
+        probes.extend(op_probes)
         outcome.attempted += 1
         if not all(np.isfinite(losses)):
             outcome.fail(f"fit {outcome.attempted}: non-finite loss {losses}")
-    summary = harness.latency_summary(steps)
+    # A fit holds tens of steps, so it is scaled by its own probes alone.
+    scaled = pace.calibrate(durations, fit_probes, radius=0)
+    summary = harness.latency_summary(pace.calibrate(steps, probes))
+    links = [EPOCHS * len(samples)] * len(durations)
+    wall = pace.wall_notes(window.wall_setup_s, links, durations, fit_probes)
+    wall.update({key: value for key, value in harness.latency_summary(steps).items()
+                 if key.startswith("latency")})
     outcome.metrics.update(
         setup_s=window.setup_s,
-        links_per_s=harness.block_rate([EPOCHS * len(samples)] * len(durations), durations),
+        links_per_s=harness.block_rate(links, scaled),
         latency_p50_s=summary["latency_p50_s"],
         latency_p90_s=summary["latency_p90_s"],
         peak_rss_mb=harness.vm_hwm_mb(),
     )
     outcome.notes.update(fits=len(durations), steps=len(steps), samples=len(samples),
-                         beyond_p90=summary["beyond_p90"])
+                         beyond_p90=summary["beyond_p90"], wall=wall)
     return outcome
 
 
@@ -185,7 +200,7 @@ def _run_traced(outcome, seconds, size, op_seeds):
     while time.perf_counter() < deadline:
         op_seed = int(op_seeds.integers(2 ** 31))
         start = time.perf_counter()
-        losses, _, trainer = fit(samples, size, op_seed)
+        losses, _, _, trainer = fit(samples, size, op_seed)
         untraced += time.perf_counter() - start
         traced_losses, traced_trainer = fit_traced(samples, size, op_seed, tracer)
         outcome.attempted += 1
