@@ -95,10 +95,15 @@ class PECache:
 
     @staticmethod
     def key_for(subgraph: Subgraph, pe_kind: str, design: str | None = None) -> tuple:
-        """The cache key of a subgraph: anchors, link/PE kind, topology digest."""
+        """The cache key of a subgraph: anchors, link/PE kind, topology digest.
+
+        The ``stats`` encoding is computed from ``node_stats`` (device W/L
+        among them), so its key also digests those values: a resized copy of
+        a design under the same name must not be served the old encodings.
+        """
         design = design if design is not None else subgraph.extras.get("design")
         a, b = subgraph.anchors
-        return (
+        key = (
             design,
             int(subgraph.node_ids[a]),
             int(subgraph.node_ids[b]),
@@ -109,6 +114,9 @@ class PECache:
             hash(subgraph.node_ids.tobytes()),
             hash(subgraph.edge_index.tobytes()),
         )
+        if pe_kind == "stats" and subgraph.node_stats is not None:
+            key += (hash(subgraph.node_stats.tobytes()),)
+        return key
 
     def get(self, key: tuple) -> np.ndarray | None:
         """Look up an encoding; counts a hit or miss and refreshes LRU order."""

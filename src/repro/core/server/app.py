@@ -287,8 +287,10 @@ class AnnotationServer:
             raise
         except Exception as exc:  # noqa: BLE001 - fault isolation boundary
             self.metrics.inc_error("design_error")
-            logger.debug("design %s failed: %s", label, exc)
-            return AnnotationFailure(design=label, error_type=type(exc).__name__,
+            error_type = type(exc).__name__
+            logger.warning("design %s failed: %s: %s", label, error_type, exc,
+                           extra={"error_type": error_type})
+            return AnnotationFailure(design=label, error_type=error_type,
                                      message=str(exc)).as_dict()
 
     # ------------------------------------------------------------------ #

@@ -213,12 +213,19 @@ class Circuit:
     def _expand_instance(self, instance: SubcktInstance, prefix: str, target: "Circuit",
                          separator: str,
                          registry: dict[str, tuple[str, str]] | None = None,
-                         scopes: set[str] | None = None) -> None:
+                         scopes: set[str] | None = None,
+                         ancestry: tuple[tuple[str, str], ...] = ()) -> None:
         definition = self.subckts.get(instance.subckt_name)
         if definition is None:
             raise KeyError(
                 f"instance {instance.name!r} references unknown subckt {instance.subckt_name!r}"
             )
+        # ``ancestry`` holds the (instance path, subckt) pairs being expanded
+        # above this one; meeting one of their subckts again never terminates.
+        ancestry = ancestry + ((f"{prefix}{instance.name}", definition.name),)
+        if definition.name in (name for _, name in ancestry[:-1]):
+            cycle = " -> ".join(f"{path} ({name})" for path, name in ancestry)
+            raise ValueError(f"subckt {definition.name!r} instantiates itself: {cycle}")
         if len(instance.connections) != len(definition.ports):
             raise ValueError(
                 f"instance {instance.name!r} connects {len(instance.connections)} nets but "
@@ -270,7 +277,8 @@ class Circuit:
             }
             # Recurse with the extended prefix; the child's own name is appended there.
             self._expand_instance(child_clone, prefix=scope, target=target,
-                                  separator=separator, registry=registry, scopes=scopes)
+                                  separator=separator, registry=registry, scopes=scopes,
+                                  ancestry=ancestry)
 
     def __repr__(self) -> str:
         return (

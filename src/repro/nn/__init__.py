@@ -20,7 +20,7 @@ from .backends import (
 )
 from .dtypes import (FLOAT32, FLOAT64, FLOAT_DTYPES, as_float,
                      default_dtype, set_default_dtype, use_dtype)
-from .functional import SegmentInfo, segment_info
+from .functional import BucketLayout, SegmentInfo, bucket_layout, segment_info
 from .layers import (
     MLP,
     BatchNorm1d,
@@ -61,6 +61,8 @@ __all__ = [
     "PerformerAttention",
     "SegmentInfo",
     "segment_info",
+    "BucketLayout",
+    "bucket_layout",
     "SGD",
     "Adam",
     "AdamW",

@@ -3,11 +3,21 @@
 The GPS layer's ``GlobalAttn`` block is a standard multi-head softmax
 self-attention applied to the node set of each graph.  Because batches are
 disjoint unions of enclosing subgraphs, attention must not leak across graph
-boundaries.  Instead of looping over graphs, the whole batch is packed into a
-dense padded ``(num_graphs, heads, max_n, max_n)`` score tensor via the
-segment-ops engine (:func:`repro.nn.functional.to_padded`) and masked with a
-large negative bias, so one batched softmax handles every graph at once.  The
-original per-graph loop survives as a parity oracle in :mod:`repro.nn.legacy`.
+boundaries.  Instead of looping over graphs, graphs are packed into dense
+padded ``(graphs, heads, n, n)`` score tensors and masked with a large
+negative bias, so one batched softmax handles many graphs at once.
+
+Padding every graph to the batch's largest one would let a single hub-net
+subgraph set the cost for all of them, so graphs are first grouped by size
+class, the next power of two of their node count
+(:class:`repro.nn.functional.BucketLayout`, computed once per collated batch
+and cached on its :class:`~repro.nn.functional.SegmentInfo`).  Each bucket is
+padded only to its own longest graph and runs the masked softmax on its own;
+one scatter packs all buckets and one gather puts the rows back in their
+original order.  A batch where bucketing would not at least halve the padded
+score volume, or whose volume is small, is one bucket: the plain padded
+computation over the whole batch.  The original per-graph loop survives as a
+parity oracle in :mod:`repro.nn.legacy`.
 """
 
 from __future__ import annotations
@@ -18,7 +28,7 @@ from ..utils.rng import get_rng
 from . import functional as F
 from .layers import Dropout, Linear
 from .module import Module
-from .tensor import Tensor
+from .tensor import Tensor, concat
 
 __all__ = ["MultiHeadSelfAttention"]
 
@@ -75,30 +85,42 @@ class MultiHeadSelfAttention(Module):
         if seg.num_rows == 0:
             return self.drop(self.out_proj(v))
 
+        layout = seg.buckets
+        scale = 1.0 / np.sqrt(self.head_dim)
+        # One scatter packs every bucket's padded block onto the joint slot
+        # axis.  The score scale is folded into q before packing: one
+        # (N, dim) multiply instead of one per (graphs, heads, n, n) block.
+        packed = [t.scatter_add(layout.flat, layout.num_slots, unique=True)
+                  for t in (q * scale, k, v)]
+        mixed = []
+        for bucket, start in zip(layout.buckets, layout.offsets):
+            stop = start + bucket.num_segments * bucket.max_count
+            # A single bucket spans the whole slot axis: no slice needed.
+            parts = packed if stop - start == layout.num_slots else [t[start:stop] for t in packed]
+            mixed.append(self._attend(*parts, bucket))
+        merged = mixed[0] if len(mixed) == 1 else concat(mixed, axis=0)
+        restored = merged.gather_rows(layout.flat, unique=True)
+        return self.drop(self.out_proj(restored))
+
+    def _attend(self, q: Tensor, k: Tensor, v: Tensor, seg) -> Tensor:
+        """Masked softmax attention over one bucket's padded slot rows.
+
+        ``q``/``k``/``v`` hold ``seg.num_segments * seg.max_count`` rows laid
+        out as ``seg``'s padded view; the result has the same layout.
+        """
         num_graphs, length = seg.num_segments, seg.max_count
         heads, head_dim = self.num_heads, self.head_dim
-        scale = 1.0 / np.sqrt(head_dim)
 
-        # (num_graphs, heads, max_n, head_dim) padded views of q/k/v.  The
-        # score scale is folded into q before padding: one (N, dim) multiply
-        # instead of a (num_graphs, heads, max_n, max_n) one.
         def split_heads(t: Tensor) -> Tensor:
-            padded, _ = F.to_padded(t, seg)
-            return padded.reshape(num_graphs, length, heads, head_dim).transpose(0, 2, 1, 3)
+            return t.reshape(num_graphs, length, heads, head_dim).transpose(0, 2, 1, 3)
 
-        qh = split_heads(q * scale)
-        kh = split_heads(k)
-        vh = split_heads(v)
-
-        scores = qh.matmul(kh.transpose(0, 1, 3, 2))
+        scores = split_heads(q).matmul(split_heads(k).transpose(0, 1, 3, 2))
         # Mask padded *key* slots everywhere; padded query rows degrade to a
-        # finite uniform attention and are dropped again by from_padded.
+        # finite uniform attention and are never gathered back.
         bias = np.where(seg.mask, 0.0, MASK_BIAS)[:, None, None, :]
         attn = (scores + Tensor(bias)).softmax(axis=-1)
-        mixed = attn.matmul(vh)  # (num_graphs, heads, max_n, head_dim)
-        merged = mixed.transpose(0, 2, 1, 3).reshape(num_graphs, length, self.dim)
-        restored = F.from_padded(merged, seg)
-        return self.drop(self.out_proj(restored))
+        mixed = attn.matmul(split_heads(v))  # (num_graphs, heads, length, head_dim)
+        return mixed.transpose(0, 2, 1, 3).reshape(num_graphs * length, self.dim)
 
 
 # --------------------------------------------------------------------------- #

@@ -16,6 +16,7 @@ All of them are differentiable and loop-free.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,6 +41,8 @@ __all__ = [
     "scatter_max",
     "SegmentInfo",
     "segment_info",
+    "BucketLayout",
+    "bucket_layout",
     "segment_sum",
     "segment_mean",
     "segment_max",
@@ -122,6 +125,11 @@ class SegmentInfo:
         """Number of flat rows covered by this segmentation."""
         return int(self.index.shape[0])
 
+    @cached_property
+    def buckets(self) -> "BucketLayout":
+        """Size-class :func:`bucket_layout` of this batch, computed once."""
+        return bucket_layout(self)
+
 
 def segment_info(index) -> SegmentInfo:
     """Build (or pass through) the :class:`SegmentInfo` for a batch vector."""
@@ -147,6 +155,72 @@ def segment_info(index) -> SegmentInfo:
     return SegmentInfo(index=ids, num_segments=num_segments,
                        counts=counts.astype(np.int64), slots=slots,
                        max_count=max_count, flat=flat, mask=mask)
+
+
+# Bucketing must at least halve a batch's padded volume S * L**2, and the batch
+# must be big enough (padded volume) for that saving to beat the extra ops of
+# each bucket; otherwise the whole batch stays one padded bucket.
+BUCKET_MIN_GAIN = 2
+BUCKET_MIN_VOLUME = 16384
+
+
+@dataclass(frozen=True)
+class BucketLayout:
+    """Size-class bucketing of a :class:`SegmentInfo` for padded attention.
+
+    Segments are grouped by the next power of two of their row count, and
+    each group (bucket) is padded only to its own longest segment rather than
+    to the longest segment of the batch.  The buckets' padded blocks lie end
+    to end on one slot axis: bucket ``b`` owns slots ``offsets[b]`` to
+    ``offsets[b] + buckets[b].num_segments * buckets[b].max_count``, laid out
+    as ``buckets[b]``'s ``(S_b, L_b)`` padded view.  ``flat`` places every
+    row, in original order, on that axis, so one unique-index scatter packs
+    all buckets and one gather with the same indices restores the original
+    row order.  A single-bucket layout is the plain padded layout of the
+    batch (``buckets[0] is seg`` and ``flat is seg.flat``).
+    """
+
+    buckets: tuple[SegmentInfo, ...]   # per size class, over that class's rows
+    offsets: tuple[int, ...]           # first slot of each bucket's block
+    flat: np.ndarray                   # (N,) slot of each row on the joint axis
+    num_slots: int                     # sum of S_b * L_b
+
+
+def bucket_layout(index) -> BucketLayout:
+    """Group a batch's segments into power-of-two size classes.
+
+    Attention reads it through :attr:`SegmentInfo.buckets`, which caches it
+    per layout, so it is computed once per collated batch.  Returns a single
+    bucket (the batch's own padded layout) when bucketing would not cut the
+    padded score volume ``S * L**2`` by at least ``BUCKET_MIN_GAIN`` or when
+    that volume is below ``BUCKET_MIN_VOLUME``.
+    """
+    seg = segment_info(index)
+    single = BucketLayout(buckets=(seg,), offsets=(0,), flat=seg.flat,
+                          num_slots=seg.num_segments * seg.max_count)
+    if seg.num_segments * seg.max_count ** 2 < BUCKET_MIN_VOLUME:
+        return single
+    # Class ceil(log2(count)); exact because log2 of a power of two is exact.
+    classes = np.ceil(np.log2(seg.counts)).astype(np.int64)
+    _, bucket_of, members = np.unique(classes, return_inverse=True, return_counts=True)
+    bucket_of = bucket_of.reshape(-1)
+    longest = np.zeros(members.shape[0], dtype=np.int64)
+    np.maximum.at(longest, bucket_of, seg.counts)
+    volume = int(np.sum(members * longest ** 2))
+    if volume * BUCKET_MIN_GAIN > seg.num_segments * seg.max_count ** 2:
+        return single
+    row_bucket = bucket_of[seg.index]
+    flat = np.empty_like(seg.flat)
+    buckets, offsets, start = [], [], 0
+    for bucket in range(members.shape[0]):
+        rows = np.flatnonzero(row_bucket == bucket)
+        sub = segment_info(seg.index[rows])
+        flat[rows] = start + sub.flat
+        buckets.append(sub)
+        offsets.append(start)
+        start += sub.num_segments * sub.max_count
+    return BucketLayout(buckets=tuple(buckets), offsets=tuple(offsets),
+                        flat=flat, num_slots=start)
 
 
 def _segment_args(index, num_segments: int | None) -> tuple[np.ndarray, int]:

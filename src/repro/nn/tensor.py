@@ -507,11 +507,18 @@ class Tensor:
 
     def __getitem__(self, index) -> "Tensor":
         out_data = self.data[index]
+        # Basic indexing (ints/slices) selects each element at most once, so
+        # the backward can assign instead of the much slower ``np.add.at``.
+        parts = index if isinstance(index, tuple) else (index,)
+        basic = all(isinstance(p, (int, slice)) or p is None or p is Ellipsis for p in parts)
 
         def backward(grad):
             if self.requires_grad:
                 full = np.zeros_like(self.data)
-                np.add.at(full, index, grad)
+                if basic:
+                    full[index] = grad
+                else:
+                    np.add.at(full, index, grad)
                 self._accumulate(full)
 
         return self._make(out_data, (self,), backward, "getitem")

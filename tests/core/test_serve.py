@@ -1,5 +1,6 @@
 """Tests for the batched annotation engine (repro.core.serve)."""
 
+import copy
 import json
 
 import numpy as np
@@ -14,7 +15,7 @@ from repro.core import (
     default_candidate_pairs,
 )
 from repro.graph import netlist_to_graph
-from repro.netlist import parse_spice_file, ssram, write_spice
+from repro.netlist import Mosfet, parse_spice_file, ssram, write_spice
 
 
 @pytest.fixture(scope="module")
@@ -159,6 +160,59 @@ class TestAnnotate:
         engine = AnnotationEngine(serving_pipeline)
         with pytest.raises(ValueError, match="align"):
             engine.annotate_many([user_circuit], pairs=[[("BL0", "BL1")], [("x", "y")]])
+
+
+class TestStatsPECacheKey:
+    """Regression: ``stats`` PEs depend on device W/L, not only on topology."""
+
+    def test_resized_design_under_same_name_matches_fresh_engine(self, tiny_config,
+                                                                 user_circuit):
+        config = tiny_config.with_model(pe_kind="stats")
+        pipeline = CircuitGPSPipeline.from_models(
+            config, build_model(config, rng=0),
+            heads={("edge_regression", "all"): build_model(config, rng=1)})
+        original = user_circuit.flatten()
+        resized = copy.deepcopy(original)
+        mosfets = [d for d in resized.devices if isinstance(d, Mosfet)]
+        for device in mosfets[::2]:
+            device.width *= 4.0
+            device.length *= 2.0
+        pairs = [("BL0", "BL1"), ("BL1", "BLB1"), ("WL0", "BL0")]
+
+        engine = AnnotationEngine(pipeline, cache=PECache())
+        engine.annotate(original, pairs=pairs, seed=3)
+        served = engine.annotate(resized, pairs=pairs, seed=3)
+        fresh = AnnotationEngine(pipeline, cache=PECache()).annotate(resized, pairs=pairs, seed=3)
+        assert served.design == fresh.design == original.name
+        assert served.records == fresh.records
+
+
+class TestBucketLayoutSharing:
+    def test_one_bucket_layout_per_batch_for_both_models_and_all_layers(
+            self, tiny_config, user_circuit, monkeypatch):
+        """Both serving models and every GPS layer share one bucket layout."""
+        from repro.nn import functional as F
+
+        config = tiny_config.with_model(attention="transformer", num_layers=2)
+        pipeline = CircuitGPSPipeline.from_models(
+            config, build_model(config, rng=0),
+            heads={("edge_regression", "all"): build_model(config, rng=1)})
+        engine = AnnotationEngine(pipeline, cache=PECache())
+        calls = {"layout": 0, "batch": 0}
+        layout, predict = F.bucket_layout, engine.predict_batch
+
+        def counting_layout(index):
+            calls["layout"] += 1
+            return layout(index)
+
+        def counting_predict(batch):
+            calls["batch"] += 1
+            return predict(batch)
+
+        monkeypatch.setattr(F, "bucket_layout", counting_layout)
+        monkeypatch.setattr(engine, "predict_batch", counting_predict)
+        engine.annotate(user_circuit, pairs=[("BL0", "BL1"), ("BL1", "BLB1")], seed=3)
+        assert calls == {"layout": 1, "batch": 1}
 
 
 class TestAnnotateManyPartialFailure:

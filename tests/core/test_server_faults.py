@@ -17,6 +17,7 @@ from __future__ import annotations
 import concurrent.futures
 import http.client
 import json
+import logging
 import socket
 import time
 
@@ -134,6 +135,22 @@ class TestMidBatchEngineFault:
         # The shared engine really was patched back in business afterwards.
         monkeypatch.undo()
         assert client.annotate_raw(good_request).strip() == expected
+
+
+class TestDesignFailureLogging:
+    def test_failed_design_logs_a_warning_with_its_error_type(self, faulty_server,
+                                                              server_spice, caplog):
+        """A failed design must be visible at the default log level."""
+        caplog.set_level(logging.WARNING, logger="repro.server")
+        report = ServeClient(faulty_server.url).annotate(
+            spice=server_spice, name="BROKEN", pairs=[("no_such_net", "other")], seed=1)
+        assert report["status"] == "error"
+        records = [r for r in caplog.records if r.name == "repro.server"
+                   and "BROKEN" in r.getMessage()]
+        assert len(records) == 1
+        assert records[0].levelno == logging.WARNING
+        assert records[0].error_type == report["error"]["type"]
+        assert report["error"]["type"] in records[0].getMessage()
 
 
 class TestClientDisconnect:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.netlist import Circuit, Mosfet, Resistor, Subckt, SubcktInstance
+from repro.netlist import Circuit, Mosfet, Resistor, Subckt, SubcktInstance, parse_spice
 
 
 def _inverter_subckt(name="INV"):
@@ -84,6 +84,23 @@ class TestFlatten:
         circuit.add(SubcktInstance("X1", {}, subckt_name="INV", connections=["a", "y"]))
         with pytest.raises(ValueError):
             circuit.flatten()
+
+    def test_self_instantiating_subckt_names_the_cycle(self):
+        """Regression: a subckt instantiating itself recursed until RecursionError."""
+        circuit = parse_spice(".subckt LOOP a b\nX1 a b LOOP\n.ends\nX0 n1 n2 LOOP\n.end\n")
+        with pytest.raises(ValueError, match=r"X0 \(LOOP\) -> X0/X1 \(LOOP\)"):
+            circuit.flatten()
+
+    def test_two_level_subckt_cycle_names_the_cycle(self):
+        circuit = parse_spice(".subckt A a b\nXB a b B\n.ends\n"
+                              ".subckt B a b\nXA a b A\n.ends\n"
+                              "X0 n1 n2 A\n.end\n")
+        with pytest.raises(ValueError, match=r"X0 \(A\) -> X0/XB \(B\) -> X0/XB/XA \(A\)"):
+            circuit.flatten()
+
+    def test_repeated_subckt_in_sibling_branches_is_not_a_cycle(self):
+        flat = self._hierarchical().flatten()  # BUF instantiates INV twice
+        assert len(flat.devices) == 4
 
     def test_stats_of_flattened_circuit(self):
         stats = self._hierarchical().stats()

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.nn import MultiHeadSelfAttention, PerformerAttention, Tensor, segment_info
+from repro.nn import MultiHeadSelfAttention, PerformerAttention, Tensor, segment_info, use_dtype
+from repro.nn import functional as F
+from repro.nn.attention import MASK_BIAS
 from repro.nn.legacy import loop_multihead_attention, loop_performer_attention
 
 
@@ -248,3 +250,142 @@ class TestLoopParity:
                      PerformerAttention(8, num_heads=2, num_features=8, rng=0)):
             attn.eval()
             np.testing.assert_allclose(attn(x, seg).data, attn(x, batch).data)
+
+
+# --------------------------------------------------------------------------- #
+# Size-class bucketing
+# --------------------------------------------------------------------------- #
+def padded_attention(module: MultiHeadSelfAttention, x: Tensor, batch) -> Tensor:
+    """Every segment padded to the batch's longest one: the kernel before
+    size-class bucketing, kept as the one-bucket reference."""
+    seg = segment_info(batch)
+    q, k, v = module.q_proj(x), module.k_proj(x), module.v_proj(x)
+    if seg.num_rows == 0:
+        return module.drop(module.out_proj(v))
+    graphs, length = seg.num_segments, seg.max_count
+
+    def split_heads(t):
+        padded, _ = F.to_padded(t, seg)
+        return padded.reshape(graphs, length, module.num_heads,
+                              module.head_dim).transpose(0, 2, 1, 3)
+
+    qh = split_heads(q * (1.0 / np.sqrt(module.head_dim)))
+    scores = qh.matmul(split_heads(k).transpose(0, 1, 3, 2))
+    bias = np.where(seg.mask, 0.0, MASK_BIAS)[:, None, None, :]
+    mixed = (scores + Tensor(bias)).softmax(axis=-1).matmul(split_heads(v))
+    merged = mixed.transpose(0, 2, 1, 3).reshape(graphs, length, module.dim)
+    return module.drop(module.out_proj(F.from_padded(merged, seg)))
+
+
+def _mixed_sizes():
+    """One 54-node hub subgraph among many 3-12-node ones."""
+    sizes = np.random.default_rng(11).integers(3, 13, size=60)
+    return np.concatenate([sizes[:20], [54], sizes[20:]])
+
+
+def _bucket_batches():
+    sizes = _mixed_sizes()
+    contiguous = np.repeat(np.arange(sizes.shape[0]), sizes)
+    rng = np.random.default_rng(12)
+    labels = rng.permutation(1000)[: sizes.shape[0]] * 3 + 5  # non-contiguous ids
+    interleaved = rng.permutation(labels[contiguous])
+    return {
+        "mixed": contiguous,
+        "interleaved_non_contiguous": interleaved,
+        "single_segment": np.zeros(54, dtype=np.int64),
+        "empty": np.zeros(0, dtype=np.int64),
+    }
+
+
+BUCKET_BATCHES = _bucket_batches()
+DTYPE_TOLERANCE = {np.float64: 1e-12, np.float32: 1e-5}
+
+
+def _run(kernel, module, x_data, batch, weights, dtype):
+    """Forward output and input gradient of ``sum(weights * kernel(x))``."""
+    with use_dtype(dtype):
+        x = Tensor(x_data.astype(dtype), requires_grad=True)
+        out = kernel(module, x, batch)
+        (out * Tensor(weights.astype(dtype))).sum().backward()
+    grad = x.grad if x.grad is not None else np.zeros_like(x.data)
+    return out.data, grad
+
+
+def _forward(module, x, batch):
+    return module(x, batch)
+
+
+def _one_bucket(module, x, batch):
+    F.BUCKET_MIN_VOLUME, saved = float("inf"), F.BUCKET_MIN_VOLUME
+    try:
+        return module(x, segment_info(batch))
+    finally:
+        F.BUCKET_MIN_VOLUME = saved
+
+
+class TestBucketedAttention:
+    """Size-class bucketing must not change what attention computes."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("reference,name", [
+        pytest.param(reference, name, id=f"{label}-{name}")
+        for label, reference in (("loop", loop_multihead_attention), ("one_bucket", _one_bucket))
+        for name in sorted(BUCKET_BATCHES)
+        if not (name == "empty" and label == "loop")  # the loop oracle needs a graph
+    ])
+    def test_matches_reference(self, name, dtype, reference):
+        batch = BUCKET_BATCHES[name]
+        module = MultiHeadSelfAttention(16, num_heads=4, rng=0).cast(dtype)
+        module.eval()
+        rng = np.random.default_rng(13)
+        x = rng.normal(size=(batch.shape[0], 16))
+        weights = rng.normal(size=(batch.shape[0], 16))
+        out, grad = _run(_forward, module, x, batch, weights, dtype)
+        want_out, want_grad = _run(reference, module, x, batch, weights, dtype)
+        assert out.dtype == want_out.dtype == dtype
+        tol = DTYPE_TOLERANCE[dtype]
+        np.testing.assert_allclose(out, want_out, atol=tol, rtol=tol)
+        np.testing.assert_allclose(grad, want_grad, atol=tol, rtol=tol)
+
+    def test_mixed_batches_really_bucket(self):
+        for name in ("mixed", "interleaved_non_contiguous"):
+            layout = segment_info(BUCKET_BATCHES[name]).buckets
+            assert len(layout.buckets) > 1, name
+            assert layout.num_slots < 0.5 * 61 * 54  # far below S * L padded rows
+        for name in ("single_segment", "empty"):
+            assert len(segment_info(BUCKET_BATCHES[name]).buckets.buckets) == 1
+
+    def test_layout_places_every_row_once(self):
+        batch = BUCKET_BATCHES["interleaved_non_contiguous"]
+        seg = segment_info(batch)
+        layout = seg.buckets
+        assert np.unique(layout.flat).shape[0] == batch.shape[0]
+        assert layout.flat.max() < layout.num_slots
+        for bucket, start in zip(layout.buckets, layout.offsets):
+            # Each bucket holds one size class: lengths within a power of two.
+            classes = np.ceil(np.log2(bucket.counts))
+            assert classes.min() == classes.max()
+            slots = np.arange(start, start + bucket.num_segments * bucket.max_count)
+            rows = np.flatnonzero(np.isin(layout.flat, slots))
+            # All rows of a bucket segment come from one original segment.
+            for local in range(bucket.num_segments):
+                owners = seg.index[rows[bucket.index == local]]
+                assert np.unique(owners).shape[0] == 1
+
+    def test_layout_is_computed_once_per_segment_info(self):
+        seg = segment_info(BUCKET_BATCHES["mixed"])
+        assert seg.buckets is seg.buckets
+
+    @pytest.mark.parametrize("batch", [
+        np.repeat(np.arange(4), [3, 5, 9, 40]),         # padded volume too small
+        np.repeat(np.arange(61), [30] * 60 + [33]),     # bucketing would not halve it
+    ], ids=["tiny", "no_halving"])
+    def test_one_bucket_rule_is_the_padded_kernel(self, batch):
+        seg = segment_info(batch)
+        (bucket,) = seg.buckets.buckets
+        assert bucket is seg and seg.buckets.flat is seg.flat
+        module = MultiHeadSelfAttention(16, num_heads=4, rng=0)
+        module.eval()
+        x = Tensor(np.random.default_rng(14).normal(size=(batch.shape[0], 16)))
+        np.testing.assert_array_equal(module(x, seg).data,
+                                      padded_attention(module, x, seg).data)
