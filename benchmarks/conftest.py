@@ -89,14 +89,15 @@ def finetuned_variants(config, train_designs, pretrained):
 
     Shared between the Table VI benchmark and the Fig. 4 energy validation.
     """
-    from repro.core import finetune_regression
+    from repro.core import finetune_task
 
+    task = "edge_regression"
     return {
-        "CircuitGPS": finetune_regression(train_designs, mode="scratch", config=config),
-        "CircuitGPS-head-ft": finetune_regression(train_designs, pretrained=pretrained.model,
-                                                  mode="head", config=config),
-        "CircuitGPS-all-ft": finetune_regression(train_designs, pretrained=pretrained.model,
-                                                 mode="all", config=config),
+        "CircuitGPS": finetune_task(train_designs, task, mode="scratch", config=config),
+        "CircuitGPS-head-ft": finetune_task(train_designs, task, pretrained=pretrained.model,
+                                            mode="head", config=config),
+        "CircuitGPS-all-ft": finetune_task(train_designs, task, pretrained=pretrained.model,
+                                           mode="all", config=config),
     }
 
 

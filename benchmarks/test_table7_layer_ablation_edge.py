@@ -11,7 +11,7 @@ from __future__ import annotations
 import time
 
 from repro.analysis import format_table
-from repro.core import evaluate_regression, finetune_regression
+from repro.core import evaluate_regression, finetune_task
 
 import pytest
 
@@ -50,7 +50,8 @@ def test_table7_gps_layer_ablation_edge_regression(benchmark, config, suite):
         for mpnn, attention in CONFIGURATIONS:
             variant = config.with_model(mpnn=mpnn, attention=attention)
             start = time.perf_counter()
-            result = finetune_regression([train_design], mode="scratch", config=variant)
+            result = finetune_task([train_design], "edge_regression", mode="scratch",
+                                   config=variant)
             elapsed = time.perf_counter() - start
             metrics = evaluate_regression(result, test_design, config=variant)
             rows.append({

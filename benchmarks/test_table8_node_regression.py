@@ -10,7 +10,7 @@ class-specific experts.
 from __future__ import annotations
 
 from repro.analysis import format_table
-from repro.core import BaselineTrainer, evaluate_regression, finetune_regression
+from repro.core import BaselineTrainer, evaluate_regression, finetune_task
 from repro.models import DLPLCap, ParaGraph
 
 import pytest
@@ -54,9 +54,9 @@ def test_table8_node_regression_comparison(benchmark, config, train_designs, tes
 
         # CircuitGPS adapts the pre-trained meta-learner to the node-level task
         # (Section III-E / IV-D) with all parameters trainable.
-        circuitgps = finetune_regression(train_designs, pretrained=pretrained.model, mode="all",
-                                         task="node_regression", config=config,
-                                         epochs=CIRCUITGPS_EPOCHS)
+        circuitgps = finetune_task(train_designs, "node_regression",
+                                   pretrained=pretrained.model, mode="all", config=config,
+                                   epochs=CIRCUITGPS_EPOCHS)
         for design in test_designs:
             for name, trainer in trainers.items():
                 rows.append({"method": name, "design": design.name, **trainer.evaluate(design)})

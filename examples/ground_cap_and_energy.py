@@ -21,7 +21,7 @@ from repro.core import (
     ExperimentConfig,
     Trainer,
     evaluate_regression,
-    finetune_regression,
+    finetune_task,
     load_design_suite,
 )
 from repro.core.datasets import build_edge_regression_samples
@@ -40,8 +40,8 @@ def main() -> None:
     # Node regression: ground capacitance per net/pin.
     # ------------------------------------------------------------------ #
     print("Training CircuitGPS for node regression (ground capacitance)...")
-    node_model = finetune_regression(train_designs, mode="scratch", task="node_regression",
-                                     config=config)
+    node_model = finetune_task(train_designs, "node_regression", mode="scratch",
+                               config=config)
     rows = []
     for design in test_designs:
         metrics = evaluate_regression(node_model, design, task="node_regression", config=config)
@@ -52,8 +52,8 @@ def main() -> None:
     # Edge regression + energy validation (Fig. 4).
     # ------------------------------------------------------------------ #
     print("\nTraining CircuitGPS for coupling-capacitance regression...")
-    edge_model = finetune_regression(train_designs, mode="scratch", task="edge_regression",
-                                     config=config)
+    edge_model = finetune_task(train_designs, "edge_regression", mode="scratch",
+                               config=config)
     trainer = Trainer(edge_model.model, task="edge_regression", config=config.train)
 
     energy_rows = []

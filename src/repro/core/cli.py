@@ -52,6 +52,7 @@ from ..utils.logging import get_logger
 from ..utils.serialization import CheckpointError, load_json, save_json
 from .config import ExperimentConfig
 from .pipeline import CircuitGPSPipeline
+from .serve import DEFAULT_MAX_CANDIDATES
 
 __all__ = ["build_parser", "main"]
 
@@ -127,8 +128,8 @@ def build_parser() -> argparse.ArgumentParser:
     annotate.add_argument("--pairs", action="append", default=None, metavar="A,B",
                           help="explicit candidate pair (repeatable); default: "
                                "auto-generated signal-net pairs")
-    annotate.add_argument("--max-candidates", type=int, default=200,
-                          help="cap on auto-generated candidate pairs (default: 200)")
+    annotate.add_argument("--max-candidates", type=int, default=DEFAULT_MAX_CANDIDATES,
+                          help="cap on auto-generated candidate pairs (default: %(default)s)")
     annotate.add_argument("--batch-size", type=int, default=256,
                           help="inference batch size (default: 256)")
     annotate.add_argument("--threshold", type=float, default=0.5,

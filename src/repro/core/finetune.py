@@ -15,13 +15,11 @@ Tables VI/VIII).
 :func:`finetune_task` is the generic entry point: it accepts any task
 registered in :data:`repro.api.TASKS` (and any backbone registered in
 :data:`repro.api.BACKBONES` via the ``backbone`` spec), so a new workload
-plugs in without touching this module.  The legacy
-:func:`finetune_regression` survives as a deprecated wrapper.
+plugs in without touching this module.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Protocol, runtime_checkable
 
@@ -39,7 +37,6 @@ __all__ = [
     "FINETUNE_MODES",
     "TrainedModel",
     "finetune_task",
-    "finetune_regression",
     "evaluate_task",
     "evaluate_regression",
 ]
@@ -194,28 +191,6 @@ def _require_regression(task) -> object:
     if task.kind != "regression":
         raise ValueError(f"task must be a regression task, got {task.name!r}")
     return task
-
-
-def finetune_regression(designs: list[DesignData], pretrained: CircuitGPS | None = None,
-                        mode: str = "all", task: str = "edge_regression",
-                        config: ExperimentConfig | None = None, pe_kind: str | None = None,
-                        val_fraction: float = 0.1, epochs: int | None = None,
-                        verbose: bool = False, rng=None) -> FinetuneResult:
-    """Deprecated alias of :func:`finetune_task` restricted to regression tasks.
-
-    .. deprecated::
-        Use ``repro.api.fit`` with an :class:`~repro.api.ExperimentSpec`, or
-        :func:`finetune_task`, which accepts any registered task.
-    """
-    warnings.warn(
-        "finetune_regression() is deprecated; use repro.api.fit(spec) or "
-        "repro.core.finetune_task(designs, task, ...) instead",
-        DeprecationWarning, stacklevel=2,
-    )
-    task = _require_regression(task)
-    return finetune_task(designs, task, pretrained=pretrained, mode=mode,
-                         config=config, pe_kind=pe_kind, val_fraction=val_fraction,
-                         epochs=epochs, verbose=verbose, rng=rng)
 
 
 def evaluate_task(result_or_model, design: DesignData, task,

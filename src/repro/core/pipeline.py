@@ -11,18 +11,14 @@ fine-tuning and zero-shot evaluation so downstream users (and the examples in
     print(pipeline.evaluate_link("DIGITAL_CLK_GEN"))
     print(pipeline.evaluate_regression("DIGITAL_CLK_GEN"))
 
-It can also annotate a user-provided SPICE netlist with predicted coupling
-capacitances via :meth:`predict_couplings`.
+Annotating user netlists with predicted coupling capacitances is the job of
+:class:`~repro.core.serve.AnnotationEngine`, built around a trained pipeline.
 """
 
 from __future__ import annotations
 
 import pathlib
-import warnings
 
-import numpy as np
-
-from ..netlist import Circuit
 from ..utils.logging import get_logger
 from ..utils.serialization import (
     CheckpointError,
@@ -166,60 +162,6 @@ class CircuitGPSPipeline:
             self.finetune(mode=mode, task=task)
         return evaluate_task(self.finetune_results[key], self._design(design_name),
                              task=task, config=self.config)
-
-    # ------------------------------------------------------------------ #
-    # Inference on user circuits
-    # ------------------------------------------------------------------ #
-    def predict_couplings(self, circuit: Circuit, candidate_pairs: list[tuple[str, str]],
-                          task: str = "edge_regression", mode: str = "all",
-                          rng=None, batch_size: int | None = None,
-                          workers: int | None = None) -> list[dict]:
-        """Predict coupling existence and capacitance for candidate node pairs.
-
-        .. deprecated::
-            Use :func:`repro.api.annotate` (or build an
-            :class:`~repro.core.serve.AnnotationEngine` directly); this
-            wrapper only survives for existing callers.
-
-        ``candidate_pairs`` holds graph-node names: net names or pins written
-        as ``"<device>:<terminal>"``.  Returns one record per pair with the
-        predicted existence probability and (denormalised) capacitance.
-
-        Inference is delegated to :class:`~repro.core.serve.AnnotationEngine`
-        (batched sampler/loader path, positional encodings through the
-        process-wide PE cache, so repeated calls on the same circuit skip
-        recomputation); build an engine directly to annotate many netlists or
-        to emit annotated SPICE / JSON reports.  ``batch_size`` defaults to
-        one batch over all pairs; note that when hub-node subsampling
-        (``max_nodes_per_hop``) triggers, the sampled subgraphs — and hence
-        the predictions — depend on the chunking.  ``workers`` shards the
-        inference loader across processes (:mod:`repro.core.parallel`)
-        without changing the predictions.
-        """
-        from .data import default_pe_cache
-        from .serve import AnnotationEngine
-
-        warnings.warn(
-            "CircuitGPSPipeline.predict_couplings() is deprecated; use "
-            "repro.api.annotate(pipeline, netlist, pairs=...) or an "
-            "AnnotationEngine instead",
-            DeprecationWarning, stacklevel=2,
-        )
-        if self.pretrain_result is None:
-            raise RuntimeError("pretrain() must run before inference")
-        if (task, mode) not in self.finetune_results:
-            self.finetune(mode=mode, task=task)
-        if isinstance(rng, np.random.Generator):
-            seed = int(rng.integers(2 ** 31))
-        else:
-            seed = int(rng) if rng is not None else 0
-        engine = AnnotationEngine(
-            self, task=task, mode=mode, cache=default_pe_cache(),
-            batch_size=batch_size if batch_size is not None else max(len(candidate_pairs), 1),
-            workers=workers,
-        )
-        annotation = engine.annotate(circuit, pairs=candidate_pairs, seed=seed)
-        return annotation.records
 
     # ------------------------------------------------------------------ #
     # Declarative view
@@ -379,33 +321,14 @@ class CircuitGPSPipeline:
     @classmethod
     def from_models(cls, config: ExperimentConfig, link_model,
                     heads: dict[tuple[str, str], object] | None = None,
-                    normalizer: CapacitanceNormalizer | None = None) -> "CircuitGPSPipeline":
+                    normalizer: CapacitanceNormalizer | None = None,
+                    task_specs: dict[tuple[str, str], dict] | None = None
+                    ) -> "CircuitGPSPipeline":
         """Assemble a pipeline around already-built models without training.
 
-        .. deprecated::
-            Serving entry points are :func:`repro.api.load` /
-            :meth:`from_checkpoint`; tests and benchmarks that hand-build
-            models should migrate to those or construct the pipeline pieces
-            directly.  ``heads`` maps ``(task, mode)`` to a regression model.
-        """
-        warnings.warn(
-            "CircuitGPSPipeline.from_models() is deprecated; load pipelines "
-            "with repro.api.load(path) / CircuitGPSPipeline.from_checkpoint(path)",
-            DeprecationWarning, stacklevel=2,
-        )
-        return cls._assemble(config, link_model, heads=heads, normalizer=normalizer)
-
-    @classmethod
-    def _assemble(cls, config: ExperimentConfig, link_model,
-                  heads: dict[tuple[str, str], object] | None = None,
-                  normalizer: CapacitanceNormalizer | None = None,
-                  task_specs: dict[tuple[str, str], dict] | None = None
-                  ) -> "CircuitGPSPipeline":
-        """Internal :meth:`from_models` body (no deprecation warning).
-
-        ``task_specs`` optionally maps ``(task, mode)`` to a full task spec
-        dict, so parameterized tasks rebuild with their saved constructor
-        kwargs instead of registry defaults.
+        ``heads`` maps ``(task, mode)`` to a fine-tuned model; ``task_specs``
+        optionally maps the same keys to full task specs, so parameterized
+        tasks (and :meth:`load`) rebuild with their saved constructor kwargs.
         """
         from ..utils.logging import MetricLogger
         from .trainer import Trainer
@@ -494,9 +417,9 @@ class CircuitGPSPipeline:
         norm = metadata.get("normalizer", {})
         normalizer = CapacitanceNormalizer(norm.get("cap_min", config.data.cap_min),
                                            norm.get("cap_max", config.data.cap_max))
-        loaded = CircuitGPSPipeline._assemble(config, link_model, heads=head_models,
-                                              normalizer=normalizer,
-                                              task_specs=task_specs)
+        loaded = CircuitGPSPipeline.from_models(config, link_model, heads=head_models,
+                                                normalizer=normalizer,
+                                                task_specs=task_specs)
         self._restore_trainer_state(loaded.pretrain_result.trainer, optim_state,
                                     "optim.pretrain.")
         for (task, mode), result in loaded.finetune_results.items():

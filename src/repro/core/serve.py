@@ -28,11 +28,10 @@ The engine's inference recipe is exposed as composable hooks
 (:meth:`AnnotationEngine.request_dataset` /
 :meth:`~AnnotationEngine.extract_chunk` /
 :meth:`~AnnotationEngine.predict_samples` /
-:meth:`~AnnotationEngine.build_records`) so the persistent daemon in
-:mod:`repro.core.server` can interleave extraction and forward passes of
-*different* concurrent requests through one shared micro-batcher while
-producing exactly the records a serial :meth:`~AnnotationEngine.annotate`
-call would.
+:meth:`~AnnotationEngine.build_records`).  Every local entry point scores
+through :meth:`~AnnotationEngine.score_pairs`; the daemon in
+:mod:`repro.core.server` replays the hooks chunk by chunk and shares only the
+forward passes of concurrent requests, so both produce the same records.
 
 ``benchmarks/test_serve_throughput.py`` pins the batched path at >= 3x the
 per-link inference loop this engine replaced;
@@ -74,13 +73,16 @@ from .parallel import parallel_map
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .pipeline import CircuitGPSPipeline
 
-__all__ = ["AnnotationEngine", "AnnotationFailure", "NetlistAnnotation",
-           "annotation_payload", "default_candidate_pairs"]
+__all__ = ["AnnotationEngine", "AnnotationFailure", "DEFAULT_MAX_CANDIDATES",
+           "NetlistAnnotation", "annotation_payload", "default_candidate_pairs"]
 
 logger = get_logger("repro.serve")
 
+#: Candidate cap of every entry point that draws its own candidate pairs.
+DEFAULT_MAX_CANDIDATES = 200
 
-def default_candidate_pairs(graph: CircuitGraph, max_candidates: int = 200,
+
+def default_candidate_pairs(graph: CircuitGraph, max_candidates: int = DEFAULT_MAX_CANDIDATES,
                             rng=None, allowed=None) -> list[tuple[str, str]]:
     """Candidate node pairs for a netlist without explicit targets.
 
@@ -363,20 +365,9 @@ class AnnotationEngine:
     # ------------------------------------------------------------------ #
     # Inference hooks (shared by annotate() and the annotation service)
     # ------------------------------------------------------------------ #
-    @property
-    def deterministic_extraction(self) -> bool:
-        """Whether extraction results are independent of batch grouping.
-
-        Hub-node subsampling (``max_nodes_per_hop``) draws from a per-chunk
-        RNG stream, so regrouping links across requests would change the
-        sampled subgraphs.  Without it extraction is RNG-free and the
-        micro-batcher may freely coalesce extraction work across requests.
-        """
-        return self.config.data.max_nodes_per_hop is None
-
     def request_dataset(self, graph: CircuitGraph, links: list[Link],
                         seed: int = 0) -> SubgraphDataset:
-        """The lazy per-request dataset the serial and server paths share."""
+        """The lazy per-request dataset the local and daemon paths share."""
         return SubgraphDataset.from_links(
             graph, links, hops=self.config.data.hops,
             max_nodes_per_hop=self.config.data.max_nodes_per_hop,
@@ -429,22 +420,28 @@ class AnnotationEngine:
             })
         return records
 
-    def _predict(self, graph: CircuitGraph, links: list[Link],
-                 seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
-        """Batched forward pass: existence probability + normalised capacitance."""
-        dataset = self.request_dataset(graph, links, seed=seed)
-        loader = DataLoader(dataset, batch_size=self.batch_size, shuffle=False,
+    def score_pairs(self, graph: CircuitGraph, pairs: Sequence[tuple[str, str]],
+                    seed: int = 0) -> list[dict]:
+        """One record per named node pair of ``graph``: the only synchronous
+        pairs -> records path, batched exactly as :meth:`request_chunks`."""
+        pairs = [tuple(pair) for pair in pairs]
+        links = self.links_for_pairs(graph, pairs)
+        loader = DataLoader(self.request_dataset(graph, links, seed=seed),
+                            batch_size=self.batch_size, shuffle=False,
                             num_workers=self.workers)
         probs, caps = [], []
         for batch in loader:
             batch_probs, batch_caps = self.predict_batch(batch)
             probs.append(batch_probs)
             caps.append(batch_caps)
-        return (np.concatenate(probs) if probs else np.zeros(0),
-                np.concatenate(caps) if caps else np.zeros(0))
+        if not probs:
+            return []
+        return self.build_records(pairs, links, np.concatenate(probs),
+                                  np.concatenate(caps))
 
     def annotate(self, netlist, pairs: Sequence[tuple[str, str]] | None = None,
-                 max_candidates: int = 200, seed: int = 0) -> NetlistAnnotation:
+                 max_candidates: int = DEFAULT_MAX_CANDIDATES,
+                 seed: int = 0) -> NetlistAnnotation:
         """Annotate one netlist (path, :class:`Circuit` or graph) with couplings.
 
         When ``pairs`` is omitted, candidates come from
@@ -455,10 +452,7 @@ class AnnotationEngine:
         if pairs is None:
             pairs = default_candidate_pairs(graph, max_candidates=max_candidates,
                                             rng=np.random.default_rng(seed))
-        pairs = [tuple(pair) for pair in pairs]
-        links = self.links_for_pairs(graph, pairs)
-        probs, caps_norm = self._predict(graph, links, seed=seed)
-        records = self.build_records(pairs, links, probs, caps_norm)
+        records = self.score_pairs(graph, pairs, seed=seed)
         elapsed = time.perf_counter() - start
         logger.debug("annotated %s: %d candidates in %.3fs (PE cache hit rate %.2f)",
                      graph.name, len(records), elapsed, self.cache.hit_rate)
@@ -488,7 +482,8 @@ class AnnotationEngine:
                                      error_type=type(exc).__name__,
                                      message=str(exc))
 
-    def annotate_many(self, netlists: Iterable, pairs=None, max_candidates: int = 200,
+    def annotate_many(self, netlists: Iterable, pairs=None,
+                      max_candidates: int = DEFAULT_MAX_CANDIDATES,
                       seed: int = 0, max_workers: int | None = None,
                       on_error: str = "raise", seed_offset: int = 0
                       ) -> list[NetlistAnnotation | AnnotationFailure]:
@@ -570,15 +565,13 @@ class AnnotationEngine:
                 graph, max_candidates=max_candidates, rng=rng,
                 allowed=shard.owns_name,
             )
-        links = self.links_for_pairs(graph, shard_pairs)
-        probs, caps_norm = self._predict(graph, links, seed=seed)
-        return self.build_records(shard_pairs, links, probs, caps_norm)
+        return self.score_pairs(graph, shard_pairs, seed=seed)
 
     def annotate_sharded(self, netlist, pairs: Sequence[tuple[str, str]] | None = None,
                          num_shards: int | None = None,
                          max_workers: int | None = None,
                          halo_hops: int | None = None,
-                         max_candidates: int = 200,
+                         max_candidates: int = DEFAULT_MAX_CANDIDATES,
                          seed: int = 0) -> NetlistAnnotation:
         """Annotate one (chip-scale) netlist in independent bounded shards.
 
@@ -592,9 +585,9 @@ class AnnotationEngine:
 
         With explicit ``pairs``, every pair is annotated on a shard (or a
         union shard for cross-shard pairs) that fully contains its enclosing
-        subgraph, so with deterministic extraction
-        (:attr:`deterministic_extraction`) the merged records are
-        byte-identical to an unsharded :meth:`annotate` of the same pairs.
+        subgraph, so with hub subsampling off (``max_nodes_per_hop=None``,
+        which makes extraction independent of chunking) the merged records
+        are byte-identical to an unsharded :meth:`annotate` of the same pairs.
         Without ``pairs``, each shard draws up to ``max_candidates``
         candidates among the signal nets *it owns* (a different, locally
         generated candidate set than unsharded annotation would draw).
@@ -706,13 +699,7 @@ class AnnotationEngine:
                 merged.append(dict(record))
                 reused += 1
         extras = [tuple(pair) for pair in (extra_pairs or [])]
-        request_pairs = stale_pairs + extras
-        if request_pairs:
-            links = self.links_for_pairs(new_graph, request_pairs)
-            probs, caps_norm = self._predict(new_graph, links, seed=seed)
-            fresh = self.build_records(request_pairs, links, probs, caps_norm)
-        else:
-            fresh = []
+        fresh = self.score_pairs(new_graph, stale_pairs + extras, seed=seed)
         for position, record in zip(stale_positions, fresh[:len(stale_pairs)]):
             merged[position] = record
         merged.extend(fresh[len(stale_pairs):])

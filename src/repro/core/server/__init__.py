@@ -2,8 +2,8 @@
 
 This package turns the batched :class:`~repro.core.serve.AnnotationEngine`
 into a long-lived, stdlib-only (``asyncio`` + sockets) JSON-over-HTTP
-service that keeps the loaded pipeline resident and **coalesces candidate
-links from different in-flight requests into shared inference batches**:
+service that keeps the loaded pipeline resident and **coalesces the forward
+passes of different in-flight requests into shared inference batches**:
 
 * :mod:`~repro.core.server.batcher` — the cross-request micro-batcher: a
   pure flush-policy state machine (:class:`MicroBatcherCore`, fully testable

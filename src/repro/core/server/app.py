@@ -12,9 +12,11 @@
 
 All numpy work (parsing aside, extraction, positional encodings, forward
 passes) runs on a **single** compute thread, which keeps results
-deterministic regardless of request interleaving.  Per-link inference is
-funneled through the shared :class:`~repro.core.server.batcher.MicroBatcher`
-so links from different in-flight requests coalesce into common batches.
+deterministic regardless of request interleaving.  A request's links are
+extracted in the engine's serial chunks, exactly as
+:meth:`~repro.core.serve.AnnotationEngine.score_pairs` does, then submitted
+at once to the shared :class:`~repro.core.server.batcher.MicroBatcher`, so
+only the forward passes of different in-flight requests coalesce.
 A malformed design fails alone — its error is reported as a
 ``status: "error"`` entry (the same shape as
 :class:`~repro.core.serve.AnnotationFailure`) and never poisons a shared
@@ -43,7 +45,8 @@ import numpy as np
 from ...graph import netlist_to_graph
 from ...netlist import parse_spice
 from ...utils.rng import spawn_seeds
-from ..serve import AnnotationFailure, annotation_payload, default_candidate_pairs
+from ..serve import (DEFAULT_MAX_CANDIDATES, AnnotationFailure, annotation_payload,
+                     default_candidate_pairs)
 from .batcher import MicroBatcher
 from .metrics import ServerMetrics
 from .wire import dumps_canonical, error_payload
@@ -57,10 +60,6 @@ _REASONS = {
     413: "Payload Too Large", 500: "Internal Server Error",
     503: "Service Unavailable", 504: "Gateway Timeout",
 }
-
-# Default candidate cap, mirroring AnnotationEngine.annotate().
-_DEFAULT_MAX_CANDIDATES = 200
-
 
 @dataclass
 class ServerConfig:
@@ -191,29 +190,9 @@ class AnnotationServer:
     # ------------------------------------------------------------------ #
     # Shared-batch inference
     # ------------------------------------------------------------------ #
-    def _run_batch(self, payloads: list) -> list[tuple[float, float]]:
-        """Evaluate one coalesced batch on the compute thread.
-
-        Payloads are either ``(dataset, index)`` tuples (lazy extraction —
-        only valid when ``engine.deterministic_extraction`` holds, because
-        regrouping changes nothing then) or pre-extracted
-        :class:`~repro.graph.Subgraph` samples (eager per-request chunks,
-        used when hub subsampling makes extraction grouping-sensitive).
-        """
-        lazy: dict[int, tuple[object, list[int]]] = {}
-        for payload in payloads:
-            if isinstance(payload, tuple):
-                dataset, index = payload
-                lazy.setdefault(id(dataset), (dataset, []))[1].append(int(index))
-        for dataset, indices in lazy.values():
-            dataset.prefetch(indices)
-        samples = []
-        for payload in payloads:
-            if isinstance(payload, tuple):
-                dataset, index = payload
-                samples.append(dataset[int(index)])
-            else:
-                samples.append(payload)
+    def _run_batch(self, samples: list) -> list[tuple[float, float]]:
+        """Forward one coalesced batch of extracted
+        :class:`~repro.graph.Subgraph` samples on the compute thread."""
         probs, caps = self.engine.predict_samples(samples)
         return list(zip(np.asarray(probs, dtype=float).tolist(),
                         np.asarray(caps, dtype=float).tolist()))
@@ -253,7 +232,7 @@ class AnnotationServer:
             pairs = spec.get("pairs")
             if pairs is None:
                 max_candidates = int(spec.get("max_candidates",
-                                              _DEFAULT_MAX_CANDIDATES))
+                                              DEFAULT_MAX_CANDIDATES))
                 pairs = await loop.run_in_executor(
                     self._executor, lambda: default_candidate_pairs(
                         graph, max_candidates=max_candidates,
@@ -261,20 +240,13 @@ class AnnotationServer:
             pairs = [tuple(pair) for pair in pairs]
             links = self.engine.links_for_pairs(graph, pairs)
             dataset = self.engine.request_dataset(graph, links, seed=seed)
-            results: list[tuple[float, float]] = []
-            if self.engine.deterministic_extraction:
-                # Extraction is RNG-free: hand lazy (dataset, index) items to
-                # the batcher so even extraction coalesces across requests.
-                results = await self._batcher.submit(
-                    [(dataset, index) for index in range(len(links))])
-            else:
-                # Hub subsampling draws per-chunk RNG streams; extract each
-                # serial chunk eagerly so samples match the serial path, then
-                # share only the forward pass.
-                for chunk in self.engine.request_chunks(len(links)):
-                    samples = await loop.run_in_executor(
-                        self._executor, self.engine.extract_chunk, dataset, chunk)
-                    results.extend(await self._batcher.submit(samples))
+            # Serial chunks (one hub-subsampling RNG stream each), then one
+            # submit, so the request never waits one batch window per chunk.
+            samples = []
+            for chunk in self.engine.request_chunks(len(links)):
+                samples += await loop.run_in_executor(
+                    self._executor, self.engine.extract_chunk, dataset, chunk)
+            results = await self._batcher.submit(samples)
             probs = np.array([result[0] for result in results], dtype=float)
             caps = np.array([result[1] for result in results], dtype=float)
             effective = (self.engine.threshold if threshold is None

@@ -100,13 +100,6 @@ class MicroBatcherCore:
             batch.append(self._pending.popleft())
         return batch
 
-    def drain(self, now: float) -> list[list[_Item]]:
-        """Pop every batch that is ready at ``now`` (used by tests and stop)."""
-        batches = []
-        while self.ready(now):
-            batches.append(self.take())
-        return batches
-
 
 class MicroBatcher:
     """Asyncio front-end: submit items, await demultiplexed results.

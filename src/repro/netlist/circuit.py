@@ -217,8 +217,9 @@ class Circuit:
                          ancestry: tuple[tuple[str, str], ...] = ()) -> None:
         definition = self.subckts.get(instance.subckt_name)
         if definition is None:
-            raise KeyError(
-                f"instance {instance.name!r} references unknown subckt {instance.subckt_name!r}"
+            raise ValueError(
+                f"instance {prefix + instance.name!r} references unknown subckt "
+                f"{instance.subckt_name!r}"
             )
         # ``ancestry`` holds the (instance path, subckt) pairs being expanded
         # above this one; meeting one of their subckts again never terminates.

@@ -5,8 +5,8 @@ Pins three contracts:
 * v1/v2 pipeline checkpoints still load under schema v3,
 * legacy ``task=`` strings resolve to the right :class:`repro.api.Task`
   everywhere they used to be accepted,
-* each deprecated wrapper fires exactly one :class:`DeprecationWarning`
-  carrying a migration hint.
+* training, saving and loading through the current API never emit a
+  :class:`DeprecationWarning`.
 """
 
 import warnings
@@ -15,12 +15,7 @@ import numpy as np
 import pytest
 
 from repro.api import EdgeRegressionTask, ExperimentSpec
-from repro.core import (
-    PIPELINE_SCHEMA,
-    AnnotationEngine,
-    CircuitGPSPipeline,
-    finetune_regression,
-)
+from repro.core import PIPELINE_SCHEMA, AnnotationEngine, CircuitGPSPipeline
 from repro.utils import load_checkpoint, save_checkpoint
 
 
@@ -131,39 +126,7 @@ class TestLegacyTaskStrings:
         assert result.task == "edge_regression"
 
 
-def _deprecations(record) -> list[warnings.WarningMessage]:
-    return [w for w in record
-            if issubclass(w.category, DeprecationWarning)
-            and "deprecated" in str(w.message)]
-
-
 class TestDeprecatedWrappers:
-    def test_finetune_regression_warns_exactly_once(self, tiny_config, small_design):
-        with pytest.warns(DeprecationWarning,
-                          match="finetune_regression.*deprecated.*repro.api.fit") as record:
-            result = finetune_regression([small_design], mode="scratch",
-                                         config=tiny_config, epochs=1)
-        assert len(_deprecations(record)) == 1
-        assert result.task == "edge_regression"
-
-    def test_predict_couplings_warns_exactly_once(self, trained, small_design):
-        graph = small_design.graph
-        link = graph.links[0]
-        pair = (graph.node_names[link.source], graph.node_names[link.target])
-        with pytest.warns(DeprecationWarning,
-                          match="predict_couplings.*deprecated.*repro.api.annotate") as record:
-            records = trained.predict_couplings(small_design.circuit, [pair])
-        assert len(_deprecations(record)) == 1
-        assert len(records) == 1
-
-    def test_from_models_warns_exactly_once(self, tiny_config):
-        from repro.core import build_model
-
-        with pytest.warns(DeprecationWarning,
-                          match="from_models.*deprecated.*repro.api.load") as record:
-            CircuitGPSPipeline.from_models(tiny_config, build_model(tiny_config))
-        assert len(_deprecations(record)) == 1
-
     def test_internal_paths_do_not_warn(self, tiny_config, small_design, tmp_path):
         """Training, saving and loading through the new API never warns."""
         with warnings.catch_warnings():

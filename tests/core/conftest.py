@@ -13,11 +13,10 @@ from repro.utils import seed_all
 
 @pytest.fixture(scope="session")
 def server_engine(tiny_config):
-    """A deterministic-extraction serving engine for the daemon tests.
+    """A serving engine for the daemon tests with hub subsampling off.
 
-    ``max_nodes_per_hop=None`` disables hub subsampling, so extraction is
-    RNG-free and the server may coalesce extraction work across requests —
-    the configuration the cross-request batching claims are made for.
+    ``max_nodes_per_hop=None`` makes extraction RNG-free, so a request's
+    records do not depend on how its links are chunked.
     """
     seed_all(0)
     config = tiny_config.with_data(max_nodes_per_hop=None)

@@ -6,6 +6,7 @@ import pytest
 from repro.core import (
     PIPELINE_SCHEMA,
     PIPELINE_SCHEMA_VERSION,
+    AnnotationEngine,
     CircuitGPSPipeline,
     DesignData,
     ExperimentConfig,
@@ -21,6 +22,14 @@ def pipeline(tiny_config, small_design, small_test_design):
     pipe.add_design(small_test_design)
     pipe.pretrain()
     return pipe
+
+
+def finetuned(pipeline: CircuitGPSPipeline) -> CircuitGPSPipeline:
+    """The fixture pipeline with its ``("edge_regression", "all")`` head,
+    which serving needs (the module fixture only pre-trains)."""
+    if ("edge_regression", "all") not in pipeline.finetune_results:
+        pipeline.finetune(mode="all")
+    return pipeline
 
 
 class TestPipeline:
@@ -53,19 +62,21 @@ class TestPipeline:
         assert np.isfinite(metrics["mae"])
         assert ("edge_regression", "all") in pipeline.finetune_results
 
-    def test_predict_couplings_on_user_circuit(self, pipeline, small_test_design):
+    def test_annotate_user_circuit(self, pipeline, small_test_design):
         graph = small_test_design.graph
         link = graph.links[0]
         pair = (graph.node_names[link.source], graph.node_names[link.target])
-        records = pipeline.predict_couplings(small_test_design.circuit, [pair])
+        engine = AnnotationEngine(finetuned(pipeline))
+        records = engine.annotate(small_test_design.circuit, pairs=[pair]).records
         assert len(records) == 1
         record = records[0]
         assert 0.0 <= record["coupling_probability"] <= 1.0
         assert record["capacitance_farad"] >= 0.0
 
-    def test_predict_couplings_unknown_pair_raises(self, pipeline, small_test_design):
+    def test_annotate_unknown_pair_raises(self, pipeline, small_test_design):
+        engine = AnnotationEngine(finetuned(pipeline))
         with pytest.raises(KeyError):
-            pipeline.predict_couplings(small_test_design.circuit, [("nope", "also_nope")])
+            engine.annotate(small_test_design.circuit, pairs=[("nope", "also_nope")])
 
     def test_save_and_load_roundtrip(self, pipeline, small_test_design, tmp_path, tiny_config):
         path = tmp_path / "meta_learner.npz"
@@ -93,9 +104,7 @@ class TestPipeline:
         is never allowed to retrain, and its predictions on a bundled SPICE
         netlist must match the original bit-for-bit.
         """
-        # Ensure a fine-tuned head exists (module fixture trains lazily).
-        if ("edge_regression", "all") not in pipeline.finetune_results:
-            pipeline.finetune(mode="all")
+        finetuned(pipeline)
         netlist_path = tmp_path / "bundled_macro.sp"
         macro = ssram(rows=4, cols=4)
         macro.name = "BUNDLED_MACRO"
@@ -112,8 +121,8 @@ class TestPipeline:
         assert set(loaded.finetune_results) >= {("edge_regression", "all")}
         assert loaded.normalizer.cap_min == pipeline.normalizer.cap_min
 
-        original = pipeline.predict_couplings(circuit, pairs)
-        reloaded = loaded.predict_couplings(circuit, pairs)
+        original = AnnotationEngine(pipeline).annotate(circuit, pairs=pairs).records
+        reloaded = AnnotationEngine(loaded).annotate(circuit, pairs=pairs).records
         assert len(reloaded) == len(pairs)
         for a, b in zip(original, reloaded):
             assert a["pair"] == b["pair"]

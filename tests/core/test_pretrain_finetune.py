@@ -7,7 +7,7 @@ from repro.core import (
     FINETUNE_MODES,
     evaluate_regression,
     evaluate_zero_shot_link,
-    finetune_regression,
+    finetune_task,
     pretrain_link_model,
 )
 from repro.core.pretrain import build_model
@@ -43,23 +43,26 @@ class TestPretrain:
 class TestFinetune:
     def test_all_modes_run(self, pretrained, small_design, tiny_config):
         for mode in FINETUNE_MODES:
-            result = finetune_regression([small_design],
-                                         pretrained=None if mode == "scratch" else pretrained.model,
-                                         mode=mode, config=tiny_config, epochs=2)
+            result = finetune_task([small_design], "edge_regression",
+                                   pretrained=None if mode == "scratch" else pretrained.model,
+                                   mode=mode, config=tiny_config, epochs=2)
             assert result.mode == mode
             assert result.train_samples
 
     def test_invalid_mode_raises(self, small_design, tiny_config):
         with pytest.raises(ValueError):
-            finetune_regression([small_design], mode="partial", config=tiny_config)
+            finetune_task([small_design], "edge_regression", mode="partial",
+                          config=tiny_config)
 
     def test_head_and_all_require_pretrained(self, small_design, tiny_config):
         with pytest.raises(ValueError):
-            finetune_regression([small_design], pretrained=None, mode="all", config=tiny_config)
+            finetune_task([small_design], "edge_regression", pretrained=None, mode="all",
+                          config=tiny_config)
 
     def test_head_mode_freezes_backbone(self, pretrained, small_design, tiny_config):
-        result = finetune_regression([small_design], pretrained=pretrained.model, mode="head",
-                                     config=tiny_config, epochs=2)
+        result = finetune_task([small_design], "edge_regression",
+                               pretrained=pretrained.model, mode="head",
+                               config=tiny_config, epochs=2)
         # Learnable backbone parameters must be untouched; BatchNorm running
         # statistics (buffers) are allowed to adapt to the regression data.
         pretrained_params = dict(pretrained.model.named_parameters())
@@ -69,8 +72,9 @@ class TestFinetune:
                 np.testing.assert_allclose(finetuned_params[name].data, param.data, err_msg=name)
 
     def test_all_mode_changes_backbone(self, pretrained, small_design, tiny_config):
-        result = finetune_regression([small_design], pretrained=pretrained.model, mode="all",
-                                     config=tiny_config, epochs=2)
+        result = finetune_task([small_design], "edge_regression",
+                               pretrained=pretrained.model, mode="all",
+                               config=tiny_config, epochs=2)
         pretrained_state = pretrained.model.state_dict()
         finetuned_state = result.model.state_dict()
         changed = any(
@@ -81,14 +85,15 @@ class TestFinetune:
         assert changed
 
     def test_finetuning_fits_training_distribution(self, pretrained, small_design, tiny_config):
-        result = finetune_regression([small_design], pretrained=pretrained.model, mode="all",
-                                     config=tiny_config, epochs=10)
+        result = finetune_task([small_design], "edge_regression",
+                               pretrained=pretrained.model, mode="all",
+                               config=tiny_config, epochs=10)
         metrics = result.trainer.evaluate(result.train_samples)
         assert metrics["mae"] < 0.3
 
     def test_node_regression_task(self, small_design, tiny_config):
-        result = finetune_regression([small_design], mode="scratch", task="node_regression",
-                                     config=tiny_config, epochs=2)
+        result = finetune_task([small_design], "node_regression", mode="scratch",
+                               config=tiny_config, epochs=2)
         assert result.task == "node_regression"
         metrics = evaluate_regression(result, small_design, task="node_regression",
                                       config=tiny_config)
@@ -96,12 +101,14 @@ class TestFinetune:
 
     def test_evaluate_regression_on_unseen_design(self, pretrained, small_design,
                                                   small_test_design, tiny_config):
-        result = finetune_regression([small_design], pretrained=pretrained.model, mode="all",
-                                     config=tiny_config, epochs=3)
+        result = finetune_task([small_design], "edge_regression",
+                               pretrained=pretrained.model, mode="all",
+                               config=tiny_config, epochs=3)
         metrics = evaluate_regression(result, small_test_design, config=tiny_config)
         assert metrics["mae"] < 0.5
         assert metrics["num_samples"] > 0
 
     def test_regression_task_validation(self, small_design, tiny_config):
-        with pytest.raises(ValueError):
-            finetune_regression([small_design], mode="scratch", task="link", config=tiny_config)
+        with pytest.raises(ValueError, match="regression task"):
+            evaluate_regression(build_model(tiny_config), small_design, task="link",
+                                config=tiny_config)

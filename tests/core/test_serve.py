@@ -84,20 +84,6 @@ class TestAnnotate:
             assert record["capacitance_farad"] >= 0.0
             assert record["coupled"] == (record["coupling_probability"] >= 0.5)
 
-    def test_matches_pipeline_predict_couplings(self, serving_pipeline, user_circuit):
-        flat = user_circuit.flatten()
-        pairs = [("BL0", "BL1"), ("BL1", "BLB1"), ("WL0", "WL1")]
-        # Same batch size on both paths: chunking feeds the extraction RNG, so
-        # identical chunking guarantees identical subgraphs.
-        engine = AnnotationEngine(serving_pipeline, batch_size=16)
-        annotation = engine.annotate(flat, pairs=pairs, seed=0)
-        records = serving_pipeline.predict_couplings(flat, pairs, batch_size=16)
-        for engine_record, pipeline_record in zip(annotation.records, records):
-            assert engine_record["coupling_probability"] == pytest.approx(
-                pipeline_record["coupling_probability"])
-            assert engine_record["capacitance_farad"] == pytest.approx(
-                pipeline_record["capacitance_farad"])
-
     def test_unknown_pair_raises(self, serving_pipeline, user_circuit):
         engine = AnnotationEngine(serving_pipeline)
         with pytest.raises(KeyError):
@@ -160,6 +146,45 @@ class TestAnnotate:
         engine = AnnotationEngine(serving_pipeline)
         with pytest.raises(ValueError, match="align"):
             engine.annotate_many([user_circuit], pairs=[[("BL0", "BL1")], [("x", "y")]])
+
+
+class TestScorePairs:
+    def test_empty_pairs_score_to_no_records(self, serving_pipeline, user_circuit):
+        engine = AnnotationEngine(serving_pipeline)
+        graph = netlist_to_graph(user_circuit.flatten())
+        assert engine.score_pairs(graph, [], seed=3) == []
+
+    def test_equals_chunk_by_chunk_hook_replay(self, serving_pipeline, user_circuit):
+        """The daemon and the benchmark replay these hooks chunk by chunk;
+        with hub subsampling on (per-chunk RNG) that must be byte-identical."""
+        assert serving_pipeline.config.data.max_nodes_per_hop is not None
+        engine = AnnotationEngine(serving_pipeline, batch_size=3, cache=PECache())
+        graph = netlist_to_graph(user_circuit.flatten())
+        pairs = default_candidate_pairs(graph, max_candidates=8,
+                                        rng=np.random.default_rng(2))
+        links = engine.links_for_pairs(graph, pairs)
+        dataset = engine.request_dataset(graph, links, seed=4)
+        chunks = engine.request_chunks(len(links))
+        assert len(chunks) == 3
+        outputs = [engine.predict_samples(engine.extract_chunk(dataset, chunk))
+                   for chunk in chunks]
+        replay = engine.build_records(pairs, links,
+                                      np.concatenate([probs for probs, _ in outputs]),
+                                      np.concatenate([caps for _, caps in outputs]))
+        assert engine.score_pairs(graph, pairs, seed=4) == replay
+
+    def test_default_candidate_cap_is_shared_with_the_cli(self):
+        import inspect
+
+        from repro.core.cli import build_parser
+        from repro.core.serve import DEFAULT_MAX_CANDIDATES
+
+        args = build_parser().parse_args(["annotate", "ckpt", "n.sp"])
+        assert args.max_candidates == DEFAULT_MAX_CANDIDATES
+        for entry in (default_candidate_pairs, AnnotationEngine.annotate,
+                      AnnotationEngine.annotate_many, AnnotationEngine.annotate_sharded):
+            default = inspect.signature(entry).parameters["max_candidates"].default
+            assert default == DEFAULT_MAX_CANDIDATES, entry.__name__
 
 
 class TestStatsPECacheKey:

@@ -157,22 +157,25 @@ class TestAnnotate:
         assert report["num_candidates"] == 0
 
 
+def small_batch_engine(config, batch_size: int = 4):
+    """A fresh untrained engine whose requests span several serial chunks."""
+    from repro.core import CircuitGPSPipeline, build_model
+    from repro.core.serve import AnnotationEngine
+    from repro.utils import seed_all
+
+    seed_all(0)
+    pipeline = CircuitGPSPipeline.from_models(
+        config, build_model(config),
+        heads={("edge_regression", "all"): build_model(config)})
+    return AnnotationEngine(pipeline, workers=0, batch_size=batch_size)
+
+
 class TestGroupingSensitiveExtraction:
     def test_eager_chunk_path_matches_local_engine(self, tiny_config,
                                                    server_spice):
         """With hub subsampling the server must reproduce serial chunk RNG."""
-        from repro.core import CircuitGPSPipeline, build_model
-        from repro.core.serve import AnnotationEngine
-        from repro.utils import seed_all
-
-        seed_all(0)
-        link_model = build_model(tiny_config)
-        reg_model = build_model(tiny_config)
-        pipeline = CircuitGPSPipeline.from_models(
-            tiny_config, link_model,
-            heads={("edge_regression", "all"): reg_model})
-        engine = AnnotationEngine(pipeline, workers=0, batch_size=4)
-        assert not engine.deterministic_extraction
+        engine = small_batch_engine(tiny_config)
+        assert engine.config.data.max_nodes_per_hop is not None
         graph = netlist_to_graph(parse_spice(server_spice, name="HUB").flatten())
         pairs = default_candidate_pairs(graph, max_candidates=10,
                                         rng=np.random.default_rng(1))
@@ -182,6 +185,49 @@ class TestGroupingSensitiveExtraction:
                 "spice": server_spice, "name": "HUB",
                 "pairs": [list(pair) for pair in pairs], "seed": 4})
         assert raw.strip() == expected
+
+
+class TestOneSubmissionPerRequest:
+    def test_multi_chunk_request_is_one_submission(self, tiny_config, server_spice):
+        """A request of several serial chunks waits one batch window, not
+        one window per chunk: all of its subgraphs reach one batch."""
+        engine = small_batch_engine(tiny_config)
+        config = ServerConfig(port=0, max_batch=64, batch_window_ms=100.0)
+        with ThreadedServer(engine, config) as srv:
+            client = ServeClient(srv.url, timeout=30.0)
+            report = client.annotate(server_spice, name="CHUNKS", max_candidates=12)
+            metrics = client.metrics()
+        assert report["num_candidates"] == 12
+        assert len(engine.request_chunks(12)) == 3
+        assert metrics["batches_total"] == 1
+        assert metrics["max_batch_observed"] == 12
+
+
+class TestCrossDesignCoalescing:
+    @pytest.mark.parametrize("max_nodes_per_hop", [None, 2])
+    def test_forwards_coalesce_across_designs(self, tiny_config, server_spice,
+                                              max_nodes_per_hop):
+        """Every design of one request shares forward batches, and the
+        response still equals local annotation byte for byte (a cap of 2
+        makes hub subsampling, and so per-chunk RNG, trigger on this macro)."""
+        engine = small_batch_engine(
+            tiny_config.with_data(max_nodes_per_hop=max_nodes_per_hop))
+        designs = [{"spice": server_spice, "name": f"C{i}", "max_candidates": 6}
+                   for i in range(3)]
+        graphs = [netlist_to_graph(parse_spice(server_spice, name=d["name"]).flatten())
+                  for d in designs]
+        local = engine.annotate_many(graphs, max_candidates=6, seed=3)
+        expected = dumps_canonical({"reports": [
+            annotation_payload(a.design, a.records, a.threshold) for a in local]})
+        config = ServerConfig(port=0, max_batch=64, batch_window_ms=400.0)
+        with ThreadedServer(engine, config) as srv:
+            client = ServeClient(srv.url, timeout=30.0)
+            raw = client.annotate_raw({"designs": designs, "seed": 3})
+            metrics = client.metrics()
+        assert raw.strip() == expected
+        largest = max(a.num_candidates for a in local)
+        assert largest < config.max_batch
+        assert metrics["max_batch_observed"] > largest
 
 
 class TestCliRemote:

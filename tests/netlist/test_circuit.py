@@ -75,7 +75,7 @@ class TestFlatten:
     def test_unknown_subckt_raises(self):
         circuit = Circuit("top")
         circuit.add(SubcktInstance("X1", {}, subckt_name="MISSING", connections=["a"]))
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="instance 'X1' references unknown subckt 'MISSING'"):
             circuit.flatten()
 
     def test_port_count_mismatch_raises(self):
