@@ -60,7 +60,7 @@ from ..graph.hetero import (
     CircuitGraph,
     Link,
 )
-from ..netlist import Circuit, parse_spice_file, write_spice
+from ..netlist import Circuit, NetlistDelta, parse_spice_file, write_spice
 from ..netlist.spice import format_si_value
 from ..nn import no_grad, stable_sigmoid, use_dtype
 from ..nn.dtypes import FLOAT32, FLOAT_DTYPES
@@ -113,6 +113,34 @@ def default_candidate_pairs(graph: CircuitGraph, max_candidates: int = DEFAULT_M
                     break
         pairs = sorted(chosen)
     return [(graph.node_names[a], graph.node_names[b]) for a, b in pairs]
+
+
+def affected_names(old_flat: Circuit, delta: NetlistDelta, new_graph: CircuitGraph,
+                   hops: int) -> set[str]:
+    """Nodes of ``new_graph`` within ``hops`` of a node ``delta`` changes.
+
+    The changed nodes are the touched nets plus every removed or added device
+    and its pins.  A surviving node within ``hops`` of them before the change
+    is also within ``hops`` after it: a shortest pre-change path reaches the
+    changed set before it can use a removed edge (every removed edge has a
+    changed endpoint), and the edges before that point exist after the
+    change too.  So the post-change graph alone finds every affected node.
+    """
+    changed: set[str] = set(delta.touched_nets(old_flat))
+    removed = set(delta.remove_devices)
+    changed |= removed
+    for device in old_flat.devices:
+        if device.name in removed:
+            changed.update(f"{device.name}:{terminal}" for terminal in device.terminals)
+    for device in delta.add_devices:
+        changed.add(device.name)
+        changed.update(f"{device.name}:{terminal}" for terminal in device.terminals)
+    anchor_ids = sorted(new_graph.node_index(name) for name in changed
+                        if new_graph.has_node(name))
+    if not anchor_ids:
+        return set()
+    reached = new_graph.csr.k_hop(np.asarray(anchor_ids, dtype=np.int64), hops)
+    return {new_graph.node_names[int(i)] for i in reached}
 
 
 def annotation_payload(design: str, records: list[dict], threshold: float) -> dict:
@@ -330,6 +358,9 @@ class AnnotationEngine:
         if self.precision == FLOAT32:
             self.link_model = copy.deepcopy(self.link_model).cast(FLOAT32)
             self.reg_model = copy.deepcopy(self.reg_model).cast(FLOAT32)
+        # (distinct, total) subgraphs forwarded so far, for the DEBUG lines.
+        # Plain counters like the PE cache's: forwards run on one thread.
+        self._subgraphs = np.zeros(2, dtype=np.int64)
 
     # ------------------------------------------------------------------ #
     # Input resolution
@@ -393,6 +424,7 @@ class AnnotationEngine:
         with no_grad(), use_dtype(self.precision):
             probs = stable_sigmoid(self.link_model(batch, task="link").data)
             caps = self.task_obj.forward(self.reg_model, batch).data
+        self._subgraphs += (batch.distinct().count, batch.num_graphs)
         return probs, caps
 
     def predict_samples(self, samples: Sequence[Subgraph]
@@ -452,10 +484,13 @@ class AnnotationEngine:
         if pairs is None:
             pairs = default_candidate_pairs(graph, max_candidates=max_candidates,
                                             rng=np.random.default_rng(seed))
+        before = self._subgraphs.copy()
         records = self.score_pairs(graph, pairs, seed=seed)
         elapsed = time.perf_counter() - start
-        logger.debug("annotated %s: %d candidates in %.3fs (PE cache hit rate %.2f)",
-                     graph.name, len(records), elapsed, self.cache.hit_rate)
+        distinct, total = self._subgraphs - before
+        logger.debug("annotated %s: %d candidates in %.3fs (PE cache hit rate %.2f, "
+                     "%d/%d subgraphs distinct)", graph.name, len(records), elapsed,
+                     self.cache.hit_rate, distinct, total)
         return NetlistAnnotation(design=graph.name, records=records,
                                  threshold=self.threshold, elapsed_seconds=elapsed,
                                  circuit=circuit)
@@ -641,6 +676,8 @@ class AnnotationEngine:
         changed node (touched nets, changed devices and their pins) in the
         pre- or post-change graph — exactly the condition under which its
         enclosing subgraph (or the node statistics inside it) can differ.
+        The post-change graph alone finds every such surviving anchor
+        (:func:`affected_names`), so the pre-change graph is never built.
         Affected pairs are re-scored on the new graph; unaffected records
         are carried over verbatim (byte-identical to a full re-annotation);
         pairs whose anchors were removed are dropped; ``extra_pairs``
@@ -661,26 +698,7 @@ class AnnotationEngine:
         new_graph = netlist_to_graph(new_flat)
         affected: set[str] = set()
         if not delta.is_empty:
-            changed: set[str] = set(delta.touched_nets(old_flat))
-            removed = set(delta.remove_devices)
-            changed |= removed
-            for device in old_flat.devices:
-                if device.name in removed:
-                    changed.update(f"{device.name}:{terminal}"
-                                   for terminal in device.terminals)
-            for device in delta.add_devices:
-                changed.add(device.name)
-                changed.update(f"{device.name}:{terminal}"
-                               for terminal in device.terminals)
-            old_graph = netlist_to_graph(old_flat, with_stats=False)
-            hops = self.config.data.hops
-            for graph in (old_graph, new_graph):
-                anchor_ids = sorted(graph.node_index(name) for name in changed
-                                    if graph.has_node(name))
-                if anchor_ids:
-                    reached = graph.csr.k_hop(
-                        np.asarray(anchor_ids, dtype=np.int64), hops)
-                    affected.update(graph.node_names[int(i)] for i in reached)
+            affected = affected_names(old_flat, delta, new_graph, self.config.data.hops)
             self.cache.invalidate_design(prev_report.design)
         merged: list[dict | None] = []
         stale_positions: list[int] = []
@@ -699,15 +717,18 @@ class AnnotationEngine:
                 merged.append(dict(record))
                 reused += 1
         extras = [tuple(pair) for pair in (extra_pairs or [])]
+        before = self._subgraphs.copy()
         fresh = self.score_pairs(new_graph, stale_pairs + extras, seed=seed)
+        distinct, total = self._subgraphs - before
         for position, record in zip(stale_positions, fresh[:len(stale_pairs)]):
             merged[position] = record
         merged.extend(fresh[len(stale_pairs):])
         elapsed = time.perf_counter() - start
         logger.debug(
             "reannotated %s: %d reused, %d recomputed, %d dropped, %d added "
-            "in %.3fs", prev_report.design, reused, len(stale_pairs), dropped,
-            len(extras), elapsed,
+            "in %.3fs (PE cache hit rate %.2f, %d/%d subgraphs distinct)",
+            prev_report.design, reused, len(stale_pairs), dropped, len(extras),
+            elapsed, self.cache.hit_rate, distinct, total,
         )
         return NetlistAnnotation(design=prev_report.design, records=merged,
                                  threshold=self.threshold,

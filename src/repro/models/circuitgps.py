@@ -21,7 +21,6 @@ from ..api.registries import BACKBONES
 from ..graph.batch import SubgraphBatch
 from ..graph.encodings import pe_dim
 from ..nn import Embedding, Linear, Module, ModuleList, Tensor, concat
-from ..nn import functional as F
 from ..utils.rng import get_rng
 from .gps_layer import GPSLayer
 from .heads import LinkPredictionHead, RegressionHead
@@ -90,7 +89,25 @@ class CircuitGPS(Module):
     # Trunk
     # ------------------------------------------------------------------ #
     def encode(self, batch: SubgraphBatch) -> Tensor:
-        """Run encoders and the GPS trunk; returns node embeddings ``X_L``."""
+        """Run encoders and the GPS trunk; returns node embeddings ``X_L``.
+
+        In eval mode the trunk runs once per distinct subgraph of the batch
+        (:meth:`~repro.graph.batch.SubgraphBatch.distinct`, computed once per
+        batch and shared by every model that reads it), and one row gather
+        expands the embeddings back to every node of the batch.  Each row's
+        result then depends only on its own subgraph, so the output equals a
+        full-batch trunk up to float rounding.  In train mode BatchNorm
+        statistics and dropout couple the rows, so the whole batch runs
+        through the trunk; so does an eval batch without repeats.
+        """
+        if not self.training:
+            distinct = batch.distinct()
+            if distinct.batch is not None:
+                return self._trunk(distinct.batch).gather_rows(distinct.node_index)
+        return self._trunk(batch)
+
+    def _trunk(self, batch: SubgraphBatch) -> Tensor:
+        """Encoders and GPS layers over every node row of ``batch``."""
         node_embedding = self.node_encoder(batch.node_types)
         if self.pe_encoder is not None:
             if batch.pe.shape[1] != self.pe_input_dim:
@@ -108,7 +125,7 @@ class CircuitGPS(Module):
             np.zeros((0, self.dim))
         )
         # One segment-layout computation shared by every attention layer.
-        seg = batch.segments() if hasattr(batch, "segments") else F.segment_info(batch.batch)
+        seg = batch.segments()
         for layer in self.layers:
             x, edge_attr = layer(x, edge_attr, edge_index, seg)
         return x
@@ -125,7 +142,7 @@ class CircuitGPS(Module):
         if task not in TASKS:
             raise ValueError(f"task must be one of {TASKS}, got {task!r}")
         embeddings = self.encode(batch)
-        seg = batch.segments() if hasattr(batch, "segments") else batch.batch
+        seg = batch.segments()
         if task == "link":
             return self.link_head(embeddings, seg, batch.anchors)
         head = self.edge_head if task == "edge_regression" else self.node_head

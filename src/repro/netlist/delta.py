@@ -27,6 +27,17 @@ from .devices import Device, SubcktInstance
 __all__ = ["NetlistDelta"]
 
 
+def _copy_device(device: Device) -> Device:
+    """An independent copy of a primitive device.
+
+    ``terminals`` is a primitive device's only mutable field, so a shallow
+    copy with its own terminal map is as independent as a deep copy.
+    """
+    clone = copy.copy(device)
+    clone.terminals = dict(device.terminals)
+    return clone
+
+
 @dataclass
 class NetlistDelta:
     """An ECO-style edit: devices to add and device names to remove.
@@ -107,9 +118,9 @@ class NetlistDelta:
         result = Circuit(flat.name, ports=list(flat.ports))
         for device in flat.devices:
             if device.name not in removed:
-                result.add(copy.deepcopy(device))
+                result.add(_copy_device(device))
         for device in self.add_devices:
-            result.add(copy.deepcopy(device))
+            result.add(_copy_device(device))
         return result
 
     @classmethod

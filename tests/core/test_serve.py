@@ -240,6 +240,57 @@ class TestBucketLayoutSharing:
         assert calls == {"layout": 1, "batch": 1}
 
 
+class TestDistinctSubgraphSharing:
+    def test_one_digest_per_batch_for_both_models(self, tiny_config, user_circuit,
+                                                  monkeypatch):
+        """Both serving models share one distinct-subgraph computation."""
+        from repro.graph import batch as batch_module
+
+        config = tiny_config.with_model(attention="transformer", num_layers=2)
+        pipeline = CircuitGPSPipeline.from_models(
+            config, build_model(config, rng=0),
+            heads={("edge_regression", "all"): build_model(config, rng=1)})
+        engine = AnnotationEngine(pipeline, cache=PECache())
+        calls = {"distinct": 0, "batch": 0}
+        distinct, predict = batch_module._distinct_subgraphs, engine.predict_batch
+
+        def counting_distinct(batch):
+            calls["distinct"] += 1
+            return distinct(batch)
+
+        def counting_predict(batch):
+            calls["batch"] += 1
+            return predict(batch)
+
+        monkeypatch.setattr(batch_module, "_distinct_subgraphs", counting_distinct)
+        monkeypatch.setattr(engine, "predict_batch", counting_predict)
+        pairs = [("BL0", "BL1"), ("BL1", "BL2"), ("BL0", "BL1"), ("WL0", "WL1")]
+        engine.annotate(user_circuit, pairs=pairs, seed=3)
+        assert calls == {"distinct": 1, "batch": 1}
+
+    def test_debug_lines_report_distinct_subgraphs(self, serving_pipeline, user_circuit,
+                                                   caplog):
+        import logging
+
+        from repro.netlist import NetlistDelta
+
+        engine = AnnotationEngine(serving_pipeline, cache=PECache())
+        pairs = [("BL0", "BL1"), ("BL0", "BL1"), ("BL0", "BL1")]
+        serve_logger = logging.getLogger("repro.serve")  # does not propagate
+        serve_logger.addHandler(caplog.handler)
+        try:
+            with caplog.at_level(logging.DEBUG, logger="repro.serve"):
+                report = engine.annotate(user_circuit, pairs=pairs, seed=3)
+                engine.reannotate(report, NetlistDelta())
+        finally:
+            serve_logger.removeHandler(caplog.handler)
+        messages = [r.getMessage() for r in caplog.records]
+        assert any(m.startswith("annotated SERVE_TEST") and "1/3 subgraphs distinct" in m
+                   for m in messages)
+        assert any(m.startswith("reannotated SERVE_TEST") and "0/0 subgraphs distinct" in m
+                   for m in messages)
+
+
 class TestAnnotateManyPartialFailure:
     """on_error="collect": a failing design never discards its neighbours.
 

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.serve import NetlistAnnotation, default_candidate_pairs
+from repro.core.serve import NetlistAnnotation, affected_names, default_candidate_pairs
 from repro.core.shard import (
     FlatShardPlan,
     HierarchyShardPlan,
@@ -22,8 +24,8 @@ from repro.core.shard import (
 )
 from repro.core.server import dumps_canonical
 from repro.graph import netlist_to_graph
-from repro.netlist import (Circuit, NetlistDelta, Resistor, hierarchical_sram,
-                           ssram)
+from repro.netlist import (Circuit, Mosfet, NetlistDelta, Resistor,
+                           hierarchical_sram, ssram)
 
 
 @pytest.fixture(scope="module")
@@ -304,6 +306,59 @@ class TestReannotate:
         assert restored.incremental == result.incremental
         # Full runs omit the key entirely.
         assert "incremental" not in prev_report.as_dict()
+
+
+def two_graph_affected(old_flat: Circuit, delta: NetlistDelta, hops: int) -> set[str]:
+    """Names within ``hops`` of a changed node in the pre- *or* post-change
+    graph: the search that built both graphs (test oracle)."""
+    changed = set(delta.touched_nets(old_flat)) | set(delta.remove_devices)
+    removed = set(delta.remove_devices)
+    for device in old_flat.devices:
+        if device.name in removed:
+            changed.update(f"{device.name}:{t}" for t in device.terminals)
+    for device in delta.add_devices:
+        changed.add(device.name)
+        changed.update(f"{device.name}:{t}" for t in device.terminals)
+    affected: set[str] = set()
+    for circuit in (old_flat, delta.apply(old_flat)):
+        graph = netlist_to_graph(circuit, with_stats=False)
+        anchors = sorted(graph.node_index(n) for n in changed if graph.has_node(n))
+        if anchors:
+            reached = graph.csr.k_hop(np.asarray(anchors, dtype=np.int64), hops)
+            affected.update(graph.node_names[int(i)] for i in reached)
+    return affected
+
+
+def random_delta(flat: Circuit, rng: np.random.Generator) -> NetlistDelta:
+    """Random removals, additions and in-place edits on ``flat``'s nets."""
+    devices = list(flat.devices)
+    nets = sorted(flat.nets) + [f"eco_net{i}" for i in range(3)]
+    picked = rng.choice(len(devices), size=int(rng.integers(0, 4)), replace=False)
+    remove = [devices[int(i)].name for i in picked]
+    add = []
+    for i in range(int(rng.integers(0, 4))):
+        p, n = (str(net) for net in rng.choice(nets, size=2, replace=False))
+        add.append(Resistor(f"RECO{i}", {"P": p, "N": n}))
+    for name in remove[:int(rng.integers(0, len(remove) + 1))]:
+        # An in-place edit: the same name comes back on new nets.
+        d, g, src, b = (str(net) for net in rng.choice(nets, size=4))
+        add.append(Mosfet(name, {"D": d, "G": g, "S": src, "B": b}))
+    return NetlistDelta(add_devices=add, remove_devices=remove)
+
+
+class TestAffectedNames:
+    """The post-change graph alone finds every affected surviving node."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), hops=st.sampled_from([1, 2]),
+           rows=st.integers(1, 3), cols=st.integers(1, 2))
+    def test_matches_the_two_graph_search_on_survivors(self, seed, hops, rows, cols):
+        flat = ssram(rows=rows, cols=cols).flatten()
+        delta = random_delta(flat, np.random.default_rng(seed))
+        new_graph = netlist_to_graph(delta.apply(flat), with_stats=False)
+        oracle = {name for name in two_graph_affected(flat, delta, hops)
+                  if new_graph.has_node(name)}
+        assert affected_names(flat, delta, new_graph, hops) == oracle
 
 
 # --------------------------------------------------------------------------- #

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from repro.graph import NODE_DEVICE, NODE_NET, NODE_PIN, STATS_DIM, compute_node_stats, normalize_stats
+from repro.graph import netlist_to_graph
 from repro.graph.features import PIN_TYPE_CODES
-from repro.netlist import Capacitor, Circuit, Mosfet, Resistor
+from repro.netlist import (PAPER_DESIGNS, Capacitor, Circuit, Diode, Mosfet, Resistor,
+                           build_design, ssram)
 
 
 @pytest.fixture()
@@ -86,6 +88,76 @@ class TestPinStats:
         assert stats.shape == (3, STATS_DIM)
         with pytest.raises(ValueError):
             compute_node_stats(simple_circuit, ["out"], np.array([7]))
+
+
+def per_node_stats(circuit, node_names, node_types):
+    """``X_C`` one node at a time, each net summing its devices in circuit
+    order (test oracle for the one-pass computation)."""
+    net_devices = circuit.net_devices()
+    device_by_name = {device.name: device for device in circuit.devices}
+    stats = np.zeros((len(node_names), STATS_DIM))
+    for index, (name, node_type) in enumerate(zip(node_names, node_types)):
+        row = stats[index]
+        if node_type == NODE_NET:
+            for device in net_devices.get(name, []):
+                if isinstance(device, Mosfet):
+                    terminals = [t for t, n in device.terminal_items() if n == name]
+                    row[0] += 1
+                    row[1] += sum(1 for t in terminals if t == "G")
+                    row[2] += sum(1 for t in terminals if t in ("S", "D"))
+                    row[3] += sum(1 for t in terminals if t == "B")
+                    row[4] += device.width * device.multiplier * 1e6
+                    row[5] += device.length * device.multiplier * 1e6
+                elif isinstance(device, Capacitor):
+                    row[6] += 1
+                    row[7] += device.length * 1e6
+                    row[8] += device.fingers
+                elif isinstance(device, Resistor):
+                    row[9] += 1
+                    row[10] += device.width * 1e6
+                    row[11] += device.length * 1e6
+            row[12] = 1.0 if name in circuit.ports else 0.0
+        elif node_type == NODE_DEVICE:
+            device = device_by_name[name]
+            if isinstance(device, Mosfet):
+                row[0:3] = device.multiplier, device.length * 1e6, device.width * 1e6
+            elif isinstance(device, Resistor):
+                row[3:6] = device.multiplier, device.length * 1e6, device.width * 1e6
+            elif isinstance(device, Capacitor):
+                row[6:9] = device.multiplier, device.length * 1e6, device.fingers
+            elif isinstance(device, Diode):
+                row[0] = device.multiplier
+            row[9] = len(device.terminals)
+            row[10] = device.type_code
+        else:
+            row[0] = PIN_TYPE_CODES.get(name.split(":", 1)[1], len(PIN_TYPE_CODES))
+    return stats
+
+
+class TestOnePassMatchesPerNode:
+    @pytest.mark.parametrize("name", sorted(PAPER_DESIGNS))
+    def test_paper_designs_byte_identical(self, name):
+        flat = build_design(name, scale=0.3).flatten()
+        graph = netlist_to_graph(flat, with_stats=False)
+        got = compute_node_stats(flat, graph.node_names, graph.node_types)
+        want = per_node_stats(flat, graph.node_names, graph.node_types)
+        assert got.tobytes() == want.tobytes()
+
+    def test_mixed_devices_and_repeated_nets(self, simple_circuit):
+        circuit = simple_circuit
+        circuit.add(Diode("D1", {"P": "mid", "N": "out"}, multiplier=3))
+        circuit.add(Mosfet("M3", {"D": "mid", "G": "mid", "S": "mid", "B": "out"},
+                           width=123e-9, length=77e-9, multiplier=5))
+        circuit.add(Resistor("R2", {"P": "out", "N": "out"}, width=1e-7, length=3e-7))
+        for source in (circuit, ssram(rows=3, cols=2).flatten()):
+            graph = netlist_to_graph(source, include_power_nets=True, with_stats=False)
+            got = compute_node_stats(source, graph.node_names, graph.node_types)
+            want = per_node_stats(source, graph.node_names, graph.node_types)
+            assert got.tobytes() == want.tobytes()
+
+    def test_unknown_device_name_raises(self, simple_circuit):
+        with pytest.raises(KeyError):
+            compute_node_stats(simple_circuit, ["MISSING"], np.array([NODE_DEVICE]))
 
 
 class TestNormalization:

@@ -48,6 +48,17 @@ class TestApply:
         NetlistDelta(remove_devices=["R1"]).apply(circuit)
         assert [d.name for d in circuit.devices] == ["R1", "R2", "C1"]
 
+    def test_applied_devices_are_independent_copies(self):
+        circuit = _flat_circuit()
+        added = Resistor("R9", {"P": "c", "N": "d"})
+        result = NetlistDelta(add_devices=[added]).apply(circuit)
+        assert result.devices == circuit.devices + [added]
+        for device in result.devices:
+            device.terminals["P"] = "moved"
+        result.devices[0].resistance = 0.0
+        assert [d.terminals["P"] for d in circuit.devices + [added]] == ["a", "b", "c", "c"]
+        assert circuit.devices[0].resistance == 1e3
+
     def test_apply_unknown_removal_raises(self):
         with pytest.raises(KeyError, match="RMISSING"):
             NetlistDelta(remove_devices=["RMISSING"]).apply(_flat_circuit())
