@@ -12,6 +12,15 @@ Update rule (for a directed edge ``j -> i``)::
 
 Residual connections, batch normalisation and ReLU are applied to both node
 and edge streams, following the GraphGPS implementation.
+
+The node-side linears run before the edge gathers: ``A x_i`` is computed as
+``A(x)`` gathered at the targets and ``B x_j`` / ``V x_j`` as ``B(x)`` /
+``V(x)`` gathered at the sources.  A linear map commutes with row selection,
+so this is the same update with one node-row GEMM per linear instead of an
+edge-row one (circuit subgraphs have several times as many directed edges
+as nodes); only the float rounding of the GEMMs can differ, by ulps.  The
+five ``Linear`` modules keep their ``A``/``B``/``C``/``U``/``V`` names and
+shapes because saved checkpoints address their weights by those keys.
 """
 
 from __future__ import annotations
@@ -63,12 +72,11 @@ class GatedGCNLayer(Module):
         dst = edge_index[1]
         num_nodes = x.shape[0]
 
-        x_dst = x.gather_rows(dst)
-        x_src = x.gather_rows(src)
-        edge_update = self.A(x_dst) + self.B(x_src) + self.C(edge_attr)
+        edge_update = (self.A(x).gather_rows(dst) + self.B(x).gather_rows(src)
+                       + self.C(edge_attr))
         gates = edge_update.sigmoid()
 
-        messages = gates * self.V(x_src)
+        messages = gates * self.V(x).gather_rows(src)
         aggregated = F.segment_sum(messages, dst, num_nodes)
         gate_sum = F.segment_sum(gates, dst, num_nodes) + 1e-6
         node_update = self.U(x) + aggregated / gate_sum

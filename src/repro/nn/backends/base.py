@@ -13,8 +13,8 @@ underneath them.
 Implementations ship in this package:
 
 * :class:`~repro.nn.backends.numpy_backend.NumpyBackend` — the default,
-  always available, extracted verbatim from the historical op bodies (a pure
-  refactor: float64 results are byte-identical to the pre-backend engine).
+  always available; its results are byte-equal to the historical op bodies
+  (2-D ``np.add.at`` and friends) in float64 and float32.
 * :class:`~repro.nn.backends.numba_backend.NumbaBackend` — JIT-compiled fused
   segment kernels; optional, import-guarded.
 * :class:`~repro.nn.backends.torch_backend.TorchBackend` — torch CPU/GPU

@@ -5,6 +5,9 @@ import pytest
 
 from repro.models import GatedGCNLayer
 from repro.nn import Tensor
+from repro.nn import functional as F
+
+from ..helpers import assert_gradients_close
 
 
 def _graph_inputs(num_nodes=6, dim=8, seed=0):
@@ -14,6 +17,33 @@ def _graph_inputs(num_nodes=6, dim=8, seed=0):
     edge_index = np.concatenate([edge_index, edge_index[::-1]], axis=1)
     edge_attr = Tensor(rng.normal(size=(edge_index.shape[1], dim)), requires_grad=True)
     return x, edge_attr, edge_index
+
+
+def _gather_then_linear(layer, x, edge_attr, edge_index):
+    """The layer's update with the node linears applied to gathered edge rows."""
+    src, dst = edge_index
+    num_nodes = x.shape[0]
+    x_dst = x.gather_rows(dst)
+    x_src = x.gather_rows(src)
+    edge_update = layer.A(x_dst) + layer.B(x_src) + layer.C(edge_attr)
+    gates = edge_update.sigmoid()
+    messages = gates * layer.V(x_src)
+    aggregated = F.segment_sum(messages, dst, num_nodes)
+    gate_sum = F.segment_sum(gates, dst, num_nodes) + 1e-6
+    node_update = layer.U(x) + aggregated / gate_sum
+    node_out = layer.drop(layer.bn_nodes(node_update).relu())
+    edge_out = layer.bn_edges(edge_update).relu()
+    if layer.residual:
+        node_out = node_out + x
+        edge_out = edge_out + edge_attr
+    return node_out, edge_out
+
+
+def _weighted_loss(node_out, edge_out, seed=3):
+    """A scalar whose gradient reaches every output entry with its own weight."""
+    rng = np.random.default_rng(seed)
+    return ((node_out * Tensor(rng.normal(size=node_out.shape))).sum()
+            + (edge_out * Tensor(rng.normal(size=edge_out.shape))).sum())
 
 
 class TestGatedGCN:
@@ -75,3 +105,50 @@ class TestGatedGCN:
         out_res, _ = with_res(x.detach(), e.detach(), idx)
         out_plain, _ = without(x.detach(), e.detach(), idx)
         np.testing.assert_allclose(out_res.data, out_plain.data + x.data, atol=1e-10)
+
+    @pytest.mark.parametrize("train", [False, True])
+    def test_linear_before_gather_matches_gather_then_linear(self, train):
+        layer = GatedGCNLayer(8, rng=0)
+        reference = GatedGCNLayer(8, rng=0)
+        reference.load_state_dict(layer.state_dict())
+        layer.train(train)
+        reference.train(train)
+        outputs, grads = [], []
+        runs = ((layer, layer),
+                (reference, lambda *args: _gather_then_linear(reference, *args)))
+        for module, forward in runs:
+            x, e, idx = _graph_inputs()
+            node_out, edge_out = forward(x, e, idx)
+            _weighted_loss(node_out, edge_out).backward()
+            outputs.append((node_out.data, edge_out.data))
+            grads.append([x.grad, e.grad] + [p.grad for p in module.parameters()])
+        for got, want in zip(outputs[0], outputs[1]):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        for got, want in zip(grads[0], grads[1]):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("name", ["x", "A", "B", "V"])
+    def test_finite_difference_gradients(self, name):
+        # Eval mode: train-mode BatchNorm1d treats the batch statistics as
+        # constants in backward, so only the eval-mode layer is the function
+        # its gradients differentiate.
+        layer = GatedGCNLayer(4, rng=0)
+        layer.eval()
+        x, e, idx = _graph_inputs(dim=4, seed=2)
+        target = x if name == "x" else getattr(layer, name).weight
+
+        def loss():
+            return _weighted_loss(*layer(x, e, idx))
+
+        assert_gradients_close(loss, target, atol=1e-6, rtol=1e-5)
+
+    def test_state_dict_keys_are_unchanged(self):
+        """Checkpoints address the layer's weights by these keys."""
+        assert sorted(GatedGCNLayer(4, rng=0).state_dict()) == [
+            "A.bias", "A.weight", "B.bias", "B.weight", "C.bias", "C.weight",
+            "U.bias", "U.weight", "V.bias", "V.weight",
+            "bn_edges.beta", "bn_edges.gamma", "bn_edges.running_mean",
+            "bn_edges.running_var",
+            "bn_nodes.beta", "bn_nodes.gamma", "bn_nodes.running_mean",
+            "bn_nodes.running_var",
+        ]

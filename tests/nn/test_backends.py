@@ -18,6 +18,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.api import BACKENDS
 from repro.nn import Tensor, use_backend
@@ -168,6 +171,80 @@ def test_numpy_backend_scatter_add_unique_matches_general():
     np.testing.assert_array_equal(
         REFERENCE.scatter_add(src, idx, 5, unique=True),
         REFERENCE.scatter_add(src, idx, 5, unique=False))
+
+
+# --------------------------------------------------------------------------- #
+# Flat-index scatters and the one-divide sigmoid: byte-equal to the 2-D
+# ``ufunc.at`` and the two-branch formula they replace
+# --------------------------------------------------------------------------- #
+def _oracle_scatter_add(src, idx, num_rows):
+    out = np.zeros((num_rows,) + src.shape[1:], dtype=src.dtype)
+    np.add.at(out, idx, src)
+    return out
+
+
+def _oracle_segment_max(src, idx, num_segments):
+    out = np.full((num_segments,) + src.shape[1:], -np.inf, dtype=src.dtype)
+    np.maximum.at(out, idx, src)
+    out[np.isneginf(out)] = 0.0
+    return out
+
+
+def _oracle_sigmoid(x):
+    z = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+
+
+def _assert_bytes_equal(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def _scatter_cases(draw):
+    """Unsorted ids (often leaving segments empty) over 1-D, 2-D and 3-D rows."""
+    dtype = draw(st.sampled_from([np.float64, np.float32]))
+    num_rows = draw(st.integers(0, 8))
+    count = draw(st.integers(0, 24)) if num_rows else 0
+    ids = st.integers(0, max(num_rows - 1, 0))
+    idx = np.array(draw(st.lists(ids, min_size=count, max_size=count)),
+                   dtype=np.int64)
+    trailing = draw(st.sampled_from([(), (1,), (5,), (2, 3)]))
+    # Magnitudes far apart, so a changed summation order shows in the bytes.
+    elements = st.floats(-1e8, 1e8, width=32 if dtype == np.float32 else 64)
+    src = draw(hnp.arrays(dtype, (count,) + trailing, elements=elements))
+    return src, idx, num_rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(_scatter_cases())
+def test_flat_scatters_are_byte_equal_to_2d_ufunc_at(case):
+    src, idx, num_rows = case
+    _assert_bytes_equal(REFERENCE.scatter_add(src, idx, num_rows),
+                        _oracle_scatter_add(src, idx, num_rows))
+    _assert_bytes_equal(REFERENCE.segment_max(src, idx, num_rows),
+                        _oracle_segment_max(src, idx, num_rows))
+    counts = np.zeros(num_rows, dtype=src.dtype)
+    np.add.at(counts, idx, 1.0)
+    _assert_bytes_equal(REFERENCE.segment_counts(idx, num_rows, dtype=src.dtype),
+                        counts)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_sigmoid_is_byte_equal_to_two_branch_formula(dtype):
+    edge_cases = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1e-300, -1e-300,
+                  88.7, -88.7, 103.9, -103.9, 700.0, -700.0, 710.0, -710.0,
+                  1e308, -1e308]
+    rng = np.random.default_rng(5)
+    x = np.concatenate([edge_cases, rng.normal(scale=40.0, size=500)])
+    with np.errstate(over="ignore"):  # 1e308 does not fit float32
+        x = x.astype(dtype)
+    with np.errstate(over="raise", divide="raise"):
+        _assert_bytes_equal(REFERENCE.sigmoid(x), _oracle_sigmoid(x))
+        _assert_bytes_equal(REFERENCE.sigmoid(x.reshape(2, -1)),
+                            _oracle_sigmoid(x.reshape(2, -1)))
+        scalar = np.asarray(dtype(-3.0))
+        _assert_bytes_equal(REFERENCE.sigmoid(scalar), _oracle_sigmoid(scalar))
 
 
 def test_numba_as_2d_view_shapes():
