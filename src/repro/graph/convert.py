@@ -18,11 +18,13 @@ for the node-regression task of Section IV-D.
 
 from __future__ import annotations
 
+from itertools import repeat
+
 import numpy as np
 
 from ..netlist.circuit import Circuit
 from ..netlist.parasitics import NET, PIN, ParasiticReport
-from .features import compute_node_stats
+from .features import _kind, _node_stats
 from .hetero import (
     EDGE_DEVICE_PIN,
     EDGE_NET_PIN,
@@ -32,6 +34,7 @@ from .hetero import (
     NODE_DEVICE,
     NODE_NET,
     NODE_PIN,
+    NODE_TYPE_NAMES,
     CircuitGraph,
     Link,
 )
@@ -42,68 +45,112 @@ __all__ = ["netlist_to_graph", "attach_parasitics"]
 def netlist_to_graph(circuit: Circuit, parasitics: ParasiticReport | None = None,
                      include_power_nets: bool = False,
                      with_stats: bool = True) -> CircuitGraph:
-    """Convert a (flat) circuit into a heterogeneous :class:`CircuitGraph`."""
+    """Convert a (flat) circuit into a heterogeneous :class:`CircuitGraph`.
+
+    Hierarchical circuits are flattened first.  Node order is a contract:
+
+    * the net nodes come first, sorted by name (power rails are left out
+      unless ``include_power_nets``);
+    * then each device of ``circuit.devices``, in order, directly followed
+      by one pin node per terminal, in declaration order;
+    * per terminal, its device-pin edge comes first, then its net-pin edge
+      (none when the net is a dropped rail).
+
+    Every node name (net name, device name, ``device:terminal``) must be
+    unique: a net named like a device, or two devices sharing a name,
+    raises :class:`ValueError` naming the colliding name and both roles.
+
+    One walk over ``circuit.devices`` collects the columns the structure and
+    the Table I statistics ``X_C`` (``with_stats``) are both computed from.
+    """
     if not circuit.is_flat:
         circuit = circuit.flatten()
+    devices = circuit.devices
 
-    node_names: list[str] = []
-    node_types: list[int] = []
-    index_of: dict[str, int] = {}
+    device_names: list[str] = []
+    counts: list[int] = []
+    terminal_names: list[str] = []
+    terminal_nets: list[str] = []
+    kinds: list[int] = []
+    geometry: list[tuple] = []
+    for device in devices:
+        name = device.name
+        terminals = device.terminals
+        device_names.append(name)
+        device_names.extend([f"{name}:{terminal}" for terminal in terminals])
+        counts.append(len(terminals))
+        terminal_names.extend(terminals)
+        terminal_nets.extend(terminals.values())
+        if with_stats:
+            kinds.append(_kind(device))
+            geometry.append((getattr(device, "multiplier", 0), getattr(device, "length", 0.0),
+                             getattr(device, "width", 0.0), getattr(device, "fingers", 0),
+                             device.type_code))
 
-    def add_node(name: str, node_type: int) -> int:
-        if name in index_of:
-            return index_of[name]
-        index_of[name] = len(node_names)
-        node_names.append(name)
-        node_types.append(node_type)
-        return index_of[name]
+    # Power rails are classified once per distinct net, not per terminal.
+    nets = sorted(set(circuit.ports).union(terminal_nets))
+    if not include_power_nets:
+        nets = [net for net in nets if not Circuit.is_power_rail(net)]
+    net_row = dict(zip(nets, range(len(nets))))
+    node_names = nets + device_names
+    num_nets, num_nodes = len(nets), len(node_names)
 
-    # Net nodes.
-    for net in circuit.nets:
-        if not include_power_nets and Circuit.is_power_rail(net):
-            continue
-        add_node(net, NODE_NET)
+    # Node ids by arithmetic: each device row is followed by its pin rows.
+    counts_arr = np.array(counts, dtype=np.int64)
+    terminal_device = np.repeat(np.arange(len(devices), dtype=np.int64), counts_arr)
+    device_rows = num_nets + np.arange(len(devices), dtype=np.int64) \
+        + np.cumsum(counts_arr) - counts_arr
+    pin_rows = num_nets + np.arange(len(terminal_nets), dtype=np.int64) + terminal_device + 1
+    terminal_rows = np.fromiter(map(net_row.get, terminal_nets, repeat(-1)),
+                                dtype=np.int64, count=len(terminal_nets))
+    node_types = np.full(num_nodes, NODE_PIN, dtype=np.int64)
+    node_types[:num_nets] = NODE_NET
+    node_types[device_rows] = NODE_DEVICE
 
-    sources: list[int] = []
-    targets: list[int] = []
-    edge_types: list[int] = []
+    index_of = dict(zip(node_names, range(num_nodes)))
+    if len(index_of) != num_nodes:
+        _raise_name_collision(node_names, node_types)
 
-    # Device and pin nodes plus structural edges.
-    for device in circuit.devices:
-        device_idx = add_node(device.name, NODE_DEVICE)
-        for terminal, net in device.terminal_items():
-            pin_name = f"{device.name}:{terminal}"
-            pin_idx = add_node(pin_name, NODE_PIN)
-            sources.append(device_idx)
-            targets.append(pin_idx)
-            edge_types.append(EDGE_DEVICE_PIN)
-            if not include_power_nets and Circuit.is_power_rail(net):
-                continue
-            net_idx = index_of.get(net)
-            if net_idx is None:
-                net_idx = add_node(net, NODE_NET)
-            sources.append(net_idx)
-            targets.append(pin_idx)
-            edge_types.append(EDGE_NET_PIN)
-
-    node_types_arr = np.array(node_types, dtype=np.int64)
-    edge_index = np.array([sources, targets], dtype=np.int64) if sources else np.zeros((2, 0), dtype=np.int64)
-    edge_types_arr = np.array(edge_types, dtype=np.int64)
+    # Per terminal: (device, pin), then (net, pin) unless the net was dropped.
+    keep = np.stack([np.ones(len(terminal_nets), dtype=bool), terminal_rows >= 0], axis=1)
+    sources = np.stack([device_rows[terminal_device], terminal_rows], axis=1)[keep]
+    targets = np.stack([pin_rows, pin_rows], axis=1)[keep]
+    edge_types = np.broadcast_to(np.array([EDGE_DEVICE_PIN, EDGE_NET_PIN], dtype=np.int64),
+                                 keep.shape)[keep]
 
     graph = CircuitGraph(
         name=circuit.name,
-        node_types=node_types_arr,
+        node_types=node_types,
         node_names=node_names,
-        edge_index=edge_index,
-        edge_types=edge_types_arr,
+        edge_index=np.stack([sources, targets]),
+        edge_types=edge_types,
+        _name_to_index=index_of,
     )
 
     if with_stats:
-        graph.node_stats = compute_node_stats(circuit, node_names, node_types_arr)
+        port_rows = [net_row[port] for port in set(circuit.ports) if port in net_row]
+        graph.node_stats = _node_stats(
+            num_nodes, np.array(kinds, dtype=np.int64), geometry, counts_arr, device_rows,
+            terminal_names, terminal_device, terminal_rows, pin_rows, port_rows)
 
     if parasitics is not None:
         attach_parasitics(graph, parasitics)
     return graph
+
+
+def _raise_name_collision(node_names: list[str], node_types: np.ndarray) -> None:
+    """Raise the :class:`ValueError` for the first node name seen twice."""
+    first: dict[str, int] = {}
+    for index, name in enumerate(node_names):
+        if name in first:
+            roles = (NODE_TYPE_NAMES[int(node_types[first[name]])],
+                     NODE_TYPE_NAMES[int(node_types[index])])
+            raise ValueError(
+                f"node name {name!r} is taken by a {roles[0]} and again by a {roles[1]}; "
+                "net, device and device:terminal pin names must be unique in the flat "
+                "circuit"
+            )
+        first[name] = index
 
 
 def _link_type(kind_a: str, kind_b: str) -> int:

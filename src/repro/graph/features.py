@@ -9,14 +9,14 @@ dimensionality are zero-padded so ``X_C`` is a dense ``(N, 13)`` matrix.
 
 from __future__ import annotations
 
+from itertools import repeat
+
 import numpy as np
 
-from ..netlist.circuit import Circuit
 from ..netlist.devices import Capacitor, Device, Diode, Mosfet, Resistor
 from ..nn.dtypes import FLOAT64
-from .hetero import NODE_DEVICE, NODE_NET, NODE_PIN
 
-__all__ = ["STATS_DIM", "PIN_TYPE_CODES", "compute_node_stats", "normalize_stats"]
+__all__ = ["STATS_DIM", "PIN_TYPE_CODES", "normalize_stats"]
 
 STATS_DIM = 13
 
@@ -44,84 +44,44 @@ def _kind(device: Device) -> int:
     return _OTHER
 
 
-def compute_node_stats(circuit: Circuit, node_names: list[str], node_types: np.ndarray) -> np.ndarray:
-    """Build ``X_C`` for the node ordering of an already-converted graph.
+def _node_stats(num_nodes: int, kind: np.ndarray, geometry: list[tuple],
+                num_terminals: np.ndarray, device_rows: np.ndarray,
+                terminal_names: list[str], terminal_device: np.ndarray,
+                terminal_rows: np.ndarray, pin_rows: np.ndarray,
+                port_rows: list[int]) -> np.ndarray:
+    """``X_C`` from the columns of :func:`~repro.graph.netlist_to_graph`'s
+    device walk.
 
-    One pass over ``circuit.devices`` collects per-device and per-terminal
-    columns.  Each net row then gets one contribution per (device, distinct
-    net) pair, summed with ``np.add.at`` in device order.
-
-    Parameters
-    ----------
-    circuit:
-        The flat circuit the graph was converted from.
-    node_names:
-        Node names in graph order (net name, device name, or ``device:terminal``).
-    node_types:
-        Node-type array aligned with ``node_names``.
+    Per device: its kind (``_kind``), its ``(multiplier, length, width,
+    fingers, type_code)`` geometry, its terminal count and its node row.
+    Per terminal: its name, its device index, its net row (-1 for a dropped
+    rail) and its pin row.  ``port_rows`` are the net rows of the ports.
+    Each net row gets one contribution per (device, distinct net) pair,
+    summed with ``np.add.at`` in device order.
     """
-    node_types = np.asarray(node_types)
-    unknown = ~np.isin(node_types, (NODE_NET, NODE_DEVICE, NODE_PIN))
-    if unknown.any():
-        raise ValueError(f"unknown node type {node_types[unknown][0]}")
-    net_row: dict[str, int] = {}
-    device_row: dict[str, int] = {}
-    pin_rows: list[int] = []
-    pin_codes: list[int] = []
-    for index, (name, node_type) in enumerate(zip(node_names, node_types.tolist())):
-        if node_type == NODE_NET:
-            net_row[name] = index
-        elif node_type == NODE_DEVICE:
-            device_row[name] = index
-        else:
-            pin_rows.append(index)
-            pin_codes.append(PIN_TYPE_CODES.get(name.split(":", 1)[1], len(PIN_TYPE_CODES)))
-    devices = circuit.devices
-    missing = device_row.keys() - {device.name for device in devices}
-    if missing:
-        raise KeyError(sorted(missing)[0])
-
-    kinds: list[int] = []
-    geometry: list[tuple] = []
-    terminal_names: list[str] = []
-    terminal_nets: list[str] = []
-    for device in devices:
-        kind = _kind(device)
-        kinds.append(kind)
-        geometry.append((getattr(device, "multiplier", 0), getattr(device, "length", 0.0),
-                         getattr(device, "width", 0.0), getattr(device, "fingers", 0),
-                         len(device.terminals), device.type_code,
-                         device_row.get(device.name, -1)))
-        terminal_names.extend(device.terminals)
-        terminal_nets.extend(device.terminals.values())
-    kind = np.array(kinds, dtype=np.int64)
-    multiplier, length, width, fingers, num_terminals, type_code, row = \
-        np.array(geometry, dtype=FLOAT64).reshape(-1, 7).T
+    multiplier, length, width, fingers, type_code = \
+        np.array(geometry, dtype=FLOAT64).reshape(-1, 5).T
     length_um, width_um = length * 1e6, width * 1e6
 
-    stats = np.zeros((len(node_names), STATS_DIM))
+    stats = np.zeros((num_nodes, STATS_DIM))
     # Device rows (Table I, x_i = 1): (multiplier, length, width) of MOSFETs
     # and resistors, (multiplier, length, fingers) of capacitors.
-    has_row = row >= 0
-    rows = row[has_row].astype(np.int64)
-    columns = _DEVICE_OFFSET[kind[has_row]][:, None] + np.arange(3)
-    stats[rows[:, None], columns] = np.stack([
+    columns = _DEVICE_OFFSET[kind][:, None] + np.arange(3)
+    stats[device_rows[:, None], columns] = np.stack([
         multiplier, length_um, np.where(kind == _CAPACITOR, fingers, width_um),
-    ], axis=1)[has_row]
-    stats[rows, 9] = num_terminals[has_row]
-    stats[rows, 10] = type_code[has_row]
+    ], axis=1)
+    stats[device_rows, 9] = num_terminals
+    stats[device_rows, 10] = type_code
 
     # Net rows (Table I, x_i = 0): one contribution per (device, distinct
     # net), ordered by device (np.unique sorts the device-major pair keys),
     # so np.add.at sums each net's devices in circuit order.
-    terminal_device = np.repeat(np.arange(len(devices)), num_terminals.astype(np.int64))
-    terminal_row = np.array([net_row.get(net, -1) for net in terminal_nets], dtype=np.int64)
-    counted = (terminal_row >= 0) & (kind[terminal_device] < _DIODE)
-    pairs, pair_of = np.unique(terminal_device[counted] * len(node_names)
-                               + terminal_row[counted], return_inverse=True)
-    device, net = np.divmod(pairs, len(node_names))
-    pin_column = np.array([_MOSFET_PIN_COLUMN.get(name, 0) for name in terminal_names],
-                          dtype=np.int64)[counted]
+    counted = (terminal_rows >= 0) & (kind[terminal_device] < _DIODE)
+    pairs, pair_of = np.unique(terminal_device[counted] * num_nodes
+                               + terminal_rows[counted], return_inverse=True)
+    device, net = np.divmod(pairs, num_nodes)
+    pin_column = np.fromiter(map(_MOSFET_PIN_COLUMN.get, terminal_names, repeat(0)),
+                             dtype=np.int64, count=len(terminal_names))[counted]
     values = np.zeros((pairs.shape[0], STATS_DIM))
     mosfet = kind[device] == _MOSFET
     values[mosfet, 0] = 1
@@ -140,8 +100,11 @@ def compute_node_stats(circuit: Circuit, node_names: list[str], node_types: np.n
     values[resistor, 11] = length_um[device[resistor]]
     np.add.at(stats, net, values)
 
-    stats[[net_row[port] for port in set(circuit.ports) if port in net_row], 12] = 1.0
-    stats[pin_rows, 0] = pin_codes
+    stats[port_rows, 12] = 1.0
+    # Pin rows (Table I, x_i = 2): the pin-type code of the terminal name.
+    stats[pin_rows, 0] = np.fromiter(
+        map(PIN_TYPE_CODES.get, terminal_names, repeat(len(PIN_TYPE_CODES))),
+        dtype=np.int64, count=len(terminal_names))
     return stats
 
 

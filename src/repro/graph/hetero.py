@@ -100,7 +100,7 @@ class CircuitGraph:
     links: list[Link] = field(default_factory=list)
     node_ground_caps: np.ndarray | None = None
 
-    # Caches (built lazily).
+    # Caches (built lazily; netlist_to_graph hands over its name index).
     _csr: CSRGraph | None = None
     _name_to_index: dict | None = None
 

@@ -9,10 +9,9 @@ uniquifying internal instance and net names the way commercial netlisters do
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 
-from .devices import Capacitor, Device, Diode, Mosfet, Resistor, SubcktInstance
+from .devices import Capacitor, Device, Diode, Mosfet, Resistor, SubcktInstance, copy_device
 
 __all__ = ["Circuit", "Subckt", "CircuitStats"]
 
@@ -204,7 +203,7 @@ class Circuit:
         registry: dict[str, tuple[str, str]] = {net: ("", net) for net in self.nets}
         scopes: set[str] = set()
         for device in self.devices:
-            flat.add(copy.deepcopy(device))
+            flat.add(copy_device(device))
         for instance in self.instances:
             self._expand_instance(instance, prefix="", target=flat, separator=separator,
                                   registry=registry, scopes=scopes)
@@ -265,13 +264,13 @@ class Circuit:
             return resolved
 
         for device in definition.devices:
-            clone = copy.deepcopy(device)
+            clone = copy_device(device)
             clone.name = f"{scope}{device.name}"
             clone.terminals = {term: resolve(net) for term, net in device.terminals.items()}
             target.add(clone)
 
         for child in definition.instances:
-            child_clone = copy.deepcopy(child)
+            child_clone = copy_device(child)
             child_clone.connections = [resolve(net) for net in child.connections]
             child_clone.terminals = {
                 term: resolve(net) for term, net in child.terminals.items()

@@ -18,24 +18,12 @@ post-change revision from ``prev_report.circuit``.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 
 from .circuit import Circuit
-from .devices import Device, SubcktInstance
+from .devices import Device, SubcktInstance, copy_device
 
 __all__ = ["NetlistDelta"]
-
-
-def _copy_device(device: Device) -> Device:
-    """An independent copy of a primitive device.
-
-    ``terminals`` is a primitive device's only mutable field, so a shallow
-    copy with its own terminal map is as independent as a deep copy.
-    """
-    clone = copy.copy(device)
-    clone.terminals = dict(device.terminals)
-    return clone
 
 
 @dataclass
@@ -118,9 +106,9 @@ class NetlistDelta:
         result = Circuit(flat.name, ports=list(flat.ports))
         for device in flat.devices:
             if device.name not in removed:
-                result.add(_copy_device(device))
+                result.add(copy_device(device))
         for device in self.add_devices:
-            result.add(_copy_device(device))
+            result.add(copy_device(device))
         return result
 
     @classmethod
@@ -144,10 +132,10 @@ class NetlistDelta:
                 remove.append(name)
             elif type(replacement) is not type(device) or replacement != device:
                 remove.append(name)
-                add.append(copy.deepcopy(replacement))
+                add.append(copy_device(replacement))
         for name, device in new_by_name.items():
             if name not in old_by_name:
-                add.append(copy.deepcopy(device))
+                add.append(copy_device(device))
         return cls(add_devices=add, remove_devices=remove)
 
     def __repr__(self) -> str:

@@ -20,6 +20,7 @@ __all__ = [
     "Diode",
     "SubcktInstance",
     "DEVICE_TYPE_CODES",
+    "copy_device",
 ]
 
 # Type codes used for the "type code of the device instance" entry of X_C.
@@ -174,3 +175,18 @@ class SubcktInstance(Device):
     def device_kind(self) -> str:
         """Human-readable device kind."""
         return "subckt"
+
+
+def copy_device(device: Device) -> Device:
+    """An independent copy of ``device``, much cheaper than ``copy.deepcopy``.
+
+    Every field is copied shallowly; the mutable ones — ``terminals`` and,
+    on a :class:`SubcktInstance`, ``connections`` — get fresh containers, so
+    editing the copy never touches the original.
+    """
+    clone = object.__new__(type(device))
+    clone.__dict__.update(device.__dict__)
+    clone.terminals = dict(device.terminals)
+    if isinstance(device, SubcktInstance):
+        clone.connections = list(device.connections)
+    return clone

@@ -153,6 +153,26 @@ class TestDesignFailureLogging:
         assert report["error"]["type"] in records[0].getMessage()
 
 
+class TestCollidingNodeNames:
+    def test_colliding_design_fails_alone(self, faulty_server, server_spice):
+        """A netlist whose net and device share a name is a per-design
+        ValueError; the other design of the request is still annotated."""
+        colliding = "M1 a M1 VSS VSS nch\nR1 a b 1k\n.end\n"
+        client = ServeClient(faulty_server.url)
+        good = {"spice": server_spice, "name": "GOOD", "max_candidates": 6}
+        reports = client.annotate_many([{"spice": colliding, "name": "CLASH"}, good],
+                                       seed=2, stream=False)
+        assert [report["design"] for report in reports] == ["CLASH", "GOOD"]
+        assert reports[0]["status"] == "error"
+        assert reports[0]["error"]["type"] == "ValueError"
+        assert "'M1'" in reports[0]["error"]["message"]
+        assert reports[1]["status"] == "ok" and reports[1]["records"]
+        # Seeds follow request positions: same records as with a valid first design.
+        assert reports[1] == client.annotate_many([dict(good, name="OTHER"), good],
+                                                  seed=2, stream=False)[1]
+        assert client.metrics()["errors_total"]["design_error"] == 1
+
+
 class TestClientDisconnect:
     def test_disconnect_mid_stream_leaves_daemon_healthy(self, server_engine,
                                                          server_spice):

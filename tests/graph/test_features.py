@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.graph import NODE_DEVICE, NODE_NET, NODE_PIN, STATS_DIM, compute_node_stats, normalize_stats
-from repro.graph import netlist_to_graph
+from repro.graph import STATS_DIM, netlist_to_graph, normalize_stats
 from repro.graph.features import PIN_TYPE_CODES
 from repro.netlist import (PAPER_DESIGNS, Capacitor, Circuit, Diode, Mosfet, Resistor,
                            build_design, ssram)
+
+from .graph_oracle import per_node_stats
 
 
 @pytest.fixture()
@@ -24,15 +25,14 @@ def simple_circuit():
     return circuit
 
 
-def _stats_for(circuit, name, node_type):
-    names = [name]
-    types = np.array([node_type])
-    return compute_node_stats(circuit, names, types)[0]
+def _stats_for(circuit, name):
+    graph = netlist_to_graph(circuit)
+    return graph.node_stats[graph.node_index(name)]
 
 
 class TestNetStats:
     def test_transistor_counts_and_terminals(self, simple_circuit):
-        stats = _stats_for(simple_circuit, "out", NODE_NET)
+        stats = _stats_for(simple_circuit, "out")
         assert stats[0] == 2          # two transistors on "out"
         assert stats[1] == 0          # no gate terminals on "out"
         assert stats[2] == 2          # two source/drain terminals
@@ -40,17 +40,17 @@ class TestNetStats:
         assert stats[12] == 1.0       # "out" is a port
 
     def test_gate_terminal_counting(self, simple_circuit):
-        stats = _stats_for(simple_circuit, "in", NODE_NET)
+        stats = _stats_for(simple_circuit, "in")
         assert stats[1] == 2          # both gates connect to "in"
         assert stats[2] == 0
 
     def test_total_width_includes_multiplier(self, simple_circuit):
-        stats = _stats_for(simple_circuit, "out", NODE_NET)
+        stats = _stats_for(simple_circuit, "out")
         expected_um = (200e-9 * 2 + 400e-9) * 1e6
         assert stats[4] == pytest.approx(expected_um)
 
     def test_capacitor_fields(self, simple_circuit):
-        stats = _stats_for(simple_circuit, "mid", NODE_NET)
+        stats = _stats_for(simple_circuit, "mid")
         assert stats[6] == 1
         assert stats[7] == pytest.approx(3.0)   # length in um
         assert stats[8] == 6                    # fingers
@@ -59,7 +59,7 @@ class TestNetStats:
 
 class TestDeviceStats:
     def test_mosfet_geometry(self, simple_circuit):
-        stats = _stats_for(simple_circuit, "M1", NODE_DEVICE)
+        stats = _stats_for(simple_circuit, "M1")
         assert stats[0] == 2                     # multiplier
         assert stats[1] == pytest.approx(0.04)   # length in um
         assert stats[2] == pytest.approx(0.2)    # width in um
@@ -67,9 +67,9 @@ class TestDeviceStats:
         assert stats[10] == 0                    # nmos type code
 
     def test_resistor_and_capacitor_slots(self, simple_circuit):
-        r_stats = _stats_for(simple_circuit, "R1", NODE_DEVICE)
+        r_stats = _stats_for(simple_circuit, "R1")
         assert r_stats[4] == pytest.approx(2.0)  # resistor length um
-        c_stats = _stats_for(simple_circuit, "C1", NODE_DEVICE)
+        c_stats = _stats_for(simple_circuit, "C1")
         assert c_stats[8] == 6                   # capacitor fingers
 
 
@@ -77,71 +77,31 @@ class TestPinStats:
     def test_pin_type_codes(self, simple_circuit):
         for terminal, code in (("G", PIN_TYPE_CODES["G"]), ("D", PIN_TYPE_CODES["D"]),
                                ("S", PIN_TYPE_CODES["S"])):
-            stats = _stats_for(simple_circuit, f"M1:{terminal}", NODE_PIN)
+            stats = _stats_for(simple_circuit, f"M1:{terminal}")
             assert stats[0] == code
             assert np.all(stats[1:] == 0)
 
-    def test_matrix_shape_and_unknown_type(self, simple_circuit):
-        names = ["out", "M1", "M1:G"]
-        types = np.array([NODE_NET, NODE_DEVICE, NODE_PIN])
-        stats = compute_node_stats(simple_circuit, names, types)
-        assert stats.shape == (3, STATS_DIM)
-        with pytest.raises(ValueError):
-            compute_node_stats(simple_circuit, ["out"], np.array([7]))
+    def test_matrix_shape(self, simple_circuit):
+        graph = netlist_to_graph(simple_circuit)
+        assert graph.node_stats.shape == (graph.num_nodes, STATS_DIM)
+        assert netlist_to_graph(simple_circuit, with_stats=False).node_stats is None
 
-
-def per_node_stats(circuit, node_names, node_types):
-    """``X_C`` one node at a time, each net summing its devices in circuit
-    order (test oracle for the one-pass computation)."""
-    net_devices = circuit.net_devices()
-    device_by_name = {device.name: device for device in circuit.devices}
-    stats = np.zeros((len(node_names), STATS_DIM))
-    for index, (name, node_type) in enumerate(zip(node_names, node_types)):
-        row = stats[index]
-        if node_type == NODE_NET:
-            for device in net_devices.get(name, []):
-                if isinstance(device, Mosfet):
-                    terminals = [t for t, n in device.terminal_items() if n == name]
-                    row[0] += 1
-                    row[1] += sum(1 for t in terminals if t == "G")
-                    row[2] += sum(1 for t in terminals if t in ("S", "D"))
-                    row[3] += sum(1 for t in terminals if t == "B")
-                    row[4] += device.width * device.multiplier * 1e6
-                    row[5] += device.length * device.multiplier * 1e6
-                elif isinstance(device, Capacitor):
-                    row[6] += 1
-                    row[7] += device.length * 1e6
-                    row[8] += device.fingers
-                elif isinstance(device, Resistor):
-                    row[9] += 1
-                    row[10] += device.width * 1e6
-                    row[11] += device.length * 1e6
-            row[12] = 1.0 if name in circuit.ports else 0.0
-        elif node_type == NODE_DEVICE:
-            device = device_by_name[name]
-            if isinstance(device, Mosfet):
-                row[0:3] = device.multiplier, device.length * 1e6, device.width * 1e6
-            elif isinstance(device, Resistor):
-                row[3:6] = device.multiplier, device.length * 1e6, device.width * 1e6
-            elif isinstance(device, Capacitor):
-                row[6:9] = device.multiplier, device.length * 1e6, device.fingers
-            elif isinstance(device, Diode):
-                row[0] = device.multiplier
-            row[9] = len(device.terminals)
-            row[10] = device.type_code
-        else:
-            row[0] = PIN_TYPE_CODES.get(name.split(":", 1)[1], len(PIN_TYPE_CODES))
-    return stats
+    def test_code_comes_from_the_terminal_not_the_pin_name(self):
+        # A device name holding ':' cannot be split back out of its pin
+        # names; the walk takes the code from the terminal itself.
+        circuit = Circuit("colon")
+        circuit.add(Mosfet("X1:M1", {"D": "a", "G": "b", "S": "c", "B": "c"}))
+        stats = _stats_for(circuit, "X1:M1:G")
+        assert stats[0] == PIN_TYPE_CODES["G"]
 
 
 class TestOnePassMatchesPerNode:
     @pytest.mark.parametrize("name", sorted(PAPER_DESIGNS))
     def test_paper_designs_byte_identical(self, name):
         flat = build_design(name, scale=0.3).flatten()
-        graph = netlist_to_graph(flat, with_stats=False)
-        got = compute_node_stats(flat, graph.node_names, graph.node_types)
+        graph = netlist_to_graph(flat)
         want = per_node_stats(flat, graph.node_names, graph.node_types)
-        assert got.tobytes() == want.tobytes()
+        assert graph.node_stats.tobytes() == want.tobytes()
 
     def test_mixed_devices_and_repeated_nets(self, simple_circuit):
         circuit = simple_circuit
@@ -150,14 +110,9 @@ class TestOnePassMatchesPerNode:
                            width=123e-9, length=77e-9, multiplier=5))
         circuit.add(Resistor("R2", {"P": "out", "N": "out"}, width=1e-7, length=3e-7))
         for source in (circuit, ssram(rows=3, cols=2).flatten()):
-            graph = netlist_to_graph(source, include_power_nets=True, with_stats=False)
-            got = compute_node_stats(source, graph.node_names, graph.node_types)
+            graph = netlist_to_graph(source, include_power_nets=True)
             want = per_node_stats(source, graph.node_names, graph.node_types)
-            assert got.tobytes() == want.tobytes()
-
-    def test_unknown_device_name_raises(self, simple_circuit):
-        with pytest.raises(KeyError):
-            compute_node_stats(simple_circuit, ["MISSING"], np.array([NODE_DEVICE]))
+            assert graph.node_stats.tobytes() == want.tobytes()
 
 
 class TestNormalization:

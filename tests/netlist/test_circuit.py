@@ -102,6 +102,22 @@ class TestFlatten:
         flat = self._hierarchical().flatten()  # BUF instantiates INV twice
         assert len(flat.devices) == 4
 
+    def test_flattened_devices_share_no_mutable_state(self):
+        circuit = self._hierarchical()
+        circuit.add(Resistor("R1", {"P": "in", "N": "out"}))
+        flat = circuit.flatten()
+        sources = circuit.devices + [device for subckt in circuit.subckts.values()
+                                     for device in subckt.devices + subckt.instances]
+        terminal_maps = [device.terminals for device in flat.devices]
+        assert len({id(m) for m in terminal_maps}) == len(terminal_maps)
+        assert not {id(m) for m in terminal_maps} & {id(d.terminals) for d in sources}
+        assert not {id(d) for d in flat.devices} & {id(d) for d in sources}
+        before = [(d.name, dict(d.terminals)) for d in sources]
+        for device in flat.devices:
+            device.terminals["D" if "D" in device.terminals else "P"] = "moved"
+            device.name = "renamed"
+        assert [(d.name, dict(d.terminals)) for d in sources] == before
+
     def test_stats_of_flattened_circuit(self):
         stats = self._hierarchical().stats()
         assert stats.num_devices == 4

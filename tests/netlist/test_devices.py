@@ -3,7 +3,7 @@
 import pytest
 
 from repro.netlist import Capacitor, Diode, Mosfet, Resistor, SubcktInstance
-from repro.netlist.devices import DEVICE_TYPE_CODES
+from repro.netlist.devices import DEVICE_TYPE_CODES, copy_device
 
 
 class TestMosfet:
@@ -62,3 +62,25 @@ class TestPassives:
         x = SubcktInstance("X1", {}, subckt_name="INV_X1", connections=["a", "y", "vdd", "vss"])
         assert x.device_kind == "subckt"
         assert x.connections == ["a", "y", "vdd", "vss"]
+
+
+class TestCopyDevice:
+    @pytest.mark.parametrize("device", [
+        Mosfet("M1", {"D": "d", "G": "g", "S": "s", "B": "b"}, polarity="pmos",
+               width=3e-7, multiplier=2),
+        Resistor("R1", {"P": "a", "N": "b"}, resistance=2e3),
+        Capacitor("C1", {"P": "a", "N": "b"}, fingers=8),
+        Diode("D1", {"P": "a", "N": "b"}, area=2e-12),
+        SubcktInstance("X1", {"A": "a"}, subckt_name="INV", connections=["a", "y"]),
+    ], ids=lambda device: type(device).__name__)
+    def test_equal_and_independent(self, device):
+        clone = copy_device(device)
+        assert type(clone) is type(device) and clone == device
+        assert clone.terminals is not device.terminals
+        clone.terminals["A"] = "moved"
+        clone.name = "renamed"
+        if isinstance(device, SubcktInstance):
+            assert clone.connections is not device.connections
+            clone.connections.append("extra")
+            assert device.connections == ["a", "y"]
+        assert device.name != "renamed" and device.terminals.get("A") != "moved"
