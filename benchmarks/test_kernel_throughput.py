@@ -1,0 +1,76 @@
+"""Op-level throughput of the autograd engine's kernels.
+
+Micro-benchmarks the segment-op kernels every model forward/backward is
+built from — ``scatter_add``, the row gather, ``segment_max``,
+``segment_softmax`` and the dense matmul — on ragged workloads shaped like
+collated enclosing-subgraph batches, and records the timings to
+``BENCH_backend_ops.json`` (the area name the perf trajectory has always
+used).
+
+This module is intentionally *not* marked ``benchmark``: the micro-benchmark
+runs with the tier-1 suite (sub-second) to keep the record fresh.
+"""
+
+from __future__ import annotations
+
+import time
+
+import numpy as np
+
+from repro.nn import kernels
+from repro.nn.functional import segment_softmax
+from repro.nn.tensor import Tensor
+
+from .recorder import bench_recorder
+
+NUM_ROWS = 200_000
+NUM_SEGMENTS = 20_000
+DIM = 64
+REPEATS = 3
+
+
+def _ragged_workload(rng: np.random.Generator):
+    """A ragged segment workload: ~10 rows per segment, uneven sizes."""
+    idx = np.sort(rng.integers(0, NUM_SEGMENTS, size=NUM_ROWS))
+    src = rng.normal(size=(NUM_ROWS, DIM))
+    return src, idx
+
+
+def _time(fn) -> float:
+    fn()  # warm-up (allocator)
+    best = float("inf")
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def test_kernel_op_microbenchmarks():
+    rng = np.random.default_rng(0)
+    src, idx = _ragged_workload(rng)
+    scores = Tensor(rng.normal(size=NUM_ROWS), requires_grad=False)
+    lhs, rhs = rng.normal(size=(512, DIM)), rng.normal(size=(DIM, DIM))
+    rows = idx % len(src)
+
+    timings = {
+        "scatter_add_s": _time(lambda: kernels.scatter_add(src, idx, NUM_SEGMENTS)),
+        "gather_rows_s": _time(lambda: src[rows]),
+        "segment_max_s": _time(lambda: kernels.segment_max(src, idx, NUM_SEGMENTS)),
+        "segment_softmax_s": _time(
+            lambda: segment_softmax(scores, idx, NUM_SEGMENTS)),
+        "matmul_s": _time(lambda: lhs @ rhs),
+    }
+
+    rec = bench_recorder("backend_ops")
+    rec.add_meta(num_rows=NUM_ROWS, num_segments=NUM_SEGMENTS, dim=DIM,
+                 repeats=REPEATS)
+    for name, seconds in timings.items():
+        rec.record(name, seconds, unit="s", direction="lower")
+    rec.write()
+    summary = ", ".join(f"{k} {v * 1e3:.2f} ms" for k, v in timings.items())
+    print(f"\nkernel ops: {summary}")
+    # Sanity floor, not a race: the engine must push ≥ 10M row-elements/s
+    # through scatter_add (NumPy manages ~1G on a laptop; the slack absorbs
+    # full-suite contention on small CI runners without hiding a 100x cliff).
+    assert timings["scatter_add_s"] < NUM_ROWS * DIM / 1e7

@@ -25,7 +25,7 @@ from repro.graph import (
     generate_negative_links,
     inject_link_edges,
 )
-from repro.graph.legacy import legacy_compute_pe, legacy_extract_enclosing_subgraph
+from tests.oracles.graph_legacy import legacy_compute_pe, legacy_extract_enclosing_subgraph
 
 from .recorder import bench_recorder
 

@@ -5,7 +5,7 @@ Pins the performance claim of PR 4 (the segment-ops engine in
 backward, gradient clipping and the Adam update — at **batch size 32** must be
 at least 2x faster with the vectorized attention core than with the per-graph
 (and, for the Performer, per-head) Python loops it replaced.  The loop
-implementations are kept verbatim in :mod:`repro.nn.legacy` and swapped into
+implementations are kept verbatim in ``tests/oracles/nn_legacy.py`` and swapped into
 an identically-weighted model, so both paths train the same network on the
 same batch.
 
@@ -30,7 +30,7 @@ import pytest
 from repro.graph.batch import SubgraphBatch
 from repro.models import CircuitGPS
 from repro.nn import Adam, bce_with_logits, clip_grad_norm, no_grad
-from repro.nn.legacy import LoopMultiHeadSelfAttention, LoopPerformerAttention
+from tests.oracles.nn_legacy import LoopMultiHeadSelfAttention, LoopPerformerAttention
 
 from .recorder import bench_recorder
 

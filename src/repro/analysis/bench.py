@@ -76,7 +76,7 @@ class BenchRecorder:
         return entry
 
     def add_meta(self, **fields) -> None:
-        """Attach free-form context (preset, backend, sizes) to the record."""
+        """Attach free-form context (preset, sizes) to the record."""
         self.meta.update(fields)
 
     def payload(self) -> dict:

@@ -3,8 +3,8 @@
 An AST-based lint framework in the repo's own idiom: rules are components
 registered into :data:`repro.api.LINT_RULES` (the same
 :class:`~repro.api.registry.Registry` mechanism as backbones or samplers),
-each enforcing a determinism / dtype / backend-dispatch / fork-safety
-contract that a shipped PR previously broke by hand.  Run it as::
+each enforcing a determinism / dtype / fork-safety contract that a shipped
+PR previously broke by hand.  Run it as::
 
     python -m repro lint src/ [--format json] [--baseline FILE]
 

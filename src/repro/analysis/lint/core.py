@@ -235,9 +235,9 @@ def lint_source(source: str, path: str,
                 rules: Sequence[LintRule] | None = None) -> list[Finding]:
     """Lint one in-memory module; ``path`` gives the rules their context.
 
-    Path-scoped rules (``backend-purity``'s hot-module list, allowlists)
-    match on the *suffix* of ``path``, so fixtures and tests can lint any
-    source text under a synthetic path like ``"src/repro/nn/functional.py"``.
+    Path-scoped rules (allowlists) match on the *suffix* of ``path``, so
+    fixtures and tests can lint any source text under a synthetic path like
+    ``"src/repro/nn/dtypes.py"``.
     """
     if rules is None:
         rules = resolve_rules()

@@ -8,10 +8,8 @@ Rule                 Contract (and the PR whose bug it guards against)
 ===================  =====================================================
 no-global-rng        rng is threaded, never global or ``seed + i``-derived
                      (PR 8 fixed correlated additive seed streams)
-no-naked-dtype       dtype literals live in ``nn/dtypes.py`` / the backends
+no-naked-dtype       dtype literals live in ``nn/dtypes.py``
                      (PR 6 centralised the dtype policy)
-backend-purity       nn hot paths compute through ``active_backend()``
-                     (PR 6 made every kernel backend-dispatchable)
 fork-safety          only picklable callables cross ``parallel_map``
                      (PR 3 replaced closures with sampler objects)
 no-silent-except     no swallowed broad exceptions (PR 7/8 serving layers
@@ -243,23 +241,17 @@ class NoNakedDtypeRule(Rule):
 
     Flags ``np.float32`` / ``np.float64`` attribute references and
     ``np.dtype("float32")``-style literal constructions anywhere outside
-    ``nn/dtypes.py`` and the compute backends.  Call sites should use the
-    named policy constants (``FLOAT32``/``FLOAT64``/``FLOAT_DTYPES``) or
+    ``nn/dtypes.py``.  Call sites should use the named policy constants
+    (``FLOAT32``/``FLOAT64``/``FLOAT_DTYPES``) or
     :func:`repro.nn.dtypes.as_float`, so flipping the serving precision is
     one switch instead of a grep.
     """
 
     name = "no-naked-dtype"
     allowed_paths = ("nn/dtypes.py",)
-    allowed_dirs = ("nn/backends/",)
-
-    def _allowed(self, path: str) -> bool:
-        normalized = path.replace("\\", "/")
-        return (path_matches(path, self.allowed_paths)
-                or any(part in normalized for part in self.allowed_dirs))
 
     def check(self, module_ast, source, path):
-        if self._allowed(path):
+        if path_matches(path, self.allowed_paths):
             return []
         imports = ImportMap(module_ast)
         findings = []
@@ -290,61 +282,6 @@ class NoNakedDtypeRule(Rule):
                         "belong in repro.nn.dtypes — use FLOAT32/FLOAT64/"
                         "FLOAT_DTYPES or as_float/default_dtype",
                     ))
-        return findings
-
-
-# --------------------------------------------------------------------------- #
-# backend-purity
-# --------------------------------------------------------------------------- #
-#: numpy calls that duplicate an ArrayBackend primitive; the set mirrors the
-#: interface of :class:`~repro.nn.backends.base.ArrayBackend` (matmul and
-#: the elementwise transcendentals) plus matmul-equivalent spellings.
-#: Structural ops (reshape/concatenate/argsort/...) and ops with no backend
-#: primitive (``np.outer`` in the 1-D gradient fallback) are fine.
-_BACKEND_PRIMS = {
-    "matmul", "dot", "vdot", "inner", "tensordot", "einsum",
-    "exp", "log", "tanh",
-}
-
-
-@LINT_RULES.register("backend-purity")
-class BackendPurityRule(Rule):
-    """Backend-dispatch contract for the nn hot paths.
-
-    The segment-ops engine concentrated the model's FLOPs into the
-    :class:`~repro.nn.backends.base.ArrayBackend` primitives; a direct
-    ``np.matmul``/``np.exp`` call in a hot module silently pins that path
-    to numpy and starves the numba/torch backends.  Only *numpy-resolved*
-    calls are flagged — ``Tensor.matmul`` and ``backend.matmul`` are the
-    sanctioned dispatch and never match.  Applies only to the hot modules
-    (``nn/tensor.py``, ``nn/functional.py``, ``nn/performer.py``,
-    ``nn/attention.py``); ``nn/legacy.py`` is the deliberately-numpy parity
-    oracle and is out of scope.
-    """
-
-    name = "backend-purity"
-    hot_paths = ("nn/tensor.py", "nn/functional.py", "nn/performer.py",
-                 "nn/attention.py")
-
-    def check(self, module_ast, source, path):
-        if not path_matches(path, self.hot_paths):
-            return []
-        imports = ImportMap(module_ast)
-        findings = []
-        for node in ast.walk(module_ast):
-            if not isinstance(node, ast.Call):
-                continue
-            dotted = imports.resolve(node.func)
-            if dotted is None:
-                continue
-            head, _, tail = dotted.rpartition(".")
-            if head == "numpy" and tail in _BACKEND_PRIMS:
-                findings.append(self.finding(
-                    node, path,
-                    f"direct numpy compute call np.{tail} in a hot-path "
-                    "module; dispatch through active_backend() so "
-                    "accelerated backends cover this path",
-                ))
         return findings
 
 

@@ -3,7 +3,7 @@
 Everything a downstream user (or plugin author) needs lives here:
 
 * **Registries** (:data:`BACKBONES`, :data:`ATTENTION`, :data:`HEADS`,
-  :data:`ENCODINGS`, :data:`SAMPLERS`, :data:`TASKS`, :data:`BACKENDS`,
+  :data:`ENCODINGS`, :data:`SAMPLERS`, :data:`TASKS`,
   :data:`LINT_RULES`) — decorator-based
   component registries; registering a class in one file makes it
   constructible from declarative config everywhere (CLI, checkpoints,
@@ -35,7 +35,6 @@ from __future__ import annotations
 from .registries import (
     ATTENTION,
     BACKBONES,
-    BACKENDS,
     ENCODINGS,
     HEADS,
     LINT_RULES,
@@ -57,7 +56,6 @@ __all__ = [
     "ENCODINGS",
     "SAMPLERS",
     "TASKS",
-    "BACKENDS",
     "LINT_RULES",
     "REGISTRIES",
     "list_components",

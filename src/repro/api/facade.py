@@ -54,11 +54,9 @@ def fit(spec, designs=None, *, verbose: bool = False):
     ``load`` can rebuild the exact component graph.
     """
     from ..core.pipeline import CircuitGPSPipeline
-    from ..nn.backends import use_backend
 
     spec = ExperimentSpec.coerce(spec)
-    pipeline = CircuitGPSPipeline(spec.to_config(), backbone=spec.backbone,
-                                  backend=spec.backend)
+    pipeline = CircuitGPSPipeline(spec.to_config(), backbone=spec.backbone)
     if designs is None:
         pipeline.load_designs()
     else:
@@ -66,13 +64,12 @@ def fit(spec, designs=None, *, verbose: bool = False):
         for design in values:
             pipeline.add_design(design)
     task = spec.build_task()
-    with use_backend(spec.backend):
-        if task.kind == "classification":
-            pipeline.pretrain(verbose=verbose,
-                              sampling=getattr(task, "sampling", None))
-            return pipeline
-        mode = spec.mode if spec.pretrain else "scratch"
-        pipeline.finetune(mode=mode, task=task, verbose=verbose)
+    if task.kind == "classification":
+        pipeline.pretrain(verbose=verbose,
+                          sampling=getattr(task, "sampling", None))
+        return pipeline
+    mode = spec.mode if spec.pretrain else "scratch"
+    pipeline.finetune(mode=mode, task=task, verbose=verbose)
     return pipeline
 
 

@@ -19,8 +19,6 @@ Registry       Contents
                ``(graph, seeds, *, rng)`` contract; see
                :mod:`repro.graph.datapipe`)
 ``TASKS``      :class:`~repro.api.tasks.Task` implementations
-``BACKENDS``   compute backends of the segment-ops engine
-               (:class:`~repro.nn.backends.base.ArrayBackend`)
 ``LINT_RULES`` static-analysis rules of ``repro lint``
                (:class:`~repro.analysis.lint.core.LintRule`)
 =============  ==========================================================
@@ -37,7 +35,6 @@ __all__ = [
     "ENCODINGS",
     "SAMPLERS",
     "TASKS",
-    "BACKENDS",
     "LINT_RULES",
     "REGISTRIES",
     "load_builtin_components",
@@ -57,7 +54,6 @@ def load_builtin_components() -> None:
     import repro.graph.datapipe    # noqa: F401  (SAMPLERS: pipeline stages)
     import repro.nn.attention      # noqa: F401  (ATTENTION: transformer)
     import repro.nn.performer      # noqa: F401  (ATTENTION: performer)
-    import repro.nn.backends       # noqa: F401  (BACKENDS)
     import repro.models.heads      # noqa: F401  (HEADS)
     import repro.models.circuitgps  # noqa: F401  (BACKBONES)
     import repro.api.tasks         # noqa: F401  (TASKS)
@@ -71,7 +67,6 @@ HEADS = Registry("head", ensure_loaded=load_builtin_components)
 ENCODINGS = Registry("positional encoding", ensure_loaded=load_builtin_components)
 SAMPLERS = Registry("sampler", ensure_loaded=load_builtin_components)
 TASKS = Registry("task", ensure_loaded=load_builtin_components)
-BACKENDS = Registry("compute backend", ensure_loaded=load_builtin_components)
 LINT_RULES = Registry("lint rule", ensure_loaded=load_builtin_components)
 
 REGISTRIES: dict[str, Registry] = {
@@ -81,7 +76,6 @@ REGISTRIES: dict[str, Registry] = {
     "encodings": ENCODINGS,
     "samplers": SAMPLERS,
     "tasks": TASKS,
-    "backends": BACKENDS,
     "lint_rules": LINT_RULES,
 }
 

@@ -32,7 +32,7 @@ import pathlib
 from dataclasses import asdict, dataclass, field, fields
 
 from ..core.config import DataConfig, ExperimentConfig, ModelConfig, TrainConfig
-from .registries import BACKBONES, BACKENDS, TASKS
+from .registries import BACKBONES, TASKS
 from .registry import Registry
 
 __all__ = ["ExperimentSpec", "SpecError", "SPEC_VERSION"]
@@ -70,6 +70,23 @@ def _check_known_keys(payload: dict, known: set[str], label: str) -> None:
         )
 
 
+def _drop_numpy_backend(payload: dict) -> dict:
+    """Accept the ``"backend": "numpy"`` pair that every older spec carries.
+
+    Specs used to name a compute backend, and every spec written before it
+    was removed holds ``"backend": "numpy"``.  numpy is the only engine, so
+    that exact pair is dropped; any other backend value is an error.
+    """
+    if "backend" not in payload:
+        return payload
+    if payload["backend"] != "numpy":
+        raise SpecError(
+            f"spec backend {payload['backend']!r} is not supported: numpy is "
+            f"the only compute engine (drop the 'backend' key)"
+        )
+    return {key: value for key, value in payload.items() if key != "backend"}
+
+
 @dataclass
 class ExperimentSpec:
     """Versioned, validated, JSON-round-trippable experiment description."""
@@ -80,7 +97,6 @@ class ExperimentSpec:
     data: dict = field(default_factory=dict)
     mode: str = "all"
     pretrain: bool = True
-    backend: str = "numpy"
     sampling: list | str | None = None
     name: str = "experiment"
     version: int = SPEC_VERSION
@@ -114,11 +130,6 @@ class ExperimentSpec:
             raise SpecError(f"spec mode must be one of {MODES}, got {self.mode!r}")
         if not isinstance(self.pretrain, bool):
             raise SpecError(f"spec pretrain must be a bool, got {self.pretrain!r}")
-        if not isinstance(self.backend, str):
-            raise SpecError(f"spec backend must be a backend name, got {self.backend!r}")
-        # Name check only: the spec stays valid on machines where an optional
-        # backend's dependency is missing (building it is what fails there).
-        BACKENDS.get(self.backend)
         if self.sampling is not None:
             from ..graph.datapipe import normalize_sampling_spec
 
@@ -139,6 +150,7 @@ class ExperimentSpec:
         """Build and validate a spec from its :meth:`to_dict` form."""
         if not isinstance(payload, dict):
             raise SpecError(f"experiment spec must be a dict, got {type(payload).__name__}")
+        payload = _drop_numpy_backend(payload)
         known = {f.name for f in fields(cls)}
         _check_known_keys(payload, known, "experiment-spec")
         return cls(**payload).validate()

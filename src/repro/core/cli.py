@@ -23,15 +23,12 @@
 * ``bench``    — diff two machine-readable ``BENCH_*.json`` benchmark records
   and exit nonzero on a perf regression (``--compare OLD NEW``),
 * ``components`` — list every registered backbone / attention kernel / head /
-  encoding / sampler / task / compute backend / lint rule (the plugin
-  surface of :mod:`repro.api`),
+  encoding / sampler / task / lint rule (the plugin surface of
+  :mod:`repro.api`),
 * ``lint``     — run the registered static-analysis rules
   (:mod:`repro.analysis.lint`) over python sources and exit 1 on findings
   not grandfathered by the committed baseline.
 
-``train``, ``annotate`` and ``evaluate`` accept ``--backend`` to run the
-segment-ops engine on a registered compute backend (numpy/numba/torch; the
-``REPRO_BACKEND`` environment variable sets the process default), and
 ``annotate`` accepts ``--precision float32`` for reduced-precision serving.
 
 Every command works against saved artifacts, so training once and serving
@@ -115,10 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="worker processes for data loading (0 = serial, "
                             "-1 = auto, default: serial; results are identical "
                             "for any worker count)")
-    train.add_argument("--backend", default=None,
-                       help="compute backend for the tensor engine (see "
-                            "'components --family backends'; default: the "
-                            "spec's backend, else numpy / $REPRO_BACKEND)")
     train.add_argument("--verbose", action="store_true", help="log per-epoch metrics")
 
     annotate = sub.add_parser("annotate",
@@ -154,9 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "the minimum that keeps enclosing subgraphs "
                                "complete")
     annotate.add_argument("--seed", type=int, default=0, help="candidate sampling seed")
-    annotate.add_argument("--backend", default=None,
-                          help="compute backend for inference (default: numpy "
-                               "/ $REPRO_BACKEND)")
     annotate.add_argument("--precision", default="float64",
                           choices=("float64", "float32"),
                           help="serving precision; float32 halves memory "
@@ -185,9 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="write the updated report as JSON")
     reannotate.add_argument("--seed", type=int, default=0,
                             help="seed for re-scored pairs (default: 0)")
-    reannotate.add_argument("--backend", default=None,
-                            help="compute backend for inference (default: numpy "
-                                 "/ $REPRO_BACKEND)")
     reannotate.add_argument("--precision", default="float64",
                             choices=("float64", "float32"),
                             help="serving precision (default: float64)")
@@ -199,9 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="bind address (default: 127.0.0.1)")
     serve.add_argument("--port", type=int, default=8731,
                        help="bind port; 0 picks a free one (default: 8731)")
-    serve.add_argument("--backend", default=None,
-                       help="compute backend for inference (default: numpy "
-                            "/ $REPRO_BACKEND)")
     serve.add_argument("--precision", default="float64",
                        choices=("float64", "float32"),
                        help="serving precision (default: float64)")
@@ -230,9 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--scale", type=float, default=None, help="override design scale")
     evaluate.add_argument("--json", default=None, metavar="PATH",
                           help="write the metric rows as JSON")
-    evaluate.add_argument("--backend", default=None,
-                          help="compute backend for evaluation (default: numpy "
-                               "/ $REPRO_BACKEND)")
 
     report = sub.add_parser("report", help="render result JSON files as tables")
     report.add_argument("path", nargs="?", default="benchmarks/results",
@@ -256,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint = sub.add_parser(
         "lint", help="statically check python sources against the repo's "
-                     "determinism/dtype/backend/fork-safety contracts")
+                     "determinism/dtype/fork-safety contracts")
     lint.add_argument("paths", nargs="*", default=["src"],
                       help="files or directories to lint (default: src)")
     lint.add_argument("--format", default="text", choices=("text", "json"),
@@ -277,19 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
 # --------------------------------------------------------------------------- #
 # Commands
 # --------------------------------------------------------------------------- #
-def _activate_backend(name: str | None) -> str:
-    """Switch the engine to ``name`` (when given); returns the active name.
-
-    Raises ``BackendUnavailableError`` / ``RegistryError`` with actionable
-    messages, both of which ``main`` turns into exit code 2.
-    """
-    from ..nn.backends import active_backend, set_backend
-
-    if name:
-        set_backend(name)
-    return active_backend().name
-
-
 def _resolve_cli_workers(args) -> int | None:
     """The effective ``--workers`` value.
 
@@ -381,14 +349,12 @@ def cmd_train(args) -> int:
             if value is not None:
                 backbone[field] = value
         pretrain = spec.pretrain
-        spec_backend = spec.backend
     else:
         config = _apply_overrides(CONFIG_PRESETS[args.config](), args)
         tasks = args.tasks if args.tasks else ["edge_regression"]
         mode = args.mode if args.mode is not None else "all"
         backbone = None
         pretrain = True
-        spec_backend = None
     sampling = _parse_sampling(args.sampling)
     if sampling is None and args.spec:
         sampling = spec.sampling
@@ -398,8 +364,7 @@ def cmd_train(args) -> int:
         # model is still pre-trained because the saved artifact needs one to
         # serve coupling probabilities (AnnotationEngine).
         mode = "scratch"
-    backend = _activate_backend(args.backend or spec_backend)
-    pipeline = CircuitGPSPipeline(config, backbone=backbone, backend=backend)
+    pipeline = CircuitGPSPipeline(config, backbone=backbone)
     print(f"Building the design suite (scale={config.data.scale}) ...")
     pipeline.load_designs(names=args.designs)
     print(f"Pre-training on {len(pipeline.train_designs)} training design(s) ...")
@@ -533,7 +498,6 @@ def cmd_annotate(args) -> int:
             return 2
         return _cmd_annotate_remote(args, pairs)
     workers = _resolve_cli_workers(args)
-    _activate_backend(args.backend)
     pipeline = CircuitGPSPipeline.from_checkpoint(args.checkpoint)
     engine = AnnotationEngine(pipeline, batch_size=args.batch_size,
                               threshold=args.threshold, workers=workers,
@@ -615,7 +579,6 @@ def cmd_reannotate(args) -> int:
     from ..netlist import NetlistDelta, parse_spice_file
     from .serve import AnnotationEngine, NetlistAnnotation
 
-    _activate_backend(args.backend)
     payload = load_json(args.prev)
     if "records" not in payload:
         print(f"error: {args.prev} is not a single-design annotation report",
@@ -651,7 +614,6 @@ def cmd_serve(args) -> int:
     from .serve import AnnotationEngine
     from .server import ServerConfig, run_server
 
-    backend = _activate_backend(args.backend)
     pipeline = CircuitGPSPipeline.from_checkpoint(args.checkpoint)
     engine = AnnotationEngine(pipeline, batch_size=args.batch_size,
                               threshold=args.threshold, workers=0,
@@ -660,13 +622,12 @@ def cmd_serve(args) -> int:
                           max_batch=args.max_batch,
                           batch_window_ms=args.batch_window_ms,
                           request_timeout_s=args.request_timeout)
-    run_server(engine, config, extra_info={"backend": backend},
+    run_server(engine, config,
                announce=lambda url: print(f"listening on {url}", flush=True))
     return 0
 
 
 def cmd_evaluate(args) -> int:
-    _activate_backend(args.backend)
     pipeline = CircuitGPSPipeline.from_checkpoint(args.checkpoint)
     key = (args.task, args.mode)
     if key not in pipeline.finetune_results:
@@ -840,7 +801,6 @@ def main(argv: list[str] | None = None) -> int:
     """Entry point of ``python -m repro``; returns a process exit code."""
     from ..api.registry import RegistryError
     from ..api.spec import SpecError
-    from ..nn.backends import BackendUnavailableError
 
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -851,7 +811,6 @@ def main(argv: list[str] | None = None) -> int:
                 "lint": cmd_lint}
     try:
         return handlers[args.command](args)
-    except (CheckpointError, FileNotFoundError, RegistryError, SpecError,
-            BackendUnavailableError) as exc:
+    except (CheckpointError, FileNotFoundError, RegistryError, SpecError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -55,17 +55,13 @@ class CircuitGPSPipeline:
     """End-to-end few-shot learning pipeline for AMS parasitic prediction."""
 
     def __init__(self, config: ExperimentConfig | None = None,
-                 backbone: dict | str | None = None, backend: str = "numpy"):
+                 backbone: dict | str | None = None):
         self.config = config or ExperimentConfig.default()
         # Optional registered-backbone spec ({"type": name, **kwargs});
         # None means the config's CircuitGPS.  Set by repro.api.fit and
         # restored from schema-v3 checkpoints.
         self.backbone_spec = ({"type": backbone} if isinstance(backbone, str)
                               else dict(backbone) if backbone else None)
-        # Preferred compute backend (a repro.api.BACKENDS name).  An execution
-        # preference, not a model property: repro.api.fit scopes training under
-        # it, and it round-trips through the persisted spec.
-        self.backend = str(backend)
         self.designs: dict[str, DesignData] = {}
         self.pretrain_result: PretrainResult | None = None
         self.finetune_results: dict[tuple[str, str], FinetuneResult] = {}
@@ -222,7 +218,7 @@ class CircuitGPSPipeline:
             task_spec, mode = {"type": "edge_regression"}, "all"
         return ExperimentSpec(backbone=backbone, task=task_spec,
                               train=payload["train"], data=payload["data"],
-                              mode=mode, backend=self.backend,
+                              mode=mode,
                               name=payload.get("name", "experiment"))
 
     # ------------------------------------------------------------------ #
@@ -434,7 +430,6 @@ class CircuitGPSPipeline:
         model_type = str(metadata.get("model", {}).get("type", "circuitgps")).lower()
         self.backbone_spec = (dict(metadata["model"]) if model_type != "circuitgps"
                               else None)
-        self.backend = str(metadata.get("spec", {}).get("backend", "numpy"))
         return self.pretrain_result
 
     @staticmethod

@@ -6,7 +6,7 @@
 * ``POST /annotate`` — one or many designs (SPICE text on the wire); with
   ``"stream": true`` multi-design results are streamed incrementally as
   NDJSON lines in design order, one line per finished design.
-* ``GET /healthz`` — liveness plus the loaded backend/precision.
+* ``GET /healthz`` — liveness plus the loaded precision.
 * ``GET /metrics`` — the :class:`~repro.core.server.metrics.ServerMetrics`
   snapshot.
 
@@ -54,6 +54,10 @@ from .wire import dumps_canonical, error_payload
 logger = logging.getLogger("repro.server")
 
 __all__ = ["AnnotationServer", "ServerConfig", "ThreadedServer", "run_server"]
+
+#: The ``backend`` field of /healthz and /metrics.  numpy is the only compute
+#: engine; the field stays so existing clients read the same schema.
+_ENGINE = "numpy"
 
 _REASONS = {
     200: "OK", 400: "Bad Request", 404: "Not Found", 405: "Method Not Allowed",
@@ -104,13 +108,10 @@ class _SendState:
 class AnnotationServer:
     """One resident engine + micro-batcher behind an asyncio HTTP listener."""
 
-    def __init__(self, engine, config: ServerConfig | None = None, *,
-                 extra_info: dict | None = None):
+    def __init__(self, engine, config: ServerConfig | None = None):
         self.engine = engine
         self.config = config or ServerConfig()
         self.metrics = ServerMetrics()
-        #: Shown in /healthz and /metrics (the CLI records backend here).
-        self.extra_info = dict(extra_info or {})
         # Single compute thread: every numpy op (extraction, PE, forward)
         # is serialized here, making outputs independent of interleaving.
         self._executor = ThreadPoolExecutor(
@@ -357,7 +358,7 @@ class AnnotationServer:
         raise _HttpError(404, "not_found", f"no route for {path}")
 
     def _healthz_payload(self) -> dict:
-        payload = {
+        return {
             "status": "ok" if not self._draining else "draining",
             "uptime_seconds": self.metrics.uptime_seconds,
             "precision": str(self.engine.precision),
@@ -365,15 +366,13 @@ class AnnotationServer:
             "mode": self.engine.mode,
             "max_batch": self.config.max_batch,
             "batch_window_ms": self.config.batch_window_ms,
+            "backend": _ENGINE,
         }
-        payload.update(self.extra_info)
-        return payload
 
     def _metrics_extra(self) -> dict:
-        extra = {"precision": str(self.engine.precision),
-                 "pe_cache_hit_rate": float(self.engine.cache.hit_rate)}
-        extra.update(self.extra_info)
-        return extra
+        return {"precision": str(self.engine.precision),
+                "pe_cache_hit_rate": float(self.engine.cache.hit_rate),
+                "backend": _ENGINE}
 
     # ------------------------------------------------------------------ #
     # /annotate
@@ -523,11 +522,9 @@ class ThreadedServer:
             ...
     """
 
-    def __init__(self, engine, config: ServerConfig | None = None, *,
-                 extra_info: dict | None = None):
+    def __init__(self, engine, config: ServerConfig | None = None):
         self._engine = engine
         self._config = config or ServerConfig()
-        self._extra_info = extra_info
         self._ready = threading.Event()
         self._error: BaseException | None = None
         self._thread: threading.Thread | None = None
@@ -572,8 +569,7 @@ class ThreadedServer:
     async def _main(self) -> None:
         self._loop = asyncio.get_running_loop()
         self._stop = asyncio.Event()
-        self.server = AnnotationServer(self._engine, self._config,
-                                       extra_info=self._extra_info)
+        self.server = AnnotationServer(self._engine, self._config)
         try:
             await self.server.start()
         except OSError as exc:
@@ -592,11 +588,11 @@ class ThreadedServer:
 
 
 def run_server(engine, config: ServerConfig | None = None, *,
-               extra_info: dict | None = None, announce=None) -> None:
+               announce=None) -> None:
     """Blocking entry point used by ``python -m repro serve``."""
 
     async def _main() -> None:
-        server = AnnotationServer(engine, config, extra_info=extra_info)
+        server = AnnotationServer(engine, config)
         await server.start()
         if announce is not None:
             announce(server.url)

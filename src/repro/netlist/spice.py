@@ -68,17 +68,21 @@ def format_si_value(value: float) -> str:
 # --------------------------------------------------------------------------- #
 # Parsing
 # --------------------------------------------------------------------------- #
-def _logical_lines(text: str) -> list[str]:
-    """Strip comments and join ``+`` continuation lines."""
-    lines: list[str] = []
-    for raw in text.splitlines():
+def _logical_lines(text: str) -> list[tuple[int, str]]:
+    """Strip comments and join ``+`` continuation lines.
+
+    Each card comes with the 1-based number of its first physical line.
+    """
+    lines: list[tuple[int, str]] = []
+    for number, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("$", 1)[0].rstrip()
         if not line or line.lstrip().startswith("*"):
             continue
         if line.lstrip().startswith("+") and lines:
-            lines[-1] += " " + line.lstrip()[1:].strip()
+            first, card = lines[-1]
+            lines[-1] = (first, card + " " + line.lstrip()[1:].strip())
         else:
-            lines.append(line.strip())
+            lines.append((number, line.strip()))
     return lines
 
 
@@ -173,22 +177,31 @@ def _parse_card(line: str) -> Device | None:
 
 
 def parse_spice(text: str, name: str = "top") -> Circuit:
-    """Parse SPICE text into a (possibly hierarchical) :class:`Circuit`."""
+    """Parse SPICE text into a (possibly hierarchical) :class:`Circuit`.
+
+    Device names are unique per scope (the top level, or one ``.subckt``
+    body); a repeated name raises ``ValueError`` with both line numbers.
+    The same name in two different subckts is legal.
+    """
     circuit = Circuit(name)
     current: Subckt | None = None
-    for line in _logical_lines(text):
+    seen: dict[str, int] = {}  # device name -> line, in the current scope
+    top_seen = seen
+    for number, line in _logical_lines(text):
         lowered = line.lower()
         if lowered.startswith(".subckt"):
             tokens = line.split()
             if len(tokens) < 2:
                 raise ValueError(f"malformed .subckt line: {line!r}")
             current = Subckt(name=tokens[1], ports=tokens[2:])
+            seen = {}
             continue
         if lowered.startswith(".ends"):
             if current is None:
                 raise ValueError(".ends without matching .subckt")
             circuit.define_subckt(current)
             current = None
+            seen = top_seen
             continue
         if lowered.startswith(".global") or lowered.startswith(".param"):
             continue
@@ -199,6 +212,13 @@ def parse_spice(text: str, name: str = "top") -> Circuit:
         device = _parse_card(line)
         if device is None:
             continue
+        if device.name in seen:
+            scope = "the top level" if current is None else f".subckt {current.name!r}"
+            raise ValueError(
+                f"duplicate device name {device.name!r} in {scope}: line "
+                f"{number} repeats the device of line {seen[device.name]}"
+            )
+        seen[device.name] = number
         if current is not None:
             current.add(device)
         else:

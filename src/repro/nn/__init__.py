@@ -10,14 +10,6 @@ on CPU.
 
 from . import functional
 from .attention import MultiHeadSelfAttention
-from .backends import (
-    ArrayBackend,
-    BackendUnavailableError,
-    active_backend,
-    available_backends,
-    set_backend,
-    use_backend,
-)
 from .dtypes import (FLOAT32, FLOAT64, FLOAT_DTYPES, as_float,
                      default_dtype, set_default_dtype, use_dtype)
 from .functional import BucketLayout, SegmentInfo, bucket_layout, segment_info
@@ -75,12 +67,6 @@ __all__ = [
     "huber_loss",
     "cross_entropy",
     "functional",
-    "ArrayBackend",
-    "BackendUnavailableError",
-    "active_backend",
-    "available_backends",
-    "set_backend",
-    "use_backend",
     "as_float",
     "FLOAT32",
     "FLOAT64",

@@ -17,7 +17,7 @@ one scatter packs all buckets and one gather puts the rows back in their
 original order.  A batch where bucketing would not at least halve the padded
 score volume, or whose volume is small, is one bucket: the plain padded
 computation over the whole batch.  The original per-graph loop survives as a
-parity oracle in :mod:`repro.nn.legacy`.
+parity oracle in the test suite (``tests/oracles/nn_legacy.py``).
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ stack between precisions:
   downcasts it at the boundary and the whole forward pass stays in single
   precision.  Training never runs under this policy — only
   :class:`~repro.core.serve.AnnotationEngine` (``precision="float32"``) and
-  the backend parity tests use it.
+  the kernel dtype tests use it.
 
 The asymmetry is deliberate: under the float64 default a float32 array is
 assumed intentional and kept (legacy behaviour, byte-identical to the
@@ -59,8 +59,8 @@ def default_dtype() -> np.dtype:
 def set_default_dtype(dtype) -> np.dtype:
     """Set the engine-wide dtype policy; returns the previous policy.
 
-    Only float32 and float64 are supported — the autograd engine and the
-    compute backends are written for these two precisions.
+    Only float32 and float64 are supported — the autograd engine and its
+    kernels are written for these two precisions.
     """
     global _DEFAULT_DTYPE
     resolved = np.dtype(dtype)

@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .backends import active_backend
+from . import kernels
 from .tensor import Tensor, concat, stable_sigmoid, stack
 
 __all__ = [
@@ -242,7 +242,7 @@ def scatter_mean(src: Tensor, index, num_rows: int) -> Tensor:
     """Scatter-mean rows of ``src`` into ``num_rows`` buckets."""
     idx = np.asarray(index, dtype=np.int64)
     sums = src.scatter_add(idx, num_rows)
-    counts = active_backend().segment_counts(idx, num_rows, dtype=src.dtype)
+    counts = kernels.segment_counts(idx, num_rows, dtype=src.dtype)
     counts = np.maximum(counts, 1.0).reshape((num_rows,) + (1,) * (src.ndim - 1))
     return sums * Tensor(1.0 / counts)
 
@@ -286,10 +286,9 @@ def segment_softmax(scores: Tensor, index, num_segments: int | None = None) -> T
     Used for attention over variable-sized neighbourhoods / subgraphs.
     """
     idx, num_segments = _segment_args(index, num_segments)
-    backend = active_backend()
     # Numerically stabilise per segment using a stop-gradient max.
-    seg_max = backend.segment_max(scores.data, idx, num_segments)
-    shifted = scores - Tensor(backend.gather_rows(seg_max, idx))
+    seg_max = kernels.segment_max(scores.data, idx, num_segments)
+    shifted = scores - Tensor(seg_max[idx])
     exp = shifted.exp()
     denom = exp.scatter_add(idx, num_segments)
     denom_gathered = denom.gather_rows(idx)

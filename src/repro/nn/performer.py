@@ -9,8 +9,8 @@ without materialising the full attention matrix.
 Both per-segment reductions run through the segment-ops engine's padded dense
 view (:func:`repro.nn.functional.to_padded`), so all graphs and heads are
 processed by one batched matmul and one axis sum with no Python loop; the
-original per-graph × per-head loop survives as a parity oracle in
-:mod:`repro.nn.legacy`.
+original per-graph × per-head loop survives as a parity oracle in the test
+suite (``tests/oracles/nn_legacy.py``).
 
 The positive feature map is stabilised as prescribed by Choromanski et al.:
 the maximum of the projected logits is subtracted (per row for queries, per
@@ -24,6 +24,7 @@ import numpy as np
 
 from ..utils.rng import get_rng
 from . import functional as F
+from . import kernels
 from .layers import Dropout, Linear
 from .module import Module
 from .tensor import Tensor
@@ -78,8 +79,8 @@ class PerformerAttention(Module):
 
         ``x`` is ``(n, head_dim)`` for a single ``head``, or the batched
         ``(heads, n, head_dim)`` view with ``head=None`` — the one formula
-        used by :meth:`forward`, :meth:`_feature_map` and the loop oracle in
-        :mod:`repro.nn.legacy`.
+        used by :meth:`forward`, :meth:`_feature_map` and the loop oracle of
+        the test suite.
         """
         w = Tensor(self.projection if head is None else self.projection[head])
         projected = x.matmul(w)
@@ -132,13 +133,12 @@ class PerformerAttention(Module):
 
         # FAVOR+ stabilizers (detached): per row for queries; per segment and
         # head for keys, where the constant cancels in the attention ratio.
-        backend = F.active_backend()
         q_stab = q_logits.data.max(axis=-1, keepdims=True)  # (heads, N, 1)
         k_row_max = k_logits.data.max(axis=-1).T  # (N, heads)
         # Contiguous segment ids from segment_info mean no segment is empty,
-        # so the backend's empty-segment zero-fill never fires here.
-        k_seg_max = backend.segment_max(k_row_max, seg.index, seg.num_segments)
-        k_stab = backend.gather_rows(k_seg_max, seg.index).T[:, :, None]  # (heads, N, 1)
+        # so the kernel's empty-segment zero-fill never fires here.
+        k_seg_max = kernels.segment_max(k_row_max, seg.index, seg.num_segments)
+        k_stab = k_seg_max[seg.index].T[:, :, None]  # (heads, N, 1)
 
         q_feat = self._positive_features(q_logits, q_stab)
         k_feat = self._positive_features(k_logits, k_stab)

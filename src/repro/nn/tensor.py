@@ -12,11 +12,8 @@ a closure computing the local vector-Jacobian product.  Calling
 :meth:`Tensor.backward` topologically sorts the tape and accumulates
 gradients into ``.grad``.
 
-Every hot kernel — matmul, the elementwise transcendentals and the
-scatter/gather/segment family — executes through the active
-:class:`~repro.nn.backends.base.ArrayBackend`, so swapping backends
-(``repro.nn.backends.set_backend``) swaps the compute under the unchanged
-tape.  Array dtypes follow the policy in :mod:`repro.nn.dtypes`: float64 by
+The scatter and per-segment kernels and the stable sigmoid are the raw-array
+functions of :mod:`repro.nn.kernels`.  Array dtypes follow the policy in :mod:`repro.nn.dtypes`: float64 by
 default, float32 everywhere when serving under ``use_dtype(np.float32)``.
 """
 
@@ -24,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .backends import active_backend
+from . import kernels
 from .dtypes import FLOAT_DTYPES, as_float, default_dtype
 
 __all__ = ["Tensor", "no_grad", "is_grad_enabled", "stable_sigmoid"]
@@ -34,10 +31,10 @@ def stable_sigmoid(values: np.ndarray) -> np.ndarray:
     """Numerically stable logistic function on raw numpy data.
 
     The naive ``1 / (1 + exp(-x))`` overflows for large-magnitude negative
-    inputs; the backend kernels use ``exp(-|x|)``, which is bounded by 1 for
-    every input, so both branches are overflow-free.
+    inputs; the kernel uses ``exp(-|x|)``, which is bounded by 1 for every
+    input, so both branches are overflow-free.
     """
-    return active_backend().sigmoid(as_float(values))
+    return kernels.sigmoid(as_float(values))
 
 _GRAD_ENABLED = True
 
@@ -300,8 +297,7 @@ class Tensor:
     def matmul(self, other) -> "Tensor":
         """Matrix product (the ``@`` operator), differentiable."""
         other = self._ensure(other)
-        backend = active_backend()
-        out_data = backend.matmul(self.data, other.data)
+        out_data = self.data @ other.data
 
         def backward(grad):
             a, b = self.data, other.data
@@ -309,13 +305,13 @@ class Tensor:
                 if b.ndim == 1:
                     grad_a = np.outer(grad, b) if a.ndim > 1 else grad * b
                 else:
-                    grad_a = backend.matmul(grad, np.swapaxes(b, -1, -2))
+                    grad_a = grad @ np.swapaxes(b, -1, -2)
                 self._accumulate(_unbroadcast(grad_a.reshape(a.shape), a.shape))
             if other.requires_grad:
                 if a.ndim == 1:
                     grad_b = np.outer(a, grad) if b.ndim > 1 else a * grad
                 else:
-                    grad_b = backend.matmul(np.swapaxes(a, -1, -2), grad)
+                    grad_b = np.swapaxes(a, -1, -2) @ grad
                 other._accumulate(_unbroadcast(grad_b.reshape(b.shape), b.shape))
 
         return self._make(out_data, (self, other), backward, "matmul")
@@ -378,7 +374,7 @@ class Tensor:
     # ------------------------------------------------------------------ #
     def exp(self) -> "Tensor":
         """Elementwise exponential, differentiable."""
-        out_data = active_backend().exp(self.data)
+        out_data = np.exp(self.data)
 
         def backward(grad):
             if self.requires_grad:
@@ -388,7 +384,7 @@ class Tensor:
 
     def log(self) -> "Tensor":
         """Elementwise natural logarithm, differentiable."""
-        out_data = active_backend().log(self.data)
+        out_data = np.log(self.data)
 
         def backward(grad):
             if self.requires_grad:
@@ -408,7 +404,7 @@ class Tensor:
 
     def tanh(self) -> "Tensor":
         """Elementwise hyperbolic tangent, differentiable."""
-        out_data = active_backend().tanh(self.data)
+        out_data = np.tanh(self.data)
 
         def backward(grad):
             if self.requires_grad:
@@ -418,7 +414,7 @@ class Tensor:
 
     def sigmoid(self) -> "Tensor":
         """Elementwise stable logistic map, differentiable."""
-        out_data = active_backend().sigmoid(self.data)
+        out_data = kernels.sigmoid(self.data)
 
         def backward(grad):
             if self.requires_grad:
@@ -429,7 +425,7 @@ class Tensor:
     def relu(self) -> "Tensor":
         """Elementwise ``max(x, 0)``, differentiable."""
         mask = self.data > 0
-        out_data = self.data * mask  # == backend.relu; mask is reused backward
+        out_data = self.data * mask  # mask is reused backward
 
         def backward(grad):
             if self.requires_grad:
@@ -442,7 +438,7 @@ class Tensor:
         c = float(np.sqrt(2.0 / np.pi))
         x = self.data
         inner = c * (x + 0.044715 * x ** 3)
-        t = active_backend().tanh(inner)
+        t = np.tanh(inner)
         out_data = 0.5 * x * (1.0 + t)
 
         def backward(grad):
@@ -530,13 +526,12 @@ class Tensor:
         uses direct assignment instead of the much slower ``np.add.at``.
         """
         idx = np.asarray(indices, dtype=np.int64)
-        backend = active_backend()
-        out_data = backend.gather_rows(self.data, idx)
+        out_data = self.data[idx]
 
         def backward(grad):
             if self.requires_grad:
                 self._accumulate(
-                    backend.scatter_add(grad, idx, self.shape[0], unique=unique)
+                    kernels.scatter_add(grad, idx, self.shape[0], unique=unique)
                 )
 
         return self._make(out_data, (self,), backward, "gather_rows")
@@ -550,12 +545,11 @@ class Tensor:
         direct assignment instead of ``np.add.at``.
         """
         idx = np.asarray(indices, dtype=np.int64)
-        backend = active_backend()
-        out_data = backend.scatter_add(self.data, idx, num_rows, unique=unique)
+        out_data = kernels.scatter_add(self.data, idx, num_rows, unique=unique)
 
         def backward(grad):
             if self.requires_grad:
-                self._accumulate(backend.gather_rows(grad, idx))
+                self._accumulate(grad[idx])
 
         return self._make(out_data, (self,), backward, "scatter_add")
 
@@ -571,15 +565,14 @@ class Tensor:
         semantics.
         """
         idx = np.asarray(indices, dtype=np.int64)
-        backend = active_backend()
-        out_data = backend.segment_max(self.data, idx, num_segments)
-        winners = (self.data == backend.gather_rows(out_data, idx)).astype(self.data.dtype)
-        counts = backend.scatter_add(winners, idx, num_segments)
-        share = winners / backend.gather_rows(np.maximum(counts, 1.0), idx)
+        out_data = kernels.segment_max(self.data, idx, num_segments)
+        winners = (self.data == out_data[idx]).astype(self.data.dtype)
+        counts = kernels.scatter_add(winners, idx, num_segments)
+        share = winners / np.maximum(counts, 1.0)[idx]
 
         def backward(grad):
             if self.requires_grad:
-                self._accumulate(backend.gather_rows(grad, idx) * share)
+                self._accumulate(grad[idx] * share)
 
         return self._make(out_data, (self,), backward, "segment_max")
 
@@ -589,7 +582,7 @@ class Tensor:
     def softmax(self, axis: int = -1) -> "Tensor":
         """Stable softmax along ``axis``, differentiable."""
         shifted = self.data - self.data.max(axis=axis, keepdims=True)
-        exp = active_backend().exp(shifted)
+        exp = np.exp(shifted)
         out_data = exp / exp.sum(axis=axis, keepdims=True)
 
         def backward(grad):
@@ -601,11 +594,10 @@ class Tensor:
 
     def log_softmax(self, axis: int = -1) -> "Tensor":
         """Stable log-softmax along ``axis``, differentiable."""
-        backend = active_backend()
         shifted = self.data - self.data.max(axis=axis, keepdims=True)
-        logsumexp = backend.log(backend.exp(shifted).sum(axis=axis, keepdims=True))
+        logsumexp = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
         out_data = shifted - logsumexp
-        soft = backend.exp(out_data)
+        soft = np.exp(out_data)
 
         def backward(grad):
             if self.requires_grad:

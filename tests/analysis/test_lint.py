@@ -217,7 +217,7 @@ def test_rule_subset_selection():
 def test_lint_rules_registry_is_listed():
     families = list_components()
     assert set(families["lint_rules"]) == set(LINT_RULES.names())
-    assert len(families["lint_rules"]) == 8
+    assert len(families["lint_rules"]) == 7
 
 
 def test_cli_exit_codes(tmp_path, capsys):

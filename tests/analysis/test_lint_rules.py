@@ -23,7 +23,6 @@ FIXTURES = pathlib.Path(__file__).parent / "lint_fixtures"
 CASES = {
     "no-global-rng": ("src/repro/core/sampler_helpers.py", 2),
     "no-naked-dtype": ("src/repro/core/data_helpers.py", 2),
-    "backend-purity": ("src/repro/nn/functional.py", 3),
     "fork-safety": ("src/repro/core/data_helpers.py", 2),
     "no-silent-except": ("src/repro/core/serve_helpers.py", 2),
     "registry-docstring": ("src/repro/models/heads_plugin.py", 3),
@@ -98,22 +97,3 @@ def test_rng_accessor_home_is_exempt():
     assert [f.rule for f in lint_source(source, "src/repro/core/x.py")] == [
         "no-global-rng"
     ]
-
-
-def test_backend_purity_only_applies_to_hot_modules():
-    source = "import numpy as np\ndef f(a, b):\n    return np.matmul(a, b)\n"
-    assert [f.rule for f in lint_source(source, "src/repro/nn/tensor.py")] == [
-        "backend-purity"
-    ]
-    # legacy.py is the deliberately-numpy parity oracle: out of scope.
-    assert lint_source(source, "src/repro/nn/legacy.py") == []
-
-
-def test_sanctioned_backend_dispatch_is_clean():
-    source = (
-        "from .backends import active_backend\n"
-        "def linear(x, w):\n"
-        "    backend = active_backend()\n"
-        "    return backend.matmul(x, w)\n"
-    )
-    assert lint_source(source, "src/repro/nn/functional.py") == []

@@ -100,16 +100,15 @@ class TestEndToEnd:
         assert code == 0
         assert "out of 6 candidates" in capsys.readouterr().out
 
-    def test_annotate_float32_backend_numpy(self, workdir, artifact, tmp_path,
-                                            capsys):
-        """``--backend numpy --precision float32`` serves within 1e-4 of f64."""
+    def test_annotate_float32(self, workdir, artifact, tmp_path, capsys):
+        """``--precision float32`` serves within 1e-4 of float64."""
         report64 = tmp_path / "report64.json"
         report32 = tmp_path / "report32.json"
         for precision, report in (("float64", report64), ("float32", report32)):
             code = main([
                 "annotate", str(artifact), str(workdir / "user_macro.sp"),
                 "--pairs", "BL0,BL1", "--pairs", "BL0,BLB0",
-                "--backend", "numpy", "--precision", precision,
+                "--precision", precision,
                 "--json", str(report),
             ])
             assert code == 0
@@ -295,28 +294,3 @@ class TestBenchCompare:
         assert main(["bench", "--compare", str(bogus), good]) == 2
         assert "error" in capsys.readouterr().err
         assert main(["bench", "--compare", str(tmp_path / "nope.json"), good]) == 2
-
-
-class TestBackendFlag:
-    """``--backend`` selection and its failure modes."""
-
-    def test_unavailable_backend_exits_2_with_actionable_message(self, tmp_path,
-                                                                 capsys):
-        from repro.nn.backends import available_backends
-        from repro.api import BACKENDS
-
-        unavailable = [name for name in BACKENDS.names()
-                       if name not in available_backends()]
-        if not unavailable:
-            pytest.skip("all optional backends are installed here")
-        code = main(["annotate", str(tmp_path / "ckpt"), "whatever.sp",
-                     "--backend", unavailable[0]])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert unavailable[0] in err
-
-    def test_unknown_backend_lists_available_names(self, tmp_path, capsys):
-        code = main(["annotate", str(tmp_path), "x.sp", "--backend", "cuda9000"])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "cuda9000" in err and "numpy" in err

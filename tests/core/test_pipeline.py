@@ -1,5 +1,7 @@
 """Tests for the high-level CircuitGPSPipeline API."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -164,6 +166,29 @@ class TestPipeline:
             loaded.pretrain_result.model.state_dict()["node_encoder.weight"],
             pipeline.pretrain_result.model.state_dict()["node_encoder.weight"],
         )
+
+    def test_checkpoint_with_spec_backend_loads_and_annotates_identically(
+            self, pipeline, tmp_path):
+        """Archives written while specs named a compute backend persist
+        ``"backend": "numpy"`` in their spec; they load, and nothing reads
+        the key: annotations are byte-identical to a key-less archive."""
+        finetuned(pipeline)
+        path = pipeline.save(tmp_path / "current.npz")
+        state, metadata = load_checkpoint(path)
+        assert "backend" not in metadata["spec"]
+        metadata["spec"]["backend"] = "numpy"
+        old = tmp_path / "with_backend.npz"
+        save_checkpoint(old, state, metadata, schema=PIPELINE_SCHEMA,
+                        version=PIPELINE_SCHEMA_VERSION)
+        circuit = ssram(rows=4, cols=4).flatten()
+        pairs = [("BL0", "BL1"), ("BL1", "BLB1"), ("WL0", "WL1")]
+        records = [
+            AnnotationEngine(CircuitGPSPipeline.from_checkpoint(artifact))
+            .annotate(circuit, pairs=pairs).records
+            for artifact in (path, old)
+        ]
+        assert len(records[0]) == len(pairs)
+        assert json.dumps(records[1]) == json.dumps(records[0])
 
     def test_resave_after_load_keeps_schedule_state(self, pipeline, tmp_path):
         """load -> save (no fit in between) must not drop the LR-schedule

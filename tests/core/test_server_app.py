@@ -30,8 +30,7 @@ from repro.netlist import parse_spice
 @pytest.fixture(scope="module")
 def server(server_engine):
     with ThreadedServer(server_engine,
-                        ServerConfig(port=0, batch_window_ms=5.0),
-                        extra_info={"backend": "numpy"}) as threaded:
+                        ServerConfig(port=0, batch_window_ms=5.0)) as threaded:
         yield threaded
 
 

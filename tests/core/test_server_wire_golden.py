@@ -110,8 +110,7 @@ def golden_server():
     # window 0: no coalescing delay, so the request sequence fully
     # determines every counter and histogram bucket.
     config = ServerConfig(port=0, batch_window_ms=0.0)
-    with ThreadedServer(_golden_engine(), config,
-                        extra_info={"backend": "numpy"}) as threaded:
+    with ThreadedServer(_golden_engine(), config) as threaded:
         yield ServeClient(threaded.url, timeout=30.0)
 
 

@@ -154,7 +154,12 @@ class TestUniqueNodeNames:
             netlist_to_graph(circuit)
 
     def test_two_devices_with_one_name_raise(self):
-        circuit = parse_spice("M1 a b VSS VSS nch\nM1 c d VSS VSS pch\n.end\n")
+        # parse_spice rejects this itself; the builder's check covers
+        # circuits built in code.
+        circuit = Circuit("dup")
+        circuit.add(Mosfet("M1", {"D": "a", "G": "b", "S": "VSS", "B": "VSS"}))
+        circuit.add(Mosfet("M1", {"D": "c", "G": "d", "S": "VSS", "B": "VSS"},
+                           polarity="pmos"))
         assert [device.name for device in circuit.devices] == ["M1", "M1"]
         with pytest.raises(ValueError,
                            match=r"'M1' is taken by a device and again by a device"):

@@ -2,7 +2,7 @@
 
 The vectorised extractors and encodings must produce *identical* subgraphs and
 encodings to the original per-node-loop implementations (kept in
-``repro.graph.legacy`` as the parity oracle), both on randomised graphs and on
+``tests/oracles/graph_legacy.py`` as the parity oracle), both on randomised graphs and on
 a real design.
 """
 
@@ -26,7 +26,7 @@ from repro.graph.encodings import (
     laplacian_encoding,
     rwse_encoding,
 )
-from repro.graph.legacy import (
+from tests.oracles.graph_legacy import (
     legacy_drnl_encoding,
     legacy_dspd_encoding,
     legacy_extract_enclosing_subgraph,

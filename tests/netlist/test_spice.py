@@ -103,6 +103,28 @@ D1 n1 VSS dio AREA=1e-12
         circuit = parse_spice("V1 vdd 0 1.0\nR1 a b 1k\n.option foo\n.end\n")
         assert len(circuit.devices) == 1
 
+    def test_duplicate_device_name_raises_with_both_lines(self):
+        with pytest.raises(ValueError, match=r"'M1' in the top level: line 2 "
+                                             r"repeats the device of line 1"):
+            parse_spice("M1 a b VSS VSS nch\nM1 c d VSS VSS pch\n.end\n")
+
+    def test_duplicate_in_one_subckt_counts_physical_lines(self):
+        text = ("* header\n.subckt INV A Y VDD VSS\nMP1 Y A VDD VDD pch\n"
+                "+ W=0.4u\n\nMP1 Y A VSS VSS nch\n.ends\n.end\n")
+        with pytest.raises(ValueError, match=r"'MP1' in .subckt 'INV': line 6 "
+                                             r"repeats the device of line 3"):
+            parse_spice(text)
+
+    def test_one_name_in_different_scopes_is_legal(self):
+        text = (".subckt A x y\nR1 x y 1k\n.ends\n"
+                ".subckt B x y\nR1 x y 2k\n.ends\n"
+                "R1 n1 n2 3k\nX1 n1 n2 A\nX2 n2 n3 B\n.end\n")
+        circuit = parse_spice(text)
+        assert [d.name for d in circuit.subckts["A"].devices] == ["R1"]
+        assert [d.name for d in circuit.subckts["B"].devices] == ["R1"]
+        assert [d.name for d in circuit.devices] == ["R1"]
+        assert len(circuit.flatten().devices) == 3
+
 
 class TestRoundTrip:
     def test_write_then_parse_preserves_structure(self):

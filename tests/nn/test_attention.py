@@ -6,7 +6,7 @@ import pytest
 from repro.nn import MultiHeadSelfAttention, PerformerAttention, Tensor, segment_info, use_dtype
 from repro.nn import functional as F
 from repro.nn.attention import MASK_BIAS
-from repro.nn.legacy import loop_multihead_attention, loop_performer_attention
+from tests.oracles.nn_legacy import loop_multihead_attention, loop_performer_attention
 
 
 def _inputs(num_nodes=10, dim=16, seed=0):

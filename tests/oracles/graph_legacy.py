@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..utils.rng import get_rng
-from .hetero import CircuitGraph, Link
+from repro.graph.hetero import CircuitGraph, Link
+from repro.utils.rng import get_rng
 
 __all__ = [
     "legacy_generate_negative_links",
@@ -108,7 +108,7 @@ def legacy_extract_enclosing_subgraph(graph: CircuitGraph, link: Link, hops: int
                                       max_nodes_per_hop: int | None = None,
                                       add_target_edge: bool = True, rng=None):
     """Original per-node BFS implementation of Definition 1."""
-    from .sampling import Subgraph
+    from repro.graph.sampling import Subgraph
 
     rng = get_rng(rng)
     visited = _expand_frontier_loop(graph, [link.source, link.target], hops,
@@ -138,7 +138,7 @@ def legacy_extract_node_subgraph(graph: CircuitGraph, node: int, hops: int = 2,
                                  target: float = 0.0, max_nodes_per_hop: int | None = None,
                                  rng=None):
     """Original per-node BFS implementation of the node-level sampler."""
-    from .sampling import Subgraph
+    from repro.graph.sampling import Subgraph
 
     rng = get_rng(rng)
     visited = _expand_frontier_loop(graph, [int(node)], hops, max_nodes_per_hop, rng)
@@ -194,7 +194,7 @@ def _one_hot(values: np.ndarray, num_classes: int) -> np.ndarray:
 
 
 def legacy_dspd_encoding(subgraph, max_distance: int | None = None) -> np.ndarray:
-    from .encodings import DSPD_MAX_DISTANCE
+    from repro.graph.encodings import DSPD_MAX_DISTANCE
 
     max_distance = DSPD_MAX_DISTANCE if max_distance is None else max_distance
     adjacency = _local_adjacency(subgraph)
@@ -207,7 +207,7 @@ def legacy_dspd_encoding(subgraph, max_distance: int | None = None) -> np.ndarra
 
 
 def legacy_drnl_encoding(subgraph, max_label: int | None = None) -> np.ndarray:
-    from .encodings import DRNL_MAX_LABEL
+    from repro.graph.encodings import DRNL_MAX_LABEL
 
     max_label = DRNL_MAX_LABEL if max_label is None else max_label
     adjacency = _local_adjacency(subgraph)
@@ -238,7 +238,7 @@ def _dense_adjacency_loop(subgraph) -> np.ndarray:
 
 
 def legacy_rwse_encoding(subgraph, steps: int | None = None) -> np.ndarray:
-    from .encodings import RWSE_STEPS
+    from repro.graph.encodings import RWSE_STEPS
 
     steps = RWSE_STEPS if steps is None else steps
     n = subgraph.num_nodes
@@ -255,7 +255,7 @@ def legacy_rwse_encoding(subgraph, steps: int | None = None) -> np.ndarray:
 
 
 def legacy_laplacian_encoding(subgraph, dim: int | None = None) -> np.ndarray:
-    from .encodings import LAPPE_DIM
+    from repro.graph.encodings import LAPPE_DIM
 
     dim = LAPPE_DIM if dim is None else dim
     n = subgraph.num_nodes

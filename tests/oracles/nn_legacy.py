@@ -10,16 +10,17 @@ kept here — mathematically identical, including the FAVOR+ stabilizer — as
 * the baseline of the train-throughput gate
   (``benchmarks/test_train_throughput.py``).
 
-Mirrors :mod:`repro.graph.legacy`, the pure-Python oracle of the CSR kernel.
+Mirrors ``tests/oracles/graph_legacy.py``, the pure-Python oracle of the CSR
+kernel.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .attention import MultiHeadSelfAttention
-from .performer import PerformerAttention
-from .tensor import Tensor, concat
+from repro.nn.attention import MultiHeadSelfAttention
+from repro.nn.performer import PerformerAttention
+from repro.nn.tensor import Tensor, concat
 
 __all__ = [
     "loop_multihead_attention",
@@ -119,7 +120,7 @@ class LoopMultiHeadSelfAttention(MultiHeadSelfAttention):
     """Drop-in attention module running the per-graph Python loop."""
 
     def forward(self, x: Tensor, batch) -> Tensor:
-        from .functional import SegmentInfo, segment_info
+        from repro.nn.functional import SegmentInfo, segment_info
 
         if isinstance(batch, SegmentInfo):
             batch = segment_info(batch).index
@@ -130,7 +131,7 @@ class LoopPerformerAttention(PerformerAttention):
     """Drop-in Performer module running the per-graph × per-head Python loop."""
 
     def forward(self, x: Tensor, batch) -> Tensor:
-        from .functional import SegmentInfo, segment_info
+        from repro.nn.functional import SegmentInfo, segment_info
 
         if isinstance(batch, SegmentInfo):
             batch = segment_info(batch).index
