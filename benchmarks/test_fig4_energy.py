@@ -18,7 +18,8 @@ import numpy as np
 
 from repro.analysis import energy_comparison, format_table
 from repro.core import Trainer
-from repro.graph import NODE_NET, collate, compute_pe, extract_enclosing_subgraph, inject_link_edges
+from repro.graph import (NODE_NET, collate, compute_pe_batch, extract_enclosing_subgraphs,
+                         inject_link_edges)
 
 import pytest
 
@@ -48,16 +49,14 @@ def _predict_coupling_caps(result, design, config, max_couplings: int) -> dict:
         return {}
 
     host = inject_link_edges(graph, list(graph.links))
-    subgraphs = []
-    for link in links:
-        subgraph = extract_enclosing_subgraph(
-            host, link, hops=config.data.hops,
-            max_nodes_per_hop=config.data.max_nodes_per_hop,
-            add_target_edge=False, rng=0,
-        )
+    subgraphs = extract_enclosing_subgraphs(
+        host, links, hops=config.data.hops,
+        max_nodes_per_hop=config.data.max_nodes_per_hop,
+        add_target_edge=False, rng=0,
+    )
+    for link, subgraph in zip(links, subgraphs):
         subgraph.target = normalizer.normalize(link.capacitance)
-        compute_pe(subgraph, result.model.pe_kind)
-        subgraphs.append(subgraph)
+    compute_pe_batch(subgraphs, result.model.pe_kind)
 
     trainer = Trainer(result.model, task="edge_regression", config=config.train)
     predictions = trainer.predict(subgraphs)

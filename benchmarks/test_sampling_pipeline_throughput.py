@@ -4,8 +4,8 @@ Pins the two performance claims of the datapipe refactor:
 
 1. **Pipeline overhead** — composing the default link recipe out of staged
    ``SamplerStage`` objects must cost at most 10% wall-time over the same
-   draw sequence inlined as direct function calls (the historical
-   ``sample_link_dataset`` body).
+   draw sequence inlined as direct function calls (the monolithic recipe
+   the pipeline replaced).
 2. **Fanout bounding** — on a banked hierarchical-SRAM design (shared
    bitline/wordline/supply hubs; the worst case for h-hop expansion), a
    per-hop fanout cap of 8 must make 3-hop extraction at least 3x faster

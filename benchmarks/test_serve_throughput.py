@@ -21,9 +21,9 @@ import time
 import numpy as np
 
 from repro.core import CircuitGPSPipeline, ExperimentConfig, build_model
-from repro.core.data import PECache, attach_pe
+from repro.core.data import PECache, attach_pe_batch
 from repro.core.serve import AnnotationEngine, default_candidate_pairs
-from repro.graph import collate, extract_enclosing_subgraph, netlist_to_graph
+from repro.graph import collate, extract_enclosing_subgraphs, netlist_to_graph
 from repro.netlist import ssram
 from repro.nn import no_grad, stable_sigmoid
 from repro.utils import seed_all
@@ -66,7 +66,8 @@ def _time(fn) -> float:
 
 
 def _per_link_predict(pipeline, graph, links, cache):
-    """The pre-serving-layer inference loop: one candidate at a time."""
+    """The pre-serving-layer inference loop: one candidate at a time, each
+    through the batched kernels on a one-element list."""
     config = pipeline.config
     link_model = pipeline.pretrain_result.model
     reg_model = pipeline.finetune_results[("edge_regression", "all")].model
@@ -75,13 +76,13 @@ def _per_link_predict(pipeline, graph, links, cache):
     probs, caps = [], []
     with no_grad():
         for index, link in enumerate(links):
-            subgraph = extract_enclosing_subgraph(
-                graph, link, hops=config.data.hops,
+            [subgraph] = extract_enclosing_subgraphs(
+                graph, [link], hops=config.data.hops,
                 max_nodes_per_hop=config.data.max_nodes_per_hop,
                 rng=np.random.default_rng([0, index]),
             )
             subgraph.extras["design"] = graph.name
-            attach_pe(subgraph, link_model.pe_kind, design=graph.name, cache=cache)
+            attach_pe_batch([subgraph], link_model.pe_kind, design=graph.name, cache=cache)
             batch = collate([subgraph])
             probs.append(float(stable_sigmoid(link_model(batch, task="link").data)[0]))
             caps.append(float(reg_model(batch, task="edge_regression").data[0]))

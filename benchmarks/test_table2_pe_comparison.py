@@ -14,7 +14,7 @@ import time
 from repro.analysis import format_table
 from repro.core import Trainer, pretrain_link_model
 from repro.core.datasets import build_link_samples
-from repro.graph import compute_pe, sample_link_dataset
+from repro.graph import compute_pe, default_link_pipeline
 
 import pytest
 
@@ -36,8 +36,9 @@ PAPER_ROWS = [
 
 def _pe_time_per_graph(design, kind: str, config, num_graphs: int = 40) -> float:
     """Average wall-clock seconds to compute one subgraph's PE."""
-    samples = sample_link_dataset(design.graph, max_links=num_graphs,
-                                  max_nodes_per_hop=config.data.max_nodes_per_hop, rng=3)
+    samples = default_link_pipeline(
+        max_links=num_graphs, max_nodes_per_hop=config.data.max_nodes_per_hop,
+    ).run(design.graph, rng=3)
     start = time.perf_counter()
     for sample in samples:
         compute_pe(sample, kind)

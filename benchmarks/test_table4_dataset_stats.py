@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.analysis import format_table
-from repro.graph import link_type_histogram, sample_link_dataset
+from repro.graph import default_link_pipeline, link_type_histogram
 
 import pytest
 
@@ -42,9 +42,9 @@ def test_table4_dataset_statistics(benchmark, config, suite):
         rows = []
         for name, design in suite.items():
             graph = design.graph
-            samples = sample_link_dataset(graph, max_links=60,
-                                          max_nodes_per_hop=config.data.max_nodes_per_hop,
-                                          rng=0)
+            samples = default_link_pipeline(
+                max_links=60, max_nodes_per_hop=config.data.max_nodes_per_hop,
+            ).run(graph, rng=0)
             rows.append({
                 "design": name,
                 "split": design.split,

@@ -1,8 +1,6 @@
 """Dataset and loader subsystem for sampled enclosing subgraphs.
 
-The training layer used to pass raw ``list[Subgraph]`` around and batch it
-with ``batch_iterator``.  This module replaces that plumbing with three
-pieces:
+Three pieces carry sampled subgraphs from a design to the model:
 
 * :class:`PECache` — a process-wide LRU cache of positional encodings keyed by
   ``(design, link, pe_kind, topology digest)``, so repeated epochs and
@@ -13,6 +11,11 @@ pieces:
   identical samples and the PE cache stays valid).
 * :class:`DataLoader` — owns shuffling and batching; iterating yields
   :class:`~repro.graph.batch.SubgraphBatch` objects via ``collate``.
+
+Every subgraph and every PE comes from the batched kernels
+(:func:`~repro.graph.extract_enclosing_subgraphs` and
+:func:`attach_pe_batch`): a loader batch is one call of each, and a single
+un-prefetched ``dataset[i]`` is a one-element call.
 
 Anything that accepts training data takes a dataset, a loader or a plain list
 (:func:`as_dataset` normalises all three).
@@ -29,7 +32,6 @@ from ..graph import (
     Subgraph,
     SubgraphBatch,
     collate,
-    compute_pe,
     compute_pe_batch,
 )
 from ..graph.hetero import CircuitGraph, Link
@@ -40,7 +42,6 @@ __all__ = [
     "PECache",
     "default_pe_cache",
     "set_default_pe_cache",
-    "attach_pe",
     "attach_pe_batch",
     "SubgraphDataset",
     "DataLoader",
@@ -183,31 +184,14 @@ def set_default_pe_cache(cache: PECache) -> PECache:
     return previous
 
 
-def attach_pe(subgraph: Subgraph, pe_kind: str, design: str | None = None,
-              cache: PECache | None = None) -> np.ndarray:
-    """Ensure ``subgraph.pe`` holds the requested encoding, via the cache.
-
-    Cache hits set ``subgraph.pe`` to the stored array (shared, treated as
-    read-only); misses compute the encoding and store it.
-    """
-    cache = cache if cache is not None else _DEFAULT_PE_CACHE
-    key = PECache.key_for(subgraph, pe_kind, design=design)
-    encoding = cache.get(key)
-    if encoding is None:
-        encoding = compute_pe(subgraph, pe_kind)
-        cache.put(key, encoding)
-    else:
-        subgraph.pe = encoding
-    return encoding
-
-
 def attach_pe_batch(subgraphs: Sequence[Subgraph], pe_kind: str,
                     design: str | None = None, cache: PECache | None = None) -> None:
-    """Attach PEs to many subgraphs, computing the cache misses in one batch.
+    """Ensure every ``subgraph.pe`` holds the requested encoding, via the cache.
 
-    Hits come straight from the cache; the misses are encoded together via
+    Hits set ``subgraph.pe`` to the stored array (shared, treated as
+    read-only); the misses are encoded together via
     :func:`repro.graph.compute_pe_batch` (two multi-source BFS sweeps for the
-    BFS-based kinds) and stored back.
+    BFS-based kinds) and stored back.  One subgraph is a one-element list.
     """
     cache = cache if cache is not None else _DEFAULT_PE_CACHE
     misses: list[Subgraph] = []
@@ -232,9 +216,10 @@ class _LinkSampler:
     """Picklable extraction recipe of a link-backed lazy dataset.
 
     Holds the host graph plus an :class:`~repro.graph.datapipe.EnclosingExtractStage`
-    carrying the extraction parameters, and reproduces the per-index (and
-    per-block) deterministic extraction that used to live in ``from_links``
-    closures.  Being a plain object (not a closure) it survives ``pickle``,
+    carrying the extraction parameters.  Calling it extracts one index as a
+    one-element batch under the RNG ``[seed, index]``; :meth:`block` extracts
+    many under ``[seed, len(block), block[0]]``.  Being a plain object (not a
+    closure) it survives ``pickle``,
     which is what lets a lazy :class:`SubgraphDataset` be shipped to
     ``spawn``-style workers or written to disk; ``fork`` workers inherit it
     for free.
@@ -263,9 +248,8 @@ class _LinkSampler:
         return subgraph
 
     def __call__(self, index: int) -> Subgraph:
-        link = self.links[index]
         rng = np.random.default_rng([self.seed, index])
-        subgraph = self.stage.extract_one(self.graph, link, rng=rng)
+        subgraph = self.stage.extract_many(self.graph, [self.links[index]], rng=rng)[0]
         return self._finish(subgraph, index)
 
     def block(self, indices: list[int]) -> list[Subgraph]:
@@ -396,7 +380,7 @@ class SubgraphDataset:
             if self._memoize:
                 self._memo[index] = sample
         if self.pe_kind is not None and sample.pe is None:
-            attach_pe(sample, self.pe_kind, design=self.design, cache=self.cache)
+            attach_pe_batch([sample], self.pe_kind, design=self.design, cache=self.cache)
         return sample
 
     def prefetch(self, indices) -> None:
@@ -408,9 +392,9 @@ class SubgraphDataset:
         cache misses together via :func:`attach_pe_batch`, instead of looping
         per index.  Subset views forward to their parent; materialized
         datasets and plain factories are a no-op, so calling this is always
-        safe.  Samples produced by the batched path are identical to the
-        per-index path except for the RNG stream used when hub-node
-        subsampling (``max_nodes_per_hop``) triggers.
+        safe.  Prefetched blocks equal the samples of ``dataset[i]`` except
+        for the RNG stream used when hub-node subsampling
+        (``max_nodes_per_hop``) triggers.
         """
         if self._samples is not None:
             return

@@ -21,8 +21,6 @@ import pathlib
 
 from ..utils.logging import get_logger
 from ..utils.serialization import (
-    CheckpointError,
-    checkpoint_schema,
     load_checkpoint,
     save_checkpoint,
     validate_state_keys,
@@ -33,21 +31,19 @@ from .finetune import FinetuneResult, evaluate_task, finetune_task
 from .pretrain import PretrainResult, build_model, evaluate_zero_shot_link, pretrain_link_model
 
 __all__ = ["CircuitGPSPipeline", "PIPELINE_SCHEMA", "PIPELINE_SCHEMA_VERSION",
-           "PIPELINE_COMPATIBLE_VERSIONS", "PIPELINE_ARTIFACT_NAME"]
+           "PIPELINE_ARTIFACT_NAME"]
 
 logger = get_logger("repro.pipeline")
 
 # Full-pipeline artifact format: bump the version whenever the key layout or
 # metadata contract changes, so stale artifacts fail fast with CheckpointError.
-# v1: model weights + config/normalizer/design metadata.
-# v2: adds optimizer + LR-schedule state under "optim.*" keys, so resumed
-#     training keeps its Adam moments and schedule position.
-# v3: persists the declarative ExperimentSpec and stamps every stored model
-#     with its registry "type", so load() can rebuild *any* registered
-#     backbone/head graph (plugins included), not just CircuitGPS.
+# Only the current version loads.  v3 holds the model weights, optimizer and
+# LR-schedule state under "optim.*" keys, the config/normalizer/design
+# metadata and the declarative ExperimentSpec, and stamps every stored model
+# with its registry "type", so load() can rebuild *any* registered
+# backbone/head graph (plugins included), not just CircuitGPS.
 PIPELINE_SCHEMA = "circuitgps-pipeline"
 PIPELINE_SCHEMA_VERSION = 3
-PIPELINE_COMPATIBLE_VERSIONS = (1, 2, 3)
 PIPELINE_ARTIFACT_NAME = "pipeline.npz"
 
 
@@ -284,29 +280,6 @@ class CircuitGPSPipeline:
                     path, len(finetunes))
         return path
 
-    def load(self, path) -> PretrainResult:
-        """Load a checkpoint saved by :meth:`save` into this pipeline.
-
-        Full-pipeline artifacts restore the backbone, all fine-tuned heads,
-        the configuration, the normaliser and (schema v2+) the optimizer /
-        LR-schedule state of every trainer; v1 artifacts load with fresh
-        optimizer state.  Legacy single-model checkpoints (pre schema
-        stamping) restore the backbone only.  Schema-version
-        mismatches and missing/unexpected weight keys raise
-        :class:`~repro.utils.serialization.CheckpointError` before any tensor
-        is copied.
-        """
-        path = self._artifact_path(path)
-        schema, _version = checkpoint_schema(path)
-        if schema == PIPELINE_SCHEMA:
-            return self._load_pipeline_artifact(path)
-        if schema is not None:
-            raise CheckpointError(
-                f"checkpoint {path} has schema {schema!r}, expected "
-                f"{PIPELINE_SCHEMA!r} (or a legacy schema-less model checkpoint)"
-            )
-        return self._load_legacy_model(path)
-
     @classmethod
     def from_checkpoint(cls, path) -> "CircuitGPSPipeline":
         """Build a fresh pipeline from a saved artifact (serving entry point)."""
@@ -350,12 +323,11 @@ class CircuitGPSPipeline:
                             ) -> tuple[object, ExperimentConfig]:
         """Rebuild one stored model from its checkpoint metadata entry.
 
-        Entries stamped with a registry ``"type"`` (schema v3) build through
+        Entries stamped with a registry ``"type"`` build through
         :data:`repro.api.BACKBONES` — any registered backbone, plugins
-        included, provided their registering module is imported.  Legacy
-        (v1/v2) entries and ``"circuitgps"`` take the historical
-        config-driven path; the returned config carries the merged model
-        fields in that case.
+        included, provided their registering module is imported.
+        ``"circuitgps"`` entries take the config-driven path; the returned
+        config carries the merged model fields in that case.
         """
         from dataclasses import fields
 
@@ -369,12 +341,23 @@ class CircuitGPSPipeline:
 
         return BACKBONES.build({"type": model_type, **meta}), config
 
-    def _load_pipeline_artifact(self, path) -> PretrainResult:
+    def load(self, path) -> PretrainResult:
+        """Load an artifact saved by :meth:`save` into this pipeline.
+
+        Restores the backbone, all fine-tuned heads, the configuration, the
+        normaliser and the optimizer / LR-schedule state of every trainer.
+        Only :data:`PIPELINE_SCHEMA` v:data:`PIPELINE_SCHEMA_VERSION`
+        archives load: any other schema or version, a schema-less archive,
+        and missing/unexpected weight keys raise
+        :class:`~repro.utils.serialization.CheckpointError` before any tensor
+        is copied.
+        """
+        path = self._artifact_path(path)
         state, metadata = load_checkpoint(path, schema=PIPELINE_SCHEMA,
-                                          version=PIPELINE_COMPATIBLE_VERSIONS)
+                                          version=PIPELINE_SCHEMA_VERSION)
         config = ExperimentConfig.from_dict(metadata.get("experiment", {}))
 
-        # Optimizer/schedule state (schema v2+) rides under "optim." keys and
+        # Optimizer/schedule state rides under "optim." keys and
         # is restored into the rebuilt trainers after the models load; model
         # weight keys are still validated exactly.
         optim_state = {key: value for key, value in state.items()
@@ -384,7 +367,6 @@ class CircuitGPSPipeline:
 
         model_meta = dict(metadata.get("model", {}))
         link_model, config = self._build_stored_model(config, model_meta)
-        self._fill_missing_projections(link_model, state, "pretrain.", path)
         expected = {f"pretrain.{key}" for key in link_model.state_dict()}
         finetunes = metadata.get("finetunes", [])
         head_models: dict[tuple[str, str], object] = {}
@@ -395,7 +377,6 @@ class CircuitGPSPipeline:
             head_models[head_key] = head
             task_specs[head_key] = entry.get("task_spec", {"type": entry["task"]})
             prefix = f"finetune.{entry['task']}.{entry['mode']}."
-            self._fill_missing_projections(head, state, prefix, path)
             expected |= {prefix + key for key in head.state_dict()}
         validate_state_keys(state, expected, context=f"pipeline checkpoint {path}")
 
@@ -433,19 +414,6 @@ class CircuitGPSPipeline:
         return self.pretrain_result
 
     @staticmethod
-    def _fill_missing_projections(model, state: dict, prefix: str, path) -> None:
-        """Tolerate archives written before Performer random features were
-        persisted (the ``*.projection`` buffers): keep the freshly drawn
-        projection and warn, instead of failing the exact-key validation."""
-        for key, value in model.state_dict().items():
-            if key.rpartition(".")[2] == "projection" and prefix + key not in state:
-                state[prefix + key] = value
-                logger.warning(
-                    "checkpoint %s predates persisted Performer random features; "
-                    "using freshly drawn projection for %r", path, prefix + key,
-                )
-
-    @staticmethod
     def _restore_trainer_state(trainer, optim_state: dict, prefix: str) -> None:
         """Load one trainer's optimizer/schedule state; warn-and-skip on mismatch.
 
@@ -461,34 +429,3 @@ class CircuitGPSPipeline:
             trainer.load_state_dict(sub)
         except (ValueError, KeyError) as exc:
             logger.warning("not restoring optimizer state under %r: %s", prefix, exc)
-
-    def _load_legacy_model(self, path) -> PretrainResult:
-        """Load a pre-schema single-model checkpoint (backbone only)."""
-        state, metadata = load_checkpoint(path)
-        model_cfg = metadata.get("model", {})
-        # Restore the training-time experiment config when the checkpoint
-        # carries one (sampling parameters, normaliser range); otherwise keep
-        # this pipeline's config as the base.
-        base = (ExperimentConfig.from_dict(metadata["experiment"])
-                if metadata.get("experiment") else self.config)
-        config = base.with_model(
-            dim=model_cfg.get("dim", base.model.dim),
-            num_layers=model_cfg.get("num_layers", base.model.num_layers),
-            pe_kind=model_cfg.get("pe_kind", base.model.pe_kind),
-            pe_hidden=model_cfg.get("pe_hidden", base.model.pe_hidden),
-            mpnn=model_cfg.get("mpnn", base.model.mpnn),
-            attention=model_cfg.get("attention", base.model.attention),
-        )
-        model = build_model(config)
-        self._fill_missing_projections(model, state, "", path)
-        validate_state_keys(state, set(model.state_dict()),
-                            context=f"model checkpoint {path}")
-        model.load_state_dict(state)
-        from ..utils.logging import MetricLogger
-        from .trainer import Trainer
-
-        trainer = Trainer(model, task="link", config=config.train)
-        self.pretrain_result = PretrainResult(model=model, trainer=trainer,
-                                              history=MetricLogger("loaded"), config=config)
-        self.config = config
-        return self.pretrain_result

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..graph import balance_links, generate_negative_links
-from ..graph.hetero import CircuitGraph, Link
+from ..graph import balance_links, permute_negative_links
+from ..graph.hetero import Link
 from ..models import CircuitGPS, DLPLCap, FullGraphEncoder, ParaGraph
 from ..nn import (
     Adam,
@@ -234,17 +234,9 @@ def link_pairs_for_design(design: DesignData, config: DataConfig = DataConfig(),
     if config.max_links_per_design is not None and len(positives) > config.max_links_per_design:
         chosen = rng.choice(len(positives), size=config.max_links_per_design, replace=False)
         positives = [positives[i] for i in chosen]
-    probe = CircuitGraph(
-        name=design.graph.name,
-        node_types=design.graph.node_types,
-        node_names=design.graph.node_names,
-        edge_index=design.graph.edge_index,
-        edge_types=design.graph.edge_types,
-        node_stats=design.graph.node_stats,
-        links=positives,
-    )
     ratio = 0.25 if regression else config.negative_ratio
-    negatives = generate_negative_links(probe, ratio=ratio, rng=rng)
+    negatives = permute_negative_links(positives, design.graph.num_nodes, ratio=ratio,
+                                       rng=rng, strict=False)
     links: list[Link] = positives + negatives
     pairs = np.array([[l.source, l.target] for l in links], dtype=np.int64)
     labels = np.array([l.label for l in links], dtype=FLOAT64)

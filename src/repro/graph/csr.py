@@ -8,8 +8,7 @@ gathers, boolean visited masks and per-segment ranking — instead of per-node
 Python loops.
 
 A :class:`CSRGraph` is built once per host graph (``CircuitGraph.csr``) and
-once per sampled subgraph (for the local BFS of DSPD/DRNL), and is shared by
-`sampling.py` and `encodings.py`.
+is shared by subgraph sampling, ECO halos and sharding.
 """
 
 from __future__ import annotations
@@ -152,35 +151,21 @@ class CSRGraph:
             return flat, np.minimum(counts, max_per_node)
         return flat
 
-    def gather_neighbors(self, nodes: np.ndarray,
-                         max_per_node: int | None = None,
-                         rng=None) -> tuple[np.ndarray, np.ndarray]:
-        """Concatenated neighbours (and their edge ids) of ``nodes``."""
-        flat = self._half_edges(np.asarray(nodes, dtype=np.int64), max_per_node, rng)
-        return self.indices[flat], self.edge_ids[flat]
-
-    def k_hop(self, seeds, hops: int, max_nodes_per_hop: int | None = None,
-              rng=None, fanouts=None) -> np.ndarray:
+    def k_hop(self, seeds, hops: int) -> np.ndarray:
         """All nodes within ``hops`` of any seed (sorted, seeds included).
 
         Frontier expansion over a boolean visited mask; each hop is one ragged
-        gather plus one unique.  ``max_nodes_per_hop`` caps the number of
-        half-edges expanded per frontier node (hub-node guard); ``fanouts``
-        replaces it with a per-hop cap plan whose length overrides ``hops``
-        (``None`` entries leave that hop uncapped).
+        gather plus one unique.  (Capped, per-seed expansion for subgraph
+        sampling lives in :func:`repro.graph.sampling.extract_enclosing_subgraphs`.)
         """
         seeds = np.atleast_1d(np.asarray(seeds, dtype=np.int64))
-        if fanouts is not None:
-            hops = len(fanouts)
         visited = np.zeros(self.num_nodes, dtype=bool)
         visited[seeds] = True
         frontier = np.unique(seeds)
-        for hop in range(hops):
+        for _ in range(hops):
             if frontier.size == 0:
                 break
-            cap = fanouts[hop] if fanouts is not None else max_nodes_per_hop
-            flat = self._half_edges(frontier, cap, rng)
-            neigh = self.indices[flat]
+            neigh = self.indices[self._half_edges(frontier)]
             fresh = neigh[~visited[neigh]]
             if fresh.size == 0:
                 break

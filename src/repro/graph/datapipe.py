@@ -2,9 +2,8 @@
 
 The paper's data story is one fixed recipe — permute-endpoint negatives,
 class balancing, SEAL-style link injection, h-hop enclosing-subgraph
-extraction — which used to be hard-wired into ``sample_link_dataset`` and
-re-implemented ad hoc by every task.  This module decomposes the recipe into
-composable *stages*, chained by a :class:`SamplingPipeline`:
+extraction.  This module decomposes the recipe into composable *stages*,
+chained by a :class:`SamplingPipeline`:
 
 .. code-block:: text
 
@@ -23,9 +22,12 @@ a pipeline is declaratively described as a list of ``{"stage": name,
 and checkpoints, buildable via ``Registry.build``, and selectable from the
 CLI (``repro train --sampling ...``).
 
-The default link pipeline (:func:`default_link_pipeline`) reproduces the
-legacy ``sample_link_dataset`` output *byte-identically* at a fixed seed:
-same stages, same order, same RNG draw sequence.
+The default link pipeline (:func:`default_link_pipeline`) is the paper's
+recipe: ``default_link_pipeline(...).run(graph, rng=seed)`` is how tests,
+benchmarks and examples sample a link dataset.  Both extraction stages call
+the batched extractors of :mod:`repro.graph.sampling` on the whole seed list;
+the lazy dataset in :mod:`repro.core.data` calls
+:meth:`EnclosingExtractStage.extract_many` on blocks, or on one link.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ from .negative import (
 from .sampling import (
     Subgraph,
     balance_links,
-    extract_enclosing_subgraph,
     extract_enclosing_subgraphs,
     extract_node_subgraphs,
     inject_link_edges,
@@ -372,18 +373,11 @@ class EnclosingExtractStage(SamplerStage):
         return bool(add_target), fanouts
 
     def extract_many(self, graph, links, *, rng=None, seeds=None) -> list[Subgraph]:
-        """Batched extraction of an explicit link list (lazy-dataset driver)."""
+        """Extract an explicit link list in one batch (the lazy-dataset driver;
+        one link is a one-element list)."""
         add_target, fanouts = self._resolve(seeds)
         return extract_enclosing_subgraphs(
             graph, links, hops=self.hops, max_nodes_per_hop=self.max_nodes_per_hop,
-            add_target_edge=add_target, rng=get_rng(rng), fanouts=fanouts,
-        )
-
-    def extract_one(self, graph, link, *, rng=None, seeds=None) -> Subgraph:
-        """Single-link extraction (the per-index lazy-dataset path)."""
-        add_target, fanouts = self._resolve(seeds)
-        return extract_enclosing_subgraph(
-            graph, link, hops=self.hops, max_nodes_per_hop=self.max_nodes_per_hop,
             add_target_edge=add_target, rng=get_rng(rng), fanouts=fanouts,
         )
 
@@ -533,9 +527,13 @@ def default_link_pipeline(max_links: int | None = None, negative_ratio: float = 
                           strict_negatives: bool = False) -> SamplingPipeline:
     """The paper's link-sampling recipe as a pipeline.
 
-    Byte-identical to the legacy monolithic ``sample_link_dataset`` at a
-    fixed seed: seed/balance/cap -> permute negatives -> inject -> extract ->
-    shuffle, with the same RNG draw order.
+    seed/balance/cap -> permute negatives -> inject -> [fanout] -> extract ->
+    shuffle.  ``max_links`` caps the number of *positive* links, mirroring
+    the "#links" column of Table IV.  With ``inject_links=True`` (the
+    paper's SEAL-style setup) all positive links of the design plus the
+    generated negatives become typed edges of the host graph before
+    extraction.  ``.run(graph, rng=...)`` returns one shuffled
+    :class:`Subgraph` per positive or negative link.
     """
     stages: list = [
         LinkSeedStage(balance=balance, max_links=max_links),

@@ -15,8 +15,12 @@ Implements every encoding compared in Table II:
   (the configuration Observation 1 warns about).
 * ``none``  – no positional encoding.
 
-All functions take a :class:`~repro.graph.sampling.Subgraph` and return a
-float array of shape ``(num_nodes, dim)``.
+Each registered encoding takes a :class:`~repro.graph.sampling.Subgraph` and
+returns a float array of shape ``(num_nodes, dim)``.  :func:`compute_pe_batch`
+is the one entry point that fills ``Subgraph.pe``: ``dspd`` and ``drnl`` run
+as two multi-source BFS sweeps over the block-diagonal union of a whole batch
+(the single-subgraph functions are that batch of one), and every other kind
+dispatches through :data:`repro.api.ENCODINGS`.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ import numpy as np
 
 from ..api.registries import ENCODINGS
 from ..nn.dtypes import FLOAT64
-from .csr import CSRGraph
 from .sampling import Subgraph
 
 __all__ = [
@@ -60,41 +63,10 @@ def _dense_adjacency(subgraph: Subgraph, dtype=FLOAT64) -> np.ndarray:
     return adjacency
 
 
-def _bfs_distances_dense(subgraph: Subgraph, sources: tuple[int, ...], unreachable: int,
-                         max_distance: int | None = None) -> np.ndarray:
-    """BFS distances from several sources at once, shape ``(len(sources), n)``.
-
-    Subgraphs are small, so the frontier expansion runs as dense matrix
-    products — one ``(S, n) @ (n, n)`` per BFS level for all sources
-    simultaneously — instead of per-node adjacency-list walks.  float64
-    operands keep the products in BLAS and, unlike narrow integer dtypes,
-    cannot wrap around on high-degree (hub) nodes.
-    """
-    n = subgraph.num_nodes
-    adjacency = _dense_adjacency(subgraph)
-    distances = np.full((len(sources), n), unreachable, dtype=np.int64)
-    frontier = np.zeros((len(sources), n))
-    frontier[np.arange(len(sources)), list(sources)] = 1.0
-    visited = frontier.astype(bool)
-    distances[visited] = 0
-    depth = 0
-    while frontier.any():
-        if max_distance is not None and depth >= max_distance:
-            break
-        depth += 1
-        fresh = ((frontier @ adjacency) > 0) & ~visited
-        if not fresh.any():
-            break
-        distances[fresh] = depth
-        visited |= fresh
-        frontier = fresh.astype(FLOAT64)
-    return distances
-
-
 def _one_hot(values: np.ndarray, num_classes: int) -> np.ndarray:
-    clipped = np.clip(values, 0, num_classes - 1)
+    """One-hot rows of ``values`` (each already in ``[0, num_classes)``)."""
     encoded = np.zeros((values.shape[0], num_classes))
-    encoded[np.arange(values.shape[0]), clipped] = 1.0
+    encoded[np.arange(values.shape[0]), values] = 1.0
     return encoded
 
 
@@ -109,14 +81,7 @@ def dspd_encoding(subgraph: Subgraph, max_distance: int = DSPD_MAX_DISTANCE) -> 
     For node-level subgraphs the two anchors coincide and ``D0 == D1``,
     exactly as described in Section IV-D.
     """
-    # Distances beyond max_distance land in the same bucket as unreachable, so
-    # the BFS can stop after max_distance levels.
-    distances = _bfs_distances_dense(subgraph, subgraph.anchors,
-                                     unreachable=max_distance + 1,
-                                     max_distance=max_distance)
-    d0 = np.minimum(distances[0], max_distance)
-    d1 = np.minimum(distances[1], max_distance)
-    return np.concatenate([_one_hot(d0, max_distance + 1), _one_hot(d1, max_distance + 1)], axis=1)
+    return _dspd_encoding_batch([subgraph], max_distance)[0]
 
 
 def drnl_encoding(subgraph: Subgraph, max_label: int = DRNL_MAX_LABEL) -> np.ndarray:
@@ -125,14 +90,7 @@ def drnl_encoding(subgraph: Subgraph, max_label: int = DRNL_MAX_LABEL) -> np.nda
     ``label(i) = 1 + min(dx, dy) + (d // 2) * (d // 2 + d % 2 - 1)`` with
     ``d = dx + dy``; the two anchors get label 1, unreachable nodes label 0.
     """
-    big = 10 ** 6
-    dx, dy = _bfs_distances_dense(subgraph, subgraph.anchors, unreachable=big)
-    d = dx + dy
-    hashed = 1 + np.minimum(dx, dy) + (d // 2) * (d // 2 + d % 2 - 1)
-    labels = np.where((dx < big) & (dy < big), hashed, 0)
-    labels[list(subgraph.anchors)] = 1
-    labels = np.clip(labels, 0, max_label - 1)
-    return _one_hot(labels, max_label)
+    return _drnl_encoding_batch([subgraph], max_label)[0]
 
 
 def rwse_encoding(subgraph: Subgraph, steps: int = RWSE_STEPS) -> np.ndarray:
@@ -224,20 +182,38 @@ def _batched_anchor_distances(subgraphs: list[Subgraph], unreachable: int,
     The subgraphs are stacked into one block-diagonal graph (the `collate`
     idiom); because the components are disjoint, a single multi-source BFS
     from all first anchors gives every node the distance to *its own*
-    subgraph's anchor — two BFS runs total for the whole batch, regardless of
-    batch size.  Returns ``(d0, d1, offsets)`` over the stacked node set.
+    subgraph's anchor.  Each BFS level relaxes the whole stacked half-edge
+    list at once, so the cost is a handful of array operations per level,
+    whatever the batch size.  Returns ``(d0, d1, offsets)`` over the
+    stacked node set.
     """
     sizes = np.array([s.num_nodes for s in subgraphs], dtype=np.int64)
     offsets = np.cumsum(sizes) - sizes
     total = int(sizes.sum())
     edges = [s.edge_index + offset for s, offset in zip(subgraphs, offsets) if s.edge_index.size]
-    edge_index = (np.concatenate(edges, axis=1) if edges else np.zeros((2, 0), dtype=np.int64))
-    csr = CSRGraph.from_edges(total, edge_index)
-    anchors0 = offsets + np.array([s.anchors[0] for s in subgraphs], dtype=np.int64)
-    anchors1 = offsets + np.array([s.anchors[1] for s in subgraphs], dtype=np.int64)
-    d0 = csr.bfs_distances(anchors0, unreachable=unreachable, max_distance=max_distance)
-    d1 = csr.bfs_distances(anchors1, unreachable=unreachable, max_distance=max_distance)
-    return d0, d1, np.concatenate([offsets, [total]])
+    src, dst = (np.concatenate(edges, axis=1) if edges else np.zeros((2, 0), dtype=np.int64))
+    src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
+    anchors = np.array([s.anchors for s in subgraphs], dtype=np.int64) + offsets[:, None]
+    distances = []
+    for sources in anchors.T:
+        distance = np.full(total, unreachable, dtype=np.int64)
+        reached = np.zeros(total, dtype=bool)
+        distance[sources] = 0
+        reached[sources] = True
+        frontier = reached.copy()
+        depth = 0
+        while max_distance is None or depth < max_distance:
+            depth += 1
+            hit = dst[frontier[src]]
+            hit = hit[~reached[hit]]
+            if hit.size == 0:
+                break
+            reached[hit] = True
+            distance[hit] = depth
+            frontier = np.zeros(total, dtype=bool)
+            frontier[hit] = True
+        distances.append(distance)
+    return distances[0], distances[1], np.concatenate([offsets, [total]])
 
 
 def _dspd_encoding_batch(subgraphs: list[Subgraph],
@@ -262,55 +238,40 @@ def _drnl_encoding_batch(subgraphs: list[Subgraph],
     labels = np.where((dx < big) & (dy < big), hashed, 0)
     for i, subgraph in enumerate(subgraphs):
         labels[bounds[i] + np.array(subgraph.anchors)] = 1
-    labels = np.clip(labels, 0, max_label - 1)
+    labels = np.minimum(labels, max_label - 1)
     stacked = _one_hot(labels, max_label)
     # Copies, not views (see _dspd_encoding_batch).
     return [stacked[bounds[i]:bounds[i + 1]].copy() for i in range(len(subgraphs))]
 
 
+_BATCHED = {"dspd": _dspd_encoding_batch, "drnl": _drnl_encoding_batch}
+
+
 def compute_pe_batch(subgraphs: list[Subgraph], kind: str = "dspd") -> list[np.ndarray]:
-    """Compute one PE per subgraph, batched where the encoding allows it.
+    """Compute one PE per subgraph and store it on each ``subgraph.pe``.
 
     The BFS-based encodings (``dspd``, ``drnl``) run as two multi-source BFS
-    sweeps over the block-diagonal union of all subgraphs; the remaining kinds
-    fall back to per-subgraph computation.  Each subgraph's ``pe`` attribute
-    is filled, mirroring :func:`compute_pe`.
+    sweeps over the block-diagonal union of all subgraphs; every other kind
+    (custom registrations included) runs its :data:`repro.api.ENCODINGS`
+    entry per subgraph.  Unknown kinds raise a ``ValueError`` listing the
+    registered ones.
     """
     kind = kind.lower()
     if not subgraphs:
         return []
-    if kind == "dspd":
-        encodings = _dspd_encoding_batch(subgraphs)
-    elif kind == "drnl":
-        encodings = _drnl_encoding_batch(subgraphs)
+    if kind in _BATCHED:
+        encodings = _BATCHED[kind](subgraphs)
     else:
-        return [compute_pe(subgraph, kind) for subgraph in subgraphs]
+        encoder = ENCODINGS.get(kind)
+        encodings = [np.asarray(encoder(subgraph), dtype=FLOAT64) for subgraph in subgraphs]
     for subgraph, encoding in zip(subgraphs, encodings):
         subgraph.pe = encoding
     return encodings
 
 
 def compute_pe(subgraph: Subgraph, kind: str = "dspd") -> np.ndarray:
-    """Compute the requested PE for a subgraph and cache it on ``subgraph.pe``."""
-    kind = kind.lower()
-    if kind == "none":
-        encoding = np.zeros((subgraph.num_nodes, 0))
-    elif kind == "dspd":
-        encoding = dspd_encoding(subgraph)
-    elif kind == "drnl":
-        encoding = drnl_encoding(subgraph)
-    elif kind == "rwse":
-        encoding = rwse_encoding(subgraph)
-    elif kind == "lappe":
-        encoding = laplacian_encoding(subgraph)
-    elif kind == "stats":
-        encoding = stats_encoding(subgraph)
-    else:
-        # Custom kinds come from the repro.api ENCODINGS registry; unknown
-        # names raise a ValueError listing the registered kinds.
-        encoding = np.asarray(ENCODINGS.get(kind)(subgraph), dtype=FLOAT64)
-    subgraph.pe = encoding
-    return encoding
+    """Compute the requested PE for one subgraph and cache it on ``subgraph.pe``."""
+    return compute_pe_batch([subgraph], kind)[0]
 
 
 def none_encoding(subgraph: Subgraph) -> np.ndarray:

@@ -8,8 +8,8 @@ sorted key set, redraw only the rejected rest) instead of testing one
 candidate at a time:
 
 * :func:`permute_negative_links` — re-pair the sources/targets of the
-  positives (the paper's sampler).  Byte-compatible with the historical
-  ``generate_negative_links`` draw sequence in non-strict mode; in strict
+  positives (the paper's sampler).  Non-strict mode keeps the historical
+  draw sequence byte-for-byte; in strict
   mode it *completes* to the exact requested count by enumerating the
   remaining feasible pairs, or raises :class:`NegativeSamplingError` with an
   actionable message when the graph cannot support the request.

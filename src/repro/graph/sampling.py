@@ -1,17 +1,20 @@
 """Enclosing-subgraph sampling (Section III-B of the paper).
 
-Three steps, mirroring the paper exactly:
+This module holds the class balancing, link injection and extraction steps of
+the paper's recipe; the permute-endpoint negatives live in
+:mod:`repro.graph.negative`, and :mod:`repro.graph.datapipe` chains all of
+them into pipelines.
 
-1. **Negative link generation** — for every type of positive link, structural
-   negatives are formed by permuting the sources/destinations of observed
-   links of the same type, so negatives share the node-type signature of the
-   positives.  Negatives are labelled 0 and get zero capacitance.
-2. **Class balancing** — the pin-net links vastly outnumber net-net links; the
-   training set keeps ``|E_n2n|`` samples of each type.
-3. **Enclosing subgraph extraction** — the h-hop enclosing subgraph of a node
-   pair ``(m, n)`` is the subgraph induced by all nodes within h hops of m or
-   n (Definition 1).  ``h = 1`` is the paper's default for link-level tasks
-   and ``h = 2`` for node-level tasks.
+* **Class balancing** — the pin-net links vastly outnumber net-net links; the
+  training set keeps ``|E_n2n|`` samples of each type.
+* **Enclosing subgraph extraction** — the h-hop enclosing subgraph of a node
+  pair ``(m, n)`` is the subgraph induced by all nodes within h hops of m or
+  n (Definition 1).  ``h = 1`` is the paper's default for link-level tasks
+  and ``h = 2`` for node-level tasks.
+
+Extraction is batched only: :func:`extract_enclosing_subgraphs` and
+:func:`extract_node_subgraphs` take a list of seeds and expand all of them in
+one pass; one subgraph is a one-element list.
 """
 
 from __future__ import annotations
@@ -27,14 +30,11 @@ from .hetero import LINK_TYPE_NAMES, CircuitGraph, Link
 __all__ = [
     "Subgraph",
     "normalize_fanouts",
-    "generate_negative_links",
     "balance_links",
     "inject_link_edges",
-    "extract_enclosing_subgraph",
     "extract_enclosing_subgraphs",
-    "extract_node_subgraph",
     "extract_node_subgraphs",
-    "sample_link_dataset",
+    "link_type_histogram",
 ]
 
 
@@ -81,7 +81,7 @@ class Subgraph:
 
 
 # --------------------------------------------------------------------------- #
-# Negative sampling and balancing
+# Fanout plans, balancing and injection
 # --------------------------------------------------------------------------- #
 def normalize_fanouts(fanouts) -> tuple | None:
     """Normalise a per-hop fanout plan to a tuple of ``int | None`` caps.
@@ -105,25 +105,6 @@ def normalize_fanouts(fanouts) -> tuple | None:
     if not plan:
         raise ValueError("a fanout plan needs at least one hop")
     return tuple(plan)
-
-
-def generate_negative_links(graph: CircuitGraph, ratio: float = 1.0, rng=None,
-                            max_tries: int = 50) -> list[Link]:
-    """Create structural negative links by permuting positive endpoints.
-
-    .. deprecated::
-        Thin byte-compatible shim over
-        :func:`repro.graph.negative.permute_negative_links` with
-        ``strict=False`` — it silently under-delivers when the draw budget
-        runs out on a near-complete graph, exactly like the historical
-        implementation.  New code should call the :mod:`repro.graph.negative`
-        samplers (strict by default) or use a ``negative_*`` pipeline stage.
-    """
-    from .negative import permute_negative_links
-
-    return permute_negative_links(list(graph.links), graph.num_nodes,
-                                  ratio=ratio, rng=rng, max_tries=max_tries,
-                                  strict=False)
 
 
 def balance_links(links: list[Link], per_type: int | None = None, rng=None) -> list[Link]:
@@ -177,113 +158,7 @@ def inject_link_edges(graph: CircuitGraph, links: list[Link]) -> CircuitGraph:
 
 
 # --------------------------------------------------------------------------- #
-# Enclosing subgraph extraction
-# --------------------------------------------------------------------------- #
-def _induced_subgraph(graph: CircuitGraph, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Edges of ``graph`` with both endpoints inside ``nodes`` (re-indexed locally).
-
-    One ragged gather over the CSR kernel: cost is proportional to the degree
-    sum of the subgraph nodes, not to the size of the host graph.
-    """
-    edge_index, picked = graph.csr.induced_subgraph(nodes)
-    if picked.size == 0:
-        return edge_index, np.zeros(0, dtype=np.int64)
-    return edge_index, graph.edge_types[picked].copy()
-
-
-def extract_enclosing_subgraph(graph: CircuitGraph, link: Link, hops: int = 1,
-                               max_nodes_per_hop: int | None = None,
-                               add_target_edge: bool = True, rng=None,
-                               fanouts=None) -> Subgraph:
-    """Extract the h-hop enclosing subgraph of a target link (Definition 1).
-
-    The h-hop neighbourhood and the induced edges are computed as vectorised
-    frontier expansion over the host graph's CSR kernel.
-
-    Parameters
-    ----------
-    graph:
-        The host circuit graph.
-    link:
-        The target link (positive or negative).
-    hops:
-        Neighbourhood radius ``h``; the paper uses 1 for link tasks.
-    max_nodes_per_hop:
-        Optional cap on the number of neighbours expanded per hop (guards
-        against hub nodes in very large designs).
-    add_target_edge:
-        If True, an edge of the link's type is added between the two anchors —
-        the SEAL-style "inject target links into the graph" setup the paper
-        follows.  Both positives and negatives receive the edge, so it carries
-        no label information.
-    fanouts:
-        Optional per-hop expansion caps (overrides ``hops`` and
-        ``max_nodes_per_hop``; see :func:`normalize_fanouts`).
-    """
-    rng = get_rng(rng)
-    fanouts = normalize_fanouts(fanouts)
-    if fanouts is not None:
-        hops = len(fanouts)
-    visited = graph.csr.k_hop([link.source, link.target], hops,
-                              max_nodes_per_hop=max_nodes_per_hop, rng=rng,
-                              fanouts=fanouts)
-
-    # Anchors first so their local indices are 0 and 1; the rest stays sorted.
-    others = visited[(visited != link.source) & (visited != link.target)]
-    node_ids = np.concatenate([np.array([link.source, link.target], dtype=np.int64), others])
-    edge_index, edge_types = _induced_subgraph(graph, node_ids)
-
-    if add_target_edge:
-        edge_index = np.concatenate([edge_index, np.array([[0], [1]])], axis=1)
-        edge_types = np.concatenate([edge_types, np.array([link.link_type])])
-
-    subgraph = Subgraph(
-        node_ids=node_ids,
-        node_types=graph.node_types[node_ids].copy(),
-        edge_index=edge_index,
-        edge_types=edge_types,
-        anchors=(0, 1),
-        label=float(link.label),
-        target=float(link.capacitance),
-        link_type=int(link.link_type),
-        node_stats=None if graph.node_stats is None else graph.node_stats[node_ids].copy(),
-    )
-    return subgraph
-
-
-def extract_node_subgraph(graph: CircuitGraph, node: int, hops: int = 2,
-                          target: float = 0.0, max_nodes_per_hop: int | None = None,
-                          rng=None, fanouts=None) -> Subgraph:
-    """Extract the h-hop subgraph around a single anchor node (node-level tasks).
-
-    Used for ground-capacitance regression (Section IV-D): no negative links
-    are injected, a 2-hop neighbourhood is sampled, and the two DSPD anchors
-    coincide, making ``D0 == D1``.
-    """
-    rng = get_rng(rng)
-    fanouts = normalize_fanouts(fanouts)
-    if fanouts is not None:
-        hops = len(fanouts)
-    visited = graph.csr.k_hop([int(node)], hops, max_nodes_per_hop=max_nodes_per_hop,
-                              rng=rng, fanouts=fanouts)
-    others = visited[visited != int(node)]
-    node_ids = np.concatenate([np.array([int(node)], dtype=np.int64), others])
-    edge_index, edge_types = _induced_subgraph(graph, node_ids)
-    return Subgraph(
-        node_ids=node_ids,
-        node_types=graph.node_types[node_ids].copy(),
-        edge_index=edge_index,
-        edge_types=edge_types,
-        anchors=(0, 0),
-        label=1.0,
-        target=float(target),
-        link_type=-1,
-        node_stats=None if graph.node_stats is None else graph.node_stats[node_ids].copy(),
-    )
-
-
-# --------------------------------------------------------------------------- #
-# Batched extraction (all candidate links in one pass)
+# Enclosing subgraph extraction (all seeds in one pass)
 # --------------------------------------------------------------------------- #
 # A chunk of queries is processed with dense (num_queries x num_nodes) masks;
 # this budget caps the number of mask cells (~5 bytes per cell transient).
@@ -303,8 +178,7 @@ def _extract_many(graph: CircuitGraph, src: np.ndarray, dst: np.ndarray, hops: i
     the numpy call overhead across the whole batch (the graphbolt idiom).
 
     Returns one ``(node_ids, local_edge_index, edge_types)`` triple per query,
-    with the anchors first and the remaining nodes in ascending global order
-    (identical to the per-query extractors).
+    with the anchors first and the remaining nodes in ascending global order.
     """
     csr = graph.csr
     num_queries = src.shape[0]
@@ -312,7 +186,7 @@ def _extract_many(graph: CircuitGraph, src: np.ndarray, dst: np.ndarray, hops: i
     num_edges = max(csr.num_edges, 1)
 
     # (query, node) visited bitmap: row-major nonzero order == sorted by
-    # (query, ascending node id), which is exactly the legacy "others" order.
+    # (query, ascending node id), which is the "others" order after the anchors.
     visited_mask = np.zeros((num_queries, n), dtype=bool)
     query_range = np.arange(num_queries, dtype=np.int64)
     visited_mask[query_range, src] = True
@@ -395,12 +269,17 @@ def _extract_many(graph: CircuitGraph, src: np.ndarray, dst: np.ndarray, hops: i
 
 def _extract_many_chunked(graph: CircuitGraph, src: np.ndarray, dst: np.ndarray,
                           hops: int, max_nodes_per_hop: int | None, rng,
-                          single_anchor: bool, fanouts: tuple | None = None) -> list:
-    """Run :func:`_extract_many` in query chunks bounded by the cell budget."""
+                          single_anchor: bool, fanouts=None) -> list:
+    """Run :func:`_extract_many` in query chunks bounded by the cell budget.
+
+    Normalises the shared arguments first: ``rng`` through ``get_rng`` and
+    ``fanouts`` through :func:`normalize_fanouts` (a plan fixes ``hops``).
+    """
+    rng = get_rng(rng)
+    fanouts = normalize_fanouts(fanouts)
+    if fanouts is not None:
+        hops = len(fanouts)
     chunk = max(1, _EXTRACT_CELL_BUDGET // max(graph.num_nodes, 1))
-    if src.shape[0] <= chunk:
-        return _extract_many(graph, src, dst, hops, max_nodes_per_hop, rng, single_anchor,
-                             fanouts)
     parts: list = []
     for start in range(0, src.shape[0], chunk):
         parts.extend(_extract_many(graph, src[start:start + chunk], dst[start:start + chunk],
@@ -408,21 +287,52 @@ def _extract_many_chunked(graph: CircuitGraph, src: np.ndarray, dst: np.ndarray,
     return parts
 
 
+def _subgraph(graph: CircuitGraph, node_ids: np.ndarray, edge_index: np.ndarray,
+              edge_types: np.ndarray, **fields) -> Subgraph:
+    """A :class:`Subgraph` over ``node_ids`` with the host's per-node slices."""
+    return Subgraph(
+        node_ids=node_ids,
+        node_types=graph.node_types[node_ids].copy(),
+        edge_index=edge_index,
+        edge_types=edge_types,
+        node_stats=None if graph.node_stats is None else graph.node_stats[node_ids].copy(),
+        **fields,
+    )
+
+
 def extract_enclosing_subgraphs(graph: CircuitGraph, links: list[Link], hops: int = 1,
                                 max_nodes_per_hop: int | None = None,
                                 add_target_edge: bool = True, rng=None,
                                 fanouts=None) -> list[Subgraph]:
-    """Batched :func:`extract_enclosing_subgraph` over many links at once.
+    """Extract the h-hop enclosing subgraph of every link (Definition 1).
 
-    Produces the same subgraphs as the per-link extractor (hub-node sampling
-    aside) while amortising every numpy operation over the whole batch.
+    All links expand together, so every numpy operation is amortised over
+    the batch.  Each subgraph lists the link's endpoints first (local
+    indices 0 and 1), then the other nodes in ascending global id.
+
+    Parameters
+    ----------
+    graph:
+        The host circuit graph.
+    links:
+        The target links (positive or negative).
+    hops:
+        Neighbourhood radius ``h``; the paper uses 1 for link tasks.
+    max_nodes_per_hop:
+        Optional cap on the half-edges each frontier node expands per hop
+        (guards against hub nodes in very large designs).  Capped nodes draw
+        a uniform sample from ``rng``.
+    add_target_edge:
+        If True, an edge of the link's type is added between the two anchors —
+        the SEAL-style "inject target links into the graph" setup the paper
+        follows.  Both positives and negatives receive the edge, so it carries
+        no label information.
+    fanouts:
+        Optional per-hop expansion caps (overrides ``hops`` and
+        ``max_nodes_per_hop``; see :func:`normalize_fanouts`).
     """
     if not links:
         return []
-    rng = get_rng(rng)
-    fanouts = normalize_fanouts(fanouts)
-    if fanouts is not None:
-        hops = len(fanouts)
     src = np.array([l.source for l in links], dtype=np.int64)
     dst = np.array([l.target for l in links], dtype=np.int64)
     parts = _extract_many_chunked(graph, src, dst, hops, max_nodes_per_hop, rng,
@@ -433,16 +343,10 @@ def extract_enclosing_subgraphs(graph: CircuitGraph, links: list[Link], hops: in
         if add_target_edge:
             edge_index = np.concatenate([edge_index, np.array([[0], [1]])], axis=1)
             edge_types = np.concatenate([edge_types, np.array([link.link_type])])
-        subgraphs.append(Subgraph(
-            node_ids=node_ids,
-            node_types=graph.node_types[node_ids].copy(),
-            edge_index=edge_index,
-            edge_types=edge_types,
-            anchors=(0, 1),
-            label=float(link.label),
-            target=float(link.capacitance),
+        subgraphs.append(_subgraph(
+            graph, node_ids, edge_index, edge_types, anchors=(0, 1),
+            label=float(link.label), target=float(link.capacitance),
             link_type=int(link.link_type),
-            node_stats=None if graph.node_stats is None else graph.node_stats[node_ids].copy(),
         ))
     return subgraphs
 
@@ -450,60 +354,24 @@ def extract_enclosing_subgraphs(graph: CircuitGraph, links: list[Link], hops: in
 def extract_node_subgraphs(graph: CircuitGraph, nodes, hops: int = 2,
                            targets=None, max_nodes_per_hop: int | None = None,
                            rng=None, fanouts=None) -> list[Subgraph]:
-    """Batched :func:`extract_node_subgraph` over many anchor nodes at once."""
+    """Extract the h-hop subgraph around every anchor node (node-level tasks).
+
+    Used for ground-capacitance regression (Section IV-D): no negative links
+    are injected, a 2-hop neighbourhood is sampled, and the two DSPD anchors
+    coincide (``anchors == (0, 0)``), making ``D0 == D1``.  ``targets``
+    aligns one regression target with each node.
+    """
     nodes = np.asarray(list(nodes), dtype=np.int64)
     if nodes.size == 0:
         return []
-    rng = get_rng(rng)
-    fanouts = normalize_fanouts(fanouts)
-    if fanouts is not None:
-        hops = len(fanouts)
     parts = _extract_many_chunked(graph, nodes, nodes, hops, max_nodes_per_hop, rng,
                                   single_anchor=True, fanouts=fanouts)
     targets = np.zeros(nodes.size) if targets is None else np.asarray(targets, dtype=FLOAT64)
     return [
-        Subgraph(
-            node_ids=node_ids,
-            node_types=graph.node_types[node_ids].copy(),
-            edge_index=edge_index,
-            edge_types=edge_types,
-            anchors=(0, 0),
-            label=1.0,
-            target=float(target),
-            link_type=-1,
-            node_stats=None if graph.node_stats is None else graph.node_stats[node_ids].copy(),
-        )
+        _subgraph(graph, node_ids, edge_index, edge_types, anchors=(0, 0),
+                  label=1.0, target=float(target), link_type=-1)
         for (node_ids, edge_index, edge_types), target in zip(parts, targets)
     ]
-
-
-def sample_link_dataset(graph: CircuitGraph, max_links: int | None = None,
-                        negative_ratio: float = 1.0, balance: bool = True,
-                        hops: int = 1, max_nodes_per_hop: int | None = None,
-                        inject_links: bool = True, rng=None,
-                        fanouts=None) -> list[Subgraph]:
-    """Full sampling pipeline: negatives, balancing, injection, extraction.
-
-    Returns one :class:`Subgraph` per (positive or negative) link, shuffled.
-    ``max_links`` caps the number of *positive* links considered, mirroring
-    the "#links" column of Table IV where only a fraction of all couplings is
-    used for training.  With ``inject_links=True`` (the paper's SEAL-style
-    setup) all positive links of the design plus the generated negatives are
-    added to the host graph as typed edges before subgraph extraction.
-
-    .. deprecated::
-        Thin byte-compatible shim over
-        :func:`repro.graph.datapipe.default_link_pipeline` — new code should
-        compose a :class:`~repro.graph.datapipe.SamplingPipeline` directly.
-    """
-    from .datapipe import default_link_pipeline
-
-    pipeline = default_link_pipeline(
-        max_links=max_links, negative_ratio=negative_ratio, balance=balance,
-        hops=hops, max_nodes_per_hop=max_nodes_per_hop,
-        inject_links=inject_links, fanouts=fanouts,
-    )
-    return pipeline.run(graph, rng=get_rng(rng))
 
 
 def link_type_histogram(links: list[Link]) -> dict[str, int]:
@@ -514,9 +382,3 @@ def link_type_histogram(links: list[Link]) -> dict[str, int]:
         histogram[name] = histogram.get(name, 0) + 1
     return histogram
 
-
-__all__.append("link_type_histogram")
-
-# The SAMPLERS registry entries live in repro.graph.datapipe: every stage
-# factory follows the uniform (graph, seeds, *, rng) contract there, instead
-# of the incompatible raw-function signatures this module used to register.

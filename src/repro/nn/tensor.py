@@ -157,8 +157,15 @@ class Tensor:
     # Autograd machinery
     # ------------------------------------------------------------------ #
     @staticmethod
-    def _ensure(other) -> "Tensor":
-        return other if isinstance(other, Tensor) else Tensor(other)
+    def _ensure(other, dtype=None) -> "Tensor":
+        """Wrap ``other`` as a tensor.  A Python number takes ``dtype`` (the
+        tensor operand's), the NEP 50 weak-scalar rule, so ``x * 2.0`` keeps
+        a float32 ``x`` float32 under any policy."""
+        if isinstance(other, Tensor):
+            return other
+        if dtype is not None and isinstance(other, (int, float)):
+            return Tensor(np.asarray(other, dtype=dtype))
+        return Tensor(other)
 
     def _make(self, data, parents, backward, op: str) -> "Tensor":
         requires = _GRAD_ENABLED and any(p.requires_grad for p in parents)
@@ -210,7 +217,7 @@ class Tensor:
     # Arithmetic
     # ------------------------------------------------------------------ #
     def __add__(self, other) -> "Tensor":
-        other = self._ensure(other)
+        other = self._ensure(other, self.dtype)
         out_data = self.data + other.data
 
         def backward(grad):
@@ -225,7 +232,7 @@ class Tensor:
         return self.__add__(other)
 
     def __sub__(self, other) -> "Tensor":
-        other = self._ensure(other)
+        other = self._ensure(other, self.dtype)
         out_data = self.data - other.data
 
         def backward(grad):
@@ -237,10 +244,10 @@ class Tensor:
         return self._make(out_data, (self, other), backward, "sub")
 
     def __rsub__(self, other) -> "Tensor":
-        return self._ensure(other).__sub__(self)
+        return self._ensure(other, self.dtype).__sub__(self)
 
     def __mul__(self, other) -> "Tensor":
-        other = self._ensure(other)
+        other = self._ensure(other, self.dtype)
         out_data = self.data * other.data
 
         def backward(grad):
@@ -255,7 +262,7 @@ class Tensor:
         return self.__mul__(other)
 
     def __truediv__(self, other) -> "Tensor":
-        other = self._ensure(other)
+        other = self._ensure(other, self.dtype)
         out_data = self.data / other.data
 
         def backward(grad):
@@ -269,7 +276,7 @@ class Tensor:
         return self._make(out_data, (self, other), backward, "div")
 
     def __rtruediv__(self, other) -> "Tensor":
-        return self._ensure(other).__truediv__(self)
+        return self._ensure(other, self.dtype).__truediv__(self)
 
     def __neg__(self) -> "Tensor":
         out_data = -self.data
@@ -296,7 +303,7 @@ class Tensor:
 
     def matmul(self, other) -> "Tensor":
         """Matrix product (the ``@`` operator), differentiable."""
-        other = self._ensure(other)
+        other = self._ensure(other, self.dtype)
         out_data = self.data @ other.data
 
         def backward(grad):

@@ -4,7 +4,6 @@ from .logging import MetricLogger, get_logger
 from .rng import get_rng, seed_all, spawn_rng, spawn_seeds
 from .serialization import (
     CheckpointError,
-    checkpoint_schema,
     load_checkpoint,
     load_json,
     save_checkpoint,
@@ -21,7 +20,6 @@ __all__ = [
     "spawn_rng",
     "spawn_seeds",
     "CheckpointError",
-    "checkpoint_schema",
     "load_checkpoint",
     "load_json",
     "save_checkpoint",

@@ -10,8 +10,9 @@ numpy arrays plus two reserved entries:
 Loading validates the archive *before* any weights reach
 ``Module.load_state_dict``: schema/version mismatches and missing or
 unexpected keys raise :class:`CheckpointError` with a message naming the
-offending keys, instead of failing deep inside the model.  Archives written
-without a schema (the legacy single-model format) load unchanged.
+offending keys, instead of failing deep inside the model.  A caller that
+passes ``schema=`` (and ``version=``) accepts exactly that stamp; archives
+without one, or with another, are refused.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ __all__ = [
     "CheckpointError",
     "save_checkpoint",
     "load_checkpoint",
-    "checkpoint_schema",
     "validate_state_keys",
     "save_json",
     "load_json",
@@ -73,25 +73,6 @@ def _open_archive(path) -> pathlib.Path:
     return path
 
 
-def checkpoint_schema(path) -> tuple[str | None, int | None]:
-    """Read the ``(schema, version)`` stamp of an archive without loading weights.
-
-    Returns ``(None, None)`` for legacy archives written before schema
-    stamping existed.
-    """
-    path = _open_archive(path)
-    try:
-        with np.load(path, allow_pickle=False) as archive:
-            if "__schema__" not in archive:
-                return None, None
-            stamp = json.loads(archive["__schema__"].tobytes().decode("utf-8"))
-    except CheckpointError:
-        raise
-    except Exception as exc:  # zipfile / json errors on corrupt archives
-        raise CheckpointError(f"checkpoint {path} is not a readable archive: {exc}") from exc
-    return stamp.get("schema"), stamp.get("version")
-
-
 def validate_state_keys(state: dict, expected_keys, context: str = "checkpoint") -> None:
     """Raise :class:`CheckpointError` unless ``state`` holds exactly ``expected_keys``."""
     expected = set(expected_keys)
@@ -104,8 +85,7 @@ def validate_state_keys(state: dict, expected_keys, context: str = "checkpoint")
         )
 
 
-def load_checkpoint(path, *, schema: str | None = None,
-                    version: int | tuple[int, ...] | set[int] | None = None,
+def load_checkpoint(path, *, schema: str | None = None, version: int | None = None,
                     expected_keys=None) -> tuple[dict[str, np.ndarray], dict]:
     """Load a checkpoint written by :func:`save_checkpoint`.
 
@@ -113,13 +93,11 @@ def load_checkpoint(path, *, schema: str | None = None,
     ----------
     schema:
         When given, the archive must carry exactly this schema stamp;
-        schema-less legacy archives and foreign schemas raise
+        schema-less archives and foreign schemas raise
         :class:`CheckpointError`.
     version:
         When given (requires ``schema``), the stored schema version must be
-        this integer — or any member, when an iterable of accepted versions
-        is passed (how callers keep loading older compatible revisions after
-        a schema bump).
+        exactly this integer.
     expected_keys:
         When given, the loaded state keys must equal this set; missing or
         unexpected keys raise :class:`CheckpointError` naming them, instead
@@ -144,14 +122,11 @@ def load_checkpoint(path, *, schema: str | None = None,
             raise CheckpointError(
                 f"checkpoint {path} has schema {found!r}, expected {schema!r}"
             )
-        if version is not None:
-            accepted = ({int(version)} if isinstance(version, (int, np.integer))
-                        else {int(v) for v in version})
-            if stamp.get("version") not in accepted:
-                raise CheckpointError(
-                    f"checkpoint {path} has schema version {stamp.get('version')!r}, "
-                    f"expected one of {sorted(accepted)}"
-                )
+        if version is not None and stamp.get("version") != int(version):
+            raise CheckpointError(
+                f"checkpoint {path} has schema version {stamp.get('version')!r}, "
+                f"expected {int(version)}"
+            )
     if expected_keys is not None:
         validate_state_keys(state, expected_keys, context=f"checkpoint {path}")
     return state, metadata

@@ -2,7 +2,8 @@
 
 Pins three contracts:
 
-* v1/v2 pipeline checkpoints still load under schema v3,
+* schema-v3 pipeline checkpoints carry the spec and registry-type stamps
+  that rebuild their models,
 * legacy ``task=`` strings resolve to the right :class:`repro.api.Task`
   everywhere they used to be accepted,
 * training, saving and loading through the current API never emit a
@@ -15,8 +16,8 @@ import numpy as np
 import pytest
 
 from repro.api import EdgeRegressionTask, ExperimentSpec
-from repro.core import PIPELINE_SCHEMA, AnnotationEngine, CircuitGPSPipeline
-from repro.utils import load_checkpoint, save_checkpoint
+from repro.core import AnnotationEngine, CircuitGPSPipeline
+from repro.utils import load_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -28,34 +29,6 @@ def trained(tiny_config, small_design):
     return pipe
 
 
-def _strip_v3_metadata(metadata: dict) -> dict:
-    """Rewrite v3 checkpoint metadata into its v2 shape."""
-    metadata = dict(metadata)
-    metadata.pop("spec", None)
-    v2_keys = ("dim", "num_layers", "pe_kind", "pe_hidden", "mpnn", "attention",
-               "stats_dim")
-
-    def downgrade(model_meta):
-        return {k: v for k, v in model_meta.items() if k in v2_keys}
-
-    metadata["model"] = downgrade(metadata.get("model", {}))
-    metadata["finetunes"] = [dict(entry, model=downgrade(entry.get("model", {})))
-                             for entry in metadata.get("finetunes", [])]
-    return metadata
-
-
-def _downgraded_artifact(trained, tmp_path, version: int):
-    """A v1/v2-layout archive rewritten from a freshly saved v3 artifact."""
-    source = trained.save(tmp_path / "v3.npz")
-    state, metadata = load_checkpoint(source)
-    metadata = _strip_v3_metadata(metadata)
-    if version < 2:  # v1 had no optimizer/schedule state
-        state = {k: v for k, v in state.items() if not k.startswith("optim.")}
-    path = tmp_path / f"v{version}.npz"
-    save_checkpoint(path, state, metadata, schema=PIPELINE_SCHEMA, version=version)
-    return path
-
-
 class TestCheckpointCompat:
     def test_v3_artifact_carries_spec_and_type_stamps(self, trained, tmp_path):
         path = trained.save(tmp_path / "artifact.npz")
@@ -65,20 +38,6 @@ class TestCheckpointCompat:
         spec = ExperimentSpec.from_dict(metadata["spec"])
         assert spec.backbone_type == "circuitgps"
         assert spec.task_type == "edge_regression"
-
-    @pytest.mark.parametrize("version", [1, 2])
-    def test_old_versions_load_under_v3(self, trained, tmp_path, version):
-        path = _downgraded_artifact(trained, tmp_path, version)
-        fresh = CircuitGPSPipeline.from_checkpoint(path)
-        original = trained.pretrain_result.model.state_dict()
-        loaded = fresh.pretrain_result.model.state_dict()
-        for name, value in original.items():
-            np.testing.assert_array_equal(loaded[name], value, err_msg=name)
-        assert ("edge_regression", "all") in fresh.finetune_results
-        # The rebuilt pipeline re-saves as v3 with a synthesised spec.
-        resaved = fresh.save(tmp_path / f"resaved_v{version}.npz")
-        _, metadata = load_checkpoint(resaved)
-        assert metadata["spec"]["backbone"]["type"] == "circuitgps"
 
     def test_parameterized_task_round_trips_through_checkpoints(
             self, tiny_config, small_design, tmp_path):

@@ -8,7 +8,6 @@ from repro.core.data import (
     PECache,
     SubgraphDataset,
     as_dataset,
-    attach_pe,
     attach_pe_batch,
     default_pe_cache,
     set_default_pe_cache,
@@ -112,12 +111,12 @@ class TestPECache:
         cache = PECache()
         subgraph = samples[0]
         subgraph.pe = None
-        first = attach_pe(subgraph, "dspd", cache=cache)
+        attach_pe_batch([subgraph], "dspd", cache=cache)
+        first = subgraph.pe
         subgraph.pe = None
-        second = attach_pe(subgraph, "dspd", cache=cache)
-        assert second is first
-        assert cache.hits == 1 and cache.misses == 1
+        attach_pe_batch([subgraph], "dspd", cache=cache)
         assert subgraph.pe is first
+        assert cache.hits == 1 and cache.misses == 1
 
     def test_attach_pe_batch_mixed_hits(self, samples):
         cache = PECache()
@@ -209,6 +208,42 @@ class TestSubgraphDataset:
         for lazy_sample, batch_sample in zip(dataset, batched):
             np.testing.assert_array_equal(lazy_sample.node_ids, batch_sample.node_ids)
             np.testing.assert_array_equal(lazy_sample.edge_index, batch_sample.edge_index)
+
+    def test_unprefetched_index_is_a_one_element_batch(self, small_design):
+        """``dataset[i]`` outside a prefetched block extracts link ``i`` as a
+        batch of one under the RNG ``[seed, i]``; uncapped, it equals the
+        prefetched block's sample byte for byte (PE included)."""
+        from repro.graph import compute_pe_batch
+
+        def assert_same_bytes(got, want):
+            for name in ("node_ids", "node_types", "edge_index", "edge_types",
+                         "node_stats", "pe"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and a.shape == b.shape, name
+                assert a.tobytes() == b.tobytes(), name
+            assert (got.anchors, got.label, got.target, got.link_type) == \
+                (want.anchors, want.label, want.target, want.link_type)
+
+        graph = small_design.graph
+        links = graph.links[:24]
+        seed = 7
+        capped = SubgraphDataset.from_links(graph, links, max_nodes_per_hop=3,
+                                            seed=seed, cache=PECache())
+        shrunk = 0
+        for i, link in enumerate(links):
+            [want] = extract_enclosing_subgraphs(
+                graph, [link], max_nodes_per_hop=3,
+                rng=np.random.default_rng([seed, i]))
+            compute_pe_batch([want], "dspd")
+            assert_same_bytes(capped[i], want)
+            shrunk += want.num_nodes < extract_enclosing_subgraphs(graph, [link])[0].num_nodes
+        assert shrunk, "the hub cap never triggered; the RNG stream went untested"
+
+        lazy = SubgraphDataset.from_links(graph, links, seed=seed, cache=PECache())
+        prefetched = SubgraphDataset.from_links(graph, links, seed=seed, cache=PECache())
+        prefetched.prefetch(range(len(links)))
+        for i in range(len(links)):
+            assert_same_bytes(lazy[i], prefetched[i])
 
     def test_as_dataset_idempotent(self, samples):
         dataset = SubgraphDataset.from_samples(samples)

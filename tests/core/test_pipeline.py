@@ -1,10 +1,12 @@
 """Tests for the high-level CircuitGPSPipeline API."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 
+import repro.api as api
 from repro.core import (
     PIPELINE_SCHEMA,
     PIPELINE_SCHEMA_VERSION,
@@ -14,7 +16,7 @@ from repro.core import (
     ExperimentConfig,
 )
 from repro.netlist import parse_spice_file, ssram, write_spice
-from repro.utils import CheckpointError, checkpoint_schema, load_checkpoint, save_checkpoint
+from repro.utils import CheckpointError, load_checkpoint, save_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -117,7 +119,7 @@ class TestPipeline:
         artifact_dir = tmp_path / "ckpt"
         path = pipeline.save(artifact_dir)
         assert path == artifact_dir / "pipeline.npz"
-        assert checkpoint_schema(path) == (PIPELINE_SCHEMA, PIPELINE_SCHEMA_VERSION)
+        load_checkpoint(path, schema=PIPELINE_SCHEMA, version=PIPELINE_SCHEMA_VERSION)
 
         loaded = CircuitGPSPipeline.from_checkpoint(artifact_dir)
         assert set(loaded.finetune_results) >= {("edge_regression", "all")}
@@ -151,21 +153,6 @@ class TestPipeline:
         if trainer.schedule is not None:
             assert (loaded.pretrain_result.trainer._pending_schedule_state
                     is not None)
-
-    def test_v1_artifact_loads_with_fresh_optimizer_state(self, pipeline, tmp_path):
-        """Backward compatibility: schema-v1 archives (no optim.* keys) load."""
-        path = pipeline.save(tmp_path / "v2.npz")
-        state, metadata = load_checkpoint(path)
-        legacy_state = {key: value for key, value in state.items()
-                        if not key.startswith("optim.")}
-        v1 = tmp_path / "v1.npz"
-        save_checkpoint(v1, legacy_state, metadata, schema=PIPELINE_SCHEMA, version=1)
-        loaded = CircuitGPSPipeline.from_checkpoint(v1)
-        assert loaded.pretrain_result.trainer.optimizer._t == 0
-        np.testing.assert_allclose(
-            loaded.pretrain_result.model.state_dict()["node_encoder.weight"],
-            pipeline.pretrain_result.model.state_dict()["node_encoder.weight"],
-        )
 
     def test_checkpoint_with_spec_backend_loads_and_annotates_identically(
             self, pipeline, tmp_path):
@@ -202,26 +189,6 @@ class TestPipeline:
         state, _ = load_checkpoint(second)
         for key in schedule_keys:
             assert key in state, f"re-saved artifact dropped {key}"
-
-    def test_pre_buffer_performer_archive_still_loads(self, tmp_path, tiny_config,
-                                                      small_design):
-        """Archives written before Performer projections were persisted lack
-        the ``*.projection`` buffer keys; loading keeps the fresh draw and
-        warns instead of raising."""
-        config = tiny_config.with_model(attention="performer")
-        pipe = CircuitGPSPipeline(config)
-        pipe.add_design(small_design)
-        pipe.pretrain()
-        path = pipe.save(tmp_path / "performer.npz")
-        state, metadata = load_checkpoint(path)
-        stripped = {key: value for key, value in state.items()
-                    if not key.endswith(".projection")}
-        assert len(stripped) < len(state)
-        legacy = tmp_path / "pre_buffer.npz"
-        save_checkpoint(legacy, stripped, metadata, schema=PIPELINE_SCHEMA, version=1)
-        loaded = CircuitGPSPipeline.from_checkpoint(legacy)  # must not raise
-        attn = loaded.pretrain_result.model.layers[0].attention
-        assert np.all(np.isfinite(attn.projection))
 
     def test_incompatible_optimizer_state_is_skipped_not_fatal(self, pipeline, tmp_path):
         """A head-only fine-tune optimises fewer parameters than the reloaded
@@ -264,33 +231,36 @@ class TestPipeline:
         with pytest.raises(CheckpointError, match="schema"):
             CircuitGPSPipeline.from_checkpoint(foreign)
 
-    def test_legacy_model_checkpoint_still_loads(self, pipeline, tmp_path):
-        """Pre-schema checkpoints (bare backbone state) keep working."""
+    def test_load_accepts_only_the_current_schema_version(self, pipeline, tmp_path):
+        """v1 and v2 pipeline archives and schema-less model checkpoints are
+        refused with a CheckpointError naming the version or schema found."""
+        path = pipeline.save(tmp_path / "artifact.npz")
+        state, metadata = load_checkpoint(path)
+        for version in (1, 2):
+            old = tmp_path / f"v{version}.npz"
+            save_checkpoint(old, state, metadata, schema=PIPELINE_SCHEMA, version=version)
+            for load in (api.load, CircuitGPSPipeline.from_checkpoint):
+                with pytest.raises(CheckpointError, match=re.escape(
+                        f"has schema version {version}, expected {PIPELINE_SCHEMA_VERSION}")):
+                    load(old)
         model = pipeline.pretrain_result.model
-        legacy = tmp_path / "legacy.npz"
-        save_checkpoint(legacy, model.state_dict(),
+        bare = tmp_path / "schema_less.npz"
+        save_checkpoint(bare, model.state_dict(),
                         metadata={"model": model.config(),
                                   "experiment": pipeline.config.as_dict()})
-        fresh = CircuitGPSPipeline()  # default config: must be replaced by the stored one
-        fresh.load(legacy)
-        np.testing.assert_allclose(
-            fresh.pretrain_result.model.state_dict()["node_encoder.weight"],
-            model.state_dict()["node_encoder.weight"],
-        )
-        # The training-time experiment config (sampling parameters) is restored.
-        assert fresh.config.data == pipeline.config.data
+        with pytest.raises(CheckpointError, match=re.escape(
+                f"has schema None, expected {PIPELINE_SCHEMA!r}")):
+            CircuitGPSPipeline().load(bare)
 
-    def test_legacy_checkpoint_with_missing_keys_raises(self, pipeline, tmp_path):
-        model = pipeline.pretrain_result.model
-        state = dict(model.state_dict())
-        state.pop(sorted(state)[0])
-        legacy = tmp_path / "broken.npz"
-        save_checkpoint(legacy, state,
-                        metadata={"model": model.config(),
-                                  "experiment": pipeline.config.as_dict()})
-        fresh = CircuitGPSPipeline(pipeline.config)
+    def test_load_rejects_artifact_with_missing_keys(self, pipeline, tmp_path):
+        path = pipeline.save(tmp_path / "artifact.npz")
+        state, metadata = load_checkpoint(path)
+        state.pop(sorted(key for key in state if key.startswith("pretrain."))[0])
+        broken = tmp_path / "broken.npz"
+        save_checkpoint(broken, state, metadata, schema=PIPELINE_SCHEMA,
+                        version=PIPELINE_SCHEMA_VERSION)
         with pytest.raises(CheckpointError, match="missing"):
-            fresh.load(legacy)
+            CircuitGPSPipeline(pipeline.config).load(broken)
 
     def test_load_designs_builds_paper_suite(self, tiny_config):
         pipe = CircuitGPSPipeline(tiny_config.with_data(scale=0.25))

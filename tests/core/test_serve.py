@@ -381,11 +381,12 @@ class TestFloat32Serving:
     def test_float32_probabilities_track_float64(self, trained_link_pipeline,
                                                  small_design):
         """Engine-level drift: float32 probabilities stay within 1e-4."""
-        from repro.graph import generate_negative_links
+        from repro.graph import permute_negative_links
 
         graph = small_design.graph
         positives = list(graph.links)[:40]
-        negatives = generate_negative_links(graph, ratio=1.0, rng=0)[:40]
+        negatives = permute_negative_links(graph.links, graph.num_nodes, ratio=1.0,
+                                           rng=0, strict=False)[:40]
         pairs = [(graph.node_names[link.source], graph.node_names[link.target])
                  for link in positives + negatives]
 

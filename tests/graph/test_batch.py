@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.graph import batch_iterator, collate, compute_pe, sample_link_dataset
+from repro.graph import batch_iterator, collate, compute_pe, default_link_pipeline
 
 
 @pytest.fixture(scope="module")
 def samples(small_design):
-    subgraphs = sample_link_dataset(small_design.graph, max_links=40, rng=0)
+    subgraphs = default_link_pipeline(max_links=40).run(small_design.graph, rng=0)
     for subgraph in subgraphs:
         compute_pe(subgraph, "dspd")
     return subgraphs

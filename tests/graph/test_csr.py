@@ -13,11 +13,9 @@ from repro.graph import (
     CircuitGraph,
     CSRGraph,
     Link,
-    extract_enclosing_subgraph,
     extract_enclosing_subgraphs,
-    extract_node_subgraph,
     extract_node_subgraphs,
-    generate_negative_links,
+    permute_negative_links,
 )
 from repro.graph.encodings import (
     compute_pe_batch,
@@ -35,6 +33,17 @@ from tests.oracles.graph_legacy import (
     legacy_laplacian_encoding,
     legacy_rwse_encoding,
 )
+
+
+def enclosing(graph, link, **kwargs):
+    """The enclosing subgraph of one link (a one-element batch)."""
+    return extract_enclosing_subgraphs(graph, [link], **kwargs)[0]
+
+
+def negatives_of(graph, ratio, rng):
+    """The paper's non-strict permute-endpoint negatives of a design."""
+    return permute_negative_links(graph.links, graph.num_nodes, ratio=ratio, rng=rng,
+                                  strict=False)
 
 
 def random_graph(num_nodes: int, num_edges: int, seed: int) -> CircuitGraph:
@@ -217,11 +226,12 @@ class TestCSRGraph:
 
     def test_max_per_node_caps_expansion(self):
         graph = random_graph(30, 400, 9)  # dense: high degrees
-        csr = graph.csr
-        full = csr.k_hop([0], 1)
-        capped = csr.k_hop([0], 1, max_nodes_per_hop=3, rng=0)
-        assert len(capped) <= min(len(full), 1 + 3)
-        assert set(capped.tolist()) <= set(full.tolist())
+        link = Link(0, 1, link_type=2)
+        full = enclosing(graph, link, hops=1, add_target_edge=False)
+        capped = enclosing(graph, link, hops=1, max_nodes_per_hop=3, rng=0,
+                           add_target_edge=False)
+        assert capped.num_nodes <= min(full.num_nodes, 2 + 2 * 3)
+        assert set(capped.node_ids.tolist()) <= set(full.node_ids.tolist())
 
 
 class TestExtractionParity:
@@ -230,7 +240,7 @@ class TestExtractionParity:
     def test_enclosing_subgraph_matches_legacy(self, seed, hops):
         graph = random_graph(80, 160, seed)
         for link in graph.links[:10]:
-            new = extract_enclosing_subgraph(graph, link, hops=hops)
+            new = enclosing(graph, link, hops=hops)
             old = legacy_extract_enclosing_subgraph(graph, link, hops=hops)
             np.testing.assert_array_equal(new.node_ids, old.node_ids)
             np.testing.assert_array_equal(new.edge_index, old.edge_index)
@@ -260,7 +270,7 @@ class TestExtractionParity:
         nodes = list(range(0, graph.num_nodes, 7))
         batched = extract_node_subgraphs(graph, nodes, hops=2)
         for node, new in zip(nodes, batched):
-            single = extract_node_subgraph(graph, node, hops=2)
+            single = extract_node_subgraphs(graph, [node], hops=2)[0]
             old = legacy_extract_node_subgraph(graph, node, hops=2)
             for candidate in (new, single):
                 np.testing.assert_array_equal(candidate.node_ids, old.node_ids)
@@ -283,7 +293,7 @@ class TestEncodingParity:
     def test_all_encodings_match_legacy(self, seed):
         graph = random_graph(50, 100, seed)
         for link in graph.links[:8]:
-            subgraph = extract_enclosing_subgraph(graph, link, hops=2)
+            subgraph = enclosing(graph, link, hops=2)
             np.testing.assert_allclose(dspd_encoding(subgraph), legacy_dspd_encoding(subgraph))
             np.testing.assert_allclose(drnl_encoding(subgraph), legacy_drnl_encoding(subgraph))
             np.testing.assert_allclose(rwse_encoding(subgraph), legacy_rwse_encoding(subgraph))
@@ -330,7 +340,7 @@ class TestEncodingParity:
             edge_types=np.zeros(2, dtype=np.int64),
             links=[Link(0, 1, 2)],
         )
-        subgraph = extract_enclosing_subgraph(graph, graph.links[0], hops=1,
+        subgraph = enclosing(graph, graph.links[0], hops=1,
                                               add_target_edge=False)
         np.testing.assert_allclose(dspd_encoding(subgraph),
                                    legacy_dspd_encoding(subgraph))
@@ -353,7 +363,7 @@ class TestTopologySweepParity:
         graph = TOPOLOGIES[topology](seed)
         assert graph.links, f"{topology}-{seed} generated no links"
         for link in graph.links[:3]:
-            new = extract_enclosing_subgraph(graph, link, hops=2)
+            new = enclosing(graph, link, hops=2)
             old = legacy_extract_enclosing_subgraph(graph, link, hops=2)
             np.testing.assert_array_equal(new.node_ids, old.node_ids)
             np.testing.assert_array_equal(new.edge_index, old.edge_index)
@@ -402,7 +412,7 @@ class TestNegativeSamplingParity:
     @pytest.mark.parametrize("seed", [30, 31])
     def test_same_invariants_as_legacy(self, seed):
         graph = random_graph(80, 150, seed)
-        new = generate_negative_links(graph, ratio=1.0, rng=seed)
+        new = negatives_of(graph, ratio=1.0, rng=seed)
         old = legacy_generate_negative_links(graph, ratio=1.0, rng=seed)
         positive_keys = {l.key() for l in graph.links}
         for negatives in (new, old):
@@ -422,13 +432,13 @@ class TestNegativeSamplingParity:
 
     def test_counts_match_legacy(self, small_design):
         graph = small_design.graph
-        new = generate_negative_links(graph, ratio=0.5, rng=0)
+        new = negatives_of(graph, ratio=0.5, rng=0)
         old = legacy_generate_negative_links(graph, ratio=0.5, rng=0)
         assert len(new) == len(old)
 
     def test_deterministic_given_seed(self, small_design):
-        a = generate_negative_links(small_design.graph, ratio=0.5, rng=3)
-        b = generate_negative_links(small_design.graph, ratio=0.5, rng=3)
+        a = negatives_of(small_design.graph, ratio=0.5, rng=3)
+        b = negatives_of(small_design.graph, ratio=0.5, rng=3)
         assert [l.key() for l in a] == [l.key() for l in b]
 
 

@@ -3,8 +3,8 @@
 Covers the uniform stage contract, declarative spec round-trips through the
 ``SAMPLERS`` registry, fanout-bounded extraction, and — the load-bearing
 guarantee of the refactor — byte-identical parity between the staged default
-pipeline and the historical monolithic ``sample_link_dataset`` recipe at a
-fixed seed.
+pipeline and the monolithic link-sampling recipe, inlined here, at a fixed
+seed.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from repro.graph import (
     normalize_fanouts,
     normalize_sampling_spec,
     permute_negative_links,
-    sample_link_dataset,
 )
 from repro.graph.datapipe import (
     EnclosingExtractStage,
@@ -179,10 +178,6 @@ class TestDefaultPipelineParity:
         got = pipeline.run(graph, rng=default_rng(seed))
         _assert_subgraphs_equal(got, expected)
 
-        # The deprecated entry point is a shim over the same pipeline.
-        shim = sample_link_dataset(graph, rng=default_rng(seed), **kwargs)
-        _assert_subgraphs_equal(shim, expected)
-
     def test_default_spec_is_declarative(self):
         spec = default_link_pipeline(max_links=40, fanouts=[8, 4]).spec()
         assert [e["stage"] for e in spec] == [
@@ -230,9 +225,9 @@ class TestFanoutBounding:
     def test_fanout_plan_length_overrides_hops(self, small_design):
         graph = small_design.graph
         stage = EnclosingExtractStage(hops=1, fanouts=[3, 3, 3])
-        sub = stage.extract_one(graph, graph.links[0], rng=default_rng(0))
-        wide = EnclosingExtractStage(hops=1).extract_one(
-            graph, graph.links[0], rng=default_rng(0))
+        [sub] = stage.extract_many(graph, graph.links[:1], rng=default_rng(0))
+        [wide] = EnclosingExtractStage(hops=1).extract_many(
+            graph, graph.links[:1], rng=default_rng(0))
         assert sub.node_ids.size >= 2
         assert wide.node_ids.size >= 2
 
@@ -262,10 +257,10 @@ class TestStageBehaviour:
         assert seeds.injected
         assert host.edge_index.shape[1] > graph.edge_index.shape[1]
         # Injected host: the extraction stage must not re-add the target edge.
-        sub_injected = EnclosingExtractStage().extract_one(
-            host, link, rng=default_rng(0), seeds=seeds)
-        sub_plain = EnclosingExtractStage().extract_one(
-            graph, link, rng=default_rng(0))
+        [sub_injected] = EnclosingExtractStage().extract_many(
+            host, [link], rng=default_rng(0), seeds=seeds)
+        [sub_plain] = EnclosingExtractStage().extract_many(
+            graph, [link], rng=default_rng(0))
         assert sub_plain.edge_types[-1] == link.link_type
 
     def test_uniform_negative_stage_emits_conditioned_batches(self, small_design):

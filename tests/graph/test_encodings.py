@@ -7,9 +7,10 @@ from repro.graph import (
     PE_KINDS,
     Subgraph,
     compute_pe,
+    compute_pe_batch,
     drnl_encoding,
     dspd_encoding,
-    extract_enclosing_subgraph,
+    extract_enclosing_subgraphs,
     laplacian_encoding,
     pe_dim,
     rwse_encoding,
@@ -146,7 +147,46 @@ class TestStatsAndDispatch:
 
     def test_real_subgraph_encodings_finite(self, small_design):
         graph = small_design.graph
-        subgraph = extract_enclosing_subgraph(graph, graph.links[0], hops=1)
+        [subgraph] = extract_enclosing_subgraphs(graph, graph.links[:1], hops=1)
         for kind in PE_KINDS:
             encoding = compute_pe(subgraph, kind)
             assert np.all(np.isfinite(encoding))
+
+
+class TestBatchedDispatch:
+    """``compute_pe_batch`` runs every non-BFS kind through ``ENCODINGS``."""
+
+    @pytest.mark.parametrize("kind", ["none", "stats", "rwse", "lappe"])
+    def test_registered_kinds_match_their_encoder(self, kind, small_design):
+        from repro.api import ENCODINGS
+
+        graph = small_design.graph
+        subgraphs = extract_enclosing_subgraphs(graph, graph.links[:6], hops=1)
+        encodings = compute_pe_batch(subgraphs, kind)
+        assert len(encodings) == len(subgraphs)
+        for subgraph, encoding in zip(subgraphs, encodings):
+            want = ENCODINGS.get(kind)(subgraph)
+            assert encoding.dtype == np.float64
+            assert encoding.shape == (subgraph.num_nodes, pe_dim(kind))
+            np.testing.assert_array_equal(encoding, want)
+            assert subgraph.pe is encoding
+
+    def test_custom_registration_is_dispatched(self):
+        from repro.api import ENCODINGS
+
+        def degree_encoding(subgraph):
+            degree = np.bincount(subgraph.edge_index.ravel(), minlength=subgraph.num_nodes)
+            return degree[:, None]  # integer: compute_pe_batch casts to float64
+
+        ENCODINGS.register("test_degree", degree_encoding)
+        try:
+            subgraphs = [_path_subgraph(4, (0, 3)), _path_subgraph(6, (1, 2))]
+            encodings = compute_pe_batch(subgraphs, "TEST_DEGREE")
+        finally:
+            ENCODINGS.unregister("test_degree")
+        np.testing.assert_array_equal(encodings[0][:, 0], [1.0, 2.0, 2.0, 1.0])
+        np.testing.assert_array_equal(encodings[1][:, 0], [1.0, 2.0, 2.0, 2.0, 2.0, 1.0])
+        assert all(encoding.dtype == np.float64 for encoding in encodings)
+        assert "test_degree" not in ENCODINGS
+        with pytest.raises(ValueError, match="test_degree"):
+            compute_pe_batch(subgraphs, "test_degree")

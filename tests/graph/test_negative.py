@@ -3,10 +3,10 @@
 The hypothesis properties pin the sampler family's contract: negatives never
 collide with observed links, endpoint node types are preserved, strict mode
 delivers the exact requested count, and every sampler is deterministic under
-(spawned) seeds.  The regression tests cover the historical
-``generate_negative_links`` failure mode — silent under-delivery when the
-rejection budget runs dry — which strict mode must turn into either an exact
-completion or an actionable :class:`NegativeSamplingError`.
+(spawned) seeds.  The regression tests cover the non-strict failure mode —
+silent under-delivery when the rejection budget runs dry — which strict mode
+must turn into either an exact completion or an actionable
+:class:`NegativeSamplingError`.
 """
 
 from __future__ import annotations

@@ -3,14 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.graph import collate, compute_pe, sample_link_dataset
+from repro.graph import collate, compute_pe, default_link_pipeline
 from repro.models import CircuitGPS
 from repro.nn import no_grad
 
 
 @pytest.fixture(scope="module")
 def batch(small_design):
-    samples = sample_link_dataset(small_design.graph, max_links=20, max_nodes_per_hop=15, rng=0)
+    samples = default_link_pipeline(max_links=20, max_nodes_per_hop=15).run(
+        small_design.graph, rng=0)
     for sample in samples:
         compute_pe(sample, "dspd")
     return collate(samples[:12])
@@ -68,7 +69,8 @@ class TestForward:
 class TestConfigurationsAndParams:
     @pytest.mark.parametrize("pe_kind", ["none", "dspd", "drnl", "rwse", "lappe", "stats"])
     def test_all_pe_kinds_build(self, pe_kind, small_design):
-        samples = sample_link_dataset(small_design.graph, max_links=5, max_nodes_per_hop=10, rng=0)
+        samples = default_link_pipeline(max_links=5, max_nodes_per_hop=10).run(
+            small_design.graph, rng=0)
         for sample in samples:
             compute_pe(sample, pe_kind)
         model = CircuitGPS(dim=16, num_layers=1, pe_kind=pe_kind, pe_hidden=4,

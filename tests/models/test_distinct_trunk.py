@@ -13,10 +13,10 @@ from repro.graph import (
     Subgraph,
     collate,
     compute_pe,
-    extract_enclosing_subgraph,
-    extract_node_subgraph,
+    default_link_pipeline,
+    extract_enclosing_subgraphs,
+    extract_node_subgraphs,
     netlist_to_graph,
-    sample_link_dataset,
 )
 from repro.graph import batch as batch_module
 from repro.models import CircuitGPS
@@ -60,8 +60,8 @@ def make_model(**overrides):
 
 @pytest.fixture(scope="module")
 def samples(small_design):
-    samples = sample_link_dataset(small_design.graph, max_links=20,
-                                  max_nodes_per_hop=15, rng=0)
+    samples = default_link_pipeline(max_links=20, max_nodes_per_hop=15).run(
+        small_design.graph, rng=0)
     for sample in samples:
         compute_pe(sample, "dspd")
     return samples
@@ -158,7 +158,7 @@ class TestDigestInputs:
             graph = netlist_to_graph(circuit)
             link = Link(source=graph.node_index("BL0"), target=graph.node_index("BL1"),
                         link_type=LINK_NET_NET, label=0.0)
-            subgraphs.append(extract_enclosing_subgraph(graph, link, hops=1))
+            subgraphs.extend(extract_enclosing_subgraphs(graph, [link], hops=1))
         return subgraphs
 
     def test_same_topology_different_stats_pe_not_merged(self, twin_subgraphs):
@@ -199,7 +199,7 @@ class TestEdgeCases:
     def test_single_anchor_node_subgraphs(self, small_design):
         graph = small_design.graph
         nodes = [graph.node_index(name) for name in ("BL0", "WL0", "BL0", "BL1")]
-        subgraphs = [extract_node_subgraph(graph, node, hops=2) for node in nodes]
+        subgraphs = extract_node_subgraphs(graph, nodes, hops=2)
         for subgraph in subgraphs:
             compute_pe(subgraph, "dspd")
         batch = collate(subgraphs)

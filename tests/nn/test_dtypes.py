@@ -93,3 +93,31 @@ def test_float32_forward_stays_float32_end_to_end():
         out.sum().backward()
         assert x.grad.dtype == np.float32
         assert w.grad.dtype == np.float32
+
+
+def test_python_scalars_keep_the_tensor_dtype_outside_use_dtype():
+    """A Python number is a weak scalar (NEP 50): it takes the tensor's dtype.
+
+    Runs under the default float64 policy, where a scalar wrapped at the
+    policy dtype would promote a float32 operand to float64.
+    """
+    from repro.nn import functional as F
+
+    assert default_dtype() == np.float64
+    x = Tensor(np.linspace(0.5, 2.0, 6, dtype=np.float32).reshape(3, 2),
+               requires_grad=True)
+    results = {
+        "x + 1e-6": x + 1e-6,
+        "x * 2.0": x * 2.0,
+        "1 - x": 1 - x,
+        "x - 1": x - 1,
+        "2.0 / x": 2.0 / x,
+        "x / 3": x / 3,
+        "segment_softmax": F.segment_softmax(x.sum(axis=1), np.array([0, 0, 1]), 2),
+    }
+    for expr, out in results.items():
+        assert out.dtype == np.float32, f"{expr} promoted float32 to {out.dtype}"
+    sum(out.sum() for out in results.values()).backward()
+    assert x.grad.dtype == np.float32
+    # float64 operands are unchanged: the scalar still takes their dtype.
+    assert (Tensor(np.ones(2)) * 2.0).dtype == np.float64

@@ -9,7 +9,6 @@ from repro.utils import (
     CheckpointError,
     MetricLogger,
     Timer,
-    checkpoint_schema,
     get_logger,
     get_rng,
     load_checkpoint,
@@ -140,13 +139,8 @@ class TestCheckpointValidation:
     def test_schema_stamp_roundtrip(self, tmp_path):
         path = save_checkpoint(tmp_path / "m.npz", {"w": np.ones(2)},
                                schema="demo", version=3)
-        assert checkpoint_schema(path) == ("demo", 3)
         state, _ = load_checkpoint(path, schema="demo", version=3)
         np.testing.assert_allclose(state["w"], np.ones(2))
-
-    def test_legacy_archive_has_no_schema(self, tmp_path):
-        path = save_checkpoint(tmp_path / "m.npz", {"w": np.ones(2)})
-        assert checkpoint_schema(path) == (None, None)
 
     def test_wrong_schema_raises(self, tmp_path):
         path = save_checkpoint(tmp_path / "m.npz", {"w": np.ones(2)}, schema="demo")
