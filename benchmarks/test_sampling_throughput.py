@@ -91,7 +91,7 @@ def test_batched_results_identical_to_legacy():
     host, links = _workload()
     probe = links[:40]
     batched = extract_enclosing_subgraphs(host, probe, hops=1, add_target_edge=False)
-    compute_pe_batch(batched, "dspd")
+    batched.pe = compute_pe_batch(batched, "dspd")
     for link, new in zip(probe, batched):
         old = legacy_extract_enclosing_subgraph(host, link, hops=1, add_target_edge=False)
         np.testing.assert_array_equal(new.node_ids, old.node_ids)

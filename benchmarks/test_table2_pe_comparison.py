@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import time
 
+import numpy as np
+
 from repro.analysis import format_table
 from repro.core import Trainer, pretrain_link_model
 from repro.core.datasets import build_link_samples
@@ -34,15 +36,30 @@ PAPER_ROWS = [
 ]
 
 
-def _pe_time_per_graph(design, kind: str, config, num_graphs: int = 40) -> float:
-    """Average wall-clock seconds to compute one subgraph's PE."""
+TIMED_KINDS = ["drnl", "rwse", "lappe", "dspd"]
+TIMING_ROUNDS = 7
+
+
+def _pe_times_per_graph(design, config, num_graphs: int = 40) -> dict[str, float]:
+    """Median wall-clock seconds to compute one subgraph's PE, per kind.
+
+    Every kind encodes the same samples one subgraph at a time.  The kinds
+    are timed in alternated rounds (the order rotates each round), so a slow
+    phase of a shared host is spread over all of them, and each kind's
+    figure is the median of its per-round per-graph times.
+    """
     samples = default_link_pipeline(
         max_links=num_graphs, max_nodes_per_hop=config.data.max_nodes_per_hop,
     ).run(design.graph, rng=3)
-    start = time.perf_counter()
-    for sample in samples:
-        compute_pe(sample, kind)
-    return (time.perf_counter() - start) / max(1, len(samples))
+    rounds: dict[str, list[float]] = {kind: [] for kind in TIMED_KINDS}
+    for round_index in range(TIMING_ROUNDS):
+        shift = round_index % len(TIMED_KINDS)
+        for kind in TIMED_KINDS[shift:] + TIMED_KINDS[:shift]:
+            start = time.perf_counter()
+            for sample in samples:
+                compute_pe(sample, kind)
+            rounds[kind].append((time.perf_counter() - start) / max(1, len(samples)))
+    return {kind: float(np.median(times)) for kind, times in rounds.items()}
 
 
 def test_table2_pe_comparison(benchmark, config, suite):
@@ -50,6 +67,7 @@ def test_table2_pe_comparison(benchmark, config, suite):
     test_design = suite["DIGITAL_CLK_GEN"]
 
     def experiment():
+        seconds = _pe_times_per_graph(train_design, config)
         rows = []
         for kind in PE_KINDS:
             result = pretrain_link_model([train_design], config, pe_kind=kind)
@@ -61,8 +79,7 @@ def test_table2_pe_comparison(benchmark, config, suite):
                 "accuracy": metrics["accuracy"],
                 "f1": metrics["f1"],
                 "auc": metrics["auc"],
-                "time_per_graph_s": None if kind in ("none", "stats")
-                else _pe_time_per_graph(train_design, kind, config),
+                "time_per_graph_s": seconds.get(kind),
             })
         return rows
 
@@ -79,7 +96,8 @@ def test_table2_pe_comparison(benchmark, config, suite):
     assert by_pe["dspd"]["auc"] >= best_auc - 0.03
     # Shape check 2: DSPD is not worse than running without any PE.
     assert by_pe["dspd"]["auc"] >= by_pe["none"]["auc"] - 0.02
-    # Shape check 3: DSPD costs far less to compute than the spectral/random-walk PEs.
+    # Shape check 3: DSPD costs far less to compute than the spectral/random-walk
+    # PEs (medians of alternated per-graph timing rounds).
     assert by_pe["dspd"]["time_per_graph_s"] < by_pe["lappe"]["time_per_graph_s"]
     assert by_pe["dspd"]["time_per_graph_s"] < by_pe["rwse"]["time_per_graph_s"] * 1.5
     # Every configuration trains to a usable zero-shot model.

@@ -3,19 +3,21 @@
 Three pieces carry sampled subgraphs from a design to the model:
 
 * :class:`PECache` — a process-wide LRU cache of positional encodings keyed by
-  ``(design, link, pe_kind, topology digest)``, so repeated epochs and
-  repeated evaluations of the same design never recompute a PE.
+  the exact bytes the encoding reads (:func:`pe_cache_keys`: PE kind, node
+  count, local edges and anchors), so any subgraph seen before — in another
+  epoch, another request or another design — never recomputes its PE.
 * :class:`SubgraphDataset` — a sequence of subgraphs that is either
-  *materialized* (wraps a list) or *lazy* (extracts the enclosing subgraph of
-  link ``i`` on demand with a per-index deterministic RNG, so every epoch sees
-  identical samples and the PE cache stays valid).
+  *materialized* (wraps a list) or *lazy* (extracts the enclosing subgraphs
+  of the requested links on demand with a deterministic RNG, so every epoch
+  sees identical samples).
 * :class:`DataLoader` — owns shuffling and batching; iterating yields
-  :class:`~repro.graph.batch.SubgraphBatch` objects via ``collate``.
+  :class:`~repro.graph.batch.SubgraphBatch` blocks via ``collate``.
 
-Every subgraph and every PE comes from the batched kernels
-(:func:`~repro.graph.extract_enclosing_subgraphs` and
-:func:`attach_pe_batch`): a loader batch is one call of each, and a single
-un-prefetched ``dataset[i]`` is a one-element call.
+Every subgraph and every PE comes from the batched kernels: a lazy loader
+batch is one :func:`~repro.graph.extract_enclosing_subgraphs` block with its
+PE attached by :func:`attach_pe_batch`, and that block is what the model
+forwards.  A single ``dataset[i]`` outside a loader batch is a one-element
+block.
 
 Anything that accepts training data takes a dataset, a loader or a plain list
 (:func:`as_dataset` normalises all three).
@@ -29,17 +31,20 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from ..graph import (
+    PE_KINDS,
     Subgraph,
     SubgraphBatch,
     collate,
     compute_pe_batch,
 )
+from ..graph.batch import group_keys, segment_bytes
 from ..graph.hetero import CircuitGraph, Link
 from ..nn.dtypes import FLOAT64
 from ..utils.rng import get_rng
 
 __all__ = [
     "PECache",
+    "pe_cache_keys",
     "default_pe_cache",
     "set_default_pe_cache",
     "attach_pe_batch",
@@ -55,14 +60,13 @@ __all__ = [
 class PECache:
     """LRU cache of positional encodings.
 
-    Keys combine the design name, the target link (global anchor ids plus
-    link type), the PE kind, and a cheap digest of the subgraph topology; the
-    digest guarantees a stale entry can never be returned for a re-sampled
-    subgraph with different nodes or edges.
+    Keys are the exact bytes an encoding reads (:func:`pe_cache_keys`), so
+    an entry is valid for every subgraph with those inputs, whatever design,
+    link or request it came from, and a stale entry can never be returned.
 
     Eviction is LRU under *two* caps: an entry-count cap (``capacity``) and an
     approximate byte budget (``capacity_bytes``, summing the stored arrays'
-    ``nbytes``).  The entry cap alone is no memory bound — entry size scales
+    ``nbytes`` and the bytes of the keys).  The entry cap alone is no memory bound — entry size scales
     with subgraph size, so on chip-scale designs 16384 entries of large-hop
     PEs can be gigabytes.  ``capacity_bytes=None`` disables the byte budget.
     """
@@ -85,7 +89,8 @@ class PECache:
 
     @property
     def size_bytes(self) -> int:
-        """Approximate bytes held (sum of stored ``nbytes``; keys excluded)."""
+        """Approximate bytes held: stored ``nbytes`` plus the keys' bytes
+        (content keys grow with the subgraph, like the values)."""
         return self._bytes
 
     @property
@@ -93,31 +98,6 @@ class PECache:
         """Fraction of lookups served from the cache."""
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
-
-    @staticmethod
-    def key_for(subgraph: Subgraph, pe_kind: str, design: str | None = None) -> tuple:
-        """The cache key of a subgraph: anchors, link/PE kind, topology digest.
-
-        The ``stats`` encoding is computed from ``node_stats`` (device W/L
-        among them), so its key also digests those values: a resized copy of
-        a design under the same name must not be served the old encodings.
-        """
-        design = design if design is not None else subgraph.extras.get("design")
-        a, b = subgraph.anchors
-        key = (
-            design,
-            int(subgraph.node_ids[a]),
-            int(subgraph.node_ids[b]),
-            int(subgraph.link_type),
-            pe_kind,
-            subgraph.num_nodes,
-            subgraph.num_edges,
-            hash(subgraph.node_ids.tobytes()),
-            hash(subgraph.edge_index.tobytes()),
-        )
-        if pe_kind == "stats" and subgraph.node_stats is not None:
-            key += (hash(subgraph.node_stats.tobytes()),)
-        return key
 
     def get(self, key: tuple) -> np.ndarray | None:
         """Look up an encoding; counts a hit or miss and refreshes LRU order."""
@@ -137,28 +117,14 @@ class PECache:
         """
         old = self._store.pop(key, None)
         if old is not None:
-            self._bytes -= int(old.nbytes)
+            self._bytes -= _entry_bytes(key, old)
         self._store[key] = value
-        self._bytes += int(value.nbytes)
+        self._bytes += _entry_bytes(key, value)
         while self._store and (
             len(self._store) > self.capacity
             or (self.capacity_bytes is not None and self._bytes > self.capacity_bytes)
         ):
-            _, evicted = self._store.popitem(last=False)
-            self._bytes -= int(evicted.nbytes)
-
-    def invalidate_design(self, design: str | None) -> int:
-        """Drop every entry of one design; returns the number evicted.
-
-        Used by incremental re-annotation: a :class:`NetlistDelta` shifts the
-        global node ids the keys are built from, so the design's entries can
-        never be valid against the edited graph again (the topology digest
-        already prevents wrong *hits*; this reclaims the memory).
-        """
-        stale = [key for key in self._store if key[0] == design]
-        for key in stale:
-            self._bytes -= int(self._store.pop(key).nbytes)
-        return len(stale)
+            self._bytes -= _entry_bytes(*self._store.popitem(last=False))
 
     def clear(self) -> None:
         """Drop all entries and reset the hit/miss counters."""
@@ -166,6 +132,10 @@ class PECache:
         self._bytes = 0
         self.hits = 0
         self.misses = 0
+
+
+def _entry_bytes(key: tuple, value: np.ndarray) -> int:
+    return int(value.nbytes) + sum(len(part) for part in key if isinstance(part, bytes))
 
 
 _DEFAULT_PE_CACHE = PECache()
@@ -184,29 +154,66 @@ def set_default_pe_cache(cache: PECache) -> PECache:
     return previous
 
 
-def attach_pe_batch(subgraphs: Sequence[Subgraph], pe_kind: str,
-                    design: str | None = None, cache: PECache | None = None) -> None:
-    """Ensure every ``subgraph.pe`` holds the requested encoding, via the cache.
+def pe_cache_keys(block: SubgraphBatch, pe_kind: str) -> list[tuple]:
+    """The :class:`PECache` key of every subgraph of ``block``.
 
-    Hits set ``subgraph.pe`` to the stored array (shared, treated as
-    read-only); the misses are encoded together via
-    :func:`repro.graph.compute_pe_batch` (two multi-source BFS sweeps for the
-    BFS-based kinds) and stored back.  One subgraph is a one-element list.
+    A key is the exact bytes of what a built-in encoding reads: the kind,
+    the node count, the local edges (``(E, 2)`` int64 rows) and the local
+    anchors (two int64).  ``stats`` also reads ``node_stats``, so its key
+    adds their dtype and bytes.
+    """
+    pe_kind = pe_kind.lower()
+    nodes = block.node_offsets
+    columns = [segment_bytes(block.local_edges, block.edge_offsets),
+               segment_bytes(block.local_anchors, np.arange(block.num_graphs + 1))]
+    if pe_kind == "stats":
+        columns += [[block.node_stats.dtype.str] * block.num_graphs,
+                    segment_bytes(block.node_stats, nodes)]
+    return [(pe_kind, count, *inputs)
+            for count, *inputs in zip(np.diff(nodes).tolist(), *columns)]
+
+
+def _cached_pe(block: SubgraphBatch, pe_kind: str, cache: PECache) -> np.ndarray:
+    """The ``(N, d)`` PE of ``block``: one cache lookup per distinct key,
+    and the misses computed together, each once."""
+    if pe_kind.lower() not in PE_KINDS:
+        return compute_pe_batch(block, pe_kind)  # plugin kinds: uncached
+    keys = pe_cache_keys(block, pe_kind)
+    inverse, first = group_keys(keys)
+    found = [cache.get(keys[graph]) for graph in first.tolist()]
+    missing = [group for group, value in enumerate(found) if value is None]
+    if missing:
+        computed = block.select(first[missing])
+        pe = compute_pe_batch(computed, pe_kind)
+        bounds = computed.node_offsets.tolist()
+        for group, start, stop in zip(missing, bounds[:-1], bounds[1:]):
+            found[group] = pe[start:stop].copy()
+            cache.put(keys[int(first[group])], found[group])
+        if computed is block:  # every subgraph distinct and new
+            return pe
+    counts = np.array([value.shape[0] for value in found], dtype=np.int64)
+    starts = np.cumsum(counts) - counts
+    return np.concatenate(found)[starts[inverse[block.batch]] + block.segments().slots]
+
+
+def attach_pe_batch(samples, pe_kind: str, cache: PECache | None = None) -> None:
+    """Attach the requested encoding through the cache.
+
+    ``samples`` is a block (its ``pe`` is set) or a list of subgraphs (each
+    ``subgraph.pe`` is set to its rows of the collated list's PE).  Plugin
+    kinds are computed without the cache.
     """
     cache = cache if cache is not None else _DEFAULT_PE_CACHE
-    misses: list[Subgraph] = []
-    miss_keys: list[tuple] = []
-    for subgraph in subgraphs:
-        key = PECache.key_for(subgraph, pe_kind, design=design)
-        encoding = cache.get(key)
-        if encoding is None:
-            misses.append(subgraph)
-            miss_keys.append(key)
-        else:
-            subgraph.pe = encoding
-    if misses:
-        for key, encoding in zip(miss_keys, compute_pe_batch(misses, pe_kind)):
-            cache.put(key, encoding)
+    if not len(samples):
+        return
+    if isinstance(samples, SubgraphBatch):
+        samples.pe = _cached_pe(samples, pe_kind, cache)
+        return
+    block = collate(list(samples))
+    pe = _cached_pe(block, pe_kind, cache)
+    bounds = block.node_offsets.tolist()
+    for subgraph, start, stop in zip(samples, bounds[:-1], bounds[1:]):
+        subgraph.pe = pe[start:stop]
 
 
 # --------------------------------------------------------------------------- #
@@ -217,7 +224,7 @@ class _LinkSampler:
 
     Holds the host graph plus an :class:`~repro.graph.datapipe.EnclosingExtractStage`
     carrying the extraction parameters.  Calling it extracts one index as a
-    one-element batch under the RNG ``[seed, index]``; :meth:`block` extracts
+    one-element block under the RNG ``[seed, index]``; :meth:`block` extracts
     many under ``[seed, len(block), block[0]]``.  Being a plain object (not a
     closure) it survives ``pickle``,
     which is what lets a lazy :class:`SubgraphDataset` be shipped to
@@ -227,8 +234,7 @@ class _LinkSampler:
 
     def __init__(self, graph: CircuitGraph, links: Sequence[Link], *, hops: int,
                  max_nodes_per_hop: int | None, add_target_edge: bool,
-                 targets: Sequence[float] | None, design: str, seed: int,
-                 fanouts=None):
+                 targets: Sequence[float] | None, seed: int, fanouts=None):
         from ..graph.datapipe import EnclosingExtractStage
 
         self.graph = graph
@@ -237,27 +243,20 @@ class _LinkSampler:
                                            max_nodes_per_hop=max_nodes_per_hop,
                                            add_target_edge=add_target_edge,
                                            fanouts=fanouts)
-        self.targets = None if targets is None else list(targets)
-        self.design = design
+        self.targets = None if targets is None else np.asarray(targets, dtype=FLOAT64)
         self.seed = int(seed)
 
-    def _finish(self, subgraph: Subgraph, index: int) -> Subgraph:
-        if self.targets is not None:
-            subgraph.target = float(self.targets[index])
-        subgraph.extras["design"] = self.design
-        return subgraph
-
     def __call__(self, index: int) -> Subgraph:
-        rng = np.random.default_rng([self.seed, index])
-        subgraph = self.stage.extract_many(self.graph, [self.links[index]], rng=rng)[0]
-        return self._finish(subgraph, index)
+        return self.block([index], rng=np.random.default_rng([self.seed, index]))[0]
 
-    def block(self, indices: list[int]) -> list[Subgraph]:
+    def block(self, indices: list[int], rng=None) -> SubgraphBatch:
         """Extract a block of indices with the batched CSR sampler."""
-        rng = np.random.default_rng([self.seed, len(indices), int(indices[0])])
-        subgraphs = self.stage.extract_many(
-            self.graph, [self.links[i] for i in indices], rng=rng)
-        return [self._finish(s, i) for s, i in zip(subgraphs, indices)]
+        if rng is None:
+            rng = np.random.default_rng([self.seed, len(indices), int(indices[0])])
+        block = self.stage.extract_many(self.graph, [self.links[i] for i in indices], rng=rng)
+        if self.targets is not None:
+            block.targets = self.targets[indices]
+        return block
 
 
 class _SubsetSampler:
@@ -289,7 +288,6 @@ class SubgraphDataset:
                  factory: Callable[[int], Subgraph] | None = None,
                  length: int | None = None,
                  pe_kind: str | None = None,
-                 design: str | None = None,
                  cache: PECache | None = None,
                  memoize: bool = True):
         if (samples is None) == (factory is None):
@@ -301,10 +299,9 @@ class SubgraphDataset:
         self._length = len(self._samples) if self._samples is not None else int(length)
         self._memo: dict[int, Subgraph] = {}
         self._memoize = memoize
-        self._block_factory: Callable[[list[int]], list[Subgraph]] | None = None
-        self._prefetch_parent: tuple["SubgraphDataset", np.ndarray] | None = None
+        self._block_factory: Callable[[list[int]], SubgraphBatch] | None = None
+        self._parent: tuple["SubgraphDataset", np.ndarray] | None = None
         self.pe_kind = pe_kind
-        self.design = design
         self.cache = cache
 
     # ------------------------------------------------------------------ #
@@ -312,17 +309,16 @@ class SubgraphDataset:
     # ------------------------------------------------------------------ #
     @classmethod
     def from_samples(cls, samples: Sequence[Subgraph], pe_kind: str | None = None,
-                     design: str | None = None, cache: PECache | None = None
-                     ) -> "SubgraphDataset":
+                     cache: PECache | None = None) -> "SubgraphDataset":
         """Wrap an already-extracted list of subgraphs."""
-        return cls(list(samples), pe_kind=pe_kind, design=design, cache=cache)
+        return cls(list(samples), pe_kind=pe_kind, cache=cache)
 
     @classmethod
     def from_links(cls, graph: CircuitGraph, links: Sequence[Link], *,
                    hops: int = 1, max_nodes_per_hop: int | None = None,
                    add_target_edge: bool = True, targets: Sequence[float] | None = None,
-                   pe_kind: str | None = "dspd", design: str | None = None,
-                   cache: PECache | None = None, seed: int = 0,
+                   pe_kind: str | None = "dspd", cache: PECache | None = None,
+                   seed: int = 0,
                    memoize: bool = False, fanouts=None) -> "SubgraphDataset":
         """Lazy dataset: one enclosing subgraph per link, extracted on demand.
 
@@ -333,14 +329,12 @@ class SubgraphDataset:
         per-hop frontier expansion (its length overrides ``hops``).
         """
         links = list(links)
-        design = design if design is not None else graph.name
         sampler = _LinkSampler(graph, links, hops=hops,
                                max_nodes_per_hop=max_nodes_per_hop,
                                add_target_edge=add_target_edge,
-                               targets=targets, design=design, seed=seed,
-                               fanouts=fanouts)
+                               targets=targets, seed=seed, fanouts=fanouts)
         dataset = cls(factory=sampler, length=len(links), pe_kind=pe_kind,
-                      design=design, cache=cache, memoize=memoize)
+                      cache=cache, memoize=memoize)
         dataset._block_factory = sampler.block
         dataset._labels = np.array([l.label for l in links], dtype=FLOAT64)
         if targets is not None:
@@ -372,48 +366,37 @@ class SubgraphDataset:
         if self._samples is not None:
             sample = self._samples[index]
         elif index in self._memo:
-            # Non-memoizing datasets hand prefetched samples out exactly once,
-            # so prefetch buffers never outlive the batch that consumes them.
-            sample = self._memo[index] if self._memoize else self._memo.pop(index)
+            sample = self._memo[index]
         else:
             sample = self._factory(index)
             if self._memoize:
                 self._memo[index] = sample
         if self.pe_kind is not None and sample.pe is None:
-            attach_pe_batch([sample], self.pe_kind, design=self.design, cache=self.cache)
+            attach_pe_batch([sample], self.pe_kind, cache=self.cache)
         return sample
 
-    def prefetch(self, indices) -> None:
-        """Extract (and PE-encode) a block of lazy samples in one batched pass.
+    def take(self, indices):
+        """The samples at ``indices``, ready for ``collate``.
 
-        Used by :class:`DataLoader` before collating each batch: link-backed
-        datasets extract all requested subgraphs with the batched CSR sampler
-        (:func:`repro.graph.extract_enclosing_subgraphs`) and encode the PE
-        cache misses together via :func:`attach_pe_batch`, instead of looping
-        per index.  Subset views forward to their parent; materialized
-        datasets and plain factories are a no-op, so calling this is always
-        safe.  Prefetched blocks equal the samples of ``dataset[i]`` except
-        for the RNG stream used when hub-node subsampling
-        (``max_nodes_per_hop``) triggers.
+        A link-backed lazy dataset extracts the indices it does not hold
+        yet as one block and attaches its PE in one pass; when that is all
+        of them, the block itself is returned.  Otherwise, and for every
+        other dataset, the result is a list of subgraphs.  Subset views
+        forward to their parent.
         """
-        if self._samples is not None:
-            return
-        if self._prefetch_parent is not None:
-            parent, mapping = self._prefetch_parent
-            parent.prefetch([int(mapping[int(i)]) for i in indices])
-            return
-        if self._block_factory is None:
-            return
-        todo = [int(i) for i in indices if int(i) not in self._memo]
-        if not todo:
-            return
-        blocks = self._block_factory(todo)
-        for index, sample in zip(todo, blocks):
-            self._memo[index] = sample
+        indices = [int(i) for i in indices]
+        if self._parent is not None:
+            parent, mapping = self._parent
+            return parent.take([int(mapping[i]) for i in indices])
+        todo = [i for i in indices if i not in self._memo]
+        if self._block_factory is None or not todo:
+            return [self[i] for i in indices]
+        block = self._block_factory(todo)
         if self.pe_kind is not None:
-            pending = [s for s in blocks if s.pe is None]
-            if pending:
-                attach_pe_batch(pending, self.pe_kind, design=self.design, cache=self.cache)
+            attach_pe_batch(block, self.pe_kind, cache=self.cache)
+        if self._memoize:
+            self._memo.update(zip(todo, block))
+        return block if len(todo) == len(indices) else [self[i] for i in indices]
 
     def absorb(self, indices, samples: Sequence[Subgraph]) -> None:
         """Store externally materialized samples in the memo (if memoizing).
@@ -429,8 +412,8 @@ class SubgraphDataset:
         """
         if self._samples is not None:
             return
-        if self._prefetch_parent is not None:
-            parent, mapping = self._prefetch_parent
+        if self._parent is not None:
+            parent, mapping = self._parent
             parent.absorb([int(mapping[int(i)]) for i in indices], samples)
             return
         if not self._memoize:
@@ -474,12 +457,12 @@ class SubgraphDataset:
                              dtype=np.int64)
         if self._samples is not None:
             view = SubgraphDataset([self._samples[i] for i in indices], pe_kind=self.pe_kind,
-                                   design=self.design, cache=self.cache)
+                                   cache=self.cache)
         else:
             view = SubgraphDataset(factory=_SubsetSampler(self, indices),
                                    length=len(indices), pe_kind=None,
-                                   design=self.design, cache=self.cache, memoize=False)
-            view._prefetch_parent = (self, indices)
+                                   cache=self.cache, memoize=False)
+            view._parent = (self, indices)
         for name in ("_labels", "_targets", "_link_types"):
             values = getattr(self, name, None)
             if values is not None:
@@ -509,16 +492,12 @@ class SubgraphDataset:
         if self._samples is not None:
             return self
         return SubgraphDataset([self[i] for i in range(self._length)], pe_kind=self.pe_kind,
-                               design=self.design, cache=self.cache)
-
-    def to_list(self) -> list[Subgraph]:
-        """Materialize the dataset into a plain list of subgraphs."""
-        return list(self)
+                               cache=self.cache)
 
     def __repr__(self) -> str:
         mode = "materialized" if self._samples is not None else "lazy"
         return (f"SubgraphDataset(len={self._length}, mode={mode}, "
-                f"pe_kind={self.pe_kind!r}, design={self.design!r})")
+                f"pe_kind={self.pe_kind!r})")
 
 
 def as_dataset(data) -> SubgraphDataset:
@@ -536,8 +515,10 @@ def as_dataset(data) -> SubgraphDataset:
 class DataLoader:
     """Shuffling + batching over a :class:`SubgraphDataset`.
 
-    Iterating yields :class:`SubgraphBatch` objects.  The loader keeps its own
-    RNG, so each epoch (each ``__iter__`` call) sees a fresh permutation.
+    Iterating yields :class:`SubgraphBatch` objects: ``collate_fn`` receives
+    each batch's :meth:`SubgraphDataset.take` (a block for lazy link
+    datasets, else a list of subgraphs).  The loader keeps its own RNG, so
+    each epoch (each ``__iter__`` call) sees a fresh permutation.
 
     With ``num_workers > 0`` the per-batch extraction + PE encoding of *lazy*
     datasets is sharded across a ``fork`` process pool
@@ -551,7 +532,7 @@ class DataLoader:
 
     def __init__(self, dataset, batch_size: int = 64, shuffle: bool = True,
                  rng=None, drop_last: bool = False,
-                 collate_fn: Callable[[list[Subgraph]], SubgraphBatch] = collate,
+                 collate_fn: Callable[..., SubgraphBatch] = collate,
                  num_workers: int = 0):
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
@@ -605,5 +586,4 @@ class DataLoader:
                 yield self.collate_fn(samples)
             return
         for chunk in chunks:
-            self.dataset.prefetch(chunk)
-            yield self.collate_fn([self.dataset[int(i)] for i in chunk])
+            yield self.collate_fn(self.dataset.take(chunk))

@@ -225,9 +225,7 @@ def build_link_samples(design: DesignData, config: DataConfig = DataConfig(),
     rng = get_rng(rng if rng is not None else config.seed)
     pipeline = _link_pipeline_for(config, sampling)
     samples = pipeline.run(design.graph, rng=rng)
-    for sample in samples:
-        sample.extras["design"] = design.name
-    attach_pe_batch(samples, pe_kind, design=design.name)
+    attach_pe_batch(samples, pe_kind)
     return samples
 
 
@@ -281,12 +279,11 @@ def build_edge_regression_samples(design: DesignData, config: DataConfig = DataC
     _, seeds = pipeline(design.graph, SeedBatch(positives=positives), rng=rng)
     if seeds.subgraphs is None:
         raise ValueError("edge-regression sampling pipeline has no extraction stage")
-    links, samples = seeds.links, seeds.subgraphs
+    links, samples = seeds.links, list(seeds.subgraphs)
     for link, subgraph in zip(links, samples):
         subgraph.target = normalizer.normalize(link.capacitance)
-        subgraph.extras["design"] = design.name
         subgraph.extras["capacitance_farad"] = link.capacitance
-    attach_pe_batch(samples, pe_kind, design=design.name)
+    attach_pe_batch(samples, pe_kind)
     order = rng.permutation(len(samples))
     return [samples[i] for i in order]
 
@@ -345,11 +342,10 @@ def build_node_regression_samples(design: DesignData, config: DataConfig = DataC
     if seeds.subgraphs is None:
         raise ValueError("node-regression sampling pipeline has no extraction stage")
     nodes = [] if seeds.nodes is None else [int(n) for n in seeds.nodes]
-    samples = seeds.subgraphs
+    samples = list(seeds.subgraphs)
     for node, subgraph in zip(nodes, samples):
-        subgraph.extras["design"] = design.name
         subgraph.extras["node"] = node
         subgraph.extras["capacitance_farad"] = design.graph.node_ground_caps[node]
-    attach_pe_batch(samples, pe_kind, design=design.name)
+    attach_pe_batch(samples, pe_kind)
     order = rng.permutation(len(samples))
     return [samples[i] for i in order]

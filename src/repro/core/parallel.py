@@ -12,9 +12,9 @@ the one place that knows how to fan either out across processes:
   inherited through ``fork`` instead of being pickled per task; only results
   travel back through pickling.
 * :func:`map_dataset_chunks` — the :class:`~repro.core.data.DataLoader`
-  worker path: each chunk of dataset indices is prefetched (batched CSR
-  extraction + batched PE) and materialized inside a worker, and the parent
-  collates the returned samples in the original chunk order.
+  worker path: each chunk of dataset indices is materialized inside a worker
+  (one batched CSR extraction + batched PE block for lazy datasets), and the
+  parent collates the returned samples in the original chunk order.
 * :func:`resolve_workers` / :func:`fork_available` / :func:`in_worker` — the
   shared policy helpers.  ``workers <= 1``, single-item workloads, platforms
   without ``fork`` and nested calls (a worker asking for its own pool) all
@@ -168,28 +168,19 @@ def parallel_imap(fn: Callable[[T], R], items: Sequence[T],
         _TASK = None
 
 
-def _materialize_chunk(task: tuple) -> list:
-    """Prefetch + materialize one chunk of dataset indices (worker body)."""
-    dataset, chunk = task
-    dataset.prefetch(chunk)
-    return [dataset[int(index)] for index in chunk]
-
-
 def map_dataset_chunks(dataset, chunks: Sequence[Sequence[int]],
                        workers: int | None = None):
     """Materialize chunks of dataset indices, one worker per in-flight chunk.
 
-    Each chunk runs the exact serial recipe —
-    ``dataset.prefetch(chunk)`` then ``dataset[i]`` per index — inside a
-    worker, so the returned samples (including positional encodings) are
-    identical to the serial path; only the wall-clock differs.  The dataset
+    Each chunk runs the exact serial recipe — ``dataset.take(chunk)`` —
+    inside a worker, so the returned samples (including positional
+    encodings) are identical to the serial path; only the wall-clock differs.  The dataset
     reaches the workers via ``fork`` inheritance, so lazy datasets with
     unpicklable collate hooks still parallelise.  Chunks are *streamed*
     (:func:`parallel_imap`) in order: the consumer holds one chunk while the
     pool extracts the next ones, instead of buffering the whole epoch.
     """
-    return parallel_imap(_materialize_chunk, [(dataset, chunk) for chunk in chunks],
-                         workers=workers)
+    return parallel_imap(dataset.take, chunks, workers=workers)
 
 
 def default_worker_count(cap: int = 8) -> int:

@@ -9,10 +9,11 @@ a train-once / serve-many engine:
   fine-tuned regression head, converts one-or-many SPICE netlists to
   heterogeneous graphs, and streams all candidate links through
   :class:`~repro.core.data.SubgraphDataset` / :class:`~repro.core.data.DataLoader`
-  in large batches.  Subgraph extraction runs on the batched CSR sampler and
-  positional encodings go through one shared :class:`~repro.core.data.PECache`,
-  so annotating many netlists (or re-annotating a revised netlist) never
-  recomputes what it has already seen.
+  in large batches.  Each chunk of candidates is extracted as one block by
+  the batched CSR sampler and forwarded as it is; positional encodings go
+  through one shared :class:`~repro.core.data.PECache` keyed by subgraph
+  content, so a subgraph seen in any earlier netlist, request or revision
+  never has its PE recomputed.
 * :class:`NetlistAnnotation` — the structured result for one netlist:
   per-pair records, summary statistics, JSON serialisation and an annotated
   (flattened) SPICE netlist with the predicted couplings appended as
@@ -50,7 +51,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from ..graph import Subgraph, collate, netlist_to_graph
+from ..graph import SubgraphBatch, collate, netlist_to_graph
 from ..graph.hetero import (
     LINK_NET_NET,
     LINK_PIN_NET,
@@ -126,14 +127,16 @@ def affected_names(old_flat: Circuit, delta: NetlistDelta, new_graph: CircuitGra
     changed endpoint), and the edges before that point exist after the
     change too.  So the post-change graph alone finds every affected node.
     """
-    changed: set[str] = set(delta.touched_nets(old_flat))
     removed = set(delta.remove_devices)
-    changed |= removed
+    changed: set[str] = set(removed)
+    # One walk over the old devices collects the removed ones' nets and pins.
     for device in old_flat.devices:
         if device.name in removed:
+            changed.update(device.nets)
             changed.update(f"{device.name}:{terminal}" for terminal in device.terminals)
     for device in delta.add_devices:
         changed.add(device.name)
+        changed.update(device.nets)
         changed.update(f"{device.name}:{terminal}" for terminal in device.terminals)
     anchor_ids = sorted(new_graph.node_index(name) for name in changed
                         if new_graph.has_node(name))
@@ -402,8 +405,7 @@ class AnnotationEngine:
         return SubgraphDataset.from_links(
             graph, links, hops=self.config.data.hops,
             max_nodes_per_hop=self.config.data.max_nodes_per_hop,
-            pe_kind=self.link_model.pe_kind, design=graph.name,
-            cache=self.cache, seed=int(seed),
+            pe_kind=self.link_model.pe_kind, cache=self.cache, seed=int(seed),
         )
 
     def request_chunks(self, num_links: int) -> list[list[int]]:
@@ -411,11 +413,9 @@ class AnnotationEngine:
         return [list(range(start, min(start + self.batch_size, num_links)))
                 for start in range(0, num_links, self.batch_size)]
 
-    def extract_chunk(self, dataset: SubgraphDataset, indices) -> list[Subgraph]:
-        """Materialize one chunk exactly as the serial loader does."""
-        indices = [int(i) for i in indices]
-        dataset.prefetch(indices)
-        return [dataset[i] for i in indices]
+    def extract_chunk(self, dataset: SubgraphDataset, indices) -> SubgraphBatch:
+        """One chunk as the serial loader extracts it: one block, PE attached."""
+        return dataset.take(indices)
 
     def predict_batch(self, batch) -> tuple[np.ndarray, np.ndarray]:
         """Forward one collated batch under the serving dtype policy."""
@@ -427,12 +427,12 @@ class AnnotationEngine:
         self._subgraphs += (batch.distinct().count, batch.num_graphs)
         return probs, caps
 
-    def predict_samples(self, samples: Sequence[Subgraph]
-                        ) -> tuple[np.ndarray, np.ndarray]:
-        """Collate + forward a list of subgraphs (possibly from many requests)."""
-        if not samples:
+    def predict_samples(self, samples) -> tuple[np.ndarray, np.ndarray]:
+        """Collate + forward a block, ``(block, index)`` pairs (possibly from
+        many requests' blocks) or a list of subgraphs."""
+        if not len(samples):
             return np.zeros(0), np.zeros(0)
-        return self.predict_batch(collate(list(samples)))
+        return self.predict_batch(collate(samples))
 
     def build_records(self, pairs: Sequence[tuple[str, str]], links: Sequence[Link],
                       probs: np.ndarray, caps_norm: np.ndarray,
@@ -681,9 +681,9 @@ class AnnotationEngine:
         Affected pairs are re-scored on the new graph; unaffected records
         are carried over verbatim (byte-identical to a full re-annotation);
         pairs whose anchors were removed are dropped; ``extra_pairs``
-        (e.g. candidates on newly added nets) are appended.  The design's
-        :class:`~repro.core.data.PECache` entries are invalidated — the
-        delta shifts the global node ids they are keyed by.
+        (e.g. candidates on newly added nets) are appended.  The
+        :class:`~repro.core.data.PECache` stays valid across the delta: its
+        keys are subgraph content, not node ids.
         """
         start = time.perf_counter()
         if prev_report.circuit is None:
@@ -699,7 +699,6 @@ class AnnotationEngine:
         affected: set[str] = set()
         if not delta.is_empty:
             affected = affected_names(old_flat, delta, new_graph, self.config.data.hops)
-            self.cache.invalidate_design(prev_report.design)
         merged: list[dict | None] = []
         stale_positions: list[int] = []
         stale_pairs: list[tuple[str, str]] = []

@@ -192,8 +192,8 @@ class AnnotationServer:
     # Shared-batch inference
     # ------------------------------------------------------------------ #
     def _run_batch(self, samples: list) -> list[tuple[float, float]]:
-        """Forward one coalesced batch of extracted
-        :class:`~repro.graph.Subgraph` samples on the compute thread."""
+        """Forward one coalesced batch of ``(block, index)`` samples (from
+        one or more requests' blocks) on the compute thread."""
         probs, caps = self.engine.predict_samples(samples)
         return list(zip(np.asarray(probs, dtype=float).tolist(),
                         np.asarray(caps, dtype=float).tolist()))
@@ -243,10 +243,12 @@ class AnnotationServer:
             dataset = self.engine.request_dataset(graph, links, seed=seed)
             # Serial chunks (one hub-subsampling RNG stream each), then one
             # submit, so the request never waits one batch window per chunk.
+            # Each link is one batcher item: its chunk's block and position.
             samples = []
             for chunk in self.engine.request_chunks(len(links)):
-                samples += await loop.run_in_executor(
+                block = await loop.run_in_executor(
                     self._executor, self.engine.extract_chunk, dataset, chunk)
+                samples.extend((block, index) for index in range(len(block)))
             results = await self._batcher.submit(samples)
             probs = np.array([result[0] for result in results], dtype=float)
             caps = np.array([result[1] for result in results], dtype=float)

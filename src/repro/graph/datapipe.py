@@ -43,8 +43,8 @@ from .negative import (
     permute_negative_links,
     stratified_negative_links,
 )
+from .batch import Subgraph, SubgraphBatch
 from .sampling import (
-    Subgraph,
     balance_links,
     extract_enclosing_subgraphs,
     extract_node_subgraphs,
@@ -82,7 +82,8 @@ class SeedBatch:
     optional ``targets``; node tasks); negative stages append to
     ``negatives`` (and ``conditioned`` for the conditioned samplers);
     :class:`InjectStage` flips ``injected``; :class:`FanoutStage` records the
-    per-hop ``fanouts`` plan; extraction stages produce ``subgraphs``.
+    per-hop ``fanouts`` plan; extraction stages produce ``subgraphs`` (one
+    block, which :class:`ShuffleStage` turns into a list of subgraphs).
     """
 
     def __init__(self, positives=None, negatives=None, nodes=None, targets=None,
@@ -95,7 +96,7 @@ class SeedBatch:
         self.conditioned = list(conditioned) if conditioned is not None else []
         self.fanouts = normalize_fanouts(fanouts)
         self.injected = bool(injected)
-        self.subgraphs: list[Subgraph] | None = subgraphs
+        self.subgraphs: SubgraphBatch | list[Subgraph] | None = subgraphs
 
     @property
     def links(self) -> list[Link]:
@@ -372,9 +373,9 @@ class EnclosingExtractStage(SamplerStage):
             fanouts = seeds.fanouts
         return bool(add_target), fanouts
 
-    def extract_many(self, graph, links, *, rng=None, seeds=None) -> list[Subgraph]:
-        """Extract an explicit link list in one batch (the lazy-dataset driver;
-        one link is a one-element list)."""
+    def extract_many(self, graph, links, *, rng=None, seeds=None) -> SubgraphBatch:
+        """Extract an explicit link list as one block (what the lazy dataset
+        calls; one link is a one-element block)."""
         add_target, fanouts = self._resolve(seeds)
         return extract_enclosing_subgraphs(
             graph, links, hops=self.hops, max_nodes_per_hop=self.max_nodes_per_hop,
@@ -412,23 +413,22 @@ class NodeExtractStage(SamplerStage):
 class AttachPEStage(SamplerStage):
     """Attach positional encodings to the extracted subgraphs (cache-backed)."""
 
-    def __init__(self, pe_kind: str = "dspd", design: str | None = None):
-        super().__init__(pe_kind=pe_kind, design=design)
+    def __init__(self, pe_kind: str = "dspd"):
+        super().__init__(pe_kind=pe_kind)
         self.pe_kind = str(pe_kind)
-        self.design = design
 
     def apply(self, graph, seeds, *, rng):
         if seeds.subgraphs:
             from ..core.data import attach_pe_batch
 
-            design = self.design if self.design is not None else graph.name
-            attach_pe_batch(seeds.subgraphs, self.pe_kind, design=design)
+            attach_pe_batch(seeds.subgraphs, self.pe_kind)
         return graph, seeds
 
 
 @SAMPLERS.register("shuffle")
 class ShuffleStage(SamplerStage):
-    """Shuffle the extracted subgraphs (one ``rng.permutation`` draw)."""
+    """Shuffle the extracted subgraphs into a list (one ``rng.permutation``
+    draw)."""
 
     def __init__(self):
         super().__init__()
@@ -503,14 +503,14 @@ class SamplingPipeline:
         return graph, seeds
 
     def run(self, graph: CircuitGraph, seeds=None, *, rng=None) -> list[Subgraph]:
-        """Run every stage and return the extracted subgraphs."""
+        """Run every stage and return the extracted subgraphs as a list."""
         _, seeds = self(graph, seeds, rng=rng)
         if seeds.subgraphs is None:
             raise ValueError(
                 "sampling pipeline produced no subgraphs — it needs an "
                 "extraction stage ('enclosing' or 'node')"
             )
-        return seeds.subgraphs
+        return list(seeds.subgraphs)
 
     def __len__(self) -> int:
         return len(self.stages)

@@ -15,12 +15,13 @@ Implements every encoding compared in Table II:
   (the configuration Observation 1 warns about).
 * ``none``  – no positional encoding.
 
-Each registered encoding takes a :class:`~repro.graph.sampling.Subgraph` and
+Each registered encoding takes a :class:`~repro.graph.batch.Subgraph` and
 returns a float array of shape ``(num_nodes, dim)``.  :func:`compute_pe_batch`
-is the one entry point that fills ``Subgraph.pe``: ``dspd`` and ``drnl`` run
-as two multi-source BFS sweeps over the block-diagonal union of a whole batch
-(the single-subgraph functions are that batch of one), and every other kind
-dispatches through :data:`repro.api.ENCODINGS`.
+is the one entry point over a block (:class:`~repro.graph.batch.SubgraphBatch`)
+and returns one ``(N, dim)`` array: ``dspd`` and ``drnl`` run as two
+multi-source BFS sweeps over the block's edges as they are (the
+single-subgraph functions are that block of one), and every other kind runs
+its :data:`repro.api.ENCODINGS` entry on each ``block[i]``.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 
 from ..api.registries import ENCODINGS
 from ..nn.dtypes import FLOAT64
-from .sampling import Subgraph
+from .batch import Subgraph, SubgraphBatch, collate
 
 __all__ = [
     "PE_KINDS",
@@ -81,7 +82,7 @@ def dspd_encoding(subgraph: Subgraph, max_distance: int = DSPD_MAX_DISTANCE) -> 
     For node-level subgraphs the two anchors coincide and ``D0 == D1``,
     exactly as described in Section IV-D.
     """
-    return _dspd_encoding_batch([subgraph], max_distance)[0]
+    return _dspd_encoding_batch(collate([subgraph]), max_distance)
 
 
 def drnl_encoding(subgraph: Subgraph, max_label: int = DRNL_MAX_LABEL) -> np.ndarray:
@@ -90,7 +91,7 @@ def drnl_encoding(subgraph: Subgraph, max_label: int = DRNL_MAX_LABEL) -> np.nda
     ``label(i) = 1 + min(dx, dy) + (d // 2) * (d // 2 + d % 2 - 1)`` with
     ``d = dx + dy``; the two anchors get label 1, unreachable nodes label 0.
     """
-    return _drnl_encoding_batch([subgraph], max_label)[0]
+    return _drnl_encoding_batch(collate([subgraph]), max_label)
 
 
 def rwse_encoding(subgraph: Subgraph, steps: int = RWSE_STEPS) -> np.ndarray:
@@ -174,28 +175,23 @@ def pe_dim(kind: str, stats_dim: int = 13) -> int:
     return int(dim)
 
 
-def _batched_anchor_distances(subgraphs: list[Subgraph], unreachable: int,
+def _batched_anchor_distances(block: SubgraphBatch, unreachable: int,
                               max_distance: int | None = None
-                              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """BFS distances to both anchors for a whole batch of subgraphs.
+                              ) -> tuple[np.ndarray, np.ndarray]:
+    """BFS distances to both anchors for every node of a block.
 
-    The subgraphs are stacked into one block-diagonal graph (the `collate`
-    idiom); because the components are disjoint, a single multi-source BFS
-    from all first anchors gives every node the distance to *its own*
-    subgraph's anchor.  Each BFS level relaxes the whole stacked half-edge
-    list at once, so the cost is a handful of array operations per level,
-    whatever the batch size.  Returns ``(d0, d1, offsets)`` over the
-    stacked node set.
+    The block is one block-diagonal graph; because its components are
+    disjoint, a single multi-source BFS from all first anchors gives every
+    node the distance to *its own* subgraph's anchor.  Each BFS level
+    relaxes the block's whole half-edge list at once, so the cost is a
+    handful of array operations per level, whatever the block size.
+    Returns ``(d0, d1)`` over the block's node rows.
     """
-    sizes = np.array([s.num_nodes for s in subgraphs], dtype=np.int64)
-    offsets = np.cumsum(sizes) - sizes
-    total = int(sizes.sum())
-    edges = [s.edge_index + offset for s, offset in zip(subgraphs, offsets) if s.edge_index.size]
-    src, dst = (np.concatenate(edges, axis=1) if edges else np.zeros((2, 0), dtype=np.int64))
+    total = block.num_nodes
+    src, dst = block.edge_index
     src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
-    anchors = np.array([s.anchors for s in subgraphs], dtype=np.int64) + offsets[:, None]
     distances = []
-    for sources in anchors.T:
+    for sources in block.anchors.T:
         distance = np.full(total, unreachable, dtype=np.int64)
         reached = np.zeros(total, dtype=bool)
         distance[sources] = 0
@@ -213,65 +209,55 @@ def _batched_anchor_distances(subgraphs: list[Subgraph], unreachable: int,
             frontier = np.zeros(total, dtype=bool)
             frontier[hit] = True
         distances.append(distance)
-    return distances[0], distances[1], np.concatenate([offsets, [total]])
+    return distances[0], distances[1]
 
 
-def _dspd_encoding_batch(subgraphs: list[Subgraph],
-                         max_distance: int = DSPD_MAX_DISTANCE) -> list[np.ndarray]:
-    d0, d1, bounds = _batched_anchor_distances(subgraphs, unreachable=max_distance + 1,
-                                               max_distance=max_distance)
+def _dspd_encoding_batch(block: SubgraphBatch,
+                         max_distance: int = DSPD_MAX_DISTANCE) -> np.ndarray:
+    d0, d1 = _batched_anchor_distances(block, unreachable=max_distance + 1,
+                                       max_distance=max_distance)
     d0 = np.minimum(d0, max_distance)
     d1 = np.minimum(d1, max_distance)
-    stacked = np.concatenate([_one_hot(d0, max_distance + 1),
-                              _one_hot(d1, max_distance + 1)], axis=1)
-    # Copies, not views: callers cache these per-subgraph, and a view would
-    # pin the whole stacked batch array for as long as any one entry lives.
-    return [stacked[bounds[i]:bounds[i + 1]].copy() for i in range(len(subgraphs))]
+    return np.concatenate([_one_hot(d0, max_distance + 1),
+                           _one_hot(d1, max_distance + 1)], axis=1)
 
 
-def _drnl_encoding_batch(subgraphs: list[Subgraph],
-                         max_label: int = DRNL_MAX_LABEL) -> list[np.ndarray]:
+def _drnl_encoding_batch(block: SubgraphBatch,
+                         max_label: int = DRNL_MAX_LABEL) -> np.ndarray:
     big = 10 ** 6
-    dx, dy, bounds = _batched_anchor_distances(subgraphs, unreachable=big)
+    dx, dy = _batched_anchor_distances(block, unreachable=big)
     d = dx + dy
     hashed = 1 + np.minimum(dx, dy) + (d // 2) * (d // 2 + d % 2 - 1)
     labels = np.where((dx < big) & (dy < big), hashed, 0)
-    for i, subgraph in enumerate(subgraphs):
-        labels[bounds[i] + np.array(subgraph.anchors)] = 1
+    labels[block.anchors.ravel()] = 1
     labels = np.minimum(labels, max_label - 1)
-    stacked = _one_hot(labels, max_label)
-    # Copies, not views (see _dspd_encoding_batch).
-    return [stacked[bounds[i]:bounds[i + 1]].copy() for i in range(len(subgraphs))]
+    return _one_hot(labels, max_label)
 
 
 _BATCHED = {"dspd": _dspd_encoding_batch, "drnl": _drnl_encoding_batch}
 
 
-def compute_pe_batch(subgraphs: list[Subgraph], kind: str = "dspd") -> list[np.ndarray]:
-    """Compute one PE per subgraph and store it on each ``subgraph.pe``.
+def compute_pe_batch(block: SubgraphBatch, kind: str = "dspd") -> np.ndarray:
+    """The ``(N, dim)`` PE of every node row of ``block``.
 
     The BFS-based encodings (``dspd``, ``drnl``) run as two multi-source BFS
-    sweeps over the block-diagonal union of all subgraphs; every other kind
-    (custom registrations included) runs its :data:`repro.api.ENCODINGS`
-    entry per subgraph.  Unknown kinds raise a ``ValueError`` listing the
-    registered ones.
+    sweeps over the whole block; every other kind (custom registrations
+    included) runs its :data:`repro.api.ENCODINGS` entry on each
+    ``block[i]``.  Unknown kinds raise a ``ValueError`` listing the
+    registered ones.  The block itself is left unchanged.
     """
     kind = kind.lower()
-    if not subgraphs:
-        return []
     if kind in _BATCHED:
-        encodings = _BATCHED[kind](subgraphs)
-    else:
-        encoder = ENCODINGS.get(kind)
-        encodings = [np.asarray(encoder(subgraph), dtype=FLOAT64) for subgraph in subgraphs]
-    for subgraph, encoding in zip(subgraphs, encodings):
-        subgraph.pe = encoding
-    return encodings
+        return _BATCHED[kind](block)
+    encoder = ENCODINGS.get(kind)
+    return np.concatenate([np.asarray(encoder(subgraph), dtype=FLOAT64)
+                           for subgraph in block])
 
 
 def compute_pe(subgraph: Subgraph, kind: str = "dspd") -> np.ndarray:
     """Compute the requested PE for one subgraph and cache it on ``subgraph.pe``."""
-    return compute_pe_batch([subgraph], kind)[0]
+    subgraph.pe = compute_pe_batch(collate([subgraph]), kind)
+    return subgraph.pe
 
 
 def none_encoding(subgraph: Subgraph) -> np.ndarray:

@@ -13,22 +13,23 @@ them into pipelines.
   and ``h = 2`` for node-level tasks.
 
 Extraction is batched only: :func:`extract_enclosing_subgraphs` and
-:func:`extract_node_subgraphs` take a list of seeds and expand all of them in
-one pass; one subgraph is a one-element list.
+:func:`extract_node_subgraphs` take a list of seeds, expand all of them in
+one pass and return the flat arrays they built as one
+:class:`~repro.graph.batch.SubgraphBatch` block (flat node ids, node and edge
+offsets, local edges, edge types and anchors).  ``block[i]`` is seed ``i``'s
+:class:`~repro.graph.batch.Subgraph`; one subgraph is a one-element block.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..utils.rng import get_rng
 from ..nn.dtypes import FLOAT64
+from .batch import SubgraphBatch
 from .hetero import LINK_TYPE_NAMES, CircuitGraph, Link
 
 __all__ = [
-    "Subgraph",
     "normalize_fanouts",
     "balance_links",
     "inject_link_edges",
@@ -36,48 +37,6 @@ __all__ = [
     "extract_node_subgraphs",
     "link_type_histogram",
 ]
-
-
-@dataclass
-class Subgraph:
-    """A sampled enclosing subgraph around one or two anchor nodes.
-
-    All arrays are *local* to the subgraph; ``node_ids`` maps back to the host
-    graph.  ``anchors`` holds the local indices of the target link's endpoints
-    (twice the same index for node-level targets).
-    """
-
-    node_ids: np.ndarray          # (N,) global node indices
-    node_types: np.ndarray        # (N,) node-type codes
-    edge_index: np.ndarray        # (2, E) local undirected edges
-    edge_types: np.ndarray        # (E,) edge-type codes
-    anchors: tuple[int, int]      # local indices of the anchor nodes
-    label: float = 0.0            # link existence (classification target)
-    target: float = 0.0           # capacitance (regression target)
-    link_type: int = -1
-    node_stats: np.ndarray | None = None   # (N, d_C) slice of X_C
-    pe: np.ndarray | None = None  # positional encoding, filled by encodings.py
-    extras: dict = field(default_factory=dict)
-
-    @property
-    def num_nodes(self) -> int:
-        """Number of nodes in the subgraph."""
-        return int(self.node_ids.shape[0])
-
-    @property
-    def num_edges(self) -> int:
-        """Number of (undirected) subgraph edges."""
-        return int(self.edge_index.shape[1])
-
-    def validate(self) -> None:
-        """Check structural invariants; raises ``ValueError`` on violation."""
-        n = self.num_nodes
-        if self.edge_index.size and (self.edge_index.min() < 0 or self.edge_index.max() >= n):
-            raise ValueError("subgraph edge_index out of range")
-        if not (0 <= self.anchors[0] < n and 0 <= self.anchors[1] < n):
-            raise ValueError("anchor index out of range")
-        if self.node_stats is not None and self.node_stats.shape[0] != n:
-            raise ValueError("node_stats rows do not match subgraph size")
 
 
 # --------------------------------------------------------------------------- #
@@ -167,8 +126,8 @@ _EXTRACT_CELL_BUDGET = 8_000_000
 
 def _extract_many(graph: CircuitGraph, src: np.ndarray, dst: np.ndarray, hops: int,
                   max_nodes_per_hop: int | None, rng, single_anchor: bool,
-                  fanouts: tuple | None = None
-                  ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+                  fanouts: tuple | None = None,
+                  target_types: np.ndarray | None = None) -> SubgraphBatch:
     """Extract the h-hop subgraphs of many ``(src, dst)`` anchor pairs at once.
 
     Every per-hop expansion runs over the concatenated frontiers of *all*
@@ -177,8 +136,10 @@ def _extract_many(graph: CircuitGraph, src: np.ndarray, dst: np.ndarray, hops: i
     resolved through dense per-chunk masks — pure index arithmetic, amortising
     the numpy call overhead across the whole batch (the graphbolt idiom).
 
-    Returns one ``(node_ids, local_edge_index, edge_types)`` triple per query,
-    with the anchors first and the remaining nodes in ascending global order.
+    Returns one block, each subgraph listing its anchors first and the
+    remaining nodes in ascending global order.  ``target_types`` appends an
+    anchor-to-anchor edge of that type to the end of each subgraph's edges.
+    Labels, targets and link types are left for the caller to fill.
     """
     csr = graph.csr
     num_queries = src.shape[0]
@@ -227,8 +188,8 @@ def _extract_many(graph: CircuitGraph, src: np.ndarray, dst: np.ndarray, hops: i
     if not single_anchor:
         local_map[query_range, dst] = 1
 
-    node_ids_flat = np.empty(v_node.size, dtype=np.int64)
-    node_ids_flat[seg_offsets[v_query] + local_map[v_query, v_node]] = v_node
+    node_ids = np.empty(v_node.size, dtype=np.int64)
+    node_ids[seg_offsets[v_query] + local_map[v_query, v_node]] = v_node
 
     # Induced edges: one ragged gather over every (query, node) pair; an edge
     # survives when its far endpoint is in the same query's node set.  Each
@@ -249,28 +210,39 @@ def _extract_many(graph: CircuitGraph, src: np.ndarray, dst: np.ndarray, hops: i
     edge_keys = np.sort(edge_keys)
     ee_query, ee_id = edge_keys // num_edges, edge_keys % num_edges
     edge_counts = np.bincount(ee_query, minlength=num_queries)
-    local_src = local_map[ee_query, graph.edge_index[0][ee_id]].astype(np.int64)
-    local_dst = local_map[ee_query, graph.edge_index[1][ee_id]].astype(np.int64)
+    local_edges = np.stack([local_map[ee_query, graph.edge_index[0][ee_id]],
+                            local_map[ee_query, graph.edge_index[1][ee_id]]]).astype(np.int64)
     edge_types = graph.edge_types[ee_id]
+    if target_types is not None:
+        ends = np.cumsum(edge_counts)
+        local_edges = np.insert(local_edges, ends, [[0], [1]], axis=1)
+        edge_types = np.insert(edge_types, ends, target_types)
+        edge_counts = edge_counts + 1
 
-    node_splits = np.cumsum(node_counts)[:-1]
-    edge_splits = np.cumsum(edge_counts)[:-1]
-    per_query_nodes = np.split(node_ids_flat, node_splits)
-    per_query_src = np.split(local_src, edge_splits)
-    per_query_dst = np.split(local_dst, edge_splits)
-    per_query_types = np.split(edge_types, edge_splits)
-    return [
-        (per_query_nodes[q],
-         np.stack([per_query_src[q], per_query_dst[q]]),
-         per_query_types[q].copy())
-        for q in range(num_queries)
-    ]
+    edge_query = np.repeat(query_range, edge_counts)
+    anchors = np.array([0, 0] if single_anchor else [0, 1], dtype=np.int64)
+    return SubgraphBatch(
+        node_types=graph.node_types[node_ids],
+        edge_index=local_edges + seg_offsets[edge_query],
+        edge_types=edge_types,
+        batch=v_query,
+        anchors=seg_offsets[:, None] + anchors,
+        pe=None,
+        node_stats=(np.zeros((node_ids.size, 0)) if graph.node_stats is None
+                    else graph.node_stats[node_ids]),
+        labels=np.zeros(num_queries, dtype=FLOAT64),
+        targets=np.zeros(num_queries, dtype=FLOAT64),
+        link_types=np.full(num_queries, -1, dtype=np.int64),
+        node_ids=node_ids,
+    )
 
 
 def _extract_many_chunked(graph: CircuitGraph, src: np.ndarray, dst: np.ndarray,
                           hops: int, max_nodes_per_hop: int | None, rng,
-                          single_anchor: bool, fanouts=None) -> list:
-    """Run :func:`_extract_many` in query chunks bounded by the cell budget.
+                          single_anchor: bool, fanouts=None,
+                          target_types: np.ndarray | None = None) -> SubgraphBatch:
+    """Run :func:`_extract_many` in query chunks bounded by the cell budget
+    and join the chunks' blocks.
 
     Normalises the shared arguments first: ``rng`` through ``get_rng`` and
     ``fanouts`` through :func:`normalize_fanouts` (a plan fixes ``hops``).
@@ -280,35 +252,24 @@ def _extract_many_chunked(graph: CircuitGraph, src: np.ndarray, dst: np.ndarray,
     if fanouts is not None:
         hops = len(fanouts)
     chunk = max(1, _EXTRACT_CELL_BUDGET // max(graph.num_nodes, 1))
-    parts: list = []
-    for start in range(0, src.shape[0], chunk):
-        parts.extend(_extract_many(graph, src[start:start + chunk], dst[start:start + chunk],
-                                   hops, max_nodes_per_hop, rng, single_anchor, fanouts))
-    return parts
-
-
-def _subgraph(graph: CircuitGraph, node_ids: np.ndarray, edge_index: np.ndarray,
-              edge_types: np.ndarray, **fields) -> Subgraph:
-    """A :class:`Subgraph` over ``node_ids`` with the host's per-node slices."""
-    return Subgraph(
-        node_ids=node_ids,
-        node_types=graph.node_types[node_ids].copy(),
-        edge_index=edge_index,
-        edge_types=edge_types,
-        node_stats=None if graph.node_stats is None else graph.node_stats[node_ids].copy(),
-        **fields,
-    )
+    return SubgraphBatch.concat([
+        _extract_many(graph, src[start:start + chunk], dst[start:start + chunk], hops,
+                      max_nodes_per_hop, rng, single_anchor, fanouts,
+                      None if target_types is None else target_types[start:start + chunk])
+        for start in range(0, max(src.shape[0], 1), chunk)
+    ])
 
 
 def extract_enclosing_subgraphs(graph: CircuitGraph, links: list[Link], hops: int = 1,
                                 max_nodes_per_hop: int | None = None,
                                 add_target_edge: bool = True, rng=None,
-                                fanouts=None) -> list[Subgraph]:
+                                fanouts=None) -> SubgraphBatch:
     """Extract the h-hop enclosing subgraph of every link (Definition 1).
 
     All links expand together, so every numpy operation is amortised over
-    the batch.  Each subgraph lists the link's endpoints first (local
-    indices 0 and 1), then the other nodes in ascending global id.
+    the batch, and the result is one block (``block[i]`` is link ``i``'s
+    :class:`~repro.graph.batch.Subgraph`).  Each subgraph lists the link's endpoints first
+    (local indices 0 and 1), then the other nodes in ascending global id.
 
     Parameters
     ----------
@@ -331,47 +292,35 @@ def extract_enclosing_subgraphs(graph: CircuitGraph, links: list[Link], hops: in
         Optional per-hop expansion caps (overrides ``hops`` and
         ``max_nodes_per_hop``; see :func:`normalize_fanouts`).
     """
-    if not links:
-        return []
     src = np.array([l.source for l in links], dtype=np.int64)
     dst = np.array([l.target for l in links], dtype=np.int64)
-    parts = _extract_many_chunked(graph, src, dst, hops, max_nodes_per_hop, rng,
-                                  single_anchor=False, fanouts=fanouts)
-
-    subgraphs = []
-    for link, (node_ids, edge_index, edge_types) in zip(links, parts):
-        if add_target_edge:
-            edge_index = np.concatenate([edge_index, np.array([[0], [1]])], axis=1)
-            edge_types = np.concatenate([edge_types, np.array([link.link_type])])
-        subgraphs.append(_subgraph(
-            graph, node_ids, edge_index, edge_types, anchors=(0, 1),
-            label=float(link.label), target=float(link.capacitance),
-            link_type=int(link.link_type),
-        ))
-    return subgraphs
+    link_types = np.array([l.link_type for l in links], dtype=np.int64)
+    block = _extract_many_chunked(graph, src, dst, hops, max_nodes_per_hop, rng,
+                                  single_anchor=False, fanouts=fanouts,
+                                  target_types=link_types if add_target_edge else None)
+    block.labels = np.array([l.label for l in links], dtype=FLOAT64)
+    block.targets = np.array([l.capacitance for l in links], dtype=FLOAT64)
+    block.link_types = link_types
+    return block
 
 
 def extract_node_subgraphs(graph: CircuitGraph, nodes, hops: int = 2,
                            targets=None, max_nodes_per_hop: int | None = None,
-                           rng=None, fanouts=None) -> list[Subgraph]:
+                           rng=None, fanouts=None) -> SubgraphBatch:
     """Extract the h-hop subgraph around every anchor node (node-level tasks).
 
     Used for ground-capacitance regression (Section IV-D): no negative links
     are injected, a 2-hop neighbourhood is sampled, and the two DSPD anchors
     coincide (``anchors == (0, 0)``), making ``D0 == D1``.  ``targets``
-    aligns one regression target with each node.
+    aligns one regression target with each node.  Returns one block.
     """
     nodes = np.asarray(list(nodes), dtype=np.int64)
-    if nodes.size == 0:
-        return []
-    parts = _extract_many_chunked(graph, nodes, nodes, hops, max_nodes_per_hop, rng,
+    block = _extract_many_chunked(graph, nodes, nodes, hops, max_nodes_per_hop, rng,
                                   single_anchor=True, fanouts=fanouts)
-    targets = np.zeros(nodes.size) if targets is None else np.asarray(targets, dtype=FLOAT64)
-    return [
-        _subgraph(graph, node_ids, edge_index, edge_types, anchors=(0, 0),
-                  label=1.0, target=float(target), link_type=-1)
-        for (node_ids, edge_index, edge_types), target in zip(parts, targets)
-    ]
+    block.labels = np.ones(nodes.size, dtype=FLOAT64)
+    if targets is not None:
+        block.targets = np.array(targets, dtype=FLOAT64)
+    return block
 
 
 def link_type_histogram(links: list[Link]) -> dict[str, int]:

@@ -1,5 +1,7 @@
 """Tests for the dataset/loader subsystem and the positional-encoding cache."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -10,10 +12,26 @@ from repro.core.data import (
     as_dataset,
     attach_pe_batch,
     default_pe_cache,
+    pe_cache_keys,
     set_default_pe_cache,
 )
 from repro.core.datasets import build_link_samples
-from repro.graph import extract_enclosing_subgraphs
+from repro.core.serve import AnnotationEngine
+from repro.graph import (
+    Subgraph,
+    collate,
+    compute_pe_batch,
+    extract_enclosing_subgraphs,
+    extract_node_subgraphs,
+    netlist_to_graph,
+)
+from repro.netlist import Mosfet, ssram
+from tests.oracles.pe_cache_key import pe_cache_key
+
+
+def key_of(subgraph, pe_kind="dspd"):
+    """The cache key of one subgraph."""
+    return pe_cache_keys(collate([subgraph]), pe_kind)[0]
 
 
 @pytest.fixture()
@@ -33,7 +51,7 @@ def fresh_cache():
 class TestPECache:
     def test_put_get_and_hit_counting(self, samples):
         cache = PECache(capacity=8)
-        key = PECache.key_for(samples[0], "dspd")
+        key = key_of(samples[0])
         assert cache.get(key) is None
         cache.put(key, samples[0].pe)
         assert cache.get(key) is samples[0].pe
@@ -42,7 +60,7 @@ class TestPECache:
 
     def test_lru_eviction(self, samples):
         cache = PECache(capacity=2)
-        keys = [PECache.key_for(s, "dspd") for s in samples[:3]]
+        keys = [key_of(s) for s in samples[:3]]
         cache.put(keys[0], samples[0].pe)
         cache.put(keys[1], samples[1].pe)
         cache.get(keys[0])                    # key 0 is now most-recently used
@@ -53,8 +71,8 @@ class TestPECache:
 
     def test_key_distinguishes_topology(self, samples):
         a, b = samples[0], samples[1]
-        assert PECache.key_for(a, "dspd") != PECache.key_for(b, "dspd")
-        assert PECache.key_for(a, "dspd") != PECache.key_for(a, "rwse")
+        assert key_of(a) != key_of(b)
+        assert key_of(a) != key_of(a, "rwse")
 
     def test_byte_budget_evicts_lru_before_entry_cap(self):
         """Regression: eviction used to count entries only, so a few huge
@@ -87,6 +105,15 @@ class TestPECache:
             cache.put(("k", index), np.zeros(10_000, dtype=np.float64))
         assert len(cache) == 4
 
+    def test_key_bytes_count_against_the_budget(self):
+        cache = PECache(capacity=8, capacity_bytes=1000)
+        cache.put(("dspd", 3, b"e" * 400), np.zeros(10))
+        assert cache.size_bytes == 480
+        cache.put(("dspd", 4, b"f" * 400), np.zeros(10))   # 960 bytes: both fit
+        cache.put(("dspd", 5, b"g" * 400), np.zeros(10))   # evicts the first
+        assert len(cache) == 2 and cache.size_bytes == 960
+        assert cache.get(("dspd", 3, b"e" * 400)) is None
+
     def test_clear_resets_byte_accounting(self):
         cache = PECache(capacity=8, capacity_bytes=10_000)
         cache.put(("k",), np.zeros(100, dtype=np.float64))
@@ -97,16 +124,6 @@ class TestPECache:
         with pytest.raises(ValueError):
             PECache(capacity_bytes=0)
 
-    def test_invalidate_design_drops_only_that_design(self):
-        cache = PECache()
-        cache.put(("DESIGN_A", 1, 2), np.zeros(4))
-        cache.put(("DESIGN_A", 3, 4), np.zeros(4))
-        cache.put(("DESIGN_B", 1, 2), np.zeros(4))
-        assert cache.invalidate_design("DESIGN_A") == 2
-        assert cache.get(("DESIGN_B", 1, 2)) is not None
-        assert len(cache) == 1
-        assert cache.size_bytes == 32
-
     def test_attach_pe_hits_on_second_call(self, samples):
         cache = PECache()
         subgraph = samples[0]
@@ -115,7 +132,7 @@ class TestPECache:
         first = subgraph.pe
         subgraph.pe = None
         attach_pe_batch([subgraph], "dspd", cache=cache)
-        assert subgraph.pe is first
+        assert subgraph.pe.tobytes() == first.tobytes()
         assert cache.hits == 1 and cache.misses == 1
 
     def test_attach_pe_batch_mixed_hits(self, samples):
@@ -139,6 +156,108 @@ class TestPECache:
         # Same rng -> identical subgraphs -> every PE comes from the cache.
         assert fresh_cache.hits == misses
         assert fresh_cache.misses == misses
+
+
+@pytest.fixture()
+def twin_blocks():
+    """The same links on an SSRAM and on a renamed copy with one bit-line
+    device resized: identical topology, different statistics."""
+    original = ssram(rows=4, cols=4).flatten()
+    resized = copy.deepcopy(original)
+    resized.name = "RESIZED_COPY"
+    device = next(d for d in resized.devices if isinstance(d, Mosfet) and "BL0" in d.nets)
+    device.width *= 4.0
+    blocks = []
+    for circuit in (original, resized):
+        graph = netlist_to_graph(circuit)
+        links = AnnotationEngine.links_for_pairs(
+            graph, [("BL0", "BL1"), ("BL0", "WL0"), ("WL1", "BL1"), ("BL0", "BL1")])
+        blocks.append(extract_enclosing_subgraphs(graph, links, hops=1))
+    return blocks
+
+
+class TestContentKeys:
+    def test_resized_copy_under_another_name_hits_on_dspd(self, twin_blocks):
+        original, resized = twin_blocks
+        cache = PECache()
+        attach_pe_batch(original, "dspd", cache=cache)
+        # Four links, one repeated: one lookup per distinct key.
+        assert cache.hits == 0 and cache.misses == 3
+        attach_pe_batch(resized, "dspd", cache=cache)
+        assert cache.hits == 3 and cache.misses == 3
+        assert resized.pe.tobytes() == original.pe.tobytes()
+
+    def test_changed_width_misses_on_stats(self, twin_blocks):
+        original, resized = twin_blocks
+        cache = PECache()
+        attach_pe_batch(original, "stats", cache=cache)
+        misses = cache.misses
+        attach_pe_batch(resized, "stats", cache=cache)
+        assert cache.misses > misses
+        assert not np.array_equal(original[0].pe, resized[0].pe)
+        np.testing.assert_array_equal(
+            resized.pe, compute_pe_batch(resized, "stats"))
+
+    def test_plugin_kind_is_not_cached(self, twin_blocks):
+        from repro.api import ENCODINGS
+
+        def degree_encoding(subgraph):
+            return np.bincount(subgraph.edge_index.ravel(),
+                               minlength=subgraph.num_nodes)[:, None]
+
+        degree_encoding.dim = 1
+        block = twin_blocks[0]
+        cache = PECache()
+        ENCODINGS.register("test_uncached_degree", degree_encoding)
+        try:
+            attach_pe_batch(block, "test_uncached_degree", cache=cache)
+            attach_pe_batch(list(block), "test_uncached_degree", cache=cache)
+        finally:
+            ENCODINGS.unregister("test_uncached_degree")
+        assert len(cache) == 0 and cache.hits == 0 and cache.misses == 0
+        assert block.pe.dtype == np.float64
+        np.testing.assert_array_equal(block[0].pe[:, 0],
+                                      degree_encoding(block[0])[:, 0])
+
+    def test_segment_keys_match_the_per_subgraph_oracle(self, small_design):
+        def lone(num_nodes, edges, anchors):
+            return Subgraph(node_ids=np.arange(num_nodes),
+                            node_types=np.zeros(num_nodes, dtype=np.int64),
+                            edge_index=np.array(edges, dtype=np.int64).reshape(2, -1),
+                            edge_types=np.zeros(len(edges[0]) if edges else 0, dtype=np.int64),
+                            anchors=anchors, node_stats=np.arange(num_nodes * 13.0).reshape(-1, 13))
+
+        graph = small_design.graph
+        subgraphs = [
+            lone(3, [], (0, 1)),                   # edge-less
+            lone(1, [], (0, 0)),                   # single node
+            lone(3, [[0, 1, 2], [1, 1, 0]], (0, 2)),  # with a self-loop
+            *extract_node_subgraphs(graph, [graph.node_index("BL0")], hops=2),  # (0, 0)
+            *extract_enclosing_subgraphs(graph, graph.links[:3], hops=1),
+        ]
+        block = collate(subgraphs)
+        for kind in ("dspd", "drnl", "rwse", "stats"):
+            assert pe_cache_keys(block, kind) == [pe_cache_key(s, kind) for s in subgraphs]
+        assert len(set(pe_cache_keys(block, "dspd"))) == len(subgraphs)
+
+    def test_misses_are_computed_once_and_stored_as_copies(self, samples, monkeypatch):
+        import repro.core.data as data
+
+        block = collate(samples[:4] + samples[:4])
+        computed = []
+        encode = data.compute_pe_batch
+        monkeypatch.setattr(data, "compute_pe_batch",
+                            lambda b, kind: computed.append(b.num_graphs) or encode(b, kind))
+        cache = PECache()
+        attach_pe_batch(block, "dspd", cache=cache)
+        distinct = len(set(pe_cache_keys(block, "dspd")))
+        assert distinct < block.num_graphs
+        assert computed == [distinct]
+        assert cache.misses == distinct and cache.hits == 0
+        assert all(value.base is None for value in cache._store.values())
+        assert block.pe.tobytes() == encode(block, "dspd").tobytes()
+        attach_pe_batch(block, "dspd", cache=cache)
+        assert computed == [distinct] and cache.hits == distinct
 
 
 class TestSubgraphDataset:
@@ -213,7 +332,7 @@ class TestSubgraphDataset:
         """``dataset[i]`` outside a prefetched block extracts link ``i`` as a
         batch of one under the RNG ``[seed, i]``; uncapped, it equals the
         prefetched block's sample byte for byte (PE included)."""
-        from repro.graph import compute_pe_batch
+        from repro.graph import compute_pe
 
         def assert_same_bytes(got, want):
             for name in ("node_ids", "node_types", "edge_index", "edge_types",
@@ -234,16 +353,16 @@ class TestSubgraphDataset:
             [want] = extract_enclosing_subgraphs(
                 graph, [link], max_nodes_per_hop=3,
                 rng=np.random.default_rng([seed, i]))
-            compute_pe_batch([want], "dspd")
+            compute_pe(want, "dspd")
             assert_same_bytes(capped[i], want)
             shrunk += want.num_nodes < extract_enclosing_subgraphs(graph, [link])[0].num_nodes
         assert shrunk, "the hub cap never triggered; the RNG stream went untested"
 
         lazy = SubgraphDataset.from_links(graph, links, seed=seed, cache=PECache())
-        prefetched = SubgraphDataset.from_links(graph, links, seed=seed, cache=PECache())
-        prefetched.prefetch(range(len(links)))
+        block = SubgraphDataset.from_links(graph, links, seed=seed,
+                                           cache=PECache()).take(range(len(links)))
         for i in range(len(links)):
-            assert_same_bytes(lazy[i], prefetched[i])
+            assert_same_bytes(lazy[i], block[i])
 
     def test_as_dataset_idempotent(self, samples):
         dataset = SubgraphDataset.from_samples(samples)

@@ -125,7 +125,6 @@ class TestTaskSamples:
         labels = np.array([s.label for s in samples])
         assert 0.35 <= labels.mean() <= 0.65
         assert all(s.pe is not None for s in samples)
-        assert all(s.extras["design"] == small_design.name for s in samples)
 
     def test_edge_regression_targets_normalised(self, small_design, tiny_config):
         samples = build_edge_regression_samples(small_design, tiny_config.data, rng=0)

@@ -287,3 +287,31 @@ class TestTimeouts:
             assert excinfo.value.kind == "timeout"
             # The daemon survives and still serves /healthz.
             assert client.healthz()["status"] == "ok"
+
+
+class TestBlockPath:
+    def test_annotate_and_a_daemon_request_build_no_subgraph(
+            self, server_engine, client, server_spice, monkeypatch):
+        """With a ``dspd`` model, each chunk stays one block from the
+        extractor to the forward: no per-link :class:`Subgraph` is built."""
+        from repro.graph import Subgraph
+
+        assert server_engine.link_model.pe_kind == "dspd"
+        built = []
+        init = Subgraph.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Subgraph, "__init__", counting_init)
+        graph = netlist_to_graph(parse_spice(server_spice, name="BLOCKS").flatten())
+        local = server_engine.annotate(graph, max_candidates=12, seed=4)
+        remote = client.annotate(server_spice, name="BLOCKS", max_candidates=12, seed=4)
+        assert local.records and remote["status"] == "ok" and remote["records"]
+        assert built == []
+        # The probe itself works: a block's view is a Subgraph.
+        dataset = server_engine.request_dataset(graph, server_engine.links_for_pairs(
+            graph, [record["pair"] for record in local.records]))
+        server_engine.extract_chunk(dataset, [0])[0]
+        assert built == [1]

@@ -102,13 +102,31 @@ class TestMidBatchEngineFault:
             annotation.design, annotation.records, annotation.threshold))
 
         original = server_engine.predict_samples
+        original_dataset = server_engine.request_dataset
+        original_extract = server_engine.extract_chunk
+        # The daemon's batch items are (block, index) pairs; remember the
+        # blocks extracted for the POISON design's requests.
+        poison_datasets, poison_blocks = [], []
+
+        def request_dataset(graph, links, seed=0):
+            dataset = original_dataset(graph, links, seed=seed)
+            if graph.name == "POISON":
+                poison_datasets.append(dataset)
+            return dataset
+
+        def extract_chunk(dataset, indices):
+            block = original_extract(dataset, indices)
+            if any(dataset is poisoned_dataset for poisoned_dataset in poison_datasets):
+                poison_blocks.append(block)
+            return block
 
         def poisoned(samples):
-            if any(sample.extras.get("design") == "POISON"
-                   for sample in samples):
+            if any(block is poison for block, _ in samples for poison in poison_blocks):
                 raise RuntimeError("injected mid-batch failure")
             return original(samples)
 
+        monkeypatch.setattr(server_engine, "request_dataset", request_dataset)
+        monkeypatch.setattr(server_engine, "extract_chunk", extract_chunk)
         monkeypatch.setattr(server_engine, "predict_samples", poisoned)
         client = ServeClient(faulty_server.url)
         good_request = {"spice": server_spice, "name": "GOOD",

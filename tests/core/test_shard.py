@@ -282,13 +282,6 @@ class TestReannotate:
         assert result.incremental["added"] == 1
         assert tuple(result.records[-1]["pair"]) == extra
 
-    def test_invalidates_the_design_pe_cache_entries(
-            self, server_engine, flat_circuit, pairs, prev_report):
-        sentinel = (prev_report.design, "sentinel")
-        server_engine.cache.put(sentinel, np.zeros(2))
-        server_engine.reannotate(prev_report, _eco_delta(flat_circuit, pairs), seed=0)
-        assert server_engine.cache.get(sentinel) is None
-
     def test_requires_the_previous_circuit(self, server_engine, full_graph,
                                            pairs):
         bare = server_engine.annotate(full_graph, pairs=pairs, seed=0)

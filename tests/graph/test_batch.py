@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.graph import batch_iterator, collate, compute_pe, default_link_pipeline
+from repro.graph import (
+    SubgraphBatch,
+    batch_iterator,
+    collate,
+    compute_pe,
+    compute_pe_batch,
+    default_link_pipeline,
+    extract_enclosing_subgraphs,
+)
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +71,85 @@ class TestCollate:
         bad[1].pe = np.zeros((bad[1].num_nodes, 3))
         with pytest.raises(ValueError):
             collate(bad)
+
+
+def batch_bytes(batch) -> tuple:
+    return tuple(np.ascontiguousarray(getattr(batch, name)).tobytes() for name in (
+        "node_types", "edge_index", "edge_types", "batch", "anchors", "pe",
+        "node_stats", "labels", "targets", "link_types", "node_ids"))
+
+
+@pytest.fixture(scope="module")
+def blocks(small_design):
+    """Two extracted blocks with their PEs attached."""
+    graph = small_design.graph
+    found = []
+    for links in (graph.links[:9], graph.links[9:14]):
+        block = extract_enclosing_subgraphs(graph, links, hops=1)
+        block.pe = compute_pe_batch(block, "dspd")
+        found.append(block)
+    return found
+
+
+class TestBlocks:
+    def test_views_collate_back_to_the_block(self, blocks):
+        block = blocks[0]
+        block.validate()
+        views = list(block)
+        assert len(views) == len(block) == block.num_graphs
+        assert batch_bytes(collate(views)) == batch_bytes(block)
+        assert collate(block) is block
+        assert block[-1].node_ids.tobytes() == views[-1].node_ids.tobytes()
+        with pytest.raises(IndexError):
+            block[len(block)]
+
+    def test_view_arrays_are_local(self, blocks):
+        block = blocks[0]
+        for index, view in enumerate(block):
+            view.validate()
+            start = block.node_offsets[index]
+            assert view.anchors == (0, 1)
+            assert view.num_nodes == block.node_offsets[index + 1] - start
+            np.testing.assert_array_equal(view.pe, block.pe[start:start + view.num_nodes])
+
+    def test_select_is_the_collate_of_the_selected_views(self, blocks):
+        block = blocks[0]
+        order = [4, 0, 4, 7]
+        assert batch_bytes(block.select(order)) == batch_bytes(
+            collate([block[i] for i in order]))
+        assert block.select(range(len(block))) is block
+
+    def test_concat_and_pairs_join_blocks(self, blocks):
+        first, second = blocks
+        views = list(first) + list(second)
+        assert batch_bytes(SubgraphBatch.concat([first, second])) == batch_bytes(collate(views))
+        pairs = [(first, 2), (first, 5), (second, 0), (first, 1), (second, 3)]
+        assert batch_bytes(collate(pairs)) == batch_bytes(
+            collate([first[2], first[5], second[0], first[1], second[3]]))
+
+    def test_mixed_pe_widths_do_not_join(self, blocks):
+        first, second = blocks
+        bare = second.select([0, 1])
+        bare.pe = None
+        with pytest.raises(ValueError, match="PE"):
+            SubgraphBatch.concat([first, bare])
+
+    def test_block_without_pe_collates_with_a_zero_width_pe(self, small_design):
+        block = extract_enclosing_subgraphs(small_design.graph, small_design.graph.links[:3])
+        assert block.pe is None and block[0].pe is None
+        assert collate(block).pe.shape == (block.num_nodes, 0)
+
+    def test_validate_rejects_unordered_segments(self, blocks):
+        import copy
+
+        block = copy.deepcopy(blocks[0])
+        block.batch = block.batch[::-1].copy()
+        with pytest.raises(ValueError, match="grouped"):
+            block.validate()
+        block = copy.deepcopy(blocks[0])
+        block.edge_index = block.edge_index[:, ::-1].copy()
+        with pytest.raises(ValueError, match="grouped"):
+            block.validate()
 
 
 class TestBatchIterator:

@@ -6,6 +6,7 @@ import pytest
 from repro.graph import (
     PE_KINDS,
     Subgraph,
+    collate,
     compute_pe,
     compute_pe_batch,
     drnl_encoding,
@@ -162,14 +163,13 @@ class TestBatchedDispatch:
 
         graph = small_design.graph
         subgraphs = extract_enclosing_subgraphs(graph, graph.links[:6], hops=1)
-        encodings = compute_pe_batch(subgraphs, kind)
-        assert len(encodings) == len(subgraphs)
-        for subgraph, encoding in zip(subgraphs, encodings):
+        pe = compute_pe_batch(subgraphs, kind)
+        assert pe.dtype == np.float64
+        assert pe.shape == (subgraphs.num_nodes, pe_dim(kind))
+        bounds = subgraphs.node_offsets
+        for i, subgraph in enumerate(subgraphs):
             want = ENCODINGS.get(kind)(subgraph)
-            assert encoding.dtype == np.float64
-            assert encoding.shape == (subgraph.num_nodes, pe_dim(kind))
-            np.testing.assert_array_equal(encoding, want)
-            assert subgraph.pe is encoding
+            np.testing.assert_array_equal(pe[bounds[i]:bounds[i + 1]], want)
 
     def test_custom_registration_is_dispatched(self):
         from repro.api import ENCODINGS
@@ -180,13 +180,13 @@ class TestBatchedDispatch:
 
         ENCODINGS.register("test_degree", degree_encoding)
         try:
-            subgraphs = [_path_subgraph(4, (0, 3)), _path_subgraph(6, (1, 2))]
-            encodings = compute_pe_batch(subgraphs, "TEST_DEGREE")
+            subgraphs = collate([_path_subgraph(4, (0, 3)), _path_subgraph(6, (1, 2))])
+            pe = compute_pe_batch(subgraphs, "TEST_DEGREE")
         finally:
             ENCODINGS.unregister("test_degree")
-        np.testing.assert_array_equal(encodings[0][:, 0], [1.0, 2.0, 2.0, 1.0])
-        np.testing.assert_array_equal(encodings[1][:, 0], [1.0, 2.0, 2.0, 2.0, 2.0, 1.0])
-        assert all(encoding.dtype == np.float64 for encoding in encodings)
+        np.testing.assert_array_equal(pe[:4, 0], [1.0, 2.0, 2.0, 1.0])
+        np.testing.assert_array_equal(pe[4:, 0], [1.0, 2.0, 2.0, 2.0, 2.0, 1.0])
+        assert pe.dtype == np.float64
         assert "test_degree" not in ENCODINGS
         with pytest.raises(ValueError, match="test_degree"):
             compute_pe_batch(subgraphs, "test_degree")

@@ -199,7 +199,7 @@ class TestEdgeCases:
     def test_single_anchor_node_subgraphs(self, small_design):
         graph = small_design.graph
         nodes = [graph.node_index(name) for name in ("BL0", "WL0", "BL0", "BL1")]
-        subgraphs = extract_node_subgraphs(graph, nodes, hops=2)
+        subgraphs = list(extract_node_subgraphs(graph, nodes, hops=2))
         for subgraph in subgraphs:
             compute_pe(subgraph, "dspd")
         batch = collate(subgraphs)

@@ -108,7 +108,7 @@ def legacy_extract_enclosing_subgraph(graph: CircuitGraph, link: Link, hops: int
                                       max_nodes_per_hop: int | None = None,
                                       add_target_edge: bool = True, rng=None):
     """Original per-node BFS implementation of Definition 1."""
-    from repro.graph.sampling import Subgraph
+    from repro.graph import Subgraph
 
     rng = get_rng(rng)
     visited = _expand_frontier_loop(graph, [link.source, link.target], hops,
@@ -138,7 +138,7 @@ def legacy_extract_node_subgraph(graph: CircuitGraph, node: int, hops: int = 2,
                                  target: float = 0.0, max_nodes_per_hop: int | None = None,
                                  rng=None):
     """Original per-node BFS implementation of the node-level sampler."""
-    from repro.graph.sampling import Subgraph
+    from repro.graph import Subgraph
 
     rng = get_rng(rng)
     visited = _expand_frontier_loop(graph, [int(node)], hops, max_nodes_per_hop, rng)
