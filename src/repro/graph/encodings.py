@@ -20,8 +20,9 @@ returns a float array of shape ``(num_nodes, dim)``.  :func:`compute_pe_batch`
 is the one entry point over a block (:class:`~repro.graph.batch.SubgraphBatch`)
 and returns one ``(N, dim)`` array: ``dspd`` and ``drnl`` run as two
 multi-source BFS sweeps over the block's edges as they are (the
-single-subgraph functions are that block of one), and every other kind runs
-its :data:`repro.api.ENCODINGS` entry on each ``block[i]``.
+single-subgraph functions run the same sweep over one subgraph's arrays),
+and every other kind runs its :data:`repro.api.ENCODINGS` entry on each
+``block[i]``.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 
 from ..api.registries import ENCODINGS
 from ..nn.dtypes import FLOAT64
-from .batch import Subgraph, SubgraphBatch, collate
+from .batch import Subgraph, SubgraphBatch
 
 __all__ = [
     "PE_KINDS",
@@ -82,7 +83,7 @@ def dspd_encoding(subgraph: Subgraph, max_distance: int = DSPD_MAX_DISTANCE) -> 
     For node-level subgraphs the two anchors coincide and ``D0 == D1``,
     exactly as described in Section IV-D.
     """
-    return _dspd_encoding_batch(collate([subgraph]), max_distance)
+    return _dspd_encoding_batch(subgraph, max_distance)
 
 
 def drnl_encoding(subgraph: Subgraph, max_label: int = DRNL_MAX_LABEL) -> np.ndarray:
@@ -91,7 +92,7 @@ def drnl_encoding(subgraph: Subgraph, max_label: int = DRNL_MAX_LABEL) -> np.nda
     ``label(i) = 1 + min(dx, dy) + (d // 2) * (d // 2 + d % 2 - 1)`` with
     ``d = dx + dy``; the two anchors get label 1, unreachable nodes label 0.
     """
-    return _drnl_encoding_batch(collate([subgraph]), max_label)
+    return _drnl_encoding_batch(subgraph, max_label)
 
 
 def rwse_encoding(subgraph: Subgraph, steps: int = RWSE_STEPS) -> np.ndarray:
@@ -175,10 +176,11 @@ def pe_dim(kind: str, stats_dim: int = 13) -> int:
     return int(dim)
 
 
-def _batched_anchor_distances(block: SubgraphBatch, unreachable: int,
+def _batched_anchor_distances(block: SubgraphBatch | Subgraph, unreachable: int,
                               max_distance: int | None = None
                               ) -> tuple[np.ndarray, np.ndarray]:
-    """BFS distances to both anchors for every node of a block.
+    """BFS distances to both anchors for every node of a block (or of one
+    subgraph, the block of one without the collate).
 
     The block is one block-diagonal graph; because its components are
     disjoint, a single multi-source BFS from all first anchors gives every
@@ -191,7 +193,7 @@ def _batched_anchor_distances(block: SubgraphBatch, unreachable: int,
     src, dst = block.edge_index
     src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
     distances = []
-    for sources in block.anchors.T:
+    for sources in np.reshape(block.anchors, (-1, 2)).T:
         distance = np.full(total, unreachable, dtype=np.int64)
         reached = np.zeros(total, dtype=bool)
         distance[sources] = 0
@@ -212,7 +214,7 @@ def _batched_anchor_distances(block: SubgraphBatch, unreachable: int,
     return distances[0], distances[1]
 
 
-def _dspd_encoding_batch(block: SubgraphBatch,
+def _dspd_encoding_batch(block: SubgraphBatch | Subgraph,
                          max_distance: int = DSPD_MAX_DISTANCE) -> np.ndarray:
     d0, d1 = _batched_anchor_distances(block, unreachable=max_distance + 1,
                                        max_distance=max_distance)
@@ -222,14 +224,14 @@ def _dspd_encoding_batch(block: SubgraphBatch,
                            _one_hot(d1, max_distance + 1)], axis=1)
 
 
-def _drnl_encoding_batch(block: SubgraphBatch,
+def _drnl_encoding_batch(block: SubgraphBatch | Subgraph,
                          max_label: int = DRNL_MAX_LABEL) -> np.ndarray:
     big = 10 ** 6
     dx, dy = _batched_anchor_distances(block, unreachable=big)
     d = dx + dy
     hashed = 1 + np.minimum(dx, dy) + (d // 2) * (d // 2 + d % 2 - 1)
     labels = np.where((dx < big) & (dy < big), hashed, 0)
-    labels[block.anchors.ravel()] = 1
+    labels[np.ravel(block.anchors)] = 1
     labels = np.minimum(labels, max_label - 1)
     return _one_hot(labels, max_label)
 
@@ -255,8 +257,12 @@ def compute_pe_batch(block: SubgraphBatch, kind: str = "dspd") -> np.ndarray:
 
 
 def compute_pe(subgraph: Subgraph, kind: str = "dspd") -> np.ndarray:
-    """Compute the requested PE for one subgraph and cache it on ``subgraph.pe``."""
-    subgraph.pe = compute_pe_batch(collate([subgraph]), kind)
+    """Compute the requested PE for one subgraph and cache it on ``subgraph.pe``.
+
+    Runs the kind's :data:`repro.api.ENCODINGS` entry on ``subgraph`` itself;
+    the bytes equal ``compute_pe_batch(collate([subgraph]), kind)``.
+    """
+    subgraph.pe = np.array(ENCODINGS.get(kind.lower())(subgraph), dtype=FLOAT64)
     return subgraph.pe
 
 

@@ -91,22 +91,26 @@ class NetlistDelta:
         ``ValueError`` for additions that collide with a surviving name.
         """
         flat = circuit if circuit.is_flat else circuit.flatten()
-        existing = {device.name for device in flat.devices}
+        removed = set(self.remove_devices)
+        # One walk collects every name and copies the survivors.
+        existing: set[str] = set()
+        kept: list[Device] = []
+        for device in flat.devices:
+            existing.add(device.name)
+            if device.name not in removed:
+                kept.append(copy_device(device))
         missing = [name for name in self.remove_devices if name not in existing]
         if missing:
             raise KeyError(f"delta removes unknown device(s) {missing}")
-        survivors = existing - set(self.remove_devices)
+        survivors = existing - removed
         colliding = [d.name for d in self.add_devices if d.name in survivors]
         if colliding:
             raise ValueError(
                 f"delta adds device(s) {colliding} that already exist; remove "
                 "the old revision in the same delta to model an edit"
             )
-        removed = set(self.remove_devices)
         result = Circuit(flat.name, ports=list(flat.ports))
-        for device in flat.devices:
-            if device.name not in removed:
-                result.add(copy_device(device))
+        result.devices.extend(kept)
         for device in self.add_devices:
             result.add(copy_device(device))
         return result

@@ -28,7 +28,7 @@ from ..utils.rng import get_rng
 from . import functional as F
 from .layers import Dropout, Linear
 from .module import Module
-from .tensor import Tensor, concat
+from .tensor import Tensor, concat, exp_normalise, on_tape
 
 __all__ = ["MultiHeadSelfAttention"]
 
@@ -117,8 +117,16 @@ class MultiHeadSelfAttention(Module):
         scores = split_heads(q).matmul(split_heads(k).transpose(0, 1, 3, 2))
         # Mask padded *key* slots everywhere; padded query rows degrade to a
         # finite uniform attention and are never gathered back.
-        bias = np.where(seg.mask, 0.0, MASK_BIAS)[:, None, None, :]
-        attn = (scores + Tensor(bias)).softmax(axis=-1)
+        scalar = scores.dtype.type
+        bias = np.where(seg.mask, scalar(0.0), scalar(MASK_BIAS))[:, None, None, :]
+        if on_tape(scores):
+            attn = (scores + Tensor(bias)).softmax(axis=-1)
+        else:
+            # Off the tape the whole masked softmax runs in the fresh scores.
+            logits = scores.data
+            logits += bias
+            logits -= logits.max(axis=-1, keepdims=True)
+            attn = Tensor(exp_normalise(logits, -1))
         mixed = attn.matmul(split_heads(v))  # (num_graphs, heads, length, head_dim)
         return mixed.transpose(0, 2, 1, 3).reshape(num_graphs * length, self.dim)
 

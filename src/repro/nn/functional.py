@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from . import kernels
-from .tensor import Tensor, concat, stable_sigmoid, stack
+from .tensor import Tensor, concat, on_tape, stable_sigmoid, stack
 
 __all__ = [
     "relu",
@@ -89,10 +89,16 @@ def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator) -> Te
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
-    """Affine map ``x @ weight + bias`` with ``weight`` of shape (in, out)."""
+    """Affine map ``x @ weight + bias`` with ``weight`` of shape (in, out).
+
+    Off the tape the bias is added into the fresh matmul result.
+    """
     out = x.matmul(weight)
-    if bias is not None:
-        out = out + bias
+    if bias is None:
+        return out
+    if on_tape(out, bias) or out.dtype != bias.dtype:
+        return out + bias
+    out.data += bias.data
     return out
 
 

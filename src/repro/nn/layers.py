@@ -8,7 +8,8 @@ from ..utils.rng import get_rng
 from . import functional as F
 from . import init
 from .module import Module, Parameter
-from .tensor import Tensor
+from .dtypes import as_float
+from .tensor import Tensor, on_tape
 
 __all__ = [
     "Linear",
@@ -131,8 +132,19 @@ class BatchNorm1d(Module):
         else:
             mean = self.running_mean
             var = self.running_var
-        x_hat = (x - Tensor(mean)) * Tensor(1.0 / np.sqrt(var + self.eps))
-        return x_hat * self.gamma + self.beta
+        mean = as_float(mean)
+        inv_std = as_float(1.0 / np.sqrt(var + self.eps))
+        gamma, beta = self.gamma, self.beta
+        if (on_tape(x, gamma, beta)
+                or not x.dtype == mean.dtype == inv_std.dtype == gamma.dtype == beta.dtype):
+            x_hat = (x - Tensor(mean)) * Tensor(inv_std)
+            return x_hat * gamma + beta
+        # Off the tape: the same four steps, in the one buffer ``x - mean``.
+        out = x.data - mean
+        out *= inv_std
+        out *= gamma.data
+        out += beta.data
+        return Tensor(out)
 
     def __repr__(self):
         return f"BatchNorm1d(dim={self.dim})"

@@ -12,6 +12,15 @@ a closure computing the local vector-Jacobian product.  Calling
 :meth:`Tensor.backward` topologically sorts the tape and accumulates
 gradients into ``.grad``.
 
+When no operand is on the tape (under :class:`no_grad`, or with no operand
+requiring grad, see :func:`on_tape`), a few hot ops run their later steps in
+place: the softmax exponentiates and normalises in the buffer its max-shift
+allocated, and ``F.linear``, ``BatchNorm1d`` and the masked attention softmax
+do the same with theirs.  An op writes only into an array it allocated
+itself, never into an input, and the steps and their order are those of the
+tape path, so the results are byte-identical; whenever grad is needed the
+tape path runs unchanged.
+
 The scatter and per-segment kernels and the stable sigmoid are the raw-array
 functions of :mod:`repro.nn.kernels`.  Array dtypes follow the policy in :mod:`repro.nn.dtypes`: float64 by
 default, float32 everywhere when serving under ``use_dtype(np.float32)``.
@@ -24,7 +33,7 @@ import numpy as np
 from . import kernels
 from .dtypes import FLOAT_DTYPES, as_float, default_dtype
 
-__all__ = ["Tensor", "no_grad", "is_grad_enabled", "stable_sigmoid"]
+__all__ = ["Tensor", "no_grad", "is_grad_enabled", "on_tape", "stable_sigmoid"]
 
 
 def stable_sigmoid(values: np.ndarray) -> np.ndarray:
@@ -61,6 +70,22 @@ class no_grad:
 def is_grad_enabled() -> bool:
     """Return whether operations currently record gradients."""
     return _GRAD_ENABLED
+
+
+def on_tape(*tensors: "Tensor") -> bool:
+    """Whether an op over ``tensors`` records a backward on the tape.
+
+    False under :class:`no_grad` or when no operand requires grad; an op
+    may then write its later steps into a buffer it allocated itself.
+    """
+    return _GRAD_ENABLED and any(t.requires_grad for t in tensors)
+
+
+def exp_normalise(shifted: np.ndarray, axis: int) -> np.ndarray:
+    """``exp(shifted) / exp(shifted).sum(axis)``, computed in ``shifted``'s buffer."""
+    np.exp(shifted, out=shifted)
+    shifted /= shifted.sum(axis=axis, keepdims=True)
+    return shifted
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -589,6 +614,8 @@ class Tensor:
     def softmax(self, axis: int = -1) -> "Tensor":
         """Stable softmax along ``axis``, differentiable."""
         shifted = self.data - self.data.max(axis=axis, keepdims=True)
+        if not on_tape(self):
+            return Tensor(exp_normalise(shifted, axis))
         exp = np.exp(shifted)
         out_data = exp / exp.sum(axis=axis, keepdims=True)
 

@@ -10,6 +10,11 @@ kept here — mathematically identical, including the FAVOR+ stabilizer — as
 * the baseline of the train-throughput gate
   (``benchmarks/test_train_throughput.py``).
 
+It also keeps the ``BatchNorm1d`` forward as it was before the no-grad path
+went in place (:func:`legacy_batchnorm_forward`): four Tensor ops, each
+allocating a fresh array.  ``tests/nn/test_inplace_forward.py`` pins the
+running statistics of ``Trainer.recalibrate_batchnorm`` byte-equal to it.
+
 Mirrors ``tests/oracles/graph_legacy.py``, the pure-Python oracle of the CSR
 kernel.
 """
@@ -19,10 +24,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn.attention import MultiHeadSelfAttention
+from repro.nn.layers import BatchNorm1d
 from repro.nn.performer import PerformerAttention
 from repro.nn.tensor import Tensor, concat
 
 __all__ = [
+    "legacy_batchnorm_forward",
     "loop_multihead_attention",
     "loop_performer_attention",
     "LoopMultiHeadSelfAttention",
@@ -136,3 +143,21 @@ class LoopPerformerAttention(PerformerAttention):
         if isinstance(batch, SegmentInfo):
             batch = segment_info(batch).index
         return loop_performer_attention(self, x, batch)
+
+
+def legacy_batchnorm_forward(module: BatchNorm1d, x: Tensor) -> Tensor:
+    """The pre-in-place forward of :class:`BatchNorm1d` (a drop-in ``forward``)."""
+    if x.ndim != 2:
+        raise ValueError(f"BatchNorm1d expects a 2-D input, got shape {x.shape}")
+    if module.training and x.shape[0] > 1:
+        mean = x.data.mean(axis=0)
+        var = x.data.var(axis=0)
+        module.running_mean = ((1 - module.momentum) * module.running_mean
+                               + module.momentum * mean)
+        module.running_var = ((1 - module.momentum) * module.running_var
+                              + module.momentum * var)
+    else:
+        mean = module.running_mean
+        var = module.running_var
+    x_hat = (x - Tensor(mean)) * Tensor(1.0 / np.sqrt(var + module.eps))
+    return x_hat * module.gamma + module.beta
