@@ -25,15 +25,34 @@ import math
 
 import numpy as np
 
-__all__ = ["scatter_add", "segment_counts", "segment_max", "sigmoid"]
+__all__ = ["row_index", "scatter_add", "scatter_rows", "segment_counts", "segment_max",
+           "sigmoid"]
+
+
+def row_index(idx: np.ndarray, width: int) -> np.ndarray:
+    """Flat element index of rows ``idx`` of a ``(rows, width)`` array.
+
+    Row ``i``, column ``j`` is element ``i * width + j`` of the array's 1-D
+    view; the index lists each selected row's elements in row order.
+    """
+    return (idx[:, None] * width + np.arange(width)).reshape(-1)
 
 
 def _at_rows(ufunc: np.ufunc, out: np.ndarray, idx: np.ndarray,
              src: np.ndarray) -> None:
     """``ufunc.at(out, idx, src)`` over rows, through the flat view of ``out``."""
-    width = math.prod(out.shape[1:])
-    flat = (idx[:, None] * width + np.arange(width)).reshape(-1)
+    flat = row_index(idx, math.prod(out.shape[1:]))
     ufunc.at(out.reshape(-1), flat, src.reshape(-1))
+
+
+def scatter_rows(src: np.ndarray, flat: np.ndarray, num_rows: int) -> np.ndarray:
+    """:func:`scatter_add` through a prebuilt ``flat = row_index(idx, width)``.
+
+    A caller that scatters several arrays over one index builds it once.
+    """
+    out = np.zeros((num_rows,) + src.shape[1:], dtype=src.dtype)
+    np.add.at(out.reshape(-1), flat, src.reshape(-1))
+    return out
 
 
 def scatter_add(src: np.ndarray, idx: np.ndarray, num_rows: int,
@@ -44,11 +63,10 @@ def scatter_add(src: np.ndarray, idx: np.ndarray, num_rows: int,
     the rows are assigned directly.  Empty buckets are zero rows.  This is
     also the backward kernel of a row gather.
     """
+    if not unique:
+        return scatter_rows(src, row_index(idx, math.prod(src.shape[1:])), num_rows)
     out = np.zeros((num_rows,) + src.shape[1:], dtype=src.dtype)
-    if unique:
-        out[idx] = src
-    else:
-        _at_rows(np.add, out, idx, src)
+    out[idx] = src
     return out
 
 
@@ -73,9 +91,16 @@ def segment_counts(idx: np.ndarray, num_segments: int, dtype) -> np.ndarray:
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Numerically stable logistic map (no overflow for any input)."""
-    # exp(-|x|) <= 1 for every input, so both branches are overflow-free:
-    # 1 / (1 + z) where x >= 0, z / (1 + z) elsewhere, in one divide.
-    z = np.exp(-np.abs(x))
-    out = np.where(x >= 0, 1.0, z)
-    out /= 1.0 + z
+    # z = exp(-|x|) <= 1 for every input, so both branches are overflow-free:
+    # 1 / (1 + z) where x >= 0, z / (1 + z) elsewhere, in one divide.  The
+    # numerator max(z, x >= 0) is 1 or z (NaN stays NaN), and every step
+    # after the first two allocations runs in place.  ``out=`` keeps a 0-d
+    # input an array.
+    z = np.abs(x, out=np.empty_like(x))
+    np.negative(z, out=z)
+    np.exp(z, out=z)
+    out = np.greater_equal(x, 0, out=np.empty_like(x))
+    np.maximum(z, out, out=out)
+    z += 1
+    out /= z
     return out

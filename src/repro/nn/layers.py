@@ -108,6 +108,16 @@ class BatchNorm1d(Module):
 
     The GPS layer applies BN after every functional block (MPNN, attention,
     MLP), following the GraphGPS recipe.
+
+    On the tape the layer is one node, ``x_hat * gamma + beta`` with
+    ``x_hat = (x - mean) * inv_std``, whose backward keeps ``x_hat``.  The
+    mean and inverse deviation are constants of that node, the batch
+    statistics in training mode included: the input gradient is
+    ``grad * gamma * inv_std`` and does not flow through the batch mean or
+    variance, as it does in PyTorch's BN.  This node is the one place where
+    that would change.  Off the tape the same steps run in one buffer.
+    Inputs whose dtype differs from the statistics or the parameters take
+    the composed Tensor expression, which promotes.
     """
 
     def __init__(self, dim: int, eps: float = 1e-5, momentum: float = 0.1):
@@ -124,9 +134,14 @@ class BatchNorm1d(Module):
         """Normalise the batch axis; updates running stats in training."""
         if x.ndim != 2:
             raise ValueError(f"BatchNorm1d expects a 2-D input, got shape {x.shape}")
+        centred = None
         if self.training and x.shape[0] > 1:
             mean = x.data.mean(axis=0)
-            var = x.data.var(axis=0)
+            centred = x.data - mean
+            # ``x.data.var(axis=0)``'s steps on the centred rows it would
+            # compute again: column sums of squares over the row count.
+            var = np.square(centred).sum(axis=0)
+            np.true_divide(var, np.intp(x.shape[0]), out=var, casting="unsafe")
             self.running_mean = (1 - self.momentum) * self.running_mean + self.momentum * mean
             self.running_var = (1 - self.momentum) * self.running_var + self.momentum * var
         else:
@@ -135,16 +150,27 @@ class BatchNorm1d(Module):
         mean = as_float(mean)
         inv_std = as_float(1.0 / np.sqrt(var + self.eps))
         gamma, beta = self.gamma, self.beta
-        if (on_tape(x, gamma, beta)
-                or not x.dtype == mean.dtype == inv_std.dtype == gamma.dtype == beta.dtype):
+        if not x.dtype == mean.dtype == inv_std.dtype == gamma.dtype == beta.dtype:
             x_hat = (x - Tensor(mean)) * Tensor(inv_std)
             return x_hat * gamma + beta
-        # Off the tape: the same four steps, in the one buffer ``x - mean``.
-        out = x.data - mean
-        out *= inv_std
-        out *= gamma.data
+        x_hat = x.data - mean if centred is None else centred
+        x_hat *= inv_std
+        if not on_tape(x, gamma, beta):
+            x_hat *= gamma.data
+            x_hat += beta.data
+            return Tensor(x_hat)
+        out = x_hat * gamma.data
         out += beta.data
-        return Tensor(out)
+
+        def backward(grad):
+            if beta.requires_grad:
+                beta._accumulate(grad.sum(axis=(0,)))
+            if gamma.requires_grad:
+                gamma._accumulate((grad * x_hat).sum(axis=(0,)))
+            if x.requires_grad:
+                x._accumulate((grad * gamma.data) * inv_std)
+
+        return x._make(out, (x, gamma, beta), backward, "batchnorm")
 
     def __repr__(self):
         return f"BatchNorm1d(dim={self.dim})"

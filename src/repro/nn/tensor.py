@@ -10,7 +10,19 @@ The design follows the classic tape-based approach: every differentiable
 operation returns a new :class:`Tensor` holding references to its parents and
 a closure computing the local vector-Jacobian product.  Calling
 :meth:`Tensor.backward` topologically sorts the tape and accumulates
-gradients into ``.grad``.
+gradients into ``.grad``.  Layers whose composed expression would record
+many nodes (``BatchNorm1d``, the GatedGCN gating) record one node each, with
+a backward that runs the composed expression's steps.
+
+Gradient ownership: a leaf (a parameter or a user input, ``_backward is
+None``) owns a private ``.grad`` array, copied from the first gradient it
+receives, as is the seed gradient of :meth:`Tensor.backward`.  A tape node
+keeps the first gradient it receives as given, without a copy, when the
+dtype already matches; that array may be shared with another node's
+gradient or be a view of it.  This is safe because no backward closure,
+``clip_grad_norm`` or optimizer writes into a ``.grad`` in place: later
+contributions accumulate out of place (``self.grad + grad``), and clipping
+rebinds ``p.grad``.  Code that edits a gradient in place must own it.
 
 When no operand is on the tape (under :class:`no_grad`, or with no operand
 requiring grad, see :func:`on_tape`), a few hot ops run their later steps in
@@ -201,7 +213,11 @@ class Tensor:
 
     def _accumulate(self, grad: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = grad.astype(self.data.dtype, copy=True)
+            # A tape node keeps its first gradient as given (see the module
+            # docstring); a leaf owns a private copy in its own dtype.
+            if self._backward is None or grad.dtype != self.data.dtype:
+                grad = grad.astype(self.data.dtype, copy=True)
+            self.grad = grad
         else:
             self.grad = self.grad + grad
 
@@ -213,7 +229,7 @@ class Tensor:
             if self.data.size != 1:
                 raise RuntimeError("grad must be provided for non-scalar tensors")
             grad = np.ones_like(self.data)
-        grad = np.asarray(grad, dtype=self.data.dtype)
+        grad = np.array(grad, dtype=self.data.dtype)
 
         # Topological order of the compute graph.
         topo: list[Tensor] = []

@@ -127,7 +127,7 @@ class TestGatedGCN:
         for got, want in zip(grads[0], grads[1]):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("name", ["x", "A", "B", "V"])
+    @pytest.mark.parametrize("name", ["x", "A", "B", "C", "U", "V"])
     def test_finite_difference_gradients(self, name):
         # Eval mode: train-mode BatchNorm1d treats the batch statistics as
         # constants in backward, so only the eval-mode layer is the function

@@ -10,10 +10,15 @@ kept here — mathematically identical, including the FAVOR+ stabilizer — as
 * the baseline of the train-throughput gate
   (``benchmarks/test_train_throughput.py``).
 
-It also keeps the ``BatchNorm1d`` forward as it was before the no-grad path
-went in place (:func:`legacy_batchnorm_forward`): four Tensor ops, each
-allocating a fresh array.  ``tests/nn/test_inplace_forward.py`` pins the
-running statistics of ``Trainer.recalibrate_batchnorm`` byte-equal to it.
+It also keeps the ``BatchNorm1d`` forward as four composed Tensor ops, each
+allocating a fresh array (:func:`legacy_batchnorm_forward`), and the
+``GatedGCNLayer`` forward as composed Tensor ops
+(:func:`composed_gated_gcn_forward`).  The layers now run each as one or two
+tape nodes with their own backward, and in place off the tape;
+``tests/nn/test_inplace_forward.py`` pins the running statistics of
+``Trainer.recalibrate_batchnorm`` byte-equal to the composed BN, and
+``tests/nn/test_training_tape.py`` pins both nodes' outputs and gradients to
+these expressions.
 
 Mirrors ``tests/oracles/graph_legacy.py``, the pure-Python oracle of the CSR
 kernel.
@@ -23,12 +28,15 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.models.gated_gcn import GatedGCNLayer
+from repro.nn import functional as F
 from repro.nn.attention import MultiHeadSelfAttention
 from repro.nn.layers import BatchNorm1d
 from repro.nn.performer import PerformerAttention
 from repro.nn.tensor import Tensor, concat
 
 __all__ = [
+    "composed_gated_gcn_forward",
     "legacy_batchnorm_forward",
     "loop_multihead_attention",
     "loop_performer_attention",
@@ -146,7 +154,11 @@ class LoopPerformerAttention(PerformerAttention):
 
 
 def legacy_batchnorm_forward(module: BatchNorm1d, x: Tensor) -> Tensor:
-    """The pre-in-place forward of :class:`BatchNorm1d` (a drop-in ``forward``)."""
+    """:class:`BatchNorm1d` as composed Tensor ops (a drop-in ``forward``).
+
+    The statistics enter as constant tensors, so on the tape this is the
+    backward the one-node layer must reproduce.
+    """
     if x.ndim != 2:
         raise ValueError(f"BatchNorm1d expects a 2-D input, got shape {x.shape}")
     if module.training and x.shape[0] > 1:
@@ -161,3 +173,30 @@ def legacy_batchnorm_forward(module: BatchNorm1d, x: Tensor) -> Tensor:
         var = module.running_var
     x_hat = (x - Tensor(mean)) * Tensor(1.0 / np.sqrt(var + module.eps))
     return x_hat * module.gamma + module.beta
+
+
+def composed_gated_gcn_forward(layer: GatedGCNLayer, x: Tensor, edge_attr: Tensor,
+                               edge_index: np.ndarray) -> tuple[Tensor, Tensor]:
+    """:class:`GatedGCNLayer` as composed Tensor ops (a drop-in ``forward``)."""
+    if edge_index.size == 0:
+        return x, edge_attr
+    src = edge_index[0]
+    dst = edge_index[1]
+    num_nodes = x.shape[0]
+
+    edge_update = (layer.A(x).gather_rows(dst) + layer.B(x).gather_rows(src)
+                   + layer.C(edge_attr))
+    gates = edge_update.sigmoid()
+
+    messages = gates * layer.V(x).gather_rows(src)
+    aggregated = F.segment_sum(messages, dst, num_nodes)
+    gate_sum = F.segment_sum(gates, dst, num_nodes) + 1e-6
+    node_update = layer.U(x) + aggregated / gate_sum
+
+    node_out = layer.bn_nodes(node_update).relu()
+    edge_out = layer.bn_edges(edge_update).relu()
+    node_out = layer.drop(node_out)
+    if layer.residual:
+        node_out = node_out + x
+        edge_out = edge_out + edge_attr
+    return node_out, edge_out
