@@ -113,35 +113,3 @@ def run_once(benchmark, func):
     """Run an expensive experiment exactly once under pytest-benchmark timing."""
     return benchmark.pedantic(func, rounds=1, iterations=1, warmup_rounds=0)
 
-
-# --- BENCH_figures.json: wall time of every figure/table regeneration -------
-#
-# The table/figure benchmarks measure model quality, not speed, but their
-# end-to-end duration is the cost of regenerating the paper's artefacts — a
-# perf trajectory worth tracking.  This hook records the call-phase duration
-# of every test in a ``test_fig*`` / ``test_table*`` module and writes one
-# machine-readable record at session end (see ``benchmarks/recorder.py``).
-
-_FIGURE_DURATIONS: dict[str, float] = {}
-
-
-def pytest_runtest_logreport(report):
-    module = pathlib.Path(report.fspath).stem
-    if report.when != "call" or not report.passed:
-        return
-    if not (module.startswith("test_fig") or module.startswith("test_table")):
-        return
-    metric = report.nodeid.rpartition("::")[2].replace("[", "_").rstrip("]")
-    _FIGURE_DURATIONS[f"{module[5:]}.{metric}_s"] = report.duration
-
-
-def pytest_sessionfinish(session, exitstatus):
-    if not _FIGURE_DURATIONS:
-        return
-    from .recorder import bench_recorder
-
-    rec = bench_recorder("figures")
-    rec.add_meta(preset=_preset())
-    for name, seconds in _FIGURE_DURATIONS.items():
-        rec.record(name, seconds, unit="s", direction="lower")
-    rec.write()

@@ -17,10 +17,10 @@ difference in peak RSS is purely the memory bound, not fork accounting.
 from __future__ import annotations
 
 import json
+import resource
 import sys
 import time
 
-from repro.analysis.bench import peak_rss_mb
 from repro.core import CircuitGPSPipeline, ExperimentConfig, build_model
 from repro.core.serve import AnnotationEngine
 from repro.core.shard import plan_shards
@@ -71,7 +71,9 @@ def main(mode: str) -> None:
     payload.update({
         "records": len(annotation.records),
         "elapsed_s": round(time.perf_counter() - start, 3),
-        "peak_rss_mb": round(peak_rss_mb(), 2),
+        # Linux reports ru_maxrss in KiB.
+        "peak_rss_mb": round(
+            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 2),
     })
     print(json.dumps(payload))
 

@@ -3,12 +3,10 @@
 Micro-benchmarks the segment-op kernels every model forward/backward is
 built from — ``scatter_add``, the row gather, ``segment_max``,
 ``segment_softmax`` and the dense matmul — on ragged workloads shaped like
-collated enclosing-subgraph batches, and records the timings to
-``BENCH_backend_ops.json`` (the area name the perf trajectory has always
-used).
+collated enclosing-subgraph batches, and prints the timings.
 
 This module is intentionally *not* marked ``benchmark``: the micro-benchmark
-runs with the tier-1 suite (sub-second) to keep the record fresh.
+runs with the tier-1 suite (sub-second).
 """
 
 from __future__ import annotations
@@ -20,8 +18,6 @@ import numpy as np
 from repro.nn import kernels
 from repro.nn.functional import segment_softmax
 from repro.nn.tensor import Tensor
-
-from .recorder import bench_recorder
 
 NUM_ROWS = 200_000
 NUM_SEGMENTS = 20_000
@@ -62,12 +58,6 @@ def test_kernel_op_microbenchmarks():
         "matmul_s": _time(lambda: lhs @ rhs),
     }
 
-    rec = bench_recorder("backend_ops")
-    rec.add_meta(num_rows=NUM_ROWS, num_segments=NUM_SEGMENTS, dim=DIM,
-                 repeats=REPEATS)
-    for name, seconds in timings.items():
-        rec.record(name, seconds, unit="s", direction="lower")
-    rec.write()
     summary = ", ".join(f"{k} {v * 1e3:.2f} ms" for k, v in timings.items())
     print(f"\nkernel ops: {summary}")
     # Sanity floor, not a race: the engine must push ≥ 10M row-elements/s

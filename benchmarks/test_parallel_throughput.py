@@ -31,8 +31,6 @@ from repro.graph import netlist_to_graph
 from repro.netlist import build_design
 from repro.utils import seed_all
 
-from .recorder import bench_recorder
-
 MIN_SPEEDUP = 2.0
 WORKERS = 4
 # Two designs per worker (better load balance than one big shard each) and
@@ -91,25 +89,11 @@ def _records_blob(annotations) -> bytes:
 
 def test_parallel_annotation_matches_serial_byte_identically():
     pipeline, workload = _engine_and_workload()
-    start = time.perf_counter()
     serial = _annotate_all(pipeline, workload, max_workers=0)
-    serial_seconds = time.perf_counter() - start
     parallel = _annotate_all(pipeline, workload, max_workers=WORKERS)
     assert _records_blob(parallel) == _records_blob(serial), (
         "sharded annotation reports differ from the serial reports"
     )
-    # The serial baseline runs everywhere; on multi-core machines the
-    # wall-clock speedup test owns the record (it carries the same serial
-    # metrics plus the parallel ones), so only write it where that test skips.
-    if fork_available() and (os.cpu_count() or 1) >= WORKERS:
-        return
-    rec = bench_recorder("parallel")
-    rec.add_meta(num_designs=NUM_DESIGNS, pairs_per_design=PAIRS_PER_DESIGN,
-                 cpus=os.cpu_count())
-    rec.record("serial_seconds", serial_seconds, unit="s", direction="lower")
-    rec.record("serial_links_per_s",
-               NUM_DESIGNS * PAIRS_PER_DESIGN / serial_seconds, unit="links/s")
-    rec.write()
 
 
 @pytest.mark.skipif(not fork_available(), reason="needs the fork start method")
@@ -131,15 +115,6 @@ def test_parallel_annotation_at_least_2x_faster():
     print(f"\nparallel annotation throughput: serial {serial_seconds * 1e3:.0f} ms, "
           f"{WORKERS} workers {parallel_seconds * 1e3:.0f} ms, speedup {speedup:.1f}x "
           f"({NUM_DESIGNS} designs x {PAIRS_PER_DESIGN} pairs)")
-    rec = bench_recorder("parallel")
-    rec.add_meta(workers=WORKERS, num_designs=NUM_DESIGNS,
-                 pairs_per_design=PAIRS_PER_DESIGN, repeats=REPEATS)
-    rec.record("serial_seconds", serial_seconds, unit="s", direction="lower")
-    rec.record("parallel_seconds", parallel_seconds, unit="s", direction="lower")
-    rec.record("parallel_speedup", speedup, unit="x")
-    total_pairs = NUM_DESIGNS * PAIRS_PER_DESIGN
-    rec.record("parallel_links_per_s", total_pairs / parallel_seconds, unit="links/s")
-    rec.write()
     assert speedup >= MIN_SPEEDUP, (
         f"sharded annotation is only {speedup:.1f}x faster than the serial loop "
         f"(required: {MIN_SPEEDUP}x at {WORKERS} workers)"

@@ -13,8 +13,7 @@ Pins the two performance claims of the datapipe refactor:
    than unbounded extraction on the injected host.
 
 This module is intentionally *not* marked ``benchmark``: it runs with the
-tier-1 suite to keep both claims continuously verified, and writes
-``BENCH_sampling_pipeline.json`` for the perf trajectory.
+tier-1 suite to keep both claims continuously verified.
 """
 
 from __future__ import annotations
@@ -33,8 +32,6 @@ from repro.graph import (
     permute_negative_links,
 )
 from repro.netlist import hierarchical_sram
-
-from .recorder import bench_recorder
 
 MAX_OVERHEAD = 0.10     # staged pipeline vs. inlined monolithic recipe
 MIN_FANOUT_SPEEDUP = 3.0
@@ -103,15 +100,6 @@ def test_pipeline_overhead_within_10_percent():
     print(f"\npipeline overhead: monolithic {monolithic_seconds * 1e3:.0f} ms, "
           f"staged {pipeline_seconds * 1e3:.0f} ms, overhead {overhead * 100:+.1f}%")
 
-    rec = bench_recorder("sampling_pipeline")
-    rec.add_meta(pairs=PAIRS, design="SSRAM", scale=0.5,
-                 max_links=kwargs["max_links"])
-    rec.record("monolithic_seconds", monolithic_seconds, unit="s",
-               direction="lower")
-    rec.record("pipeline_seconds", pipeline_seconds, unit="s", direction="lower")
-    rec.record("pipeline_overhead_pct", overhead * 100, unit="%",
-               direction="lower")
-
     sram = _sram_workload()
     unbounded_seconds, bounded_seconds = _fanout_timings(*sram)
     speedup = unbounded_seconds / bounded_seconds
@@ -119,14 +107,6 @@ def test_pipeline_overhead_within_10_percent():
           f"cap {FANOUT_CAP} {bounded_seconds * 1e3:.0f} ms, "
           f"speedup {speedup:.1f}x ({NUM_FANOUT_LINKS} links, "
           f"{FANOUT_HOPS} hops)")
-    rec.add_meta(fanout_cap=FANOUT_CAP, fanout_hops=FANOUT_HOPS,
-                 fanout_links=NUM_FANOUT_LINKS, fanout_design="HSRAM_B2R16C8")
-    rec.record("unbounded_extract_seconds", unbounded_seconds, unit="s",
-               direction="lower")
-    rec.record("fanout_extract_seconds", bounded_seconds, unit="s",
-               direction="lower")
-    rec.record("fanout_speedup", speedup, unit="x")
-    rec.write()
 
     assert overhead <= MAX_OVERHEAD, (
         f"staged pipeline costs {overhead * 100:.1f}% over the monolithic "

@@ -27,8 +27,6 @@ from repro.graph import (
 )
 from tests.oracles.graph_legacy import legacy_compute_pe, legacy_extract_enclosing_subgraph
 
-from .recorder import bench_recorder
-
 MIN_SPEEDUP = 3.0
 NUM_LINKS = 500
 REPEATS = 3
@@ -74,13 +72,6 @@ def test_batched_sampling_at_least_3x_faster():
     print(f"\nsampling throughput: legacy {legacy_seconds * 1e3:.0f} ms, "
           f"batched {batched_seconds * 1e3:.0f} ms, speedup {speedup:.1f}x "
           f"({len(links)} links)")
-    rec = bench_recorder("sampling")
-    rec.add_meta(num_links=len(links), repeats=REPEATS, design="SSRAM", scale=0.5)
-    rec.record("legacy_seconds", legacy_seconds, unit="s", direction="lower")
-    rec.record("batched_seconds", batched_seconds, unit="s", direction="lower")
-    rec.record("batched_speedup", speedup, unit="x")
-    rec.record("sampling_links_per_s", len(links) / batched_seconds, unit="links/s")
-    rec.write()
     assert speedup >= MIN_SPEEDUP, (
         f"batched sampling is only {speedup:.1f}x faster than the legacy path "
         f"(required: {MIN_SPEEDUP}x)"

@@ -29,8 +29,7 @@ computing something different:
 
 Like ``test_serve_throughput.py`` this module is intentionally *not* marked
 ``benchmark``: it runs with the tier-1 suite to keep the claim continuously
-verified, and its record lands in ``benchmarks/results/`` (trajectory
-snapshots are committed under ``benchmarks/trajectory/``).
+verified.
 """
 
 from __future__ import annotations
@@ -48,8 +47,6 @@ from repro.core.server import ServeClient, ServerConfig, ThreadedServer, dumps_c
 from repro.graph import netlist_to_graph
 from repro.netlist import parse_spice, ssram, write_spice
 from repro.utils import seed_all
-
-from .recorder import bench_recorder
 
 LOADGEN = pathlib.Path(__file__).parent / "serve_loadgen.py"
 
@@ -168,7 +165,6 @@ def test_cross_request_batching_at_least_2x_sequential(tmp_path):
     speedup = float(np.median(ratios))
     sequential_seconds = float(np.median(sequential_times))
     concurrent_seconds = float(np.median(concurrent_times))
-    total_links = NUM_REQUESTS * PAIRS_PER_REQUEST
     print(f"\nserve concurrent throughput: sequential "
           f"{sequential_seconds * 1e3:.0f} ms, concurrent "
           f"{concurrent_seconds * 1e3:.0f} ms, median round speedup "
@@ -180,19 +176,3 @@ def test_cross_request_batching_at_least_2x_sequential(tmp_path):
         f"cross-request batching speedup {speedup:.2f}x is below the "
         f"{MIN_SPEEDUP}x gate"
     )
-
-    rec = bench_recorder("serve_concurrent")
-    rec.add_meta(num_requests=NUM_REQUESTS, pairs_per_request=PAIRS_PER_REQUEST,
-                 concurrency=NUM_REQUESTS, batch_window_ms=WINDOW_MS,
-                 rounds=ROUNDS, transport="external asyncio loadgen process",
-                 max_batch_observed=max_batch_observed)
-    rec.record("sequential_seconds", sequential_seconds, unit="s",
-               direction="lower")
-    rec.record("concurrent_seconds", concurrent_seconds, unit="s",
-               direction="lower")
-    rec.record("concurrent_speedup", speedup, unit="x")
-    rec.record("concurrent_links_per_s", total_links / concurrent_seconds,
-               unit="links/s")
-    rec.record("sequential_links_per_s", total_links / sequential_seconds,
-               unit="links/s")
-    rec.write()

@@ -28,8 +28,6 @@ from repro.netlist import ssram
 from repro.nn import no_grad, stable_sigmoid
 from repro.utils import seed_all
 
-from .recorder import bench_recorder
-
 MIN_SPEEDUP = 3.0
 NUM_PAIRS = 256
 REPEATS = 3
@@ -119,18 +117,6 @@ def test_batched_annotation_at_least_3x_faster():
           f"float32 {float32_seconds * 1e3:.0f} ms "
           f"({batched_seconds / float32_seconds:.2f}x vs float64; "
           f"{len(pairs)} candidate pairs)")
-    rec = bench_recorder("serve")
-    rec.add_meta(num_pairs=NUM_PAIRS, repeats=REPEATS, batch_size=128)
-    rec.record("per_link_seconds", per_link_seconds, unit="s", direction="lower")
-    rec.record("batched_seconds", batched_seconds, unit="s", direction="lower")
-    rec.record("batched_speedup", speedup, unit="x")
-    rec.record("annotate_links_per_s", len(pairs) / batched_seconds, unit="links/s")
-    rec.record("float32_annotate_seconds", float32_seconds, unit="s", direction="lower")
-    rec.record("float32_annotate_links_per_s", len(pairs) / float32_seconds,
-               unit="links/s")
-    rec.record("float32_speedup_vs_float64", batched_seconds / float32_seconds,
-               unit="x")
-    rec.write()
     assert speedup >= MIN_SPEEDUP, (
         f"batched annotation is only {speedup:.1f}x faster than per-link inference "
         f"(required: {MIN_SPEEDUP}x)"

@@ -41,8 +41,6 @@ from repro.graph import netlist_to_graph
 from repro.netlist import NetlistDelta, Resistor, ssram
 from repro.utils import seed_all
 
-from .recorder import bench_recorder
-
 MIN_INCREMENTAL_SPEEDUP = 5.0
 RSS_CAP_FRACTION = 0.5          # sharded must fit in half the unsharded peak
 MIN_CHIP_DEVICES = 136_000      # >= 100x the bundled 1360-device SSRAM
@@ -175,18 +173,3 @@ def test_chip_scale_sharding_bounds_peak_rss():
         f"over the {cap_mb:.0f} MiB cap (unsharded: "
         f"{unsharded['peak_rss_mb']:.0f} MiB)"
     )
-    rec = bench_recorder("shard_annotate")
-    rec.add_meta(num_devices=unsharded["num_devices"],
-                 num_shards=sharded["num_shards"],
-                 strategy=sharded["strategy"], cpus=os.cpu_count())
-    rec.record("unsharded_peak_rss_mb", unsharded["peak_rss_mb"],
-               unit="MiB", direction="lower")
-    rec.record("sharded_peak_rss_mb", sharded["peak_rss_mb"],
-               unit="MiB", direction="lower")
-    rec.record("rss_reduction",
-               unsharded["peak_rss_mb"] / sharded["peak_rss_mb"], unit="x")
-    rec.record("unsharded_seconds", unsharded["elapsed_s"], unit="s",
-               direction="lower")
-    rec.record("sharded_seconds", sharded["elapsed_s"], unit="s",
-               direction="lower")
-    rec.write()

@@ -32,8 +32,6 @@ from repro.models import CircuitGPS
 from repro.nn import Adam, bce_with_logits, clip_grad_norm, no_grad
 from tests.oracles.nn_legacy import LoopMultiHeadSelfAttention, LoopPerformerAttention
 
-from .recorder import bench_recorder
-
 MIN_COMBINED_SPEEDUP = 2.0   # the PR-4 gate, over both attention kernels
 MIN_SINGLE_SPEEDUP = 1.3     # per-kernel sanity floor (perf ~5x, attn ~2x)
 BATCH_SIZE = 32
@@ -130,15 +128,6 @@ def test_vectorized_train_step_at_least_2x_faster():
         f"({loop / vec:.1f}x)" for name, (loop, vec) in timings.items()
     )
     print(f"\ntrain throughput (batch {BATCH_SIZE}): {lines}; combined {combined:.1f}x")
-    rec = bench_recorder("train")
-    rec.add_meta(batch_size=BATCH_SIZE, steps=STEPS, repeats=REPEATS)
-    for name, (loop, vec) in timings.items():
-        rec.record(f"{name}_loop_step_s", loop, unit="s/step", direction="lower")
-        rec.record(f"{name}_vectorized_step_s", vec, unit="s/step", direction="lower")
-        rec.record(f"{name}_speedup", loop / vec, unit="x")
-    rec.record("combined_speedup", combined, unit="x")
-    rec.record("train_steps_per_s", 1.0 / vec_total, unit="steps/s")
-    rec.write()
     for name, (loop, vec) in timings.items():
         assert loop / vec >= MIN_SINGLE_SPEEDUP, (
             f"{name} train step is only {loop / vec:.2f}x faster than the "

@@ -1,7 +1,5 @@
-"""Analysis utilities: switching-energy validation (Fig. 4), report formatting
-and machine-readable benchmark records (``BENCH_<area>.json`` + comparison)."""
+"""Analysis utilities: switching-energy validation (Fig. 4) and report formatting."""
 
-from .bench import BenchRecorder, compare_benchmarks, load_bench, peak_rss_mb
 from .energy import design_energy, energy_comparison, net_total_capacitances, switching_energy
 from .reporting import format_metric, format_table, print_table
 
@@ -13,8 +11,4 @@ __all__ = [
     "format_table",
     "format_metric",
     "print_table",
-    "BenchRecorder",
-    "load_bench",
-    "compare_benchmarks",
-    "peak_rss_mb",
 ]

@@ -20,8 +20,6 @@
   the bundled test designs,
 * ``report``   — render annotation JSON or ``benchmarks/results`` JSON files
   as plain-text tables,
-* ``bench``    — diff two machine-readable ``BENCH_*.json`` benchmark records
-  and exit nonzero on a perf regression (``--compare OLD NEW``),
 * ``components`` — list every registered backbone / attention kernel / head /
   encoding / sampler / task / lint rule (the plugin surface of
   :mod:`repro.api`),
@@ -219,14 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("path", nargs="?", default="benchmarks/results",
                         help="an annotation JSON, a results JSON, or a directory "
                              "of them (default: benchmarks/results)")
-
-    bench = sub.add_parser(
-        "bench", help="compare two BENCH_*.json benchmark records")
-    bench.add_argument("--compare", nargs=2, required=True,
-                       metavar=("OLD.json", "NEW.json"),
-                       help="baseline and candidate benchmark records")
-    bench.add_argument("--threshold", type=float, default=0.10,
-                       help="relative regression tolerance (default: 0.10)")
 
     components = sub.add_parser(
         "components", help="list the registered pluggable components")
@@ -697,38 +687,6 @@ def cmd_report(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    """Diff two ``BENCH_*.json`` records; exit 1 on a perf regression."""
-    from ..analysis.bench import compare_benchmarks, load_bench
-
-    old_path, new_path = args.compare
-    if args.threshold < 0:
-        print("error: --threshold must be non-negative", file=sys.stderr)
-        return 2
-    try:
-        old, new = load_bench(old_path), load_bench(new_path)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    rows = compare_benchmarks(old, new, threshold=args.threshold)
-    display = [{
-        "metric": row["metric"],
-        "old": "-" if row["old"] is None else f"{row['old']:.6g}",
-        "new": "-" if row["new"] is None else f"{row['new']:.6g}",
-        "change": "-" if row["change"] is None else f"{row['change']:+.1%}",
-        "status": row["status"],
-    } for row in rows]
-    title = (f"Benchmark comparison ({old.get('area', '?')}): "
-             f"{old_path} -> {new_path}, threshold {args.threshold:.0%}")
-    print(format_table(display, title=title))
-    regressed = [row["metric"] for row in rows if row["status"] == "regressed"]
-    if regressed:
-        print(f"\nREGRESSED ({len(regressed)}): {', '.join(regressed)}", file=sys.stderr)
-        return 1
-    print("\nno regressions beyond the threshold")
-    return 0
-
-
 def cmd_components(args) -> int:
     """List the pluggable component registries (``repro.api``)."""
     from ..api.registries import list_components
@@ -807,8 +765,7 @@ def main(argv: list[str] | None = None) -> int:
     handlers = {"train": cmd_train, "annotate": cmd_annotate,
                 "reannotate": cmd_reannotate, "serve": cmd_serve,
                 "evaluate": cmd_evaluate, "report": cmd_report,
-                "bench": cmd_bench, "components": cmd_components,
-                "lint": cmd_lint}
+                "components": cmd_components, "lint": cmd_lint}
     try:
         return handlers[args.command](args)
     except (CheckpointError, FileNotFoundError, RegistryError, SpecError) as exc:

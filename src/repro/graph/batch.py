@@ -28,10 +28,9 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from ..utils.rng import get_rng
 from ..nn.dtypes import FLOAT64
 
-__all__ = ["Subgraph", "SubgraphBatch", "DistinctSubgraphs", "collate", "batch_iterator"]
+__all__ = ["Subgraph", "SubgraphBatch", "DistinctSubgraphs", "collate"]
 
 
 @dataclass
@@ -403,19 +402,3 @@ def collate(samples) -> SubgraphBatch:
     if block.pe is None:
         block.pe = np.zeros((block.num_nodes, 0))
     return block
-
-
-def batch_iterator(subgraphs: Sequence[Subgraph], batch_size: int, shuffle: bool = True,
-                   rng=None, drop_last: bool = False) -> Iterator[SubgraphBatch]:
-    """Yield :class:`SubgraphBatch` objects of ``batch_size`` subgraphs."""
-    if batch_size <= 0:
-        raise ValueError("batch_size must be positive")
-    rng = get_rng(rng)
-    order = np.arange(len(subgraphs))
-    if shuffle:
-        order = rng.permutation(order)
-    for start in range(0, len(order), batch_size):
-        chunk = order[start:start + batch_size]
-        if drop_last and len(chunk) < batch_size:
-            break
-        yield collate([subgraphs[i] for i in chunk])

@@ -13,10 +13,10 @@ candidate at a time:
   mode it *completes* to the exact requested count by enumerating the
   remaining feasible pairs, or raises :class:`NegativeSamplingError` with an
   actionable message when the graph cannot support the request.
-* :func:`conditioned_negatives` / :func:`uniform_negative_links` — DGL-style
-  uniform corruption: for every positive ``(u, v)`` draw ``k`` corrupt heads
-  and ``k`` corrupt tails from same-node-type pools, emitted as conditioned
-  ``[u, v, neg_heads, neg_tails]`` arrays (:class:`ConditionedNegatives`).
+* :func:`conditioned_negatives` — DGL-style uniform corruption: for every
+  positive ``(u, v)`` draw ``k`` corrupt heads and ``k`` corrupt tails from
+  same-node-type pools, emitted as conditioned ``[u, v, neg_heads,
+  neg_tails]`` arrays (:class:`ConditionedNegatives`).
 * :func:`stratified_negative_links` — corruption endpoints drawn from the
   same *(node type, degree-quantile)* stratum as the endpoint they replace,
   so negatives match the positives' hubness profile.
@@ -40,7 +40,6 @@ __all__ = [
     "ConditionedNegatives",
     "permute_negative_links",
     "conditioned_negatives",
-    "uniform_negative_links",
     "stratified_negative_links",
 ]
 
@@ -314,15 +313,6 @@ def conditioned_negatives(node_types: np.ndarray, positives, *, k: int = 1,
                                                 neg_heads=neg_heads,
                                                 neg_tails=neg_tails))
     return conditioned
-
-
-def uniform_negative_links(node_types: np.ndarray, positives, *, k: int = 1,
-                           rng=None, max_tries: int = 50, strict: bool = True,
-                           avoid=None) -> list[Link]:
-    """Flattened :func:`conditioned_negatives` (``2 * k`` negatives per positive)."""
-    batches = conditioned_negatives(node_types, positives, k=k, rng=rng,
-                                    max_tries=max_tries, strict=strict, avoid=avoid)
-    return [link for batch in batches for link in batch.to_links()]
 
 
 def stratified_negative_links(node_types: np.ndarray, degrees: np.ndarray,

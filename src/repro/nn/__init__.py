@@ -2,10 +2,12 @@
 
 This package replaces the PyTorch / PyTorch-Geometric dependency of the
 original CircuitGPS implementation.  It provides tensors with automatic
-differentiation, standard layers (Linear, Embedding, MLP, BatchNorm,
-LayerNorm, Dropout), softmax and Performer attention, optimisers and loss
-functions — everything needed to train the GPS-style hybrid graph Transformer
-on CPU.
+differentiation, the layers the GPS model is built from (Linear, Embedding,
+MLP, BatchNorm, Dropout, ReLU), softmax and Performer attention, Adam with a
+cosine learning-rate schedule, and the two training losses (binary
+cross-entropy on logits for link pre-training, mean squared error for
+regression fine-tuning) — everything needed to train the GPS-style hybrid
+graph Transformer on CPU.
 """
 
 from . import functional
@@ -13,20 +15,10 @@ from .attention import MultiHeadSelfAttention
 from .dtypes import (FLOAT32, FLOAT64, FLOAT_DTYPES, as_float,
                      default_dtype, set_default_dtype, use_dtype)
 from .functional import BucketLayout, SegmentInfo, bucket_layout, segment_info
-from .layers import (
-    MLP,
-    BatchNorm1d,
-    Dropout,
-    Embedding,
-    GELU,
-    Identity,
-    LayerNorm,
-    Linear,
-    ReLU,
-)
-from .losses import bce_with_logits, cross_entropy, huber_loss, l1_loss, mse_loss
+from .layers import MLP, BatchNorm1d, Dropout, Embedding, Linear, ReLU
+from .losses import bce_with_logits, mse_loss
 from .module import Module, ModuleList, Parameter, Sequential
-from .optim import SGD, Adam, AdamW, CosineSchedule, StepSchedule, clip_grad_norm
+from .optim import Adam, CosineSchedule, clip_grad_norm
 from .performer import PerformerAttention
 from .tensor import Tensor, concat, no_grad, stable_sigmoid, stack
 
@@ -44,28 +36,19 @@ __all__ = [
     "Embedding",
     "MLP",
     "BatchNorm1d",
-    "LayerNorm",
     "Dropout",
     "ReLU",
-    "GELU",
-    "Identity",
     "MultiHeadSelfAttention",
     "PerformerAttention",
     "SegmentInfo",
     "segment_info",
     "BucketLayout",
     "bucket_layout",
-    "SGD",
     "Adam",
-    "AdamW",
     "CosineSchedule",
-    "StepSchedule",
     "clip_grad_norm",
     "bce_with_logits",
     "mse_loss",
-    "l1_loss",
-    "huber_loss",
-    "cross_entropy",
     "functional",
     "as_float",
     "FLOAT32",

@@ -38,7 +38,6 @@ __all__ = [
     "stack",
     "scatter_add",
     "scatter_mean",
-    "scatter_max",
     "SegmentInfo",
     "segment_info",
     "BucketLayout",
@@ -49,9 +48,6 @@ __all__ = [
     "segment_softmax",
     "to_padded",
     "from_padded",
-    "global_mean_pool",
-    "global_add_pool",
-    "global_max_pool",
 ]
 
 
@@ -253,15 +249,6 @@ def scatter_mean(src: Tensor, index, num_rows: int) -> Tensor:
     return sums * Tensor(1.0 / counts)
 
 
-def scatter_max(src: Tensor, index, num_rows: int) -> Tensor:
-    """Scatter-max (non-differentiable through the argmax selection mask).
-
-    Gradients flow only to the winning entries (ties split evenly), matching
-    PyTorch-scatter semantics.
-    """
-    return src.segment_max(index, num_rows)
-
-
 def segment_sum(src: Tensor, index, num_segments: int | None = None) -> Tensor:
     """Per-segment sum over the leading axis of ``src``."""
     idx, num_segments = _segment_args(index, num_segments)
@@ -328,18 +315,3 @@ def from_padded(padded: Tensor, index) -> Tensor:
     seg = segment_info(index)
     flat = padded.reshape((seg.num_segments * seg.max_count,) + padded.shape[2:])
     return flat.gather_rows(seg.flat, unique=True)
-
-
-def global_add_pool(x: Tensor, batch, num_graphs: int | None = None) -> Tensor:
-    """Sum node features per graph in a batched disjoint union."""
-    return segment_sum(x, batch, num_graphs)
-
-
-def global_mean_pool(x: Tensor, batch, num_graphs: int | None = None) -> Tensor:
-    """Average node features per graph in a batched disjoint union."""
-    return segment_mean(x, batch, num_graphs)
-
-
-def global_max_pool(x: Tensor, batch, num_graphs: int | None = None) -> Tensor:
-    """Max-pool node features per graph in a batched disjoint union."""
-    return segment_max(x, batch, num_graphs)

@@ -6,7 +6,7 @@ import numpy as np
 
 from .dtypes import FLOAT64
 
-__all__ = ["xavier_uniform", "xavier_normal", "kaiming_uniform", "zeros", "normal", "uniform"]
+__all__ = ["xavier_uniform", "zeros", "normal"]
 
 
 def xavier_uniform(shape: tuple, rng: np.random.Generator, gain: float = 1.0) -> np.ndarray:
@@ -16,30 +16,12 @@ def xavier_uniform(shape: tuple, rng: np.random.Generator, gain: float = 1.0) ->
     return rng.uniform(-limit, limit, size=shape)
 
 
-def xavier_normal(shape: tuple, rng: np.random.Generator, gain: float = 1.0) -> np.ndarray:
-    """Glorot/Xavier normal initialisation."""
-    fan_in, fan_out = _fans(shape)
-    std = gain * np.sqrt(2.0 / (fan_in + fan_out))
-    return rng.normal(0.0, std, size=shape)
-
-
-def kaiming_uniform(shape: tuple, rng: np.random.Generator) -> np.ndarray:
-    """He/Kaiming uniform initialisation (for ReLU fan-in)."""
-    fan_in, _ = _fans(shape)
-    limit = np.sqrt(6.0 / fan_in)
-    return rng.uniform(-limit, limit, size=shape)
-
-
 def zeros(shape: tuple) -> np.ndarray:
     return np.zeros(shape, dtype=FLOAT64)
 
 
 def normal(shape: tuple, rng: np.random.Generator, std: float = 0.02) -> np.ndarray:
     return rng.normal(0.0, std, size=shape)
-
-
-def uniform(shape: tuple, rng: np.random.Generator, low: float = -0.1, high: float = 0.1) -> np.ndarray:
-    return rng.uniform(low, high, size=shape)
 
 
 def _fans(shape: tuple) -> tuple[int, int]:

@@ -16,11 +16,8 @@ __all__ = [
     "Embedding",
     "MLP",
     "BatchNorm1d",
-    "LayerNorm",
     "Dropout",
     "ReLU",
-    "GELU",
-    "Identity",
 ]
 
 
@@ -89,18 +86,6 @@ class ReLU(Module):
     def forward(self, x: Tensor) -> Tensor:
         """Elementwise ``max(x, 0)``."""
         return x.relu()
-
-
-class GELU(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        """Gaussian-error linear unit (tanh approximation)."""
-        return x.gelu()
-
-
-class Identity(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        """Return ``x`` unchanged."""
-        return x
 
 
 class BatchNorm1d(Module):
@@ -174,28 +159,6 @@ class BatchNorm1d(Module):
 
     def __repr__(self):
         return f"BatchNorm1d(dim={self.dim})"
-
-
-class LayerNorm(Module):
-    """Layer normalisation over the last axis."""
-
-    def __init__(self, dim: int, eps: float = 1e-5):
-        super().__init__()
-        self.dim = int(dim)
-        self.eps = float(eps)
-        self.gamma = Parameter(np.ones(self.dim))
-        self.beta = Parameter(np.zeros(self.dim))
-
-    def forward(self, x: Tensor) -> Tensor:
-        """Normalise the last axis, then scale and shift."""
-        mean = x.mean(axis=-1, keepdims=True)
-        centred = x - mean
-        var = (centred * centred).mean(axis=-1, keepdims=True)
-        x_hat = centred / (var + self.eps).sqrt()
-        return x_hat * self.gamma + self.beta
-
-    def __repr__(self):
-        return f"LayerNorm(dim={self.dim})"
 
 
 class MLP(Module):

@@ -6,13 +6,7 @@ import numpy as np
 
 from .tensor import Tensor
 
-__all__ = [
-    "bce_with_logits",
-    "mse_loss",
-    "l1_loss",
-    "huber_loss",
-    "cross_entropy",
-]
+__all__ = ["bce_with_logits", "mse_loss"]
 
 
 def _ensure(x) -> Tensor:
@@ -44,34 +38,3 @@ def mse_loss(pred: Tensor, target) -> Tensor:
     target = _ensure(target)
     diff = pred - target
     return (diff * diff).mean()
-
-
-def l1_loss(pred: Tensor, target) -> Tensor:
-    """Mean absolute error."""
-    pred = _ensure(pred)
-    target = _ensure(target)
-    return (pred - target).abs().mean()
-
-
-def huber_loss(pred: Tensor, target, delta: float = 1.0) -> Tensor:
-    """Huber (smooth-L1) loss, robust to the heavy-tailed capacitance distribution."""
-    pred = _ensure(pred)
-    target = _ensure(target)
-    diff = (pred - target).abs()
-    clipped = diff.clip(0.0, delta)
-    # 0.5 * clipped^2 + delta * (diff - clipped)
-    return (clipped * clipped * 0.5 + (diff - clipped) * delta).mean()
-
-
-def cross_entropy(logits: Tensor, targets) -> Tensor:
-    """Multi-class cross-entropy on raw logits with integer class targets.
-
-    Used by the DLPL-Cap baseline's router, which first classifies nodes into
-    capacitance-magnitude classes before dispatching to expert regressors.
-    """
-    logits = _ensure(logits)
-    target_idx = np.asarray(targets, dtype=np.int64)
-    log_probs = logits.log_softmax(axis=-1)
-    rows = np.arange(len(target_idx))
-    picked = log_probs[rows, target_idx]
-    return picked.mean() * -1.0

@@ -7,7 +7,7 @@ import numpy as np
 from .module import Parameter
 from .dtypes import FLOAT64
 
-__all__ = ["Optimizer", "SGD", "Adam", "AdamW", "CosineSchedule", "StepSchedule", "clip_grad_norm"]
+__all__ = ["Optimizer", "Adam", "CosineSchedule", "clip_grad_norm"]
 
 
 def clip_grad_norm(parameters, max_norm: float) -> float:
@@ -84,45 +84,6 @@ class Optimizer:
         return loaded
 
 
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum and weight decay."""
-
-    def __init__(self, parameters, lr: float = 1e-2, momentum: float = 0.0,
-                 weight_decay: float = 0.0):
-        super().__init__(parameters, lr)
-        self.momentum = float(momentum)
-        self.weight_decay = float(weight_decay)
-        self._velocity = [np.zeros_like(p.data) for p in self.parameters]
-
-    def step(self) -> None:
-        """Apply one SGD(+momentum, +weight-decay) update."""
-        for param, velocity in zip(self.parameters, self._velocity):
-            if param.grad is None:
-                continue
-            grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
-            if self.momentum:
-                velocity *= self.momentum
-                velocity += grad
-                update = velocity
-            else:
-                update = grad
-            param.data = param.data - self.lr * update
-
-    def state_dict(self) -> dict[str, np.ndarray]:
-        state = super().state_dict()
-        for i, velocity in enumerate(self._velocity):
-            state[f"velocity.{i}"] = velocity.copy()
-        return state
-
-    def load_state_dict(self, state: dict) -> None:
-        velocity = self._checked_slots(state, "velocity", self._velocity)
-        super().load_state_dict(state)
-        if velocity is not None:
-            self._velocity = velocity
-
-
 class Adam(Optimizer):
     """Adam optimiser (Kingma & Ba, 2015)."""
 
@@ -136,19 +97,6 @@ class Adam(Optimizer):
         self._v = [np.zeros_like(p.data) for p in self.parameters]
         self._t = 0
 
-    def _apply_weight_decay(self, param: Parameter) -> np.ndarray:
-        """Apply this optimiser's weight-decay policy for one parameter and
-        return the gradient to feed the moment estimates.
-
-        Called exactly once per parameter per :meth:`step`.  Adam folds the
-        coupled (L2) decay term into the gradient; :class:`AdamW` overrides
-        this to decay ``param.data`` in place (decoupled) instead.
-        """
-        grad = param.grad
-        if self.weight_decay:
-            grad = grad + self.weight_decay * param.data
-        return grad
-
     def step(self) -> None:
         """Apply one bias-corrected Adam update."""
         self._t += 1
@@ -157,7 +105,9 @@ class Adam(Optimizer):
         for param, m, v in zip(self.parameters, self._m, self._v):
             if param.grad is None:
                 continue
-            grad = self._apply_weight_decay(param)
+            grad = param.grad
+            if self.weight_decay:
+                grad = grad + self.weight_decay * param.data
             m *= self.beta1
             m += (1 - self.beta1) * grad
             v *= self.beta2
@@ -190,20 +140,6 @@ class Adam(Optimizer):
             self._m = m
             self._v = v
             self._t = int(state["t"])
-
-
-class AdamW(Adam):
-    """Adam with decoupled weight decay (Loshchilov & Hutter, 2019).
-
-    The decay ``theta <- theta * (1 - lr * lambda)`` is applied per parameter
-    inside the update loop, before the Adam step, and never enters the
-    gradient or the moment estimates.
-    """
-
-    def _apply_weight_decay(self, param: Parameter) -> np.ndarray:
-        if self.weight_decay:
-            param.data = param.data * (1.0 - self.lr * self.weight_decay)
-        return param.grad
 
 
 class CosineSchedule:
@@ -243,32 +179,3 @@ class CosineSchedule:
         self._step = int(state.get("step", self._step))
         if self._step > 0:
             self.optimizer.lr = self._lr_at(self._step)
-
-
-class StepSchedule:
-    """Multiply the learning rate by ``gamma`` every ``step_size`` steps."""
-
-    def __init__(self, optimizer: Optimizer, step_size: int, gamma: float = 0.5):
-        if step_size <= 0:
-            raise ValueError("step_size must be positive")
-        self.optimizer = optimizer
-        self.step_size = int(step_size)
-        self.gamma = float(gamma)
-        self._step = 0
-
-    def step(self) -> float:
-        """Advance one step, decaying the LR every ``step_size`` steps."""
-        self._step += 1
-        if self._step % self.step_size == 0:
-            self.optimizer.lr *= self.gamma
-        return self.optimizer.lr
-
-    def state_dict(self) -> dict[str, np.ndarray]:
-        """Serialisable schedule position and current LR."""
-        return {"step": np.int64(self._step), "lr": FLOAT64.type(self.optimizer.lr)}
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore the schedule position and LR."""
-        self._step = int(state.get("step", self._step))
-        if "lr" in state:
-            self.optimizer.lr = float(state["lr"])

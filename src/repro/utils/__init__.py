@@ -10,7 +10,7 @@ from .serialization import (
     save_json,
     validate_state_keys,
 )
-from .timing import Timer, timed
+from .timing import timed
 
 __all__ = [
     "MetricLogger",
@@ -25,6 +25,5 @@ __all__ = [
     "save_checkpoint",
     "save_json",
     "validate_state_keys",
-    "Timer",
     "timed",
 ]

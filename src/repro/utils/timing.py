@@ -1,47 +1,11 @@
-"""Wall-clock timing helpers used for the Time columns of Tables II/III/VII."""
+"""Wall-clock timing helper."""
 
 from __future__ import annotations
 
 import time
 from contextlib import contextmanager
 
-__all__ = ["Timer", "timed"]
-
-
-class Timer:
-    """Accumulating stopwatch."""
-
-    def __init__(self):
-        self.total = 0.0
-        self.count = 0
-        self._start = None
-
-    def start(self) -> "Timer":
-        """Start (or restart) the stopwatch; returns self for chaining."""
-        self._start = time.perf_counter()
-        return self
-
-    def stop(self) -> float:
-        """Stop the stopwatch and return (and accumulate) the elapsed seconds."""
-        if self._start is None:
-            raise RuntimeError("Timer.stop() called before start()")
-        elapsed = time.perf_counter() - self._start
-        self.total += elapsed
-        self.count += 1
-        self._start = None
-        return elapsed
-
-    @property
-    def mean(self) -> float:
-        """Mean elapsed seconds per start/stop cycle."""
-        return self.total / self.count if self.count else 0.0
-
-    def __enter__(self) -> "Timer":
-        return self.start()
-
-    def __exit__(self, exc_type, exc, tb):
-        self.stop()
-        return False
+__all__ = ["timed"]
 
 
 @contextmanager

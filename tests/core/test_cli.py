@@ -5,10 +5,14 @@ deliberately tiny configuration: train -> save artifact -> annotate a bundled
 SPICE netlist -> render the JSON report.
 """
 
+import argparse
 import json
+import re
 
 import pytest
 
+import repro.__main__ as entry_point
+from repro.core import cli
 from repro.core.cli import build_parser, main
 from repro.netlist import ssram, write_spice
 
@@ -23,6 +27,25 @@ def test_help_exits_zero(capsys):
 def test_subcommand_required():
     with pytest.raises(SystemExit):
         main([])
+
+
+def test_documented_subcommands_match_the_parser():
+    """The command lists of the ``repro.core.cli`` and ``repro.__main__``
+    docstrings name exactly the subcommands the parser accepts."""
+    (subparsers,) = [action for action in build_parser()._actions
+                     if isinstance(action, argparse._SubParsersAction)]
+    commands = set(subparsers.choices)
+    assert set(re.findall(r"^\* ``([a-z]+)``", cli.__doc__, re.M)) == commands
+    listed = re.search(r"subcommands \(([^)]*)\)", entry_point.__doc__).group(1)
+    assert {name.strip() for name in listed.split("/")} == commands
+
+
+def test_bench_is_not_a_command(tmp_path, capsys):
+    old, new = str(tmp_path / "old.json"), str(tmp_path / "new.json")
+    with pytest.raises(SystemExit) as excinfo:
+        main(["bench", "--compare", old, new])
+    assert excinfo.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_parser_presets_cover_all_configs():
@@ -235,62 +258,3 @@ class TestEndToEnd:
         assert code == 2
         assert "report" in capsys.readouterr().err
 
-
-class TestBenchCompare:
-    """``python -m repro bench --compare OLD NEW`` (the CI perf gate)."""
-
-    @staticmethod
-    def _write(tmp_path, name, metrics):
-        from repro.analysis.bench import BenchRecorder
-
-        rec = BenchRecorder("serve", out_dir=tmp_path / name)
-        for metric, (value, direction) in metrics.items():
-            rec.record(metric, value, direction=direction)
-        return str(rec.write())
-
-    def test_detects_injected_regression(self, tmp_path, capsys):
-        old = self._write(tmp_path, "old", {
-            "links_per_s": (1000.0, "higher"), "latency_s": (1.0, "lower")})
-        new = self._write(tmp_path, "new", {
-            "links_per_s": (800.0, "higher"), "latency_s": (1.01, "lower")})
-        assert main(["bench", "--compare", old, new]) == 1
-        captured = capsys.readouterr()
-        assert "REGRESSED" in captured.err
-        assert "links_per_s" in captured.err
-        assert "latency_s" not in captured.err  # 1% is inside the threshold
-
-    def test_improvement_and_noise_pass(self, tmp_path, capsys):
-        old = self._write(tmp_path, "old", {
-            "links_per_s": (1000.0, "higher"), "latency_s": (1.0, "lower")})
-        new = self._write(tmp_path, "new", {
-            "links_per_s": (1500.0, "higher"), "latency_s": (0.95, "lower")})
-        assert main(["bench", "--compare", old, new]) == 0
-        out = capsys.readouterr().out
-        assert "improved" in out and "no regressions" in out.lower()
-
-    def test_threshold_flag_loosens_the_gate(self, tmp_path):
-        old = self._write(tmp_path, "old", {"links_per_s": (1000.0, "higher")})
-        new = self._write(tmp_path, "new", {"links_per_s": (800.0, "higher")})
-        assert main(["bench", "--compare", old, new, "--threshold", "0.25"]) == 0
-        assert main(["bench", "--compare", old, new, "--threshold", "-1"]) == 2
-
-    def test_direction_matters(self, tmp_path):
-        # latency going UP 20% regresses even though the number "increased"
-        old = self._write(tmp_path, "old", {"latency_s": (1.0, "lower")})
-        new = self._write(tmp_path, "new", {"latency_s": (1.2, "lower")})
-        assert main(["bench", "--compare", old, new]) == 1
-
-    def test_metrics_in_only_one_file_never_fail(self, tmp_path, capsys):
-        old = self._write(tmp_path, "old", {"gone_s": (1.0, "lower")})
-        new = self._write(tmp_path, "new", {"fresh_s": (9.0, "lower")})
-        assert main(["bench", "--compare", old, new]) == 0
-        out = capsys.readouterr().out
-        assert "old-only" in out and "new-only" in out
-
-    def test_bad_input_reports_error(self, tmp_path, capsys):
-        bogus = tmp_path / "bogus.json"
-        bogus.write_text(json.dumps({"schema": "other"}))
-        good = self._write(tmp_path, "good", {"x": (1.0, "higher")})
-        assert main(["bench", "--compare", str(bogus), good]) == 2
-        assert "error" in capsys.readouterr().err
-        assert main(["bench", "--compare", str(tmp_path / "nope.json"), good]) == 2

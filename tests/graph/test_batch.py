@@ -5,7 +5,6 @@ import pytest
 
 from repro.graph import (
     SubgraphBatch,
-    batch_iterator,
     collate,
     compute_pe,
     compute_pe_batch,
@@ -151,24 +150,3 @@ class TestBlocks:
         with pytest.raises(ValueError, match="grouped"):
             block.validate()
 
-
-class TestBatchIterator:
-    def test_covers_all_samples(self, samples):
-        seen = 0
-        for batch in batch_iterator(samples, 16, shuffle=False):
-            seen += batch.num_graphs
-        assert seen == len(samples)
-
-    def test_drop_last(self, samples):
-        batches = list(batch_iterator(samples, 16, shuffle=False, drop_last=True))
-        assert all(b.num_graphs == 16 for b in batches)
-
-    def test_shuffle_changes_order(self, samples):
-        first = next(iter(batch_iterator(samples, 8, shuffle=True, rng=0)))
-        second = next(iter(batch_iterator(samples, 8, shuffle=True, rng=99)))
-        assert not np.array_equal(first.labels, second.labels) or \
-            not np.array_equal(first.targets, second.targets)
-
-    def test_invalid_batch_size(self, samples):
-        with pytest.raises(ValueError):
-            list(batch_iterator(samples, 0))

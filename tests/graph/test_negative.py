@@ -11,6 +11,8 @@ must turn into either an exact completion or an actionable
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,11 +22,12 @@ from numpy.random import default_rng
 from repro.graph import (
     Link,
     NegativeSamplingError,
+    SeedBatch,
     conditioned_negatives,
     permute_negative_links,
     stratified_negative_links,
-    uniform_negative_links,
 )
+from repro.graph.datapipe import UniformNegativeStage
 
 LINK_TYPES = (2, 3, 4)  # pin-net, pin-pin, net-net
 
@@ -145,14 +148,46 @@ class TestConditionedProperties:
 
     @settings(max_examples=50, deadline=None)
     @given(positive_sets(), st.integers(0, 2**16))
-    def test_uniform_negatives_avoid_observed_links(self, case, seed):
+    def test_uniform_stage_negatives_avoid_observed_links(self, case, seed):
         n, positives = case
-        node_types = np.zeros(n, dtype=np.int64)  # one big pool: always feasible
-        negatives = uniform_negative_links(node_types, positives, k=1,
-                                           rng=default_rng(seed), strict=False)
+        # The stage reads only the node types and the observed links.
+        graph = SimpleNamespace(node_types=np.zeros(n, dtype=np.int64),
+                                links=positives)
+        _, seeds = UniformNegativeStage(k=1, strict=False)(
+            graph, SeedBatch(positives=positives), rng=default_rng(seed))
+        negatives = seeds.negatives
+        assert len(negatives) == sum(b.num_negatives for b in seeds.conditioned)
+        assert len(negatives) <= 2 * len(positives)
         assert not _keys(positives) & _keys(negatives)
         assert all(link.source != link.target for link in negatives)
         assert all(link.label == 0.0 for link in negatives)
+
+    def test_uniform_stage_flattens_2k_same_type_negatives(self):
+        """Strict: exactly ``2 * k`` negatives per positive, each sharing
+        the node type of the endpoint it replaces and the positive's link
+        type, and none on an observed link of the graph."""
+        node_types = np.repeat(np.array([0, 1], dtype=np.int64), 20)
+        positives = [Link(i, 20 + i, 2) for i in range(5)]
+        observed = positives + [Link(i, 20 + j, 2)
+                                for i in range(5) for j in range(5) if i != j]
+        graph = SimpleNamespace(node_types=node_types, links=observed)
+        k = 3
+        _, seeds = UniformNegativeStage(k=k, strict=True)(
+            graph, SeedBatch(positives=positives), rng=default_rng(0))
+        negatives = seeds.negatives
+        assert len(negatives) == 2 * k * len(positives)
+        assert not _keys(observed) & _keys(negatives)
+        for link in negatives:
+            assert link.link_type == 2 and link.label == 0.0
+            assert node_types[link.source] == 0 and node_types[link.target] == 1
+        # Per positive: k corrupt heads keep its target, k corrupt tails keep
+        # its source.
+        for positive in positives:
+            heads = [l for l in negatives if l.target == positive.target
+                     and l.source != positive.source]
+            tails = [l for l in negatives if l.source == positive.source
+                     and l.target != positive.target]
+            assert len(heads) == k and len(tails) == k
 
     @settings(max_examples=30, deadline=None)
     @given(positive_sets(), st.integers(0, 2**16))

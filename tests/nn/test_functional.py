@@ -1,9 +1,7 @@
-"""Tests for the functional interface (scatter ops, pooling, segment softmax)."""
+"""Tests for the functional interface (scatter ops, segment ops, padding, dropout)."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.nn import Tensor
 from repro.nn import functional as F
@@ -21,11 +19,6 @@ class TestScatterOps:
         src = Tensor(np.array([[2.0], [4.0], [6.0]]))
         out = F.scatter_mean(src, np.array([0, 0, 1]), 3)
         np.testing.assert_allclose(out.data, [[3.0], [6.0], [0.0]])
-
-    def test_scatter_max_values(self):
-        src = Tensor(np.array([[1.0], [5.0], [3.0]]))
-        out = F.scatter_max(src, np.array([0, 0, 1]), 2)
-        np.testing.assert_allclose(out.data, [[5.0], [3.0]])
 
     def test_scatter_mean_empty_bucket_is_zero(self):
         src = Tensor(np.ones((2, 3)))
@@ -189,33 +182,25 @@ class TestPaddedBatching:
             F.to_padded(Tensor(np.ones((3, 2))), np.array([0, 0]))
 
 
-class TestPooling:
-    def test_mean_pool(self):
-        x = Tensor(np.array([[1.0, 1.0], [3.0, 3.0], [10.0, 0.0]]))
-        batch = np.array([0, 0, 1])
-        out = F.global_mean_pool(x, batch, 2)
-        np.testing.assert_allclose(out.data, [[2.0, 2.0], [10.0, 0.0]])
-
-    def test_add_pool(self):
-        x = Tensor(np.ones((4, 3)))
-        out = F.global_add_pool(x, np.array([0, 0, 1, 1]), 2)
-        np.testing.assert_allclose(out.data, 2 * np.ones((2, 3)))
-
-    def test_max_pool(self):
-        x = Tensor(np.array([[1.0], [5.0], [2.0], [7.0]]))
-        out = F.global_max_pool(x, np.array([0, 0, 1, 1]), 2)
-        np.testing.assert_allclose(out.data, [[5.0], [7.0]])
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(1, 5), st.integers(1, 4), st.integers(1, 3))
-    def test_mean_pool_of_constant_is_constant(self, graphs, nodes_per_graph, dim):
-        x = Tensor(np.full((graphs * nodes_per_graph, dim), 3.5))
-        batch = np.repeat(np.arange(graphs), nodes_per_graph)
-        out = F.global_mean_pool(x, batch, graphs)
-        np.testing.assert_allclose(out.data, np.full((graphs, dim), 3.5))
-
+class TestDropoutHelper:
     def test_dropout_helper_respects_training_flag(self):
         rng = np.random.default_rng(0)
         x = Tensor(np.ones((10, 10)))
         np.testing.assert_allclose(F.dropout(x, 0.5, False, rng).data, x.data)
         assert np.any(F.dropout(x, 0.5, True, rng).data == 0.0)
+
+
+class TestActivations:
+    def test_softmax_rows_sum_to_one(self):
+        x = Tensor(np.random.default_rng(0).normal(size=(4, 6)))
+        np.testing.assert_allclose(F.softmax(x).data.sum(axis=-1), np.ones(4), rtol=1e-12)
+
+    def test_log_softmax_is_the_log_of_softmax(self):
+        x = Tensor(np.random.default_rng(1).normal(size=(3, 5)))
+        np.testing.assert_allclose(F.log_softmax(x).data, np.log(F.softmax(x).data), atol=1e-12)
+
+    def test_sigmoid_and_tanh_match_numpy(self):
+        values = np.linspace(-4.0, 4.0, 9)
+        np.testing.assert_allclose(F.sigmoid(Tensor(values)).data, 1.0 / (1.0 + np.exp(-values)),
+                                   rtol=1e-12)
+        np.testing.assert_allclose(F.tanh(Tensor(values)).data, np.tanh(values), rtol=1e-12)

@@ -196,7 +196,7 @@ def _loop_oracles(src, idx, num_segments):
     return {
         "scatter_add": sums, "segment_sum": sums,
         "scatter_mean": means, "segment_mean": means,
-        "scatter_max": maxes, "segment_max": maxes,
+        "segment_max": maxes,
         "segment_softmax": _loop_softmax(src, idx, num_segments),
     }
 
@@ -207,7 +207,6 @@ def _segment_ops(x, idx, num_segments):
         "segment_sum": F.segment_sum(x, idx, num_segments),
         "scatter_mean": F.scatter_mean(x, idx, num_segments),
         "segment_mean": F.segment_mean(x, idx, num_segments),
-        "scatter_max": F.scatter_max(x, idx, num_segments),
         "segment_max": F.segment_max(x, idx, num_segments),
         "segment_softmax": F.segment_softmax(x, idx, num_segments),
     }

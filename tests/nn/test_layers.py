@@ -8,9 +8,8 @@ from repro.nn import (
     BatchNorm1d,
     Dropout,
     Embedding,
-    Identity,
-    LayerNorm,
     Linear,
+    ReLU,
     Tensor,
 )
 
@@ -87,17 +86,6 @@ class TestNormalisation:
         with pytest.raises(ValueError):
             BatchNorm1d(3)(Tensor(np.zeros((2, 3, 4))))
 
-    def test_layernorm_normalises_rows(self):
-        ln = LayerNorm(6)
-        x = Tensor(np.random.default_rng(0).normal(size=(5, 6)) * 10 + 3)
-        out = ln(x)
-        np.testing.assert_allclose(out.data.mean(axis=-1), np.zeros(5), atol=1e-7)
-
-    def test_layernorm_gradients(self):
-        ln = LayerNorm(4)
-        x = Tensor(np.random.default_rng(0).normal(size=(3, 4)), requires_grad=True)
-        assert_gradients_close(lambda: (ln(x) ** 2).sum(), x, atol=1e-4)
-
 
 class TestDropout:
     def test_identity_in_eval_mode(self):
@@ -141,10 +129,6 @@ class TestMLP:
         with pytest.raises(ValueError):
             MLP([3, 3, 3], activation="swish", rng=0)(Tensor(np.ones((2, 3))))
 
-    def test_identity_module(self):
-        x = Tensor(np.ones((2, 3)))
-        assert Identity()(x) is x
-
     def test_mlp_can_fit_linear_function(self):
         from repro.nn import Adam, mse_loss
 
@@ -159,3 +143,70 @@ class TestMLP:
             loss.backward()
             optimizer.step()
         assert loss.item() < 0.05
+
+
+class TestLinearMaps:
+    def test_forward_is_x_times_weight_plus_bias(self):
+        layer = Linear(3, 2, rng=1)
+        layer.bias.data = np.array([0.5, -1.0])
+        x = np.random.default_rng(4).normal(size=(5, 3))
+        expected = x @ layer.weight.data + layer.bias.data
+        np.testing.assert_allclose(layer(Tensor(x)).data, expected, rtol=1e-12)
+
+    def test_input_gradients(self):
+        layer = Linear(4, 3, rng=2)
+        x = Tensor(np.random.default_rng(5).normal(size=(2, 4)), requires_grad=True)
+        assert_gradients_close(lambda: (layer(x) * layer(x)).sum(), x)
+
+
+class TestReLU:
+    def test_zeroes_negatives_and_keeps_positives(self):
+        out = ReLU()(Tensor(np.array([-2.0, -0.1, 0.0, 0.3, 4.0])))
+        np.testing.assert_array_equal(out.data, [0.0, 0.0, 0.0, 0.3, 4.0])
+
+    def test_gradient_passes_only_where_the_input_is_positive(self):
+        x = Tensor(np.array([-1.0, 2.0, -3.0, 0.5]), requires_grad=True)
+        ReLU()(x).sum().backward()
+        np.testing.assert_array_equal(x.grad, [0.0, 1.0, 0.0, 1.0])
+
+
+class TestBatchNormStatistics:
+    def test_running_stats_follow_the_momentum(self):
+        bn = BatchNorm1d(2, momentum=0.25)
+        x = np.random.default_rng(6).normal(loc=3.0, scale=2.0, size=(40, 2))
+        bn(Tensor(x))
+        np.testing.assert_allclose(bn.running_mean, 0.25 * x.mean(axis=0), rtol=1e-12)
+        np.testing.assert_allclose(bn.running_var, 0.75 + 0.25 * x.var(axis=0), rtol=1e-12)
+
+    def test_single_row_training_batch_uses_running_stats(self):
+        bn = BatchNorm1d(3)
+        out = bn(Tensor(np.array([[1.0, 2.0, 3.0]])))
+        np.testing.assert_allclose(out.data, [[1.0, 2.0, 3.0]] / np.sqrt(1.0 + bn.eps))
+        np.testing.assert_array_equal(bn.running_mean, np.zeros(3))
+
+    def test_gamma_and_beta_scale_and_shift_the_output(self):
+        bn = BatchNorm1d(2)
+        bn.gamma.data = np.array([2.0, 0.5])
+        bn.beta.data = np.array([1.0, -1.0])
+        out = bn(Tensor(np.random.default_rng(8).normal(size=(64, 2)))).data
+        np.testing.assert_allclose(out.mean(axis=0), [1.0, -1.0], atol=1e-9)
+        np.testing.assert_allclose(out.std(axis=0), [2.0, 0.5], rtol=1e-3)
+
+
+class TestMLPComposition:
+    def test_linear_activation_composes_into_one_affine_map(self):
+        mlp = MLP([3, 4, 2], activation="none", rng=3)
+        first, second = mlp.layers
+        x = np.random.default_rng(9).normal(size=(6, 3))
+        weight = first.weight.data @ second.weight.data
+        bias = first.bias.data @ second.weight.data + second.bias.data
+        np.testing.assert_allclose(mlp(Tensor(x)).data, x @ weight + bias, rtol=1e-10)
+
+    def test_no_activation_after_the_last_layer(self):
+        mlp = MLP([2, 3], rng=4)
+        mlp.layers[0].bias.data = np.array([-10.0, -10.0, -10.0])
+        assert np.all(mlp(Tensor(np.zeros((1, 2)))).data < 0)
+
+    def test_depth_matches_dims(self):
+        mlp = MLP([5, 7, 7, 1], rng=5)
+        assert [(layer.in_dim, layer.out_dim) for layer in mlp.layers] == [(5, 7), (7, 7), (7, 1)]
