@@ -51,7 +51,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from ..graph import SubgraphBatch, collate, netlist_to_graph
+from ..graph import SubgraphBatch, collate, netlist_to_graph, patch_graph
 from ..graph.hetero import (
     LINK_NET_NET,
     LINK_PIN_NET,
@@ -116,7 +116,7 @@ def default_candidate_pairs(graph: CircuitGraph, max_candidates: int = DEFAULT_M
     return [(graph.node_names[a], graph.node_names[b]) for a, b in pairs]
 
 
-def affected_names(old_flat: Circuit, delta: NetlistDelta, new_graph: CircuitGraph,
+def affected_names(old_graph: CircuitGraph, delta: NetlistDelta, new_graph: CircuitGraph,
                    hops: int) -> set[str]:
     """Nodes of ``new_graph`` within ``hops`` of a node ``delta`` changes.
 
@@ -125,15 +125,15 @@ def affected_names(old_flat: Circuit, delta: NetlistDelta, new_graph: CircuitGra
     is also within ``hops`` after it: a shortest pre-change path reaches the
     changed set before it can use a removed edge (every removed edge has a
     changed endpoint), and the edges before that point exist after the
-    change too.  So the post-change graph alone finds every affected node.
+    change too.  So the post-change graph alone finds every affected node;
+    the pre-change graph ``old_graph`` only names the removed devices' pins
+    and nets (the nodes within two hops of each removed device).
     """
-    removed = set(delta.remove_devices)
-    changed: set[str] = set(removed)
-    # One walk over the old devices collects the removed ones' nets and pins.
-    for device in old_flat.devices:
-        if device.name in removed:
-            changed.update(device.nets)
-            changed.update(f"{device.name}:{terminal}" for terminal in device.terminals)
+    changed: set[str] = set()
+    if delta.remove_devices:
+        removed = [old_graph.node_index(name) for name in delta.remove_devices]
+        changed.update(old_graph.node_names[int(i)]
+                       for i in old_graph.csr.k_hop(np.asarray(removed, dtype=np.int64), 2))
     for device in delta.add_devices:
         changed.add(device.name)
         changed.update(device.nets)
@@ -200,6 +200,11 @@ class NetlistAnnotation:
     ``records`` holds one dict per candidate pair with keys ``pair``,
     ``link_type``, ``coupling_probability``, ``coupled``,
     ``capacitance_normalized`` and ``capacitance_farad``.
+
+    ``graph`` is the circuit graph the records were scored on, kept next to
+    ``circuit`` so :meth:`AnnotationEngine.reannotate` can patch it instead
+    of rebuilding it.  It is never serialised: not by :meth:`as_dict` and
+    not when the report is pickled back from a worker process.
     """
 
     design: str
@@ -207,9 +212,14 @@ class NetlistAnnotation:
     threshold: float
     elapsed_seconds: float
     circuit: Circuit | None = field(default=None, repr=False)
+    graph: CircuitGraph | None = field(default=None, repr=False, compare=False)
     #: Reuse summary of an incremental re-annotation (``reused`` /
     #: ``recomputed`` / ``dropped`` / ``added`` counts); ``None`` for full runs.
     incremental: dict | None = None
+
+    def __getstate__(self) -> dict:
+        """Pickle without ``graph`` (rebuilt from ``circuit`` when needed)."""
+        return dict(self.__dict__, graph=None)
 
     @property
     def num_candidates(self) -> int:
@@ -493,7 +503,7 @@ class AnnotationEngine:
                      self.cache.hit_rate, distinct, total)
         return NetlistAnnotation(design=graph.name, records=records,
                                  threshold=self.threshold, elapsed_seconds=elapsed,
-                                 circuit=circuit)
+                                 circuit=circuit, graph=graph)
 
     @staticmethod
     def _design_name(netlist) -> str:
@@ -677,7 +687,11 @@ class AnnotationEngine:
         pre- or post-change graph — exactly the condition under which its
         enclosing subgraph (or the node statistics inside it) can differ.
         The post-change graph alone finds every such surviving anchor
-        (:func:`affected_names`), so the pre-change graph is never built.
+        (:func:`affected_names`).  It is patched from the graph the previous
+        report was scored on (:func:`~repro.graph.patch_graph`), which a
+        report without one (read back with :meth:`NetlistAnnotation.from_payload`,
+        or from :meth:`annotate_sharded`) builds once from its circuit; the
+        returned report carries the new graph for the next delta.
         Affected pairs are re-scored on the new graph; unaffected records
         are carried over verbatim (byte-identical to a full re-annotation);
         pairs whose anchors were removed are dropped; ``extra_pairs``
@@ -694,11 +708,14 @@ class AnnotationEngine:
         old_flat = prev_report.circuit
         if not old_flat.is_flat:
             old_flat = old_flat.flatten()
+        old_graph = prev_report.graph
+        if old_graph is None:
+            old_graph = netlist_to_graph(old_flat)
         new_flat = delta.apply(old_flat)
-        new_graph = netlist_to_graph(new_flat)
+        new_graph = patch_graph(old_graph, delta, new_flat)
         affected: set[str] = set()
         if not delta.is_empty:
-            affected = affected_names(old_flat, delta, new_graph, self.config.data.hops)
+            affected = affected_names(old_graph, delta, new_graph, self.config.data.hops)
         merged: list[dict | None] = []
         stale_positions: list[int] = []
         stale_pairs: list[tuple[str, str]] = []
@@ -732,6 +749,7 @@ class AnnotationEngine:
         return NetlistAnnotation(design=prev_report.design, records=merged,
                                  threshold=self.threshold,
                                  elapsed_seconds=elapsed, circuit=new_flat,
+                                 graph=new_graph,
                                  incremental={"reused": reused,
                                               "recomputed": len(stale_pairs),
                                               "dropped": dropped,

@@ -77,8 +77,7 @@ class CSRGraph:
         eids = np.concatenate([np.arange(num_edges), np.arange(num_edges)])
         order = np.argsort(src, kind="stable")
         indptr = np.zeros(num_nodes + 1, dtype=np.int64)
-        np.add.at(indptr, src + 1, 1)
-        np.cumsum(indptr, out=indptr)
+        np.cumsum(np.bincount(src, minlength=num_nodes), out=indptr[1:])
         return cls(indptr=indptr, indices=dst[order], edge_ids=eids[order],
                    edge_index=edge_index.reshape(2, -1), edge_types=edge_types)
 

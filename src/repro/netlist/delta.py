@@ -123,9 +123,17 @@ class NetlistDelta:
         differing in any field (type, terminals, geometry) becomes a
         remove + add pair.  Hierarchical inputs are flattened first, so two
         revisions of a hierarchical design diff in their flat namespace.
+        A delta edits devices only, so revisions whose top-level port lists
+        differ raise :class:`ValueError` naming the ports.
         """
         old_flat = old if old.is_flat else old.flatten()
         new_flat = new if new.is_flat else new.flatten()
+        if old_flat.ports != new_flat.ports:
+            raise ValueError(
+                f"port list changed from {old_flat.ports} to {new_flat.ports}; a "
+                "netlist delta edits devices only, so annotate the new revision "
+                "from scratch"
+            )
         old_by_name = {device.name: device for device in old_flat.devices}
         new_by_name = {device.name: device for device in new_flat.devices}
         remove: list[str] = []

@@ -351,7 +351,8 @@ class TestAffectedNames:
         new_graph = netlist_to_graph(delta.apply(flat), with_stats=False)
         oracle = {name for name in two_graph_affected(flat, delta, hops)
                   if new_graph.has_node(name)}
-        assert affected_names(flat, delta, new_graph, hops) == oracle
+        old_graph = netlist_to_graph(flat, with_stats=False)
+        assert affected_names(old_graph, delta, new_graph, hops) == oracle
 
 
 # --------------------------------------------------------------------------- #

@@ -1,0 +1,244 @@
+"""Tests for :func:`repro.graph.patch_graph`, the incremental ECO graph.
+
+The contract: patching ``netlist_to_graph(old)`` with a delta gives exactly
+``netlist_to_graph(delta.apply(old))`` — node names and types, edges and
+edge types, the ``node_stats`` bytes and the name index — for random deltas,
+for the corner cases of the net block (nets appearing and vanishing, ports,
+power rails) and along a chain of re-annotations that carries the graph.
+"""
+
+from __future__ import annotations
+
+import copy
+import pickle
+
+import numpy as np
+import pytest
+
+from repro.core import AnnotationEngine, CircuitGPSPipeline, build_model
+from repro.core.serve import default_candidate_pairs
+from repro.core.server import dumps_canonical
+from repro.graph import netlist_to_graph, patch_graph
+from repro.netlist import (Capacitor, Circuit, Mosfet, NetlistDelta, Resistor,
+                           hierarchical_sram, ssram)
+from repro.utils import seed_all
+
+from ..core.test_shard import random_delta
+from .graph_oracle import assert_graphs_identical
+
+DELTAS_PER_DESIGN = 110
+
+
+def assert_patch_matches_full_build(old: Circuit, delta: NetlistDelta,
+                                    with_stats: bool = True):
+    """Patch the graph of ``old`` and compare it with a full build."""
+    graph = netlist_to_graph(old, with_stats=with_stats)
+    before = copy.deepcopy(graph)
+    new = delta.apply(old)
+    patched = patch_graph(graph, delta, new)
+    want = netlist_to_graph(new, with_stats=with_stats)
+    assert_graphs_identical(patched, want)
+    assert patched._name_to_index == want._name_to_index
+    patched.validate()
+    assert_graphs_identical(graph, before)  # the input graph is untouched
+    return patched
+
+
+@pytest.fixture(scope="module", params=["ssram", "hierarchical_sram"])
+def design(request) -> Circuit:
+    if request.param == "ssram":
+        return ssram(rows=3, cols=2).flatten()
+    return hierarchical_sram(banks=1, rows=2, cols=2).flatten()
+
+
+def test_random_deltas_patch_to_the_full_build(design):
+    rng = np.random.default_rng(11)
+    for _ in range(DELTAS_PER_DESIGN):
+        assert_patch_matches_full_build(design, random_delta(design, rng))
+
+
+def test_random_deltas_without_stats(design):
+    rng = np.random.default_rng(12)
+    for _ in range(10):
+        patched = assert_patch_matches_full_build(design, random_delta(design, rng),
+                                                  with_stats=False)
+        assert patched.node_stats is None
+
+
+def test_chained_patches_stay_equal_to_the_full_build():
+    """Each patch starts from the previous patch, not from a full build."""
+    circuit = ssram(rows=2, cols=2).flatten()
+    graph = netlist_to_graph(circuit)
+    rng = np.random.default_rng(5)
+    for step in range(40):
+        delta = random_delta(circuit, rng)
+        # random_delta reuses RECO<i> names; rename so edits can chain.
+        for device in delta.add_devices:
+            if device.name.startswith("RECO"):
+                device.name = f"{device.name}_{step}"
+        circuit_next = delta.apply(circuit)
+        graph = patch_graph(graph, delta, circuit_next)
+        circuit = circuit_next
+        assert_graphs_identical(graph, netlist_to_graph(circuit))
+
+
+# --------------------------------------------------------------------------- #
+# Hand cases
+# --------------------------------------------------------------------------- #
+def hand_circuit() -> Circuit:
+    """Nets ``a`` and ``p`` are ports; ``lonely`` and ``p`` have one device each."""
+    circuit = Circuit("HAND", ports=["a", "p"])
+    circuit.add(Mosfet("M1", {"D": "a", "G": "b", "S": "c", "B": "VSS"},
+                       width=2e-6, length=1e-7))
+    circuit.add(Resistor("R1", {"P": "b", "N": "lonely"}, resistance=1e3))
+    circuit.add(Resistor("R2", {"P": "p", "N": "c"}, resistance=2e3))
+    circuit.add(Capacitor("C1", {"P": "a", "N": "VDD"}, capacitance=1e-15))
+    circuit.add(Mosfet("MRAIL", {"D": "VDD", "G": "VSS", "S": "VSS", "B": "VSS"}))
+    circuit.add(Mosfet("M2", {"D": "c", "G": "a", "S": "b", "B": "VSS"},
+                       width=1e-6, length=1e-7))
+    return circuit
+
+
+def net_names(graph) -> list[str]:
+    return [name for name, kind in zip(graph.node_names, graph.node_types) if kind == 0]
+
+
+class TestHandCases:
+    def test_added_device_on_fresh_nets_shifts_the_net_block(self):
+        """Fresh nets sort before, between and after the existing nets."""
+        delta = NetlistDelta(add_devices=[
+            Resistor("RX", {"P": "aa", "N": "zz"}),
+            Mosfet("MX", {"D": "0first", "G": "b", "S": "bb", "B": "VSS"}),
+        ])
+        patched = assert_patch_matches_full_build(hand_circuit(), delta)
+        assert net_names(patched) == ["0first", "a", "aa", "b", "bb", "c", "lonely",
+                                      "p", "zz"]
+
+    def test_removing_the_last_device_of_a_net_drops_the_net(self):
+        patched = assert_patch_matches_full_build(hand_circuit(),
+                                                  NetlistDelta(remove_devices=["R1"]))
+        assert "lonely" not in net_names(patched)
+
+    def test_removing_the_last_device_of_a_port_keeps_the_port(self):
+        patched = assert_patch_matches_full_build(hand_circuit(),
+                                                  NetlistDelta(remove_devices=["R2"]))
+        port = patched.node_index("p")
+        assert not patched.csr.neighbors(port).size
+        assert patched.node_stats[port, 12] == 1.0
+
+    def test_a_net_that_loses_and_regains_devices_survives(self):
+        delta = NetlistDelta(add_devices=[Capacitor("C9", {"P": "lonely", "N": "a"})],
+                             remove_devices=["R1"])
+        patched = assert_patch_matches_full_build(hand_circuit(), delta)
+        assert "lonely" in net_names(patched)
+
+    def test_rail_only_devices(self):
+        delta = NetlistDelta(
+            add_devices=[Mosfet("MRAIL2", {"D": "VDD", "G": "VSS", "S": "0", "B": "VSS"})],
+            remove_devices=["MRAIL"])
+        assert_patch_matches_full_build(hand_circuit(), delta)
+
+    def test_in_place_edit_moves_a_device_to_the_end(self):
+        delta = NetlistDelta(
+            add_devices=[Mosfet("M1", {"D": "c", "G": "b", "S": "a", "B": "VSS"},
+                                width=4e-6, length=2e-7)],
+            remove_devices=["M1"])
+        assert_patch_matches_full_build(hand_circuit(), delta)
+
+    def test_removing_every_device_leaves_the_ports(self):
+        circuit = hand_circuit()
+        delta = NetlistDelta(remove_devices=[d.name for d in circuit.devices])
+        patched = assert_patch_matches_full_build(circuit, delta)
+        assert patched.node_names == ["a", "p"]
+
+    def test_empty_delta_is_an_equal_copy(self):
+        circuit = hand_circuit()
+        assert_patch_matches_full_build(circuit, NetlistDelta())
+        graph = netlist_to_graph(circuit)
+        patched = patch_graph(graph, NetlistDelta(), circuit)
+        assert patched.node_stats is not graph.node_stats
+        assert patched._name_to_index is not graph._name_to_index
+
+    def test_a_graph_without_its_name_index(self):
+        """A pickled graph drops its name index; the patch rebuilds it."""
+        circuit = hand_circuit()
+        graph = pickle.loads(pickle.dumps(netlist_to_graph(circuit)))
+        assert graph._name_to_index is None
+        delta = NetlistDelta(add_devices=[Mosfet("MRAIL2", {"D": "VDD", "G": "VSS",
+                                                            "S": "VSS", "B": "VSS"})])
+        new = delta.apply(circuit)
+        patched = patch_graph(graph, delta, new)
+        assert patched._name_to_index == netlist_to_graph(new)._name_to_index
+
+    def test_a_fresh_net_named_like_a_device_is_a_collision(self):
+        circuit = hand_circuit()
+        delta = NetlistDelta(add_devices=[Resistor("RX", {"P": "M2", "N": "a"})])
+        new = delta.apply(circuit)
+        with pytest.raises(ValueError, match="'M2' is taken by a net and again by a device"):
+            netlist_to_graph(new)
+        with pytest.raises(ValueError, match="'M2' is taken by a net and again by a device"):
+            patch_graph(netlist_to_graph(circuit), delta, new)
+
+    def test_a_removed_device_name_can_become_a_net(self):
+        delta = NetlistDelta(add_devices=[Resistor("RX", {"P": "R1", "N": "b"})],
+                             remove_devices=["R1"])
+        patched = assert_patch_matches_full_build(hand_circuit(), delta)
+        assert patched.node_types[patched.node_index("R1")] == 0
+
+
+# --------------------------------------------------------------------------- #
+# The graph a re-annotation chain carries
+# --------------------------------------------------------------------------- #
+@pytest.fixture(scope="module")
+def engine(tiny_config) -> AnnotationEngine:
+    """An untrained engine with hub subsampling off (RNG-free extraction)."""
+    seed_all(0)
+    config = tiny_config.with_data(max_nodes_per_hop=None)
+    pipeline = CircuitGPSPipeline.from_models(
+        config, build_model(config), heads={("edge_regression", "all"): build_model(config)})
+    return AnnotationEngine(pipeline, workers=0)
+
+
+def test_reannotate_chain_carries_the_patched_graph(engine):
+    """20 chained ECOs: each report's graph is the full build of its circuit,
+    and its records equal a from-scratch annotate at the wire encoding."""
+    circuit = ssram(rows=3, cols=2).flatten()
+    pairs = default_candidate_pairs(netlist_to_graph(circuit), max_candidates=30,
+                                    rng=np.random.default_rng(2))
+    report = engine.annotate(circuit, pairs=pairs, seed=0)
+    assert report.graph is not None
+    rng = np.random.default_rng(9)
+    recomputed = 0
+    for step in range(20):
+        flat = report.circuit
+        victim = flat.devices[int(rng.integers(len(flat.devices)))]
+        edited = copy.deepcopy(victim)
+        edited.name = f"{victim.name}_eco{step}"
+        delta = NetlistDelta(add_devices=[edited], remove_devices=[victim.name])
+        report = engine.reannotate(report, delta, seed=0)
+        recomputed += report.incremental["recomputed"]
+        assert_graphs_identical(report.graph, netlist_to_graph(report.circuit))
+        scratch = engine.annotate(report.circuit,
+                                  pairs=[r["pair"] for r in report.records], seed=0)
+        assert dumps_canonical(report.records) == dumps_canonical(scratch.records)
+    assert recomputed > 0
+    assert "graph" not in report.as_dict()
+    # Worker processes ship reports back pickled, without the graph.
+    shipped = pickle.loads(pickle.dumps(report))
+    assert shipped.graph is None and report.graph is not None
+    assert shipped.records == report.records
+
+
+def test_reannotate_builds_a_missing_graph_once(engine):
+    """A report read back from JSON has no graph; reannotate builds it."""
+    from repro.core.serve import NetlistAnnotation
+
+    circuit = hand_circuit()
+    report = engine.annotate(circuit, pairs=[("a", "b"), ("c", "p")], seed=0)
+    restored = NetlistAnnotation.from_payload(report.as_dict(), circuit=circuit)
+    assert restored.graph is None
+    delta = NetlistDelta(remove_devices=["R1"])
+    result = engine.reannotate(restored, delta, seed=0)
+    assert_graphs_identical(result.graph, netlist_to_graph(delta.apply(circuit)))
+    assert dumps_canonical(result.records) \
+        == dumps_canonical(engine.reannotate(report, delta, seed=0).records)

@@ -102,6 +102,14 @@ class TestBetween:
     def test_between_identical_revisions_is_empty(self):
         assert NetlistDelta.between(_flat_circuit(), _flat_circuit()).is_empty
 
+    def test_between_rejects_a_port_change(self):
+        """A dropped port changes the graph's port statistics, which no
+        device-level delta can express: it must not diff to an empty delta."""
+        new = _flat_circuit()
+        new.ports = ["a"]
+        with pytest.raises(ValueError, match=r"port list changed from \['a', 'c'\] to \['a'\]"):
+            NetlistDelta.between(_flat_circuit(), new)
+
     def test_between_flattens_hierarchy_first(self):
         from repro.netlist import Subckt
 
