@@ -2,8 +2,8 @@
 
 Pins the performance claim of the serving layer (`repro.core.serve`): the
 :class:`AnnotationEngine` — batched CSR subgraph extraction, batched PE
-encoding through a shared cache, and batched model forwards via
-``SubgraphDataset``/``DataLoader`` — must be at least 3x faster than the
+encoding through a shared cache, and batched model forwards over
+``batch_size`` chunks of candidate links — must be at least 3x faster than the
 per-link loop it replaced (extract one subgraph, encode one PE, run the link
 and regression models on a single-sample batch, repeat per candidate pair).
 

@@ -288,7 +288,7 @@ class NoNakedDtypeRule(Rule):
 # --------------------------------------------------------------------------- #
 # fork-safety
 # --------------------------------------------------------------------------- #
-_POOL_ENTRYPOINTS = ("parallel_map", "parallel_imap", "map_dataset_chunks")
+_POOL_ENTRYPOINTS = ("parallel_map", "parallel_imap")
 
 
 @LINT_RULES.register("fork-safety")
@@ -297,9 +297,8 @@ class ForkSafetyRule(Rule):
 
     Lambdas and functions defined inside another function cannot be pickled
     by the pool's result/argument plumbing; passing one to ``parallel_map``
-    / ``parallel_imap`` / ``map_dataset_chunks`` worked only by accident of
-    fork inheritance and breaks under any spawn-based fallback.  PR 3
-    rebuilt the samplers as module-level objects for exactly this reason.
+    / ``parallel_imap`` works only by accident of fork inheritance and
+    breaks under any spawn-based fallback.
     """
 
     name = "fork-safety"

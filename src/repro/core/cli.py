@@ -106,10 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "--family samplers'), inline JSON (a stage-entry "
                             "list), or a JSON file path; default: the task's "
                             "own pipeline / the paper's recipe")
-    train.add_argument("--workers", type=int, default=None,
-                       help="worker processes for data loading (0 = serial, "
-                            "-1 = auto, default: serial; results are identical "
-                            "for any worker count)")
     train.add_argument("--verbose", action="store_true", help="log per-epoch metrics")
 
     annotate = sub.add_parser("annotate",
@@ -129,10 +125,11 @@ def build_parser() -> argparse.ArgumentParser:
                           help="write the structured report(s) as JSON")
     annotate.add_argument("--annotated-out", default=None, metavar="DIR",
                           help="write annotated netlists (<name>.annotated.sp) here")
-    annotate.add_argument("--workers", type=int, default=None,
-                          help="worker processes sharding the netlists (0 = serial, "
-                               "-1 = auto, default: serial; reports are identical "
-                               "for any worker count)")
+    annotate.add_argument("--workers", type=int, default=0,
+                          help="worker processes sharding the netlists, or one "
+                               "netlist's candidate chunks (0 = serial, -1 = auto, "
+                               "default: serial; reports are identical for any "
+                               "worker count)")
     annotate.add_argument("--shards", type=int, default=None, metavar="N",
                           help="split each netlist into N bounded shards "
                                "(hierarchy-aware when the netlist has subckt "
@@ -248,21 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
 # --------------------------------------------------------------------------- #
 # Commands
 # --------------------------------------------------------------------------- #
-def _resolve_cli_workers(args) -> int | None:
-    """The effective ``--workers`` value.
-
-    ``None`` means the flag was not given (keep the config's default);
-    ``-1`` means auto (cpu-count capped); an explicit ``0`` forces serial
-    even over a config whose worker count is nonzero.
-    """
-    from .parallel import default_worker_count
-
-    workers = getattr(args, "workers", None)
-    if workers is None:
-        return None
-    return default_worker_count() if workers < 0 else int(workers)
-
-
 def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
     train_overrides = {}
     if args.epochs is not None:
@@ -278,10 +260,6 @@ def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
         data_overrides["max_links_per_design"] = args.max_links
     if args.seed is not None:
         data_overrides["seed"] = args.seed
-    workers = _resolve_cli_workers(args)
-    if workers is not None:
-        config = config.with_train(num_workers=workers)
-        data_overrides["num_workers"] = workers
     if data_overrides:
         config = config.with_data(**data_overrides)
     model_overrides = {}
@@ -478,6 +456,7 @@ def _cmd_annotate_remote(args, pairs) -> int:
 
 
 def cmd_annotate(args) -> int:
+    from .parallel import default_worker_count
     from .serve import AnnotationEngine
 
     pairs = _parse_pairs(args.pairs)
@@ -487,7 +466,7 @@ def cmd_annotate(args) -> int:
                   "happens inside the local engine)", file=sys.stderr)
             return 2
         return _cmd_annotate_remote(args, pairs)
-    workers = _resolve_cli_workers(args)
+    workers = default_worker_count() if args.workers < 0 else args.workers
     pipeline = CircuitGPSPipeline.from_checkpoint(args.checkpoint)
     engine = AnnotationEngine(pipeline, batch_size=args.batch_size,
                               threshold=args.threshold, workers=workers,

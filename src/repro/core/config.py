@@ -30,12 +30,7 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Optimisation hyper-parameters.
-
-    ``num_workers`` shards training-loader extraction across a ``fork``
-    process pool (see :mod:`repro.core.parallel`); 0 keeps the serial path.
-    Results are seed-deterministic regardless of the worker count.
-    """
+    """Optimisation hyper-parameters."""
 
     epochs: int = 20
     batch_size: int = 64
@@ -45,7 +40,6 @@ class TrainConfig:
     warmup_epochs: int = 1
     min_lr: float = 1e-5
     seed: int = 0
-    num_workers: int = 0
 
 
 @dataclass(frozen=True)
@@ -64,9 +58,6 @@ class DataConfig:
     cap_max: float = 1e-15
     max_nodes_per_design: int | None = 400   # cap on node-regression targets per design
     seed: int = 0
-    # Worker processes for lazy-dataset loaders at inference/serving time
-    # (AnnotationEngine); 0 = serial.  Output is identical either way.
-    num_workers: int = 0
 
 
 @dataclass(frozen=True)
@@ -81,15 +72,11 @@ class ExperimentConfig:
     def as_dict(self) -> dict:
         """The configuration as a nested plain dict (checkpoint metadata).
 
-        Worker counts (``train.num_workers`` / ``data.num_workers``) are
-        per-machine runtime settings, not experiment identity — they are
-        stripped here so a checkpoint trained with ``--workers 8`` never
-        makes another machine fork workers at serving time.
+        It holds experiment identity only: worker counts are per-machine
+        runtime settings (``AnnotationEngine(workers=)``, ``annotate
+        --workers``) and are not part of the configuration.
         """
-        payload = asdict(self)
-        payload["train"].pop("num_workers", None)
-        payload["data"].pop("num_workers", None)
-        return payload
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentConfig":

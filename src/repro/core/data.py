@@ -6,18 +6,15 @@ Three pieces carry sampled subgraphs from a design to the model:
   the exact bytes the encoding reads (:func:`pe_cache_keys`: PE kind, node
   count, local edges and anchors), so any subgraph seen before — in another
   epoch, another request or another design — never recomputes its PE.
-* :class:`SubgraphDataset` — a sequence of subgraphs that is either
-  *materialized* (wraps a list) or *lazy* (extracts the enclosing subgraphs
-  of the requested links on demand with a deterministic RNG, so every epoch
-  sees identical samples).
-* :class:`DataLoader` — owns shuffling and batching; iterating yields
+* :class:`LinkRequest` — the candidate links of one annotation request.
+  Every serving path cuts it into chunks and extracts each chunk as one
+  :func:`~repro.graph.extract_enclosing_subgraphs` block with its PE
+  attached by :func:`attach_pe_batch`, under an RNG that depends on the
+  chunk alone; that block is what the model forwards.
+* :class:`SubgraphDataset` — a list of already-extracted subgraphs: the
+  pre-training, fine-tuning and evaluation sets.
+* :class:`DataLoader` — shuffles and batches a dataset; iterating yields
   :class:`~repro.graph.batch.SubgraphBatch` blocks via ``collate``.
-
-Every subgraph and every PE comes from the batched kernels: a lazy loader
-batch is one :func:`~repro.graph.extract_enclosing_subgraphs` block with its
-PE attached by :func:`attach_pe_batch`, and that block is what the model
-forwards.  A single ``dataset[i]`` outside a loader batch is a one-element
-block.
 
 Anything that accepts training data takes a dataset, a loader or a plain list
 (:func:`as_dataset` normalises all three).
@@ -26,7 +23,7 @@ Anything that accepts training data takes a dataset, a loader or a plain list
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -36,6 +33,7 @@ from ..graph import (
     SubgraphBatch,
     collate,
     compute_pe_batch,
+    extract_enclosing_subgraphs,
 )
 from ..graph.batch import group_keys, segment_bytes
 from ..graph.hetero import CircuitGraph, Link
@@ -46,8 +44,8 @@ __all__ = [
     "PECache",
     "pe_cache_keys",
     "default_pe_cache",
-    "set_default_pe_cache",
     "attach_pe_batch",
+    "LinkRequest",
     "SubgraphDataset",
     "DataLoader",
     "as_dataset",
@@ -146,14 +144,6 @@ def default_pe_cache() -> PECache:
     return _DEFAULT_PE_CACHE
 
 
-def set_default_pe_cache(cache: PECache) -> PECache:
-    """Swap the process-wide PE cache (returns the previous one)."""
-    global _DEFAULT_PE_CACHE
-    previous = _DEFAULT_PE_CACHE
-    _DEFAULT_PE_CACHE = cache
-    return previous
-
-
 def pe_cache_keys(block: SubgraphBatch, pe_kind: str) -> list[tuple]:
     """The :class:`PECache` key of every subgraph of ``block``.
 
@@ -217,287 +207,109 @@ def attach_pe_batch(samples, pe_kind: str, cache: PECache | None = None) -> None
 
 
 # --------------------------------------------------------------------------- #
-# Samplers (picklable factories behind lazy datasets)
+# Serving: one request's candidate links
 # --------------------------------------------------------------------------- #
-class _LinkSampler:
-    """Picklable extraction recipe of a link-backed lazy dataset.
+class LinkRequest:
+    """The candidate links of one annotation request, extracted chunk by chunk.
 
-    Holds the host graph plus an :class:`~repro.graph.datapipe.EnclosingExtractStage`
-    carrying the extraction parameters.  Calling it extracts one index as a
-    one-element block under the RNG ``[seed, index]``; :meth:`block` extracts
-    many under ``[seed, len(block), block[0]]``.  Being a plain object (not a
-    closure) it survives ``pickle``,
-    which is what lets a lazy :class:`SubgraphDataset` be shipped to
-    ``spawn``-style workers or written to disk; ``fork`` workers inherit it
-    for free.
+    :meth:`take` extracts a chunk of link indices as one block with the
+    batched CSR sampler, under the RNG ``[seed, len(chunk), chunk[0]]``, and
+    attaches its positional encoding through ``cache``.  The RNG depends on
+    the chunk alone, so a chunk extracts the same block in whichever process
+    takes it: the caller's, a fork-pool worker or the daemon's executor.
     """
 
     def __init__(self, graph: CircuitGraph, links: Sequence[Link], *, hops: int,
-                 max_nodes_per_hop: int | None, add_target_edge: bool,
-                 targets: Sequence[float] | None, seed: int, fanouts=None):
-        from ..graph.datapipe import EnclosingExtractStage
-
+                 max_nodes_per_hop: int | None, pe_kind: str, cache: PECache,
+                 seed: int = 0):
         self.graph = graph
         self.links = list(links)
-        self.stage = EnclosingExtractStage(hops=hops,
-                                           max_nodes_per_hop=max_nodes_per_hop,
-                                           add_target_edge=add_target_edge,
-                                           fanouts=fanouts)
-        self.targets = None if targets is None else np.asarray(targets, dtype=FLOAT64)
+        self.hops = int(hops)
+        self.max_nodes_per_hop = max_nodes_per_hop
+        self.pe_kind = pe_kind
+        self.cache = cache
         self.seed = int(seed)
 
-    def __call__(self, index: int) -> Subgraph:
-        return self.block([index], rng=np.random.default_rng([self.seed, index]))[0]
-
-    def block(self, indices: list[int], rng=None) -> SubgraphBatch:
-        """Extract a block of indices with the batched CSR sampler."""
-        if rng is None:
-            rng = np.random.default_rng([self.seed, len(indices), int(indices[0])])
-        block = self.stage.extract_many(self.graph, [self.links[i] for i in indices], rng=rng)
-        if self.targets is not None:
-            block.targets = self.targets[indices]
+    def take(self, indices) -> SubgraphBatch:
+        """The links at ``indices`` (a non-empty chunk) as one block, PE attached."""
+        indices = [int(i) for i in indices]
+        block = extract_enclosing_subgraphs(
+            self.graph, [self.links[i] for i in indices], hops=self.hops,
+            max_nodes_per_hop=self.max_nodes_per_hop,
+            rng=np.random.default_rng([self.seed, len(indices), indices[0]]))
+        attach_pe_batch(block, self.pe_kind, cache=self.cache)
         return block
 
 
-class _SubsetSampler:
-    """Picklable per-index factory of a :meth:`SubgraphDataset.subset` view."""
-
-    def __init__(self, parent: "SubgraphDataset", indices: np.ndarray):
-        self.parent = parent
-        self.indices = indices
-
-    def __call__(self, index: int) -> Subgraph:
-        return self.parent[int(self.indices[index])]
-
-
 # --------------------------------------------------------------------------- #
-# Dataset
+# Training: a list of extracted subgraphs
 # --------------------------------------------------------------------------- #
 class SubgraphDataset:
-    """A sequence of :class:`Subgraph` samples, materialized or lazy.
+    """A list of extracted :class:`Subgraph` samples (a training or test set).
 
-    Materialized datasets wrap an existing list (``from_samples``).  Lazy
-    datasets (``from_links``) keep only the host graph and the target links
-    and extract each enclosing subgraph on first access; extraction uses a
-    per-index deterministic RNG so repeated epochs produce identical samples.
-    Both modes route positional encodings through a :class:`PECache` when
-    ``pe_kind`` is set.
+    With ``pe_kind`` set, :meth:`take` attaches that encoding, through the
+    :class:`PECache`, to every taken sample that has none yet.
     """
 
-    def __init__(self, samples: list[Subgraph] | None = None, *,
-                 factory: Callable[[int], Subgraph] | None = None,
-                 length: int | None = None,
-                 pe_kind: str | None = None,
-                 cache: PECache | None = None,
-                 memoize: bool = True):
-        if (samples is None) == (factory is None):
-            raise ValueError("provide exactly one of samples= or factory=")
-        if factory is not None and length is None:
-            raise ValueError("lazy datasets need an explicit length")
-        self._samples = list(samples) if samples is not None else None
-        self._factory = factory
-        self._length = len(self._samples) if self._samples is not None else int(length)
-        self._memo: dict[int, Subgraph] = {}
-        self._memoize = memoize
-        self._block_factory: Callable[[list[int]], SubgraphBatch] | None = None
-        self._parent: tuple["SubgraphDataset", np.ndarray] | None = None
+    def __init__(self, samples: Sequence[Subgraph], *, pe_kind: str | None = None,
+                 cache: PECache | None = None):
+        self._samples = list(samples)
         self.pe_kind = pe_kind
         self.cache = cache
 
-    # ------------------------------------------------------------------ #
-    # Constructors
-    # ------------------------------------------------------------------ #
     @classmethod
     def from_samples(cls, samples: Sequence[Subgraph], pe_kind: str | None = None,
                      cache: PECache | None = None) -> "SubgraphDataset":
         """Wrap an already-extracted list of subgraphs."""
-        return cls(list(samples), pe_kind=pe_kind, cache=cache)
+        return cls(samples, pe_kind=pe_kind, cache=cache)
 
-    @classmethod
-    def from_links(cls, graph: CircuitGraph, links: Sequence[Link], *,
-                   hops: int = 1, max_nodes_per_hop: int | None = None,
-                   add_target_edge: bool = True, targets: Sequence[float] | None = None,
-                   pe_kind: str | None = "dspd", cache: PECache | None = None,
-                   seed: int = 0,
-                   memoize: bool = False, fanouts=None) -> "SubgraphDataset":
-        """Lazy dataset: one enclosing subgraph per link, extracted on demand.
-
-        The extraction recipe lives in a picklable :class:`_LinkSampler`
-        (not a closure) driving an
-        :class:`~repro.graph.datapipe.EnclosingExtractStage`, so the dataset
-        itself can be pickled to workers.  ``fanouts`` optionally bounds the
-        per-hop frontier expansion (its length overrides ``hops``).
-        """
-        links = list(links)
-        sampler = _LinkSampler(graph, links, hops=hops,
-                               max_nodes_per_hop=max_nodes_per_hop,
-                               add_target_edge=add_target_edge,
-                               targets=targets, seed=seed, fanouts=fanouts)
-        dataset = cls(factory=sampler, length=len(links), pe_kind=pe_kind,
-                      cache=cache, memoize=memoize)
-        dataset._block_factory = sampler.block
-        dataset._labels = np.array([l.label for l in links], dtype=FLOAT64)
-        if targets is not None:
-            dataset._targets = np.array(targets, dtype=FLOAT64)
-        dataset._link_types = np.array([l.link_type for l in links], dtype=np.int64)
-        return dataset
-
-    # ------------------------------------------------------------------ #
-    # Sequence protocol
-    # ------------------------------------------------------------------ #
     def __len__(self) -> int:
-        return self._length
+        return len(self._samples)
 
-    def __bool__(self) -> bool:
-        return self._length > 0
+    def __getitem__(self, index) -> Subgraph:
+        return self.take([index])[0]
 
     def __iter__(self) -> Iterator[Subgraph]:
-        for index in range(self._length):
-            yield self[index]
+        return iter(self.take(range(len(self))))
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return self.subset(range(*index.indices(self._length)))
-        index = int(index)
-        if index < 0:
-            index += self._length
-        if not 0 <= index < self._length:
-            raise IndexError("dataset index out of range")
-        if self._samples is not None:
-            sample = self._samples[index]
-        elif index in self._memo:
-            sample = self._memo[index]
-        else:
-            sample = self._factory(index)
-            if self._memoize:
-                self._memo[index] = sample
-        if self.pe_kind is not None and sample.pe is None:
-            attach_pe_batch([sample], self.pe_kind, cache=self.cache)
-        return sample
-
-    def take(self, indices):
-        """The samples at ``indices``, ready for ``collate``.
-
-        A link-backed lazy dataset extracts the indices it does not hold
-        yet as one block and attaches its PE in one pass; when that is all
-        of them, the block itself is returned.  Otherwise, and for every
-        other dataset, the result is a list of subgraphs.  Subset views
-        forward to their parent.
-        """
-        indices = [int(i) for i in indices]
-        if self._parent is not None:
-            parent, mapping = self._parent
-            return parent.take([int(mapping[i]) for i in indices])
-        todo = [i for i in indices if i not in self._memo]
-        if self._block_factory is None or not todo:
-            return [self[i] for i in indices]
-        block = self._block_factory(todo)
+    def take(self, indices) -> list[Subgraph]:
+        """The samples at ``indices``, ready for ``collate``."""
+        samples = [self._samples[int(i)] for i in indices]
         if self.pe_kind is not None:
-            attach_pe_batch(block, self.pe_kind, cache=self.cache)
-        if self._memoize:
-            self._memo.update(zip(todo, block))
-        return block if len(todo) == len(indices) else [self[i] for i in indices]
+            attach_pe_batch([s for s in samples if s.pe is None], self.pe_kind,
+                            cache=self.cache)
+        return samples
 
-    def absorb(self, indices, samples: Sequence[Subgraph]) -> None:
-        """Store externally materialized samples in the memo (if memoizing).
-
-        Used by the multi-worker :class:`DataLoader` path: samples extracted
-        inside pool workers are written back into the parent's memo, so a
-        memoizing dataset behaves identically to the serial path on later
-        epochs (serial epoch 2 reuses epoch-1 samples; without the
-        write-back, workers would re-extract with epoch-2 chunk RNG and —
-        when hub subsampling triggers — produce different subgraphs).
-        Subset views forward to their parent; non-memoizing and materialized
-        datasets ignore the call.
-        """
-        if self._samples is not None:
-            return
-        if self._parent is not None:
-            parent, mapping = self._parent
-            parent.absorb([int(mapping[int(i)]) for i in indices], samples)
-            return
-        if not self._memoize:
-            return
-        for index, sample in zip(indices, samples):
-            self._memo[int(index)] = sample
-
-    # ------------------------------------------------------------------ #
-    # Labels / targets (no extraction required)
-    # ------------------------------------------------------------------ #
     def labels(self) -> np.ndarray:
-        """Per-sample link labels (no subgraph extraction needed)."""
-        if getattr(self, "_labels", None) is None:
-            self._labels = np.array([s.label for s in self._materialized()], dtype=FLOAT64)
-        return self._labels
+        """Per-sample link labels."""
+        return np.array([s.label for s in self._samples], dtype=FLOAT64)
 
     def targets(self) -> np.ndarray:
-        """Per-sample regression targets (no subgraph extraction needed)."""
-        if getattr(self, "_targets", None) is None:
-            self._targets = np.array([s.target for s in self._materialized()], dtype=FLOAT64)
-        return self._targets
+        """Per-sample regression targets."""
+        return np.array([s.target for s in self._samples], dtype=FLOAT64)
 
-    def link_types(self) -> np.ndarray:
-        """Per-sample link-type codes (no subgraph extraction needed)."""
-        if getattr(self, "_link_types", None) is None:
-            self._link_types = np.array([s.link_type for s in self._materialized()],
-                                        dtype=np.int64)
-        return self._link_types
-
-    def _materialized(self) -> Iterator[Subgraph]:
-        if self._samples is not None:
-            return iter(self._samples)
-        return iter(self)
-
-    # ------------------------------------------------------------------ #
-    # Views
-    # ------------------------------------------------------------------ #
     def subset(self, indices) -> "SubgraphDataset":
-        """A view selecting ``indices`` (shares factory/cache with the parent)."""
-        indices = np.asarray(list(indices) if not isinstance(indices, np.ndarray) else indices,
-                             dtype=np.int64)
-        if self._samples is not None:
-            view = SubgraphDataset([self._samples[i] for i in indices], pe_kind=self.pe_kind,
-                                   cache=self.cache)
-        else:
-            view = SubgraphDataset(factory=_SubsetSampler(self, indices),
-                                   length=len(indices), pe_kind=None,
-                                   cache=self.cache, memoize=False)
-            view._parent = (self, indices)
-        for name in ("_labels", "_targets", "_link_types"):
-            values = getattr(self, name, None)
-            if values is not None:
-                setattr(view, name, values[indices])
-        return view
+        """The samples at ``indices``, as a dataset with the same PE settings."""
+        return SubgraphDataset([self._samples[int(i)] for i in indices],
+                               pe_kind=self.pe_kind, cache=self.cache)
 
     def shuffled(self, rng=None) -> "SubgraphDataset":
-        """A permuted view of the dataset."""
-        rng = get_rng(rng)
-        return self.subset(rng.permutation(self._length))
+        """A permuted copy of the dataset."""
+        return self.subset(get_rng(rng).permutation(len(self)))
 
-    def split(self, fraction: float, rng=None) -> tuple["SubgraphDataset", "SubgraphDataset"]:
+    def split(self, fraction: float) -> tuple["SubgraphDataset", "SubgraphDataset"]:
         """Split off the first ``round(fraction * len)`` samples as a head set.
 
         Returns ``(head, tail)``; shuffle first (``shuffled``) for a random
-        split.  Mirrors the pre-existing ``samples[:num_val] / samples[num_val:]``
-        convention of the training code.
+        split.
         """
         if not 0.0 <= fraction <= 1.0:
             raise ValueError("split fraction must be in [0, 1]")
-        cut = int(round(self._length * fraction))
-        indices = np.arange(self._length)
-        return self.subset(indices[:cut]), self.subset(indices[cut:])
-
-    def materialize(self) -> "SubgraphDataset":
-        """Extract every sample now and return a materialized dataset."""
-        if self._samples is not None:
-            return self
-        return SubgraphDataset([self[i] for i in range(self._length)], pe_kind=self.pe_kind,
-                               cache=self.cache)
+        cut = int(round(len(self) * fraction))
+        return self.subset(range(cut)), self.subset(range(cut, len(self)))
 
     def __repr__(self) -> str:
-        mode = "materialized" if self._samples is not None else "lazy"
-        return (f"SubgraphDataset(len={self._length}, mode={mode}, "
-                f"pe_kind={self.pe_kind!r})")
+        return f"SubgraphDataset(len={len(self)}, pe_kind={self.pe_kind!r})"
 
 
 def as_dataset(data) -> SubgraphDataset:
@@ -515,75 +327,25 @@ def as_dataset(data) -> SubgraphDataset:
 class DataLoader:
     """Shuffling + batching over a :class:`SubgraphDataset`.
 
-    Iterating yields :class:`SubgraphBatch` objects: ``collate_fn`` receives
-    each batch's :meth:`SubgraphDataset.take` (a block for lazy link
-    datasets, else a list of subgraphs).  The loader keeps its own RNG, so
-    each epoch (each ``__iter__`` call) sees a fresh permutation.
-
-    With ``num_workers > 0`` the per-batch extraction + PE encoding of *lazy*
-    datasets is sharded across a ``fork`` process pool
-    (:func:`repro.core.parallel.map_dataset_chunks`): the parent still draws
-    one permutation per epoch and fixes the batch composition, workers run
-    the identical per-chunk recipe, and batches are collated in epoch order —
-    so for a fixed seed every ``num_workers`` setting yields byte-identical
-    batches.  Materialized datasets (nothing left to compute) and platforms
-    without ``fork`` fall back to the serial path automatically.
+    Iterating yields one collated :class:`SubgraphBatch` per ``batch_size``
+    chunk of the dataset.  The loader keeps its own RNG, so each epoch (each
+    ``__iter__`` call) sees a fresh permutation.
     """
 
-    def __init__(self, dataset, batch_size: int = 64, shuffle: bool = True,
-                 rng=None, drop_last: bool = False,
-                 collate_fn: Callable[..., SubgraphBatch] = collate,
-                 num_workers: int = 0):
+    def __init__(self, dataset, batch_size: int = 64, shuffle: bool = True, rng=None):
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
-        if num_workers < 0:
-            raise ValueError("num_workers must be >= 0")
         self.dataset = as_dataset(dataset)
         self.batch_size = int(batch_size)
         self.shuffle = shuffle
-        self.drop_last = drop_last
-        self.collate_fn = collate_fn
-        self.num_workers = int(num_workers)
         self._rng = get_rng(rng)
 
     def __len__(self) -> int:
-        full, rest = divmod(len(self.dataset), self.batch_size)
-        return full if (self.drop_last or rest == 0) else full + 1
+        return -(-len(self.dataset) // self.batch_size)
 
-    def _chunks(self) -> list[np.ndarray]:
-        """The epoch's batch index chunks (one RNG draw when shuffling)."""
+    def __iter__(self) -> Iterator[SubgraphBatch]:
         order = np.arange(len(self.dataset))
         if self.shuffle:
             order = self._rng.permutation(order)
-        chunks = [order[start:start + self.batch_size]
-                  for start in range(0, len(order), self.batch_size)]
-        if self.drop_last and chunks and len(chunks[-1]) < self.batch_size:
-            chunks.pop()
-        return chunks
-
-    def _parallel_workers(self, num_chunks: int) -> int:
-        """Worker count for this epoch (0 = serial).
-
-        Parallel loading only pays off when there is lazy extraction work to
-        shard; materialized datasets would just pickle existing samples
-        through the pool.
-        """
-        from . import parallel
-
-        if self.dataset._samples is not None:
-            return 0
-        return parallel.resolve_workers(self.num_workers, num_chunks)
-
-    def __iter__(self) -> Iterator[SubgraphBatch]:
-        chunks = self._chunks()
-        if self._parallel_workers(len(chunks)):
-            from . import parallel
-
-            for chunk, samples in zip(chunks,
-                                      parallel.map_dataset_chunks(self.dataset, chunks,
-                                                                  workers=self.num_workers)):
-                self.dataset.absorb(chunk, samples)
-                yield self.collate_fn(samples)
-            return
-        for chunk in chunks:
-            yield self.collate_fn(self.dataset.take(chunk))
+        for start in range(0, len(order), self.batch_size):
+            yield collate(self.dataset.take(order[start:start + self.batch_size]))

@@ -88,14 +88,6 @@ class CapacitanceNormalizer:
         logged = self._log_min + float(value) * (self._log_max - self._log_min)
         return float(10.0 ** logged)
 
-    def normalize_array(self, values) -> np.ndarray:
-        """Vectorised :meth:`normalize` over an array of capacitances."""
-        return np.array([self.normalize(v) for v in np.asarray(values).reshape(-1)])
-
-    def denormalize_array(self, values) -> np.ndarray:
-        """Vectorised :meth:`denormalize` over an array of values."""
-        return np.array([self.denormalize(v) for v in np.asarray(values).reshape(-1)])
-
 
 @dataclass
 class StatsNormalizer:

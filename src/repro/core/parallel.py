@@ -1,32 +1,35 @@
-"""Process-pool execution layer: multi-worker sampling and sharded annotation.
+"""Process-pool execution layer: multi-worker annotation.
 
-The pipeline is embarrassingly parallel at two levels — per-subgraph
-extraction/PE-encoding inside a :class:`~repro.core.data.DataLoader` epoch,
-and per-design annotation inside
-:meth:`~repro.core.serve.AnnotationEngine.annotate_many` — and this module is
-the one place that knows how to fan either out across processes:
+Annotation is embarrassingly parallel at two levels — the candidate chunks
+of one netlist inside :meth:`~repro.core.serve.AnnotationEngine.score_pairs`,
+and whole designs (or shards) inside
+:meth:`~repro.core.serve.AnnotationEngine.annotate_many` /
+:meth:`~repro.core.serve.AnnotationEngine.annotate_sharded` — and this module
+is the one place that knows how to fan either out across processes:
 
 * :func:`parallel_map` — an ordered ``map`` over a ``fork`` process pool.
   Work items stay in the parent and are handed to workers *by index*, so the
-  mapped function and its captured state (datasets, models, graphs) are
+  mapped function and its captured state (requests, models, graphs) are
   inherited through ``fork`` instead of being pickled per task; only results
   travel back through pickling.
-* :func:`map_dataset_chunks` — the :class:`~repro.core.data.DataLoader`
-  worker path: each chunk of dataset indices is materialized inside a worker
-  (one batched CSR extraction + batched PE block for lazy datasets), and the
-  parent collates the returned samples in the original chunk order.
+* :func:`parallel_imap` — the streaming form; ``score_pairs`` maps a
+  :class:`~repro.core.data.LinkRequest`'s ``take`` over its chunks with it,
+  so the parent forwards one block while the pool extracts the next ones.
 * :func:`resolve_workers` / :func:`fork_available` / :func:`in_worker` — the
   shared policy helpers.  ``workers <= 1``, single-item workloads, platforms
   without ``fork`` and nested calls (a worker asking for its own pool) all
   degrade to the serial path, so callers never need a fallback branch.
+
+Training never forks: its datasets are lists of extracted subgraphs, so there
+is no per-batch work left to shard.
 
 Determinism contract
 --------------------
 Parallelism must never change results.  Work is distributed in deterministic
 chunks, every chunk is extracted with the same per-chunk seeding the serial
 path uses, and results are merged in submission order — so for a fixed seed,
-``workers = 0`` and ``workers = N`` produce byte-identical samples, metrics
-and annotation reports (``tests/core/test_parallel.py`` pins this, and
+``workers = 0`` and ``workers = N`` produce byte-identical records and
+annotation reports (``tests/core/test_parallel.py`` pins this, and
 ``benchmarks/test_parallel_throughput.py`` pins the >= 2x wall-clock win at
 four workers).  Caches (:class:`~repro.core.data.PECache`) are per-worker:
 each forked child inherits a copy-on-write snapshot and warms its own copy,
@@ -46,7 +49,6 @@ __all__ = [
     "resolve_workers",
     "parallel_map",
     "parallel_imap",
-    "map_dataset_chunks",
     "default_worker_count",
 ]
 
@@ -166,21 +168,6 @@ def parallel_imap(fn: Callable[[T], R], items: Sequence[T],
                 yield pending.popleft().get()
     finally:
         _TASK = None
-
-
-def map_dataset_chunks(dataset, chunks: Sequence[Sequence[int]],
-                       workers: int | None = None):
-    """Materialize chunks of dataset indices, one worker per in-flight chunk.
-
-    Each chunk runs the exact serial recipe — ``dataset.take(chunk)`` —
-    inside a worker, so the returned samples (including positional
-    encodings) are identical to the serial path; only the wall-clock differs.  The dataset
-    reaches the workers via ``fork`` inheritance, so lazy datasets with
-    unpicklable collate hooks still parallelise.  Chunks are *streamed*
-    (:func:`parallel_imap`) in order: the consumer holds one chunk while the
-    pool extracts the next ones, instead of buffering the whole epoch.
-    """
-    return parallel_imap(dataset.take, chunks, workers=workers)
 
 
 def default_worker_count(cap: int = 8) -> int:

@@ -25,8 +25,8 @@ __all__ = ["PretrainResult", "build_model", "pretrain_link_model", "evaluate_zer
 class PretrainResult:
     """Outcome of link-prediction pre-training.
 
-    ``train_samples`` / ``val_samples`` are :class:`SubgraphDataset` views
-    (sequence-compatible with the former plain lists).
+    ``train_samples`` / ``val_samples`` are the :class:`SubgraphDataset`
+    halves of the shuffled sample set.
     """
 
     model: CircuitGPS

@@ -7,10 +7,10 @@ a train-once / serve-many engine:
 
 * :class:`AnnotationEngine` — wraps the pre-trained link model and a
   fine-tuned regression head, converts one-or-many SPICE netlists to
-  heterogeneous graphs, and streams all candidate links through
-  :class:`~repro.core.data.SubgraphDataset` / :class:`~repro.core.data.DataLoader`
-  in large batches.  Each chunk of candidates is extracted as one block by
-  the batched CSR sampler and forwarded as it is; positional encodings go
+  heterogeneous graphs, and cuts all candidate links of a netlist (one
+  :class:`~repro.core.data.LinkRequest`) into ``batch_size`` chunks.  Each
+  chunk is extracted as one block by the batched CSR sampler and forwarded
+  as it is; positional encodings go
   through one shared :class:`~repro.core.data.PECache` keyed by subgraph
   content, so a subgraph seen in any earlier netlist, request or revision
   never has its PE recomputed.
@@ -30,9 +30,11 @@ The engine's inference recipe is exposed as composable hooks
 :meth:`~AnnotationEngine.extract_chunk` /
 :meth:`~AnnotationEngine.predict_samples` /
 :meth:`~AnnotationEngine.build_records`).  Every local entry point scores
-through :meth:`~AnnotationEngine.score_pairs`; the daemon in
+through :meth:`~AnnotationEngine.score_pairs`, which maps the request's
+chunks over the engine's fork pool (serial at ``workers=0``); the daemon in
 :mod:`repro.core.server` replays the hooks chunk by chunk and shares only the
-forward passes of concurrent requests, so both produce the same records.
+forward passes of concurrent requests, so all of them produce the same
+records.
 
 ``benchmarks/test_serve_throughput.py`` pins the batched path at >= 3x the
 per-link inference loop this engine replaced;
@@ -68,8 +70,8 @@ from ..nn.dtypes import FLOAT32, FLOAT_DTYPES
 from ..utils.logging import get_logger
 from ..utils.rng import get_rng, spawn_seeds
 from ..utils.serialization import save_json
-from .data import DataLoader, PECache, SubgraphDataset
-from .parallel import parallel_map
+from .data import LinkRequest, PECache
+from .parallel import parallel_imap, parallel_map
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .pipeline import CircuitGPSPipeline
@@ -314,17 +316,18 @@ class AnnotationEngine:
     Wraps a *trained* :class:`~repro.core.pipeline.CircuitGPSPipeline` (the
     pre-trained link model plus the fine-tuned regression head for
     ``(task, mode)``) and serves annotation requests without ever touching the
-    training code.  All candidate links of a netlist go through a lazy
-    :class:`SubgraphDataset` and a :class:`DataLoader` in ``batch_size``
-    chunks; extraction uses the batched CSR sampler and positional encodings
-    are shared through one :class:`PECache` across every request this engine
-    serves.
+    training code.  All candidate links of a netlist form one
+    :class:`LinkRequest`, extracted and forwarded in ``batch_size`` chunks;
+    extraction uses the batched CSR sampler and positional encodings are
+    shared through one :class:`PECache` across every request this engine
+    serves.  ``workers`` forks a pool over the chunks of one netlist and, in
+    :meth:`annotate_many` / :meth:`annotate_sharded`, over designs or shards.
     """
 
     def __init__(self, pipeline: "CircuitGPSPipeline", task="edge_regression",
                  mode: str = "all", batch_size: int = 256,
                  cache: PECache | None = None, threshold: float = 0.5,
-                 workers: int | None = None, precision: str = "float64"):
+                 workers: int = 0, precision: str = "float64"):
         from ..api.tasks import resolve_task
 
         if pipeline.pretrain_result is None:
@@ -349,10 +352,7 @@ class AnnotationEngine:
         self.mode = mode
         self.batch_size = int(batch_size)
         self.threshold = float(threshold)
-        # Default worker count for annotate_many / the inference loader; the
-        # experiment config's serving default applies when not given.
-        self.workers = int(workers if workers is not None
-                           else getattr(pipeline.config.data, "num_workers", 0))
+        self.workers = int(workers)
         self.cache = cache if cache is not None else PECache()
         self.link_model = pipeline.pretrain_result.model
         self.reg_model = pipeline.finetune_results[key].model
@@ -410,22 +410,21 @@ class AnnotationEngine:
     # Inference hooks (shared by annotate() and the annotation service)
     # ------------------------------------------------------------------ #
     def request_dataset(self, graph: CircuitGraph, links: list[Link],
-                        seed: int = 0) -> SubgraphDataset:
-        """The lazy per-request dataset the local and daemon paths share."""
-        return SubgraphDataset.from_links(
-            graph, links, hops=self.config.data.hops,
-            max_nodes_per_hop=self.config.data.max_nodes_per_hop,
-            pe_kind=self.link_model.pe_kind, cache=self.cache, seed=int(seed),
-        )
+                        seed: int = 0) -> LinkRequest:
+        """The per-request link set the local and daemon paths share."""
+        return LinkRequest(graph, links, hops=self.config.data.hops,
+                           max_nodes_per_hop=self.config.data.max_nodes_per_hop,
+                           pe_kind=self.link_model.pe_kind, cache=self.cache,
+                           seed=seed)
 
     def request_chunks(self, num_links: int) -> list[list[int]]:
         """Sequential ``batch_size`` index chunks (the serial chunking)."""
         return [list(range(start, min(start + self.batch_size, num_links)))
                 for start in range(0, num_links, self.batch_size)]
 
-    def extract_chunk(self, dataset: SubgraphDataset, indices) -> SubgraphBatch:
-        """One chunk as the serial loader extracts it: one block, PE attached."""
-        return dataset.take(indices)
+    def extract_chunk(self, request: LinkRequest, indices) -> SubgraphBatch:
+        """One chunk of ``request`` as one block, PE attached."""
+        return request.take(indices)
 
     def predict_batch(self, batch) -> tuple[np.ndarray, np.ndarray]:
         """Forward one collated batch under the serving dtype policy."""
@@ -465,19 +464,23 @@ class AnnotationEngine:
     def score_pairs(self, graph: CircuitGraph, pairs: Sequence[tuple[str, str]],
                     seed: int = 0) -> list[dict]:
         """One record per named node pair of ``graph``: the only synchronous
-        pairs -> records path, batched exactly as :meth:`request_chunks`."""
+        pairs -> records path, batched exactly as :meth:`request_chunks`.
+
+        With ``workers`` the chunks are extracted in a fork pool while this
+        process forwards them in order; each chunk's RNG depends on the
+        chunk alone, so the records do not depend on the worker count.
+        """
         pairs = [tuple(pair) for pair in pairs]
         links = self.links_for_pairs(graph, pairs)
-        loader = DataLoader(self.request_dataset(graph, links, seed=seed),
-                            batch_size=self.batch_size, shuffle=False,
-                            num_workers=self.workers)
-        probs, caps = [], []
-        for batch in loader:
-            batch_probs, batch_caps = self.predict_batch(batch)
-            probs.append(batch_probs)
-            caps.append(batch_caps)
-        if not probs:
+        if not links:
             return []
+        request = self.request_dataset(graph, links, seed=seed)
+        probs, caps = [], []
+        for block in parallel_imap(request.take, self.request_chunks(len(links)),
+                                   workers=self.workers):
+            block_probs, block_caps = self.predict_samples(block)
+            probs.append(block_probs)
+            caps.append(block_caps)
         return self.build_records(pairs, links, np.concatenate(probs),
                                   np.concatenate(caps))
 

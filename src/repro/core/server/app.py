@@ -240,14 +240,14 @@ class AnnotationServer:
                         rng=np.random.default_rng(seed)))
             pairs = [tuple(pair) for pair in pairs]
             links = self.engine.links_for_pairs(graph, pairs)
-            dataset = self.engine.request_dataset(graph, links, seed=seed)
+            link_request = self.engine.request_dataset(graph, links, seed=seed)
             # Serial chunks (one hub-subsampling RNG stream each), then one
             # submit, so the request never waits one batch window per chunk.
             # Each link is one batcher item: its chunk's block and position.
             samples = []
             for chunk in self.engine.request_chunks(len(links)):
                 block = await loop.run_in_executor(
-                    self._executor, self.engine.extract_chunk, dataset, chunk)
+                    self._executor, self.engine.extract_chunk, link_request, chunk)
                 samples.extend((block, index) for index in range(len(block)))
             results = await self._batcher.submit(samples)
             probs = np.array([result[0] for result in results], dtype=float)

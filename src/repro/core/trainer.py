@@ -124,7 +124,6 @@ class Trainer:
             batch_size=batch_size if batch_size is not None else self.config.batch_size,
             shuffle=shuffle,
             rng=rng,
-            num_workers=getattr(self.config, "num_workers", 0),
         )
 
     def fit(self, train_data, val_data=None,

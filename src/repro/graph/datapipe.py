@@ -25,9 +25,7 @@ CLI (``repro train --sampling ...``).
 The default link pipeline (:func:`default_link_pipeline`) is the paper's
 recipe: ``default_link_pipeline(...).run(graph, rng=seed)`` is how tests,
 benchmarks and examples sample a link dataset.  Both extraction stages call
-the batched extractors of :mod:`repro.graph.sampling` on the whole seed list;
-the lazy dataset in :mod:`repro.core.data` calls
-:meth:`EnclosingExtractStage.extract_many` on blocks, or on one link.
+the batched extractors of :mod:`repro.graph.sampling` on the whole seed list.
 """
 
 from __future__ import annotations
@@ -374,8 +372,8 @@ class EnclosingExtractStage(SamplerStage):
         return bool(add_target), fanouts
 
     def extract_many(self, graph, links, *, rng=None, seeds=None) -> SubgraphBatch:
-        """Extract an explicit link list as one block (what the lazy dataset
-        calls; one link is a one-element block)."""
+        """Extract an explicit link list as one block (one link is a
+        one-element block)."""
         add_target, fanouts = self._resolve(seeds)
         return extract_enclosing_subgraphs(
             graph, links, hops=self.hops, max_nodes_per_hop=self.max_nodes_per_hop,

@@ -26,7 +26,6 @@ from .generators import (
     build_design,
     digital_clk_gen,
     hierarchical_sram,
-    paper_suite,
     sandwich_ram,
     sram_array,
     ssram,
@@ -75,7 +74,6 @@ __all__ = [
     "parse_spf_file",
     "write_spf",
     "build_design",
-    "paper_suite",
     "PAPER_DESIGNS",
     "TRAIN_DESIGNS",
     "TEST_DESIGNS",

@@ -48,7 +48,6 @@ __all__ = [
     "TRAIN_DESIGNS",
     "TEST_DESIGNS",
     "build_design",
-    "paper_suite",
 ]
 
 
@@ -529,8 +528,3 @@ def build_design(name: str, scale: float = 1.0) -> Circuit:
     circuit = builder(**kwargs)
     circuit.name = name
     return circuit
-
-
-def paper_suite(scale: float = 1.0) -> dict[str, Circuit]:
-    """Build all six designs of Table IV at the requested scale."""
-    return {name: build_design(name, scale=scale) for name in PAPER_DESIGNS}

@@ -48,6 +48,16 @@ def test_bench_is_not_a_command(tmp_path, capsys):
     assert "invalid choice" in capsys.readouterr().err
 
 
+def test_workers_is_an_annotate_option_only(capsys):
+    """Training datasets are extracted lists, so ``train`` has nothing to
+    fork; ``annotate`` defaults to serial."""
+    with pytest.raises(SystemExit) as excinfo:
+        build_parser().parse_args(["train", "--out", "x", "--workers", "2"])
+    assert excinfo.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+    assert build_parser().parse_args(["annotate", "ckpt", "n.sp"]).workers == 0
+
+
 def test_parser_presets_cover_all_configs():
     parser = build_parser()
     args = parser.parse_args(["train", "--out", "x", "--config", "benchmark"])

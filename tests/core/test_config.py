@@ -41,16 +41,17 @@ class TestExperimentConfig:
         assert set(payload) == {"model", "train", "data", "name"}
         assert payload["model"]["dim"] == config.model.dim
 
-    def test_worker_counts_are_runtime_only_not_persisted(self):
-        """A checkpoint trained with workers must not fork on other machines."""
-        config = (ExperimentConfig.default()
-                  .with_train(num_workers=8).with_data(num_workers=8))
-        payload = config.as_dict()
+    def test_worker_counts_are_not_configuration(self):
+        """Worker counts are runtime settings of the engine, never part of a
+        checkpoint; metadata that still carries one loads without it."""
+        payload = ExperimentConfig.default().as_dict()
         assert "num_workers" not in payload["train"]
         assert "num_workers" not in payload["data"]
+        payload["train"]["num_workers"] = payload["data"]["num_workers"] = 8
         restored = ExperimentConfig.from_dict(payload)
-        assert restored.train.num_workers == 0
-        assert restored.data.num_workers == 0
+        assert restored == ExperimentConfig.default()
+        assert not hasattr(restored.train, "num_workers")
+        assert not hasattr(restored.data, "num_workers")
 
     def test_configs_are_frozen(self):
         config = ExperimentConfig.default()

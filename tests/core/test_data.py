@@ -7,13 +7,13 @@ import pytest
 
 from repro.core.data import (
     DataLoader,
+    LinkRequest,
     PECache,
     SubgraphDataset,
     as_dataset,
     attach_pe_batch,
     default_pe_cache,
     pe_cache_keys,
-    set_default_pe_cache,
 )
 from repro.core.datasets import build_link_samples
 from repro.core.serve import AnnotationEngine
@@ -41,11 +41,10 @@ def samples(small_design, tiny_config):
 
 @pytest.fixture()
 def fresh_cache():
-    """Swap in an empty default cache for the duration of a test."""
-    cache = PECache(capacity=256)
-    previous = set_default_pe_cache(cache)
+    """The process-wide default cache, emptied for the test."""
+    cache = default_pe_cache()
+    cache.clear()
     yield cache
-    set_default_pe_cache(previous)
 
 
 class TestPECache:
@@ -292,77 +291,53 @@ class TestSubgraphDataset:
         assert len(head) + len(tail) == len(samples)
         assert head[0] is samples[0]
 
-    def test_lazy_from_links_deterministic(self, small_design, fresh_cache):
-        graph = small_design.graph
-        links = graph.links[:10]
-        dataset = SubgraphDataset.from_links(graph, links, hops=1, pe_kind="dspd", seed=5)
-        assert len(dataset) == 10
-        first = dataset[3]
-        second = dataset[3]
-        np.testing.assert_array_equal(first.node_ids, second.node_ids)
-        np.testing.assert_allclose(first.pe, second.pe)
-        # Identical extraction means the PE cache served the second access.
-        assert fresh_cache.hits >= 1
+    def test_split_edges_and_invalid_fraction(self, samples):
+        dataset = SubgraphDataset.from_samples(samples)
+        empty, everything = dataset.split(0.0)
+        assert len(empty) == 0 and list(everything) == samples
+        everything, empty = dataset.split(1.0)
+        assert len(empty) == 0 and list(everything) == samples
+        for fraction in (-0.1, 1.5):
+            with pytest.raises(ValueError, match="fraction"):
+                dataset.split(fraction)
 
-    def test_lazy_labels_without_extraction(self, small_design):
-        graph = small_design.graph
-        links = graph.links[:6]
-        dataset = SubgraphDataset.from_links(graph, links, pe_kind=None)
-        np.testing.assert_allclose(dataset.labels(), [l.label for l in links])
-        np.testing.assert_array_equal(dataset.link_types(), [l.link_type for l in links])
-        assert not dataset._memo  # labels came from the links, not extraction
+    def test_split_takes_no_rng(self, samples):
+        """A random split is ``shuffled(rng).split``; an ``rng`` passed to
+        ``split`` itself used to be accepted and silently ignored."""
+        with pytest.raises(TypeError):
+            SubgraphDataset.from_samples(samples).split(0.5, rng=0)
 
-    def test_materialize_matches_lazy(self, small_design):
-        graph = small_design.graph
-        dataset = SubgraphDataset.from_links(graph, graph.links[:5], pe_kind=None, seed=1)
-        materialized = dataset.materialize()
-        for a, b in zip(dataset, materialized):
-            np.testing.assert_array_equal(a.node_ids, b.node_ids)
+    def test_shuffled_is_a_seeded_permutation_with_the_same_pe_settings(self, samples):
+        cache = PECache()
+        dataset = SubgraphDataset.from_samples(samples, pe_kind="dspd", cache=cache)
+        first, second = dataset.shuffled(rng=3), dataset.shuffled(rng=3)
+        assert [id(s) for s in first] == [id(s) for s in second]
+        assert [id(s) for s in first] != [id(s) for s in samples]
+        assert sorted(map(id, first)) == sorted(map(id, samples))
+        assert list(dataset) == samples            # the original keeps its order
+        for view in (first, *first.split(0.5)):
+            assert view.pe_kind == "dspd" and view.cache is cache
 
-    def test_lazy_matches_batched_extraction(self, small_design):
-        graph = small_design.graph
-        links = graph.links[:8]
-        dataset = SubgraphDataset.from_links(graph, links, hops=1, pe_kind=None)
-        batched = extract_enclosing_subgraphs(graph, links, hops=1)
-        for lazy_sample, batch_sample in zip(dataset, batched):
-            np.testing.assert_array_equal(lazy_sample.node_ids, batch_sample.node_ids)
-            np.testing.assert_array_equal(lazy_sample.edge_index, batch_sample.edge_index)
+    def test_labels_and_targets_follow_the_shuffle(self, samples):
+        shuffled = SubgraphDataset.from_samples(samples).shuffled(rng=1)
+        np.testing.assert_array_equal(shuffled.labels(), [s.label for s in shuffled])
+        np.testing.assert_array_equal(shuffled.targets(), [s.target for s in shuffled])
+        assert shuffled.labels().dtype == np.float64
 
-    def test_unprefetched_index_is_a_one_element_batch(self, small_design):
-        """``dataset[i]`` outside a prefetched block extracts link ``i`` as a
-        batch of one under the RNG ``[seed, i]``; uncapped, it equals the
-        prefetched block's sample byte for byte (PE included)."""
-        from repro.graph import compute_pe
-
-        def assert_same_bytes(got, want):
-            for name in ("node_ids", "node_types", "edge_index", "edge_types",
-                         "node_stats", "pe"):
-                a, b = getattr(got, name), getattr(want, name)
-                assert a.dtype == b.dtype and a.shape == b.shape, name
-                assert a.tobytes() == b.tobytes(), name
-            assert (got.anchors, got.label, got.target, got.link_type) == \
-                (want.anchors, want.label, want.target, want.link_type)
-
-        graph = small_design.graph
-        links = graph.links[:24]
-        seed = 7
-        capped = SubgraphDataset.from_links(graph, links, max_nodes_per_hop=3,
-                                            seed=seed, cache=PECache())
-        shrunk = 0
-        for i, link in enumerate(links):
-            [want] = extract_enclosing_subgraphs(
-                graph, [link], max_nodes_per_hop=3,
-                rng=np.random.default_rng([seed, i]))
-            compute_pe(want, "dspd")
-            assert_same_bytes(capped[i], want)
-            shrunk += want.num_nodes < extract_enclosing_subgraphs(graph, [link])[0].num_nodes
-        assert shrunk, "the hub cap never triggered; the RNG stream went untested"
-
-        lazy = SubgraphDataset.from_links(graph, links, seed=seed, cache=PECache())
-        block = SubgraphDataset.from_links(graph, links, seed=seed,
-                                           cache=PECache()).take(range(len(links)))
-        for i in range(len(links)):
-            assert_same_bytes(lazy[i], block[i])
+    def test_take_attaches_missing_pe_in_one_pass(self, samples):
+        cache = PECache()
+        bare = [copy.copy(s) for s in samples[:6]]
+        for s in bare[:4]:
+            s.pe = None
+        kept = bare[4].pe
+        dataset = SubgraphDataset.from_samples(bare, pe_kind="dspd", cache=cache)
+        taken = dataset.take([3, 0, 4])
+        assert [s is b for s, b in zip(taken, (bare[3], bare[0], bare[4]))] == [True] * 3
+        assert cache.misses == 2 and cache.hits == 0   # only the two bare samples
+        assert bare[4].pe is kept
+        for s in taken:
+            assert s.pe.tobytes() == compute_pe_batch(collate([s]), "dspd").tobytes()
+        assert bare[1].pe is None                      # not taken, not encoded
 
     def test_as_dataset_idempotent(self, samples):
         dataset = SubgraphDataset.from_samples(samples)
@@ -383,11 +358,6 @@ class TestDataLoader:
             [s.label for s in samples],
         )
 
-    def test_drop_last(self, samples):
-        count = (len(samples) // 16) * 16
-        loader = DataLoader(samples[: count + 3], batch_size=16, shuffle=False, drop_last=True)
-        assert sum(b.num_graphs for b in loader) == count
-
     def test_shuffle_changes_between_epochs(self, samples):
         loader = DataLoader(samples, batch_size=len(samples), shuffle=True, rng=0)
         first = next(iter(loader)).labels
@@ -399,6 +369,80 @@ class TestDataLoader:
         b = next(iter(DataLoader(samples, batch_size=32, shuffle=True, rng=7))).labels
         np.testing.assert_allclose(a, b)
 
+    def test_len_counts_the_ragged_last_batch(self, samples):
+        loader = DataLoader(samples[:33], batch_size=16, shuffle=False)
+        assert len(loader) == 3
+        assert [b.num_graphs for b in loader] == [16, 16, 1]
+
+    def test_empty_dataset_yields_no_batches(self):
+        loader = DataLoader([], batch_size=4)
+        assert len(loader) == 0 and list(loader) == []
+
     def test_invalid_batch_size(self, samples):
         with pytest.raises(ValueError):
             DataLoader(samples, batch_size=0)
+
+
+def assert_same_bytes(got, want):
+    for name in ("node_ids", "node_types", "edge_index", "edge_types",
+                 "node_stats", "pe"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+    assert (got.anchors, got.label, got.target, got.link_type) == \
+        (want.anchors, want.label, want.target, want.link_type)
+
+
+def link_request(graph, links, seed=0, max_nodes_per_hop=None, cache=None):
+    return LinkRequest(graph, links, hops=1, max_nodes_per_hop=max_nodes_per_hop,
+                       pe_kind="dspd", cache=cache if cache is not None else PECache(),
+                       seed=seed)
+
+
+class TestLinkRequest:
+    def test_same_chunk_same_block_from_the_cache(self, small_design):
+        graph = small_design.graph
+        cache = PECache()
+        request = link_request(graph, graph.links[:10], seed=5, cache=cache)
+        first = request.take([3, 4, 5])
+        misses = cache.misses
+        second = request.take([3, 4, 5])
+        assert first.node_ids.tobytes() == second.node_ids.tobytes()
+        assert first.pe.tobytes() == second.pe.tobytes()
+        # Identical extraction means the PE cache served the second take.
+        assert cache.misses == misses and cache.hits == misses
+
+    def test_take_matches_batched_extraction(self, small_design):
+        graph = small_design.graph
+        links = graph.links[:8]
+        block = link_request(graph, links).take(range(8))
+        batched = extract_enclosing_subgraphs(graph, links, hops=1)
+        for taken, expected in zip(block, batched):
+            np.testing.assert_array_equal(taken.node_ids, expected.node_ids)
+            np.testing.assert_array_equal(taken.edge_index, expected.edge_index)
+
+    def test_chunk_rng_is_seed_length_and_first_index(self, small_design):
+        """A capped chunk draws its hub subsampling from the RNG
+        ``[seed, len(chunk), chunk[0]]``, byte for byte (PE included);
+        uncapped, a one-link chunk equals its row of a larger chunk."""
+        graph = small_design.graph
+        links = graph.links[:24]
+        seed = 7
+        capped = link_request(graph, links, seed=seed, max_nodes_per_hop=3)
+        shrunk = 0
+        for chunk in ([0], [5, 6, 7], list(range(8, 24))):
+            want = extract_enclosing_subgraphs(
+                graph, [links[i] for i in chunk], max_nodes_per_hop=3,
+                rng=np.random.default_rng([seed, len(chunk), chunk[0]]))
+            want.pe = compute_pe_batch(want, "dspd")
+            got = capped.take(chunk)
+            for i in range(len(chunk)):
+                assert_same_bytes(got[i], want[i])
+            full = extract_enclosing_subgraphs(graph, [links[i] for i in chunk])
+            shrunk += int(np.sum(np.diff(want.node_offsets) < np.diff(full.node_offsets)))
+        assert shrunk, "the hub cap never triggered; the RNG stream went untested"
+
+        uncapped = link_request(graph, links, seed=seed)
+        block = uncapped.take(range(len(links)))
+        for i in range(len(links)):
+            assert_same_bytes(uncapped.take([i])[0], block[i])

@@ -57,14 +57,12 @@ class TestCapacitanceNormalizer:
         low, high = min(a, b), max(a, b)
         assert normalizer.normalize(low) <= normalizer.normalize(high) + 1e-12
 
-    def test_array_helpers(self):
+    def test_zero_maps_to_zero(self):
         normalizer = CapacitanceNormalizer()
-        values = np.array([0.0, 1e-18, 1e-16])
-        normalised = normalizer.normalize_array(values)
-        assert normalised.shape == (3,)
-        recovered = normalizer.denormalize_array(normalised)
-        assert recovered[0] == 0.0
-        assert recovered[1] == pytest.approx(1e-18, rel=1e-6)
+        assert normalizer.normalize(0.0) == 0.0
+        assert normalizer.denormalize(0.0) == 0.0
+        assert normalizer.denormalize(normalizer.normalize(1e-18)) == pytest.approx(
+            1e-18, rel=1e-6)
 
 
 class TestStatsNormalizer:

@@ -1,11 +1,10 @@
 """Determinism and correctness tests for the parallel execution layer.
 
 The contract of ``repro.core.parallel`` is that worker processes are purely a
-wall-clock optimisation: for a fixed seed, ``num_workers in {0, 2, 4}`` must
-produce byte-identical samples, byte-identical training metrics/weights and
-byte-identical annotation JSON.  These tests pin that contract, plus the
-pool mechanics (ordering, error propagation, serial fallbacks) and the
-picklability that makes datasets shippable to workers at all.
+wall-clock optimisation: for a fixed seed, ``workers in {0, 2, 4}`` must
+produce byte-identical annotation records and JSON.  These tests pin that
+contract, plus the pool mechanics (ordering, error propagation, serial
+fallbacks).
 """
 
 from __future__ import annotations
@@ -25,11 +24,10 @@ from repro.core import (
     parallel_map,
     resolve_workers,
 )
-from repro.core.data import DataLoader, PECache, SubgraphDataset
-from repro.core.parallel import default_worker_count, map_dataset_chunks, parallel_imap
+from repro.core.data import PECache
+from repro.core.parallel import default_worker_count, parallel_imap
 from repro.core.serve import AnnotationEngine, default_candidate_pairs
-from repro.core.trainer import Trainer
-from repro.graph import netlist_to_graph
+from repro.graph import extract_enclosing_subgraphs, netlist_to_graph
 from repro.netlist import ssram
 from repro.utils import seed_all
 
@@ -86,6 +84,10 @@ class TestParallelMap:
         results = parallel_map(_nested_level, [1, 2], workers=2)
         assert results == [[2, 4], [4, 8]]
 
+    def test_imap_worker_exception_propagates(self):
+        with pytest.raises(ValueError, match="boom"):
+            list(parallel_imap(_boom, [1, 2, 3], workers=2))
+
     def test_imap_streams_in_order(self):
         stream = parallel_imap(_square, range(9), workers=2)
         assert next(iter(stream)) == 0  # first result before full consumption
@@ -101,118 +103,9 @@ def _square_times(x):
     return lambda y: x * y
 
 
-# --------------------------------------------------------------------------- #
-# Dataset / loader determinism
-# --------------------------------------------------------------------------- #
-@pytest.fixture(scope="module")
-def lazy_workload():
-    """A lazy link dataset over a small real design graph."""
-    circuit = ssram(rows=4, cols=4).flatten()
-    circuit.name = "PAR_TEST"
-    graph = netlist_to_graph(circuit)
-    pairs = default_candidate_pairs(graph, max_candidates=48,
-                                    rng=np.random.default_rng(0))
-    links = AnnotationEngine.links_for_pairs(graph, pairs)
-    return graph, links
-
-
-def _batch_bytes(batch) -> tuple:
-    return (batch.node_types.tobytes(), batch.edge_index.tobytes(),
-            batch.edge_types.tobytes(), batch.batch.tobytes(),
-            batch.anchors.tobytes(), batch.pe.tobytes(),
-            batch.node_stats.tobytes(), batch.labels.tobytes(),
-            batch.targets.tobytes(), batch.link_types.tobytes())
-
-
-def _epoch_bytes(graph, links, num_workers: int, *, shuffle=True, epochs=1) -> list:
-    dataset = SubgraphDataset.from_links(graph, links, hops=1, pe_kind="dspd",
-                                         seed=3, cache=PECache())
-    loader = DataLoader(dataset, batch_size=8, shuffle=shuffle,
-                        rng=np.random.default_rng(11), num_workers=num_workers)
-    return [_batch_bytes(b) for _ in range(epochs) for b in loader]
-
-
-class TestLoaderDeterminism:
-    def test_same_seed_same_batches_any_worker_count(self, lazy_workload):
-        graph, links = lazy_workload
-        baseline = _epoch_bytes(graph, links, 0)
-        for workers in WORKER_COUNTS[1:]:
-            assert _epoch_bytes(graph, links, workers) == baseline, (
-                f"num_workers={workers} produced different batches than serial"
-            )
-
-    def test_multi_epoch_streams_identical(self, lazy_workload):
-        graph, links = lazy_workload
-        assert _epoch_bytes(graph, links, 2, epochs=2) == _epoch_bytes(graph, links, 0, epochs=2)
-
-    def test_unshuffled_loader_identical(self, lazy_workload):
-        graph, links = lazy_workload
-        assert _epoch_bytes(graph, links, 2, shuffle=False) == \
-            _epoch_bytes(graph, links, 0, shuffle=False)
-
-    def test_memoizing_dataset_multi_epoch_parity_with_subsampling(self, lazy_workload):
-        """Workers must not defeat memoization: epoch 2 reuses epoch-1 samples.
-
-        With hub subsampling active, re-extraction draws fresh RNG — so if
-        the parallel path failed to write worker samples back into the memo,
-        epoch 2 would diverge from the serial run.
-        """
-        graph, links = lazy_workload
-
-        def run(num_workers: int) -> list:
-            dataset = SubgraphDataset.from_links(
-                graph, links, hops=1, pe_kind="dspd", seed=3, cache=PECache(),
-                max_nodes_per_hop=4, memoize=True,
-            )
-            loader = DataLoader(dataset, batch_size=8, shuffle=True,
-                                rng=np.random.default_rng(2), num_workers=num_workers)
-            return [_batch_bytes(b) for _ in range(2) for b in loader]
-
-        assert run(2) == run(0)
-
-    def test_materialized_dataset_ignores_workers(self, lazy_workload):
-        graph, links = lazy_workload
-        dataset = SubgraphDataset.from_links(graph, links, hops=1, pe_kind="dspd",
-                                             seed=3).materialize()
-        loader = DataLoader(dataset, batch_size=8, shuffle=False, num_workers=4)
-        assert loader._parallel_workers(len(loader)) == 0
-        assert sum(b.num_graphs for b in loader) == len(links)
-
-    def test_map_dataset_chunks_matches_getitem(self, lazy_workload):
-        graph, links = lazy_workload
-        dataset = SubgraphDataset.from_links(graph, links, hops=1, pe_kind="dspd",
-                                             seed=3, cache=PECache())
-        chunks = [[0, 1, 2], [3, 4], [5]]
-        chunked = map_dataset_chunks(dataset, chunks, workers=2)
-        reference = SubgraphDataset.from_links(graph, links, hops=1, pe_kind="dspd",
-                                               seed=3, cache=PECache())
-        for chunk, samples in zip(chunks, chunked):
-            for sample, expected in zip(samples, reference.take(chunk)):
-                np.testing.assert_array_equal(sample.node_ids, expected.node_ids)
-                np.testing.assert_array_equal(sample.edge_index, expected.edge_index)
-                np.testing.assert_array_equal(sample.pe, expected.pe)
-
-
 class TestPicklability:
-    def test_lazy_dataset_roundtrips(self, lazy_workload):
-        graph, links = lazy_workload
-        dataset = SubgraphDataset.from_links(graph, links, hops=1, pe_kind="dspd", seed=7)
-        clone = pickle.loads(pickle.dumps(dataset))
-        assert len(clone) == len(dataset)
-        for index in (0, 5, len(dataset) - 1):
-            a, b = dataset[index], clone[index]
-            np.testing.assert_array_equal(a.node_ids, b.node_ids)
-            np.testing.assert_array_equal(a.edge_index, b.edge_index)
-            np.testing.assert_array_equal(a.pe, b.pe)
-
-    def test_subset_view_roundtrips(self, lazy_workload):
-        graph, links = lazy_workload
-        view = SubgraphDataset.from_links(graph, links, hops=1, seed=7).subset([4, 2, 9])
-        clone = pickle.loads(pickle.dumps(view))
-        np.testing.assert_array_equal(clone[1].node_ids, view[1].node_ids)
-
-    def test_csr_pickle_drops_then_rebuilds_adjacency(self, lazy_workload):
-        graph, _links = lazy_workload
+    def test_csr_pickle_drops_then_rebuilds_adjacency(self):
+        graph = netlist_to_graph(ssram(rows=4, cols=4).flatten())
         csr = graph.csr
         clone = pickle.loads(pickle.dumps(csr))
         np.testing.assert_array_equal(clone.indptr, csr.indptr)
@@ -224,12 +117,12 @@ class TestPicklability:
 # --------------------------------------------------------------------------- #
 # End-to-end determinism: training metrics and annotation JSON
 # --------------------------------------------------------------------------- #
-def _serving_pipeline():
+def _serving_pipeline(max_nodes_per_hop: int = 20):
     seed_all(0)
     config = (
         ExperimentConfig.fast()
         .with_model(dim=16, num_layers=1, pe_hidden=4, dropout=0.0, attention="none")
-        .with_data(max_links_per_design=40, scale=0.3)
+        .with_data(max_links_per_design=40, scale=0.3, max_nodes_per_hop=max_nodes_per_hop)
     )
     link_model = build_model(config)
     reg_model = build_model(config)
@@ -261,30 +154,32 @@ def test_annotation_json_identical_across_worker_counts():
         )
 
 
-def _train_fingerprint(num_workers: int, lazy_workload) -> tuple:
-    graph, links = lazy_workload
-    seed_all(0)
-    config = (
-        ExperimentConfig.fast()
-        .with_model(dim=16, num_layers=1, pe_hidden=4, dropout=0.0, attention="none")
-        .with_train(epochs=2, batch_size=16, num_workers=num_workers)
-    )
-    dataset = SubgraphDataset.from_links(graph, links, hops=1,
-                                         pe_kind=config.model.pe_kind, seed=1,
-                                         cache=PECache())
-    model = build_model(config, rng=np.random.default_rng(0))
-    trainer = Trainer(model, task="link", config=config.train, rng=np.random.default_rng(1))
-    history = trainer.fit(dataset)
-    weights = tuple(value.tobytes() for _key, value in sorted(model.state_dict().items()))
-    losses = tuple(row["loss"] for row in history.history)
-    metrics = trainer.evaluate(dataset)
-    return losses, metrics, weights
+@pytest.mark.skipif(not fork_available(), reason="needs fork")
+@pytest.mark.parametrize("workers", WORKER_COUNTS[1:])
+def test_chunk_pool_records_identical_to_serial(workers):
+    """``score_pairs`` extracts one netlist's chunks in the fork pool; with
+    hub subsampling on, each chunk's RNG must not depend on where it runs."""
+    pipeline = _serving_pipeline(max_nodes_per_hop=4)
+    graph = netlist_to_graph(ssram(rows=4, cols=4).flatten())
+    pairs = default_candidate_pairs(graph, max_candidates=40,
+                                    rng=np.random.default_rng(0))
+    links = AnnotationEngine.links_for_pairs(graph, pairs)
+    capped = extract_enclosing_subgraphs(graph, links, max_nodes_per_hop=4,
+                                         rng=np.random.default_rng(0))
+    full = extract_enclosing_subgraphs(graph, links)
+    assert np.any(np.diff(capped.node_offsets) < np.diff(full.node_offsets)), \
+        "the hub cap never triggered; the chunk RNG went untested"
 
+    def records(workers: int):
+        engine = AnnotationEngine(pipeline, batch_size=8, cache=PECache(),
+                                  workers=workers)
+        assert len(engine.request_chunks(len(pairs))) >= 3
+        result = json.dumps(engine.score_pairs(graph, pairs, seed=3), sort_keys=True)
+        return result.encode(), engine.cache.hits + engine.cache.misses
 
-def test_training_metrics_and_weights_identical_across_worker_counts(lazy_workload):
-    baseline = _train_fingerprint(0, lazy_workload)
-    for workers in WORKER_COUNTS[1:]:
-        candidate = _train_fingerprint(workers, lazy_workload)
-        assert candidate[0] == baseline[0], f"losses drifted at num_workers={workers}"
-        assert candidate[1] == baseline[1], f"metrics drifted at num_workers={workers}"
-        assert candidate[2] == baseline[2], f"weights drifted at num_workers={workers}"
+    serial, serial_lookups = records(0)
+    forked, forked_lookups = records(workers)
+    assert forked == serial
+    # Every chunk was extracted (and its PE looked up) in a pool worker, so
+    # the parent's cache saw no lookup; the serial run saw them all.
+    assert serial_lookups > 0 and forked_lookups == 0

@@ -149,8 +149,10 @@ class TestAnnotate:
 
 
 class TestScorePairs:
-    def test_empty_pairs_score_to_no_records(self, serving_pipeline, user_circuit):
-        engine = AnnotationEngine(serving_pipeline)
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_empty_pairs_score_to_no_records(self, serving_pipeline, user_circuit,
+                                             workers):
+        engine = AnnotationEngine(serving_pipeline, workers=workers)
         graph = netlist_to_graph(user_circuit.flatten())
         assert engine.score_pairs(graph, [], seed=3) == []
 

@@ -8,7 +8,6 @@ from repro.netlist import (
     TRAIN_DESIGNS,
     build_design,
     digital_clk_gen,
-    paper_suite,
     sandwich_ram,
     sram_array,
     ssram,
@@ -27,10 +26,10 @@ class TestDesignSuite:
         with pytest.raises(KeyError):
             build_design("NOT_A_DESIGN")
 
-    def test_paper_suite_builds_all_six(self):
-        suite = paper_suite(scale=0.25)
-        assert set(suite) == set(PAPER_DESIGNS)
-        for name, circuit in suite.items():
+    def test_every_paper_design_builds(self):
+        assert len(PAPER_DESIGNS) == 6
+        for name in PAPER_DESIGNS:
+            circuit = build_design(name, scale=0.25)
             assert circuit.name == name
             assert len(circuit.flatten().devices) > 10
 
