@@ -248,20 +248,19 @@ class SubgraphDataset:
     """A list of extracted :class:`Subgraph` samples (a training or test set).
 
     With ``pe_kind`` set, :meth:`take` attaches that encoding, through the
-    :class:`PECache`, to every taken sample that has none yet.
+    process-wide :class:`PECache` (:func:`default_pe_cache`), to every taken
+    sample that has none yet.
     """
 
-    def __init__(self, samples: Sequence[Subgraph], *, pe_kind: str | None = None,
-                 cache: PECache | None = None):
+    def __init__(self, samples: Sequence[Subgraph], *, pe_kind: str | None = None):
         self._samples = list(samples)
         self.pe_kind = pe_kind
-        self.cache = cache
 
     @classmethod
-    def from_samples(cls, samples: Sequence[Subgraph], pe_kind: str | None = None,
-                     cache: PECache | None = None) -> "SubgraphDataset":
+    def from_samples(cls, samples: Sequence[Subgraph],
+                     pe_kind: str | None = None) -> "SubgraphDataset":
         """Wrap an already-extracted list of subgraphs."""
-        return cls(samples, pe_kind=pe_kind, cache=cache)
+        return cls(samples, pe_kind=pe_kind)
 
     def __len__(self) -> int:
         return len(self._samples)
@@ -276,8 +275,7 @@ class SubgraphDataset:
         """The samples at ``indices``, ready for ``collate``."""
         samples = [self._samples[int(i)] for i in indices]
         if self.pe_kind is not None:
-            attach_pe_batch([s for s in samples if s.pe is None], self.pe_kind,
-                            cache=self.cache)
+            attach_pe_batch([s for s in samples if s.pe is None], self.pe_kind)
         return samples
 
     def labels(self) -> np.ndarray:
@@ -291,7 +289,7 @@ class SubgraphDataset:
     def subset(self, indices) -> "SubgraphDataset":
         """The samples at ``indices``, as a dataset with the same PE settings."""
         return SubgraphDataset([self._samples[int(i)] for i in indices],
-                               pe_kind=self.pe_kind, cache=self.cache)
+                               pe_kind=self.pe_kind)
 
     def shuffled(self, rng=None) -> "SubgraphDataset":
         """A permuted copy of the dataset."""

@@ -120,7 +120,9 @@ def default_candidate_pairs(graph: CircuitGraph, max_candidates: int = DEFAULT_M
 
 def affected_names(old_graph: CircuitGraph, delta: NetlistDelta, new_graph: CircuitGraph,
                    hops: int) -> set[str]:
-    """Nodes of ``new_graph`` within ``hops`` of a node ``delta`` changes.
+    """Every name whose pairs ``delta`` can change: the nodes of ``new_graph``
+    within ``hops`` of a node the delta changes, plus the changed names that
+    ``new_graph`` no longer has.
 
     The changed nodes are the touched nets plus every removed or added device
     and its pins.  A surviving node within ``hops`` of them before the change
@@ -129,7 +131,8 @@ def affected_names(old_graph: CircuitGraph, delta: NetlistDelta, new_graph: Circ
     changed endpoint), and the edges before that point exist after the
     change too.  So the post-change graph alone finds every affected node;
     the pre-change graph ``old_graph`` only names the removed devices' pins
-    and nets (the nodes within two hops of each removed device).
+    and nets (the nodes within two hops of each removed device), which are
+    also the only nodes a delta can delete.
     """
     changed: set[str] = set()
     if delta.remove_devices:
@@ -143,9 +146,18 @@ def affected_names(old_graph: CircuitGraph, delta: NetlistDelta, new_graph: Circ
     anchor_ids = sorted(new_graph.node_index(name) for name in changed
                         if new_graph.has_node(name))
     if not anchor_ids:
-        return set()
+        return changed
     reached = new_graph.csr.k_hop(np.asarray(anchor_ids, dtype=np.int64), hops)
-    return {new_graph.node_names[int(i)] for i in reached}
+    return changed.union(new_graph.node_names[int(i)] for i in reached)
+
+
+def record_index(records: Sequence[dict]) -> dict[str, list[int]]:
+    """Name -> positions of the records whose pair names it."""
+    index: dict[str, list[int]] = {}
+    for position, record in enumerate(records):
+        for name in record["pair"]:
+            index.setdefault(name, []).append(position)
+    return index
 
 
 def annotation_payload(design: str, records: list[dict], threshold: float) -> dict:
@@ -205,8 +217,12 @@ class NetlistAnnotation:
 
     ``graph`` is the circuit graph the records were scored on, kept next to
     ``circuit`` so :meth:`AnnotationEngine.reannotate` can patch it instead
-    of rebuilding it.  It is never serialised: not by :meth:`as_dict` and
-    not when the report is pickled back from a worker process.
+    of rebuilding it; ``index`` is :func:`record_index` of ``records``,
+    which lets it find the records a delta touches without testing every
+    one.  ``reannotate`` builds both when they are missing and carries them
+    on its result; reset ``index`` to ``None`` after editing ``records``.
+    Neither is serialised: not by :meth:`as_dict` and not when the report
+    is pickled back from a worker process.
     """
 
     design: str
@@ -215,13 +231,14 @@ class NetlistAnnotation:
     elapsed_seconds: float
     circuit: Circuit | None = field(default=None, repr=False)
     graph: CircuitGraph | None = field(default=None, repr=False, compare=False)
+    index: dict[str, list[int]] | None = field(default=None, repr=False, compare=False)
     #: Reuse summary of an incremental re-annotation (``reused`` /
     #: ``recomputed`` / ``dropped`` / ``added`` counts); ``None`` for full runs.
     incremental: dict | None = None
 
     def __getstate__(self) -> dict:
-        """Pickle without ``graph`` (rebuilt from ``circuit`` when needed)."""
-        return dict(self.__dict__, graph=None)
+        """Pickle without ``graph`` and ``index`` (rebuilt when needed)."""
+        return dict(self.__dict__, graph=None, index=None)
 
     @property
     def num_candidates(self) -> int:
@@ -695,6 +712,9 @@ class AnnotationEngine:
         report without one (read back with :meth:`NetlistAnnotation.from_payload`,
         or from :meth:`annotate_sharded`) builds once from its circuit; the
         returned report carries the new graph for the next delta.
+        The records naming an affected or deleted node are found through the
+        report's name -> positions ``index`` (built once for a report
+        without one, rebuilt only when records are dropped or added).
         Affected pairs are re-scored on the new graph; unaffected records
         are carried over verbatim (byte-identical to a full re-annotation);
         pairs whose anchors were removed are dropped; ``extra_pairs``
@@ -719,41 +739,50 @@ class AnnotationEngine:
         affected: set[str] = set()
         if not delta.is_empty:
             affected = affected_names(old_graph, delta, new_graph, self.config.data.hops)
-        merged: list[dict | None] = []
+        records = prev_report.records
+        index = prev_report.index
+        if index is None:
+            index = record_index(records)
+            # A report read back from JSON next to a circuit may name nodes
+            # its graph never had; their records are dropped below.
+            affected.update(name for name in index if not old_graph.has_node(name))
         stale_positions: list[int] = []
         stale_pairs: list[tuple[str, str]] = []
-        reused = dropped = 0
-        for record in prev_report.records:
-            name_a, name_b = record["pair"]
-            if not (new_graph.has_node(name_a) and new_graph.has_node(name_b)):
-                dropped += 1
-                continue
-            if name_a in affected or name_b in affected:
-                stale_positions.append(len(merged))
+        dropped: set[int] = set()
+        for position in sorted({position for name in index.keys() & affected
+                                for position in index[name]}):
+            name_a, name_b = records[position]["pair"]
+            if new_graph.has_node(name_a) and new_graph.has_node(name_b):
+                stale_positions.append(position)
                 stale_pairs.append((name_a, name_b))
-                merged.append(None)
             else:
-                merged.append(dict(record))
-                reused += 1
+                dropped.add(position)
         extras = [tuple(pair) for pair in (extra_pairs or [])]
         before = self._subgraphs.copy()
         fresh = self.score_pairs(new_graph, stale_pairs + extras, seed=seed)
         distinct, total = self._subgraphs - before
-        for position, record in zip(stale_positions, fresh[:len(stale_pairs)]):
+        merged = [record.copy() for record in records]
+        for position, record in zip(stale_positions, fresh):
             merged[position] = record
+        if dropped:
+            merged = [record for position, record in enumerate(merged)
+                      if position not in dropped]
         merged.extend(fresh[len(stale_pairs):])
+        if dropped or extras:
+            index = record_index(merged)
+        reused = len(records) - len(stale_pairs) - len(dropped)
         elapsed = time.perf_counter() - start
         logger.debug(
             "reannotated %s: %d reused, %d recomputed, %d dropped, %d added "
             "in %.3fs (PE cache hit rate %.2f, %d/%d subgraphs distinct)",
-            prev_report.design, reused, len(stale_pairs), dropped, len(extras),
+            prev_report.design, reused, len(stale_pairs), len(dropped), len(extras),
             elapsed, self.cache.hit_rate, distinct, total,
         )
         return NetlistAnnotation(design=prev_report.design, records=merged,
                                  threshold=self.threshold,
                                  elapsed_seconds=elapsed, circuit=new_flat,
-                                 graph=new_graph,
+                                 graph=new_graph, index=index,
                                  incremental={"reused": reused,
                                               "recomputed": len(stale_pairs),
-                                              "dropped": dropped,
+                                              "dropped": len(dropped),
                                               "added": len(extras)})

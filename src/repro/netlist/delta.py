@@ -13,7 +13,9 @@ and disappear; an in-place edit is modelled as remove + add of the same name.
 (the CLI ``reannotate`` path, where the caller has an old and a new SPICE
 file rather than an explicit edit script), and :meth:`NetlistDelta.apply`
 replays a delta onto a circuit, which is how the engine builds the
-post-change revision from ``prev_report.circuit``.
+post-change revision from ``prev_report.circuit``.  A revision holds sealed
+devices (:func:`~repro.netlist.devices.seal_device`), so each revision of
+an ECO chain shares its untouched devices with the one it came from.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .circuit import Circuit
-from .devices import Device, SubcktInstance, copy_device
+from .devices import Device, SubcktInstance, copy_device, seal_device
 
 __all__ = ["NetlistDelta"]
 
@@ -86,19 +88,24 @@ class NetlistDelta:
         """The post-change revision of a flat ``circuit`` (new object).
 
         Device order is preserved for survivors, with added devices appended
-        — the same order a netlister would produce for an ECO patch.  Raises
-        ``KeyError`` for removals that name no existing device and
-        ``ValueError`` for additions that collide with a surviving name.
+        — the same order a netlister would produce for an ECO patch.  Every
+        device of the result is sealed (:func:`~repro.netlist.devices.seal_device`):
+        a survivor that is sealed already is shared with ``circuit``, any
+        other survivor and each added device is a sealed copy.  So neither
+        ``circuit`` nor the delta's own devices change, and applying a delta
+        to a revision copies only the added devices.  Raises ``KeyError``
+        for removals that name no existing device and ``ValueError`` for
+        additions that collide with a surviving name.
         """
         flat = circuit if circuit.is_flat else circuit.flatten()
         removed = set(self.remove_devices)
-        # One walk collects every name and copies the survivors.
+        # One walk collects every name and seals the survivors.
         existing: set[str] = set()
         kept: list[Device] = []
         for device in flat.devices:
             existing.add(device.name)
             if device.name not in removed:
-                kept.append(copy_device(device))
+                kept.append(seal_device(device))
         missing = [name for name in self.remove_devices if name not in existing]
         if missing:
             raise KeyError(f"delta removes unknown device(s) {missing}")
@@ -112,7 +119,7 @@ class NetlistDelta:
         result = Circuit(flat.name, ports=list(flat.ports))
         result.devices.extend(kept)
         for device in self.add_devices:
-            result.add(copy_device(device))
+            result.add(seal_device(device))
         return result
 
     @classmethod
@@ -121,7 +128,8 @@ class NetlistDelta:
 
         Devices are matched by name; a device present in both revisions but
         differing in any field (type, terminals, geometry) becomes a
-        remove + add pair.  Hierarchical inputs are flattened first, so two
+        remove + add pair.  A sealed device and its unsealed copy are the
+        same device.  Hierarchical inputs are flattened first, so two
         revisions of a hierarchical design diff in their flat namespace.
         A delta edits devices only, so revisions whose top-level port lists
         differ raise :class:`ValueError` naming the ports.
@@ -142,7 +150,7 @@ class NetlistDelta:
             replacement = new_by_name.get(name)
             if replacement is None:
                 remove.append(name)
-            elif type(replacement) is not type(device) or replacement != device:
+            elif replacement != device:  # device __eq__ compares types too
                 remove.append(name)
                 add.append(copy_device(replacement))
         for name, device in new_by_name.items():

@@ -308,15 +308,14 @@ class TestSubgraphDataset:
             SubgraphDataset.from_samples(samples).split(0.5, rng=0)
 
     def test_shuffled_is_a_seeded_permutation_with_the_same_pe_settings(self, samples):
-        cache = PECache()
-        dataset = SubgraphDataset.from_samples(samples, pe_kind="dspd", cache=cache)
+        dataset = SubgraphDataset.from_samples(samples, pe_kind="dspd")
         first, second = dataset.shuffled(rng=3), dataset.shuffled(rng=3)
         assert [id(s) for s in first] == [id(s) for s in second]
         assert [id(s) for s in first] != [id(s) for s in samples]
         assert sorted(map(id, first)) == sorted(map(id, samples))
         assert list(dataset) == samples            # the original keeps its order
         for view in (first, *first.split(0.5)):
-            assert view.pe_kind == "dspd" and view.cache is cache
+            assert view.pe_kind == "dspd"
 
     def test_labels_and_targets_follow_the_shuffle(self, samples):
         shuffled = SubgraphDataset.from_samples(samples).shuffled(rng=1)
@@ -324,13 +323,13 @@ class TestSubgraphDataset:
         np.testing.assert_array_equal(shuffled.targets(), [s.target for s in shuffled])
         assert shuffled.labels().dtype == np.float64
 
-    def test_take_attaches_missing_pe_in_one_pass(self, samples):
-        cache = PECache()
+    def test_take_attaches_missing_pe_in_one_pass(self, samples, fresh_cache):
+        cache = fresh_cache
         bare = [copy.copy(s) for s in samples[:6]]
         for s in bare[:4]:
             s.pe = None
         kept = bare[4].pe
-        dataset = SubgraphDataset.from_samples(bare, pe_kind="dspd", cache=cache)
+        dataset = SubgraphDataset.from_samples(bare, pe_kind="dspd")
         taken = dataset.take([3, 0, 4])
         assert [s is b for s, b in zip(taken, (bare[3], bare[0], bare[4]))] == [True] * 3
         assert cache.misses == 2 and cache.hits == 0   # only the two bare samples

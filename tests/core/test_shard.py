@@ -340,7 +340,8 @@ def random_delta(flat: Circuit, rng: np.random.Generator) -> NetlistDelta:
 
 
 class TestAffectedNames:
-    """The post-change graph alone finds every affected surviving node."""
+    """The post-change graph alone finds every affected surviving node, and
+    the pre-change graph every deleted one."""
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), hops=st.sampled_from([1, 2]),
@@ -352,7 +353,11 @@ class TestAffectedNames:
         oracle = {name for name in two_graph_affected(flat, delta, hops)
                   if new_graph.has_node(name)}
         old_graph = netlist_to_graph(flat, with_stats=False)
-        assert affected_names(old_graph, delta, new_graph, hops) == oracle
+        names = affected_names(old_graph, delta, new_graph, hops)
+        assert {name for name in names if new_graph.has_node(name)} == oracle
+        # It also names every node the delta deletes, so the record merge
+        # finds the records to drop without testing every record.
+        assert set(old_graph.node_names) - set(new_graph.node_names) <= names
 
 
 # --------------------------------------------------------------------------- #

@@ -242,3 +242,99 @@ def test_reannotate_builds_a_missing_graph_once(engine):
     assert_graphs_identical(result.graph, netlist_to_graph(delta.apply(circuit)))
     assert dumps_canonical(result.records) \
         == dumps_canonical(engine.reannotate(report, delta, seed=0).records)
+
+
+
+def test_a_restored_report_drops_records_its_circuit_never_had(engine):
+    """Records read back from JSON are not checked against the circuit they
+    are paired with; the first reannotate drops those naming unknown nodes."""
+    from repro.core.serve import NetlistAnnotation
+
+    circuit = hand_circuit()
+    report = engine.annotate(circuit, pairs=[("a", "b"), ("c", "p")], seed=0)
+    payload = report.as_dict()
+    payload["records"].insert(1, dict(payload["records"][0], pair=["a", "ghost"]))
+    restored = NetlistAnnotation.from_payload(payload, circuit=circuit)
+    result = engine.reannotate(restored, NetlistDelta(), seed=0)
+    assert result.incremental == {"reused": 2, "recomputed": 0, "dropped": 1, "added": 0}
+    assert result.records == report.records
+
+
+# --------------------------------------------------------------------------- #
+# The devices and the record index a re-annotation chain carries
+# --------------------------------------------------------------------------- #
+def test_reannotate_chain_shares_devices_and_merges_through_the_index(engine):
+    """20 random ECOs, some deleting anchors and some adding pairs: each
+    revision shares its untouched devices with the one before, the carried
+    index is the one its records give, and the records are the survivors
+    plus the extra pairs, equal to a from-scratch annotate."""
+    from repro.core.serve import record_index
+
+    circuit = ssram(rows=3, cols=2).flatten()
+    rng = np.random.default_rng(21)
+    nets = default_candidate_pairs(netlist_to_graph(circuit), max_candidates=30, rng=rng)
+    # Pin anchors, so that removed devices delete some records' anchors.
+    pins = [(f"{device.name}:{next(iter(device.terminals))}", net)
+            for device, (net, _) in zip(circuit.devices[::9], nets)]
+    report = engine.annotate(circuit, pairs=nets + pins, seed=0)
+    dropped = 0
+    for step in range(20):
+        delta = random_delta(report.circuit, rng)
+        for device in delta.add_devices:
+            if device.name.startswith("RECO"):
+                device.name = f"{device.name}_{step}"
+        # Every other step also deletes the device of a pin anchor.
+        owners = [name.split(":")[0] for name, _ in (r["pair"] for r in report.records)
+                  if ":" in name]
+        owners = [name for name in owners if name not in delta.remove_devices]
+        if step % 2 and owners:
+            delta = NetlistDelta(add_devices=delta.add_devices,
+                                 remove_devices=delta.remove_devices + owners[:1])
+        extra = [tuple(pair) for pair in rng.choice(
+            [r["pair"] for r in report.records], size=int(step % 3 == 0), replace=False)]
+        prev = report
+        report = engine.reannotate(prev, delta, seed=0, extra_pairs=extra)
+        dropped += report.incremental["dropped"]
+        shared = {id(device) for device in prev.circuit.devices} if step else set()
+        removed = set(delta.remove_devices)
+        for device in report.circuit.devices[:len(report.circuit.devices)
+                                             - len(delta.add_devices)]:
+            assert device.name not in removed
+            assert not step or id(device) in shared
+        survivors = [r["pair"] for r in prev.records
+                     if report.graph.has_node(r["pair"][0])
+                     and report.graph.has_node(r["pair"][1])]
+        assert [r["pair"] for r in report.records] == survivors + extra
+        assert report.index == record_index(report.records)
+        scratch = engine.annotate(report.circuit,
+                                  pairs=[r["pair"] for r in report.records], seed=0)
+        assert dumps_canonical(report.records) == dumps_canonical(scratch.records)
+    assert dropped > 0
+
+
+def test_a_pickled_report_continues_the_chain(engine):
+    """Pickling drops the graph and the index, keeps the sealed devices, and
+    a chain continued from the copy gives the same records."""
+    circuit = ssram(rows=2, cols=2).flatten()
+    pairs = default_candidate_pairs(netlist_to_graph(circuit), max_candidates=20,
+                                    rng=np.random.default_rng(3))
+    report = engine.annotate(circuit, pairs=pairs, seed=0)
+    rng = np.random.default_rng(8)
+    for _ in range(2):
+        victim = report.circuit.devices[int(rng.integers(len(report.circuit.devices)))]
+        edited = copy.deepcopy(victim)
+        edited.multiplier += 1
+        report = engine.reannotate(
+            report, NetlistDelta(add_devices=[edited], remove_devices=[victim.name]), seed=0)
+    shipped = pickle.loads(pickle.dumps(report))
+    assert shipped.graph is None and shipped.index is None
+    assert shipped.records == report.records
+    assert shipped.circuit.devices == report.circuit.devices
+    with pytest.raises(AttributeError, match="sealed"):
+        shipped.circuit.devices[0].name = "renamed"
+    victim = report.circuit.devices[5]
+    delta = NetlistDelta(remove_devices=[victim.name])
+    here, there = engine.reannotate(report, delta, seed=0), engine.reannotate(shipped, delta, seed=0)
+    assert there.incremental == here.incremental
+    assert dumps_canonical(there.records) == dumps_canonical(here.records)
+    assert there.index == here.index

@@ -48,16 +48,38 @@ class TestApply:
         NetlistDelta(remove_devices=["R1"]).apply(circuit)
         assert [d.name for d in circuit.devices] == ["R1", "R2", "C1"]
 
-    def test_applied_devices_are_independent_copies(self):
+    def test_applied_devices_are_sealed_and_the_inputs_stay_writable(self):
+        """A revision's devices reject every write, so later revisions can
+        share them; the input circuit and the delta's own devices are
+        neither changed nor sealed."""
         circuit = _flat_circuit()
         added = Resistor("R9", {"P": "c", "N": "d"})
         result = NetlistDelta(add_devices=[added]).apply(circuit)
         assert result.devices == circuit.devices + [added]
         for device in result.devices:
-            device.terminals["P"] = "moved"
-        result.devices[0].resistance = 0.0
-        assert [d.terminals["P"] for d in circuit.devices + [added]] == ["a", "b", "c", "c"]
+            with pytest.raises(TypeError, match="read-only"):
+                device.terminals["P"] = "moved"
+            with pytest.raises(AttributeError, match="sealed"):
+                device.resistance = 0.0
+            with pytest.raises(AttributeError, match="sealed"):
+                device.name = "renamed"
+        assert [d.terminals["P"] for d in result.devices] == ["a", "b", "c", "c"]
+        inputs = circuit.devices + [added]
+        assert [d.terminals["P"] for d in inputs] == ["a", "b", "c", "c"]
         assert circuit.devices[0].resistance == 1e3
+        for device in inputs:
+            device.terminals["P"] = "moved"
+            device.name = "renamed"
+        assert [d.terminals["P"] for d in result.devices] == ["a", "b", "c", "c"]
+        assert [d.name for d in result.devices] == ["R1", "R2", "C1", "R9"]
+
+    def test_a_revision_shares_its_untouched_devices(self):
+        first = NetlistDelta(remove_devices=["C1"]).apply(_flat_circuit())
+        edit = Resistor("R2", {"P": "b", "N": "c"}, resistance=9e3)
+        second = NetlistDelta(add_devices=[edit], remove_devices=["R2"]).apply(first)
+        assert second.devices[0] is first.devices[0]
+        (r2,) = [d for d in second.devices if d.name == "R2"]
+        assert r2 == edit and r2 is not edit
 
     def test_apply_unknown_removal_raises(self):
         with pytest.raises(KeyError, match="RMISSING"):
@@ -101,6 +123,24 @@ class TestBetween:
 
     def test_between_identical_revisions_is_empty(self):
         assert NetlistDelta.between(_flat_circuit(), _flat_circuit()).is_empty
+
+    def test_a_revision_diffs_empty_against_its_spice_round_trip(self):
+        """Sealed devices equal the parser's plain ones.  The base is parsed
+        once first, so names carry their card letter and every value is one
+        the SPICE text reproduces exactly."""
+        import copy
+
+        from repro.netlist import hierarchical_sram, parse_spice, write_spice
+
+        base = parse_spice(write_spice(hierarchical_sram(banks=1, rows=2, cols=2).flatten()))
+        victim = base.devices[3]
+        edited = copy.deepcopy(victim)
+        edited.multiplier = 3
+        revision = NetlistDelta(add_devices=[edited], remove_devices=[victim.name]).apply(base)
+        parsed = parse_spice(write_spice(revision))
+        assert NetlistDelta.between(revision, parsed).is_empty
+        assert NetlistDelta.between(parsed, revision).is_empty
+        assert not NetlistDelta.between(base, parsed).is_empty
 
     def test_between_rejects_a_port_change(self):
         """A dropped port changes the graph's port statistics, which no

@@ -1,9 +1,13 @@
 """Tests for device primitives."""
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.netlist import Capacitor, Diode, Mosfet, Resistor, SubcktInstance
-from repro.netlist.devices import DEVICE_TYPE_CODES, copy_device
+from repro.netlist.devices import DEVICE_TYPE_CODES, copy_device, seal_device
 
 
 class TestMosfet:
@@ -84,3 +88,83 @@ class TestCopyDevice:
             clone.connections.append("extra")
             assert device.connections == ["a", "y"]
         assert device.name != "renamed" and device.terminals.get("A") != "moved"
+
+
+PRIMITIVES = [
+    Mosfet("M1", {"D": "d", "G": "g", "S": "s", "B": "b"}, polarity="pmos",
+           width=3e-7, multiplier=2),
+    Resistor("R1", {"P": "a", "N": "b"}, resistance=2e3),
+    Capacitor("C1", {"P": "a", "N": "b"}, fingers=8),
+    Diode("D1", {"P": "a", "N": "b"}, area=2e-12),
+]
+
+
+def assert_read_only(device):
+    terminals = device.terminals
+    for write in (lambda: terminals.__setitem__("P", "x"),
+                  lambda: terminals.__delitem__("P"),
+                  lambda: terminals.update(P="x"),
+                  lambda: terminals.setdefault("Z", "x"),
+                  lambda: terminals.pop("P"),
+                  lambda: terminals.popitem(),
+                  lambda: terminals.clear(),
+                  lambda: terminals.__ior__({"P": "x"})):
+        with pytest.raises(TypeError, match="read-only"):
+            write()
+    for field in dataclasses.fields(device):
+        with pytest.raises(AttributeError, match="sealed"):
+            setattr(device, field.name, getattr(device, field.name))
+        with pytest.raises(AttributeError, match="sealed"):
+            delattr(device, field.name)
+    with pytest.raises(AttributeError, match="sealed"):
+        device.__class__ = type(copy_device(device))
+
+
+@pytest.mark.parametrize("device", PRIMITIVES, ids=lambda device: type(device).__name__)
+class TestSealDevice:
+    def test_rejects_every_write_and_leaves_the_original_writable(self, device):
+        original = copy_device(device)
+        sealed = seal_device(original)
+        assert isinstance(sealed, type(device)) and type(sealed) is not type(device)
+        assert sealed.terminals is not original.terminals
+        assert_read_only(sealed)
+        original.terminals["P"] = "moved"
+        original.name = "renamed"
+        assert sealed == device
+        assert seal_device(sealed) is sealed
+
+    def test_equals_its_unsealed_copy_in_both_directions(self, device):
+        sealed = seal_device(device)
+        assert sealed == device and device == sealed
+        assert not (sealed != device) and not (device != sealed)
+        other = copy_device(device)
+        other.multiplier = 7
+        assert sealed != other and other != sealed
+        for different in PRIMITIVES:
+            if type(different) is not type(device):
+                assert sealed != different and different != sealed
+                assert sealed != seal_device(different)
+        with pytest.raises(TypeError):
+            hash(sealed)
+
+    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, copy_device],
+                             ids=["copy", "deepcopy", "copy_device"])
+    def test_copies_are_writable_and_independent(self, device, clone):
+        sealed = seal_device(device)
+        writable = clone(sealed)
+        assert type(writable) is type(device) and type(writable.terminals) is dict
+        assert writable == sealed
+        writable.terminals["P"] = "moved"
+        writable.name = "renamed"
+        assert sealed == device
+
+    def test_pickles_as_a_sealed_device(self, device):
+        sealed = seal_device(device)
+        restored = pickle.loads(pickle.dumps(sealed))
+        assert type(restored) is type(sealed) and restored == device
+        assert_read_only(restored)
+
+
+def test_a_subckt_instance_cannot_be_sealed():
+    with pytest.raises(TypeError, match="flatten"):
+        seal_device(SubcktInstance("X1", {}, subckt_name="INV", connections=["a"]))
