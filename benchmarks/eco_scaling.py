@@ -9,14 +9,21 @@ production calls it makes:
 * ``score`` — :meth:`AnnotationEngine.score_pairs` on the stale pairs;
 * ``merge`` — the rest of the call: the record merge and its bookkeeping.
 
-Two chains of one-MOSFET resizes (the ECO of ``perfbench/chip_eco.py``)
-run on ``hierarchical_sram`` at chip_eco's size (2 banks, 728 flat devices)
-and at 11 banks (2942 devices, about 4x), 400 candidate pairs each.  The
-chains alternate in blocks, so both sizes see the same machine state, and
-the script prints the median milliseconds per stage, the median time
-outside ``score_pairs`` and the garbage collections per ECO (counted with
-``gc.callbacks``).  The engine is an untrained model of the perfbench
-checkpoint's shape; weights do not change the cost of any stage.
+ECO chains run on ``hierarchical_sram`` at chip_eco's size (2 banks, 728
+flat devices) and at 11 banks (2942 devices, about 4x), 400 candidate pairs
+each, with two kinds of ECO per size:
+
+* ``resize`` — one MOSFET on a candidate net gets a new width (the ECO of
+  ``perfbench/chip_eco.py``), an in-place edit that moves no graph row;
+* ``add+remove`` — a resistor is added between two candidate nets and a
+  different, random device is removed, which renumbers the graph rows.
+
+The chains alternate in blocks, so every chain sees the same machine state,
+and the script prints, per size and kind, the median milliseconds per
+stage, the median time outside ``score_pairs`` and the garbage collections
+per ECO (counted with ``gc.callbacks``).  The engine is an untrained model
+of the perfbench checkpoint's shape; weights do not change the cost of any
+stage.
 
 Opt-in, not part of the test suite.  From the repository root::
 
@@ -36,10 +43,11 @@ import numpy as np
 from repro.core import AnnotationEngine, CircuitGPSPipeline, ExperimentConfig, build_model
 from repro.core import serve
 from repro.graph import netlist_to_graph
-from repro.netlist import Mosfet, NetlistDelta, hierarchical_sram
+from repro.netlist import Mosfet, NetlistDelta, Resistor, hierarchical_sram
 from repro.utils import seed_all
 
 SIZES = {"1x": (2, 2, 4), "4x": (11, 2, 4)}  # banks, rows, cols
+KINDS = ("resize", "add+remove")
 PAIRS = 400
 STAGES = ("apply", "patch", "affected", "merge", "score")
 
@@ -84,7 +92,7 @@ def build_engine() -> AnnotationEngine:
 class Chain:
     """One ECO chain on one chip: the current report and its ECO stream."""
 
-    def __init__(self, engine: AnnotationEngine, size: str, seed: int):
+    def __init__(self, engine: AnnotationEngine, size: str, kind: str, seed: int):
         banks, rows, cols = SIZES[size]
         flat = hierarchical_sram(banks=banks, rows=rows, cols=cols,
                                  name=f"CHIP_{size}").flatten()
@@ -92,8 +100,14 @@ class Chain:
         pairs = serve.default_candidate_pairs(netlist_to_graph(flat),
                                               max_candidates=PAIRS, rng=self.rng)
         anchors = {name for pair in pairs for name in pair}
+        self.anchors = sorted(anchors)
         self.targets = sorted(device.name for device in flat.devices
                               if isinstance(device, Mosfet) and anchors & set(device.nets))
+        # add+remove: each device is removed at most once, in a seeded order.
+        self.removable = [flat.devices[int(i)].name
+                          for i in self.rng.permutation(len(flat.devices))]
+        self.kind = kind
+        self.added = 0
         self.devices = len(flat.devices)
         self.engine = engine
         self.report = engine.annotate(flat, pairs=pairs, seed=0)
@@ -101,6 +115,12 @@ class Chain:
         self.gc_counts = [0, 0, 0]
 
     def delta(self) -> NetlistDelta:
+        if self.kind == "add+remove":
+            nets = [net for net in self.anchors if self.report.graph.has_node(net)]
+            p, n = (str(net) for net in self.rng.choice(nets, size=2, replace=False))
+            self.added += 1
+            return NetlistDelta(add_devices=[Resistor(f"RECO{self.added}", {"P": p, "N": n})],
+                                remove_devices=[self.removable.pop()])
         name = self.targets[int(self.rng.integers(len(self.targets)))]
         (old,) = [device for device in self.report.circuit.devices if device.name == name]
         new = copy.deepcopy(old)
@@ -128,9 +148,9 @@ class Chain:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--ecos", type=int, default=200, help="timed ECOs per size")
+    parser.add_argument("--ecos", type=int, default=200, help="timed ECOs per size and kind")
     parser.add_argument("--blocks", type=int, default=4,
-                        help="blocks per size; the sizes alternate block by block")
+                        help="blocks per chain; the chains alternate block by block")
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args()
 
@@ -143,7 +163,8 @@ def main() -> None:
     counter = GCCounter()
     gc.callbacks.append(counter)
 
-    chains = {size: Chain(engine, size, args.seed) for size in SIZES}
+    chains = {(size, kind): Chain(engine, size, kind, args.seed)
+              for size in SIZES for kind in KINDS}
     for chain in chains.values():
         for _ in range(2):  # warm-up: the first ECO seals every device
             chain.step(clock, counter, record=False)
@@ -156,19 +177,20 @@ def main() -> None:
     gc.callbacks.remove(counter)
 
     columns = STAGES + ("outside score", "total")
-    print(f"median ms per ECO, {args.ecos} ECOs per size, seed {args.seed}")
-    print(f"{'size':<5}{'devices':>8}" + "".join(f"{c:>15}" for c in columns)
+    print(f"median ms per ECO, {args.ecos} ECOs per size and kind, seed {args.seed}")
+    print(f"{'size':<5}{'kind':<12}{'devices':>8}" + "".join(f"{c:>15}" for c in columns)
           + f"{'gc0/ECO':>9}{'gc1/ECO':>9}{'gc2/ECO':>9}")
     medians = {}
-    for size, chain in chains.items():
-        medians[size] = {c: 1e3 * float(np.median([row[c] for row in chain.rows]))
-                         for c in columns}
+    for (size, kind), chain in chains.items():
+        medians[size, kind] = {c: 1e3 * float(np.median([row[c] for row in chain.rows]))
+                               for c in columns}
         per_eco = [count / len(chain.rows) for count in chain.gc_counts]
-        print(f"{size:<5}{chain.devices:>8}"
-              + "".join(f"{medians[size][c]:>15.3f}" for c in columns)
+        print(f"{size:<5}{kind:<12}{chain.devices:>8}"
+              + "".join(f"{medians[size, kind][c]:>15.3f}" for c in columns)
               + "".join(f"{value:>9.3f}" for value in per_eco))
-    ratio = medians["4x"]["outside score"] / medians["1x"]["outside score"]
-    print(f"outside score_pairs, 4x / 1x: {ratio:.2f}")
+    for kind in KINDS:
+        ratio = medians["4x", kind]["outside score"] / medians["1x", kind]["outside score"]
+        print(f"outside score_pairs, 4x / 1x, {kind}: {ratio:.2f}")
 
 
 if __name__ == "__main__":

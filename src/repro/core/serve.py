@@ -221,6 +221,8 @@ class NetlistAnnotation:
     which lets it find the records a delta touches without testing every
     one.  ``reannotate`` builds both when they are missing and carries them
     on its result; reset ``index`` to ``None`` after editing ``records``.
+    ``graph`` is read-only once a report has been re-annotated: the next
+    revision's graph shares its structure (:func:`~repro.graph.patch_graph`).
     Neither is serialised: not by :meth:`as_dict` and not when the report
     is pickled back from a worker process.
     """
@@ -711,7 +713,10 @@ class AnnotationEngine:
         report was scored on (:func:`~repro.graph.patch_graph`), which a
         report without one (read back with :meth:`NetlistAnnotation.from_payload`,
         or from :meth:`annotate_sharded`) builds once from its circuit; the
-        returned report carries the new graph for the next delta.
+        returned report carries the new graph for the next delta.  A delta
+        of in-place edits keeps the device order, and a resize shares the
+        previous graph's structure and CSR adjacency, so the affected-node
+        search reuses that adjacency.
         The records naming an affected or deleted node are found through the
         report's name -> positions ``index`` (built once for a report
         without one, rebuilt only when records are dropped or added).

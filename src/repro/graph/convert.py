@@ -97,6 +97,7 @@ def netlist_to_graph(circuit: Circuit, parasitics: ParasiticReport | None = None
         edge_index=edge_index,
         edge_types=edge_types,
         _name_to_index=index_of,
+        _device_rows=num_nets + block.device_rows,
     )
     if with_stats:
         port_rows = [net_row[port] for port in set(circuit.ports) if port in net_row]
@@ -111,34 +112,120 @@ def patch_graph(graph: CircuitGraph, delta: NetlistDelta, circuit: Circuit) -> C
     """The graph of ``circuit = delta.apply(old)``, patched from the graph of ``old``.
 
     ``graph`` must be ``netlist_to_graph(old)`` without power nets (the
-    default), and ``circuit`` must list the surviving devices in their old
-    order followed by the added ones, as :meth:`NetlistDelta.apply` does.
-    The result equals ``netlist_to_graph(circuit)`` on every field (names,
-    types, edges, the ``node_stats`` bytes or their absence, and the name
-    index), but only the added devices and the devices on the nets the
-    delta touches are walked:
+    default), and ``circuit`` must list its devices in
+    :meth:`NetlistDelta.apply`'s order: the survivors in their old order,
+    each replacement in the slot of the device of the same name, and the
+    new names appended.  The result equals ``netlist_to_graph(circuit)`` on
+    every field (names, types, edges, the ``node_stats`` bytes or their
+    absence, and the name index), but only the delta's devices and the
+    devices on the nets it touches are walked.
+
+    When no node or edge changes — every added device replaces a removed
+    one with the same terminal names, each on the same net, as a resize
+    does — the result shares the input's node names, types, edges, name
+    index, device rows and CSR adjacency.  Any other delta renumbers the
+    rows (:func:`_patch_renumbered`).  Either way only the ``node_stats``
+    rows of the touched nets and of the walked devices and their pins are
+    recomputed, from every device incident to those nets in the new device
+    order (``np.add.at`` sums in that order, so the bytes match a full
+    build).
+
+    The result is read-only: its arrays are flagged unwriteable, and so are
+    the input's arrays it shares, so after a resize (or an empty delta) a
+    write to the input's edges, types, CSR or (empty delta) ``node_stats``
+    raises ``ValueError`` too.  The shared name list and name index carry
+    no flag; neither graph's must be edited.  Parasitic links and ground
+    capacitances are not carried over.
+    """
+    patched = _patch_in_place(graph, delta, circuit)
+    if patched is None:
+        patched = _patch_renumbered(graph, delta, circuit)
+    arrays = [patched.node_types, patched.edge_index, patched.edge_types, patched.node_stats,
+              patched._device_rows]
+    if patched._csr is not None:
+        csr = patched._csr
+        arrays += [csr.indptr, csr.indices, csr.edge_ids, csr.edge_index, csr.edge_types]
+    for array in arrays:
+        if array is not None:
+            array.flags.writeable = False
+    return patched
+
+
+def _patch_in_place(graph: CircuitGraph, delta: NetlistDelta,
+                    circuit: Circuit) -> CircuitGraph | None:
+    """:func:`patch_graph` for a delta that changes no node or edge, else ``None``."""
+    removed = set(delta.remove_devices)
+    if len(delta.add_devices) != len(removed) \
+            or not all(device.name in removed for device in delta.add_devices):
+        return None
+    names, types = graph.node_names, graph.node_types
+    edge_index, edge_types = graph.edge_index, graph.edge_types
+    rows = [graph.node_index(device.name) for device in delta.add_devices]
+    index = graph._name_to_index
+    # Every edge ends at a pin and edges follow pin order, so a device's
+    # edges are the run between its first pin row and the next device row.
+    stops = [row + 1 + len(device.terminals) for row, device in zip(rows, delta.add_devices)]
+    edge_runs = np.searchsorted(edge_index[1], [[row + 1 for row in rows], stops]).T.tolist()
+    nets: list[int] = []
+    for device, row, stop, (first, last) in zip(delta.add_devices, rows, stops, edge_runs):
+        name = device.name
+        if names[row + 1:stop] != [f"{name}:{terminal}" for terminal in device.terminals] \
+                or (stop < len(names) and types[stop] == NODE_PIN):
+            return None
+        # (type, source) per edge; a fresh net or a name clash cannot match.
+        want = []
+        for net in device.terminals.values():
+            want.append((EDGE_DEVICE_PIN, row))
+            if not Circuit.is_power_rail(net):
+                want.append((EDGE_NET_PIN, index.get(net, -1)))
+        if list(zip(edge_types[first:last].tolist(), edge_index[0, first:last].tolist())) != want:
+            return None
+        nets += [source for kind, source in want if kind == EDGE_NET_PIN]
+
+    csr, device_rows = graph.csr, graph.device_rows
+    patched = CircuitGraph(
+        name=circuit.name,
+        node_types=types,
+        node_names=names,
+        edge_index=edge_index,
+        edge_types=edge_types,
+        _csr=csr,
+        _name_to_index=index,
+        _device_rows=device_rows,
+    )
+    if graph.node_stats is None or not rows:
+        patched.node_stats = graph.node_stats
+        return patched
+    # The touched nets, and every device with a pin on one of them: the
+    # other devices keep their edges, so the shared adjacency finds them.
+    touched = np.unique(np.array(nets, dtype=np.int64))
+    pins = csr.indices[csr._half_edges(touched)]
+    walked = np.union1d(device_rows[np.searchsorted(device_rows, pins, side="right") - 1], rows)
+    patched.node_stats = graph.node_stats.copy()
+    _restat(patched, circuit, touched, walked)
+    return patched
+
+
+def _patch_renumbered(graph: CircuitGraph, delta: NetlistDelta,
+                      circuit: Circuit) -> CircuitGraph:
+    """:func:`patch_graph` for any delta, renumbering the rows that move.
 
     1. surviving rows move by one ``old -> new`` index array: removed
        devices and their pins drop out, and a net that appears or vanishes
        shifts the sorted net block;
-    2. the added devices' rows and edges are appended;
-    3. only the net rows the delta touches are recomputed, from every
-       device incident to them in the new device order (``np.add.at`` sums
-       in that order, so the bytes match a full build);
-    4. the name index is patched the same way; the CSR adjacency builds
+    2. the delta's devices are walked as one block: each replacement goes
+       in the slot of the device it replaces, the new names at the end;
+    3. the name index is patched the same way; the CSR adjacency builds
        lazily from the patched edges.
-
-    Parasitic links and ground capacitances are not carried over.  The
-    input graph is left untouched.
     """
     names, types, edge_index = graph.node_names, graph.node_types, graph.edge_index
     old_nodes = graph.num_nodes
-    old_nets = int(np.count_nonzero(types == NODE_NET))
+    old_device_rows = graph.device_rows
+    old_nets = int(old_device_rows[0]) if old_device_rows.size else old_nodes
     ports = set(circuit.ports)
 
     # A removed device is one run of rows (the device, then its pins) and one
     # run of edges (every edge ends at a pin, and edges follow pin order).
-    old_device_rows = np.flatnonzero(types == NODE_DEVICE)
     starts = np.sort(np.array([graph.node_index(name) for name in delta.remove_devices],
                               dtype=np.int64))
     stops = np.append(old_device_rows[1:], old_nodes)[np.searchsorted(old_device_rows, starts)]
@@ -148,8 +235,12 @@ def patch_graph(graph: CircuitGraph, delta: NetlistDelta, circuit: Circuit) -> C
     lost, lost_pins = np.unique(edge_index[0][gone[net_pin[gone]]], return_counts=True)
     pins_left = np.bincount(edge_index[0][net_pin], minlength=old_nets)[lost] - lost_pins
 
-    added = circuit.devices[len(circuit.devices) - len(delta.add_devices):]
-    block = _DeviceBlock.walk(added)
+    # The block: each replacement in the order of its slot, then the new names.
+    removed = set(delta.remove_devices)
+    replaced = {graph.node_index(device.name): device for device in delta.add_devices
+                if device.name in removed}
+    appended = [device for device in delta.add_devices if device.name not in removed]
+    block = _DeviceBlock.walk([replaced[row] for row in sorted(replaced)] + appended)
     added_nets = {net for net in block.terminal_nets if not Circuit.is_power_rail(net)}
     old_row = {net: graph.node_index(net) if graph.has_node(net) else -1
                for net in added_nets}
@@ -183,38 +274,66 @@ def patch_graph(graph: CircuitGraph, delta: NetlistDelta, circuit: Circuit) -> C
     nets_moved = bool(fresh) or bool(vanished.any())
     if nets_moved:
         index.update(zip(node_names, range(num_nets)))
-
-    # Device block: the runs between removed devices in their old order,
-    # then the added devices.
-    runs = []
-    row = num_nets
-    for start, stop in zip([old_nets, *stops.tolist()], [*starts.tolist(), old_nodes]):
-        runs.append((start, stop, row))
-        node_names += names[start:stop]
-        remap[start:stop] = np.arange(row, row + stop - start)
-        if row != start:
-            index.update(zip(names[start:stop], range(row, row + stop - start)))
-        row += stop - start
-    added_start = row
-    node_names += block.names
-    index.update(zip(block.names, range(added_start, len(node_names))))
-    node_types = np.concatenate([np.full(num_nets, NODE_NET, dtype=np.int64)]
-                                + [types[start:stop] for start, stop, _ in runs]
-                                + [block.node_types()])
-
     net_row = {net: int(remap[row]) for net, row in old_row.items() if 0 <= row < old_nets}
     net_row.update(zip(fresh, fresh_rows.tolist()))
-    terminal_rows = block.terminal_rows(net_row)
-    edge_runs = list(zip([0, *edge_stops.tolist()], [*edge_starts.tolist(), graph.num_edges]))
-    kept_edges = remap[np.concatenate([edge_index[:, a:b] for a, b in edge_runs], axis=1)]
-    kept_types = np.concatenate([graph.edge_types[a:b] for a, b in edge_runs])
-    added_edges, added_types = block.edges(added_start, terminal_rows)
+    (block_sources, block_targets), block_edge_types = block.edges(0, block.terminal_rows(net_row))
+    block_bounds = np.append(block.device_rows, len(block.names))
+    block_edge_bounds = np.searchsorted(block_targets, block_bounds).tolist()
+    block_bounds = block_bounds.tolist()
+
+    # Device block: the runs between removed devices in their old order, a
+    # replacement after the run that ends at its slot, then the new names.
+    # A piece is (from the input graph?, row start, row stop, edge start, edge stop).
+    pieces = []
+    j = 0  # the next replacement in the block
+    for start, stop, edge_start, edge_stop, removed_row in zip(
+            [old_nets, *stops.tolist()], [*starts.tolist(), old_nodes],
+            [0, *edge_stops.tolist()], [*edge_starts.tolist(), graph.num_edges],
+            [*starts.tolist(), None]):
+        pieces.append((True, start, stop, edge_start, edge_stop))
+        if removed_row in replaced:
+            pieces.append((False, block_bounds[j], block_bounds[j + 1],
+                           block_edge_bounds[j], block_edge_bounds[j + 1]))
+            j += 1
+    if appended:
+        pieces.append((False, block_bounds[j], block_bounds[-1],
+                       block_edge_bounds[j], block_edge_bounds[-1]))
+    block_row = np.empty(len(block.names), dtype=np.int64)
+    block_types = block.node_types()
+    type_parts = [np.full(num_nets, NODE_NET, dtype=np.int64)]
+    old_runs = []
+    placed = []  # each piece's first row in the patched graph
+    row = num_nets
+    for old, start, stop, _, _ in pieces:
+        placed.append(row)
+        size = stop - start
+        source = names if old else block.names
+        node_names += source[start:stop]
+        (remap if old else block_row)[start:stop] = np.arange(row, row + size)
+        type_parts.append((types if old else block_types)[start:stop])
+        if not old or row != start:
+            index.update(zip(source[start:stop], range(row, row + size)))
+        if old:
+            old_runs.append((start, stop, row))
+        row += size
+    node_types = np.concatenate(type_parts)
+
+    device_pin = block_edge_types == EDGE_DEVICE_PIN
+    block_sources[device_pin] = block_row[block_sources[device_pin]]
+    block_edges = np.stack([block_sources, block_row[block_targets]])
+    # An old run whose rows and nets kept their numbers keeps its edges as
+    # they are.
+    edge_parts = [block_edges[:, a:b] if not old
+                  else remap[edge_index[:, a:b]] if nets_moved or row != start
+                  else edge_index[:, a:b]
+                  for (old, start, _, a, b), row in zip(pieces, placed)]
     patched = CircuitGraph(
         name=circuit.name,
         node_types=node_types,
         node_names=node_names,
-        edge_index=np.concatenate([kept_edges, added_edges], axis=1),
-        edge_types=np.concatenate([kept_types, added_types]),
+        edge_index=np.concatenate(edge_parts, axis=1),
+        edge_types=np.concatenate([graph.edge_types[a:b] if old else block_edge_types[a:b]
+                                   for old, _, _, a, b in pieces]),
         _name_to_index=index,
     )
     if len(index) != len(node_names):
@@ -229,26 +348,44 @@ def patch_graph(graph: CircuitGraph, delta: NetlistDelta, circuit: Circuit) -> C
     else:
         kept_nets = np.flatnonzero(~vanished)
         stats[remap[kept_nets]] = old_stats[kept_nets]
-    for start, stop, row in runs:
+    for start, stop, row in old_runs:
         stats[row:row + stop - start] = old_stats[start:stop]
-    # The touched nets, and every surviving device with a pin on one of them.
+    patched.node_stats = stats
+    # The touched nets, and every device with a pin on one of them.
     touched = np.union1d(remap[lost], np.fromiter(net_row.values(), np.int64, len(net_row)))
     touched = touched[touched >= 0]
     is_touched = np.zeros(len(node_names), dtype=bool)
     is_touched[touched] = True
-    incident_pins = kept_edges[1][(kept_types == EDGE_NET_PIN) & is_touched[kept_edges[0]]]
-    device_rows = np.flatnonzero(node_types == NODE_DEVICE)
-    incident = np.unique(np.searchsorted(device_rows, incident_pins, side="right") - 1)
-    local = _DeviceBlock.walk([circuit.devices[i] for i in incident.tolist()] + added)
-    touched_names = [node_names[row] for row in touched.tolist()]
+    edges, edge_types = patched.edge_index, patched.edge_types
+    incident_pins = edges[1][(edge_types == EDGE_NET_PIN) & is_touched[edges[0]]]
+    device_rows = patched.device_rows
+    incident = device_rows[np.searchsorted(device_rows, incident_pins, side="right") - 1]
+    _restat(patched, circuit, touched, np.union1d(incident, block_row[block.device_rows]))
+    return patched
+
+
+def _restat(graph: CircuitGraph, circuit: Circuit, touched: np.ndarray,
+            walked: np.ndarray) -> None:
+    """Recompute, in place, the ``node_stats`` rows of the ``touched`` net
+    rows and of the devices at the ``walked`` device rows (with their pins)
+    of ``graph``, the graph of ``circuit``.
+
+    ``walked`` is ascending and holds every device with a pin on a touched
+    net, so each net's sum runs over its devices in circuit order.
+    """
+    ordinals = np.searchsorted(graph.device_rows, walked)
+    local = _DeviceBlock.walk([circuit.devices[i] for i in ordinals.tolist()])
+    touched_names = [graph.node_names[row] for row in touched.tolist()]
     local_row = dict(zip(touched_names, range(len(touched_names))))
+    ports = set(circuit.ports)
     local_ports = [row for row, net in enumerate(touched_names) if net in ports]
     local_stats = local.stats(len(touched_names) + len(local.names), len(touched_names),
                               local.terminal_rows(local_row), local_ports)
+    stats = graph.node_stats
     stats[touched] = local_stats[:len(touched_names)]
-    stats[added_start:] = local_stats[len(local_stats) - len(block.names):]
-    patched.node_stats = stats
-    return patched
+    spans = local.counts + 1
+    stats[_ragged_flat(walked, spans)] = \
+        local_stats[_ragged_flat(len(touched_names) + local.device_rows, spans)]
 
 
 class _DeviceBlock(NamedTuple):

@@ -100,20 +100,24 @@ class CircuitGraph:
     links: list[Link] = field(default_factory=list)
     node_ground_caps: np.ndarray | None = None
 
-    # Caches (built lazily; netlist_to_graph hands over its name index).
+    # Caches (built lazily; netlist_to_graph hands over its name index and
+    # device rows, and patch_graph shares them between revisions).
     _csr: CSRGraph | None = None
     _name_to_index: dict | None = None
+    _device_rows: np.ndarray | None = None
 
     def __getstate__(self) -> dict:
-        """Pickle without the derived caches (CSR adjacency, name index).
+        """Pickle without the derived caches (CSR adjacency, name index,
+        device rows).
 
-        Both are deterministic functions of the defining arrays and rebuild
+        All are deterministic functions of the defining arrays and rebuild
         lazily on first use, so worker processes receiving a pickled graph
         get a smaller payload and identical behaviour.
         """
         state = dict(self.__dict__)
         state["_csr"] = None
         state["_name_to_index"] = None
+        state["_device_rows"] = None
         return state
 
     # ------------------------------------------------------------------ #
@@ -145,6 +149,14 @@ class CircuitGraph:
         if self._name_to_index is None:
             self._name_to_index = {n: i for i, n in enumerate(self.node_names)}
         return name in self._name_to_index
+
+    @property
+    def device_rows(self) -> np.ndarray:
+        """The row of each device node, ascending: device ``i`` of the
+        circuit the graph was built from sits at row ``device_rows[i]``."""
+        if self._device_rows is None:
+            self._device_rows = np.flatnonzero(self.node_types == NODE_DEVICE)
+        return self._device_rows
 
     def nodes_of_type(self, node_type: int) -> np.ndarray:
         """Indices of all nodes of the given type code."""

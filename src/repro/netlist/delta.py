@@ -15,7 +15,9 @@ file rather than an explicit edit script), and :meth:`NetlistDelta.apply`
 replays a delta onto a circuit, which is how the engine builds the
 post-change revision from ``prev_report.circuit``.  A revision holds sealed
 devices (:func:`~repro.netlist.devices.seal_device`), so each revision of
-an ECO chain shares its untouched devices with the one it came from.
+an ECO chain shares its untouched devices with the one it came from, and
+its device list carries a name -> position index, so applying the next
+delta to it costs the size of that delta, not of the circuit.
 """
 
 from __future__ import annotations
@@ -87,39 +89,64 @@ class NetlistDelta:
     def apply(self, circuit: Circuit) -> Circuit:
         """The post-change revision of a flat ``circuit`` (new object).
 
-        Device order is preserved for survivors, with added devices appended
-        — the same order a netlister would produce for an ECO patch.  Every
-        device of the result is sealed (:func:`~repro.netlist.devices.seal_device`):
-        a survivor that is sealed already is shared with ``circuit``, any
-        other survivor and each added device is a sealed copy.  So neither
-        ``circuit`` nor the delta's own devices change, and applying a delta
-        to a revision copies only the added devices.  Raises ``KeyError``
-        for removals that name no existing device and ``ValueError`` for
-        additions that collide with a surviving name.
+        A replacement (a remove and an add of the same name) takes the
+        removed device's slot, other removed devices drop out, and added
+        devices with new names are appended in delta order.  So a delta of
+        in-place edits keeps the device order, as the edited netlist file
+        does.  Every device of the result is sealed
+        (:func:`~repro.netlist.devices.seal_device`): a survivor that is
+        sealed already is shared with ``circuit``, any other survivor and
+        each added device is a sealed copy.  So neither ``circuit`` nor the
+        delta's own devices change.  The result's device list carries a
+        name -> position index; applying a delta to it copies the list and
+        then works per delta device, and an in-place edit of the list drops
+        the index, so the next ``apply`` walks and seals the list again.
+        Raises ``KeyError`` for removals that name no existing device and
+        ``ValueError`` for additions that collide with a surviving name or
+        for a circuit with two devices of one name.
         """
         flat = circuit if circuit.is_flat else circuit.flatten()
-        removed = set(self.remove_devices)
-        # One walk collects every name and seals the survivors.
-        existing: set[str] = set()
-        kept: list[Device] = []
-        for device in flat.devices:
-            existing.add(device.name)
-            if device.name not in removed:
-                kept.append(seal_device(device))
-        missing = [name for name in self.remove_devices if name not in existing]
+        devices = flat.devices
+        positions = devices._positions if isinstance(devices, _Revision) else None
+        if positions is None:
+            devices = [seal_device(device) for device in devices]
+            positions = {device.name: slot for slot, device in enumerate(devices)}
+            if len(positions) != len(devices):
+                raise ValueError(f"circuit {flat.name!r} has two devices of one name")
+        missing = [name for name in self.remove_devices if name not in positions]
         if missing:
             raise KeyError(f"delta removes unknown device(s) {missing}")
-        survivors = existing - removed
-        colliding = [d.name for d in self.add_devices if d.name in survivors]
+        removed = set(self.remove_devices)
+        colliding = [d.name for d in self.add_devices
+                     if d.name in positions and d.name not in removed]
         if colliding:
             raise ValueError(
                 f"delta adds device(s) {colliding} that already exist; remove "
                 "the old revision in the same delta to model an edit"
             )
-        result = Circuit(flat.name, ports=list(flat.ports))
-        result.devices.extend(kept)
+        kept = devices[:]
+        appended: list[Device] = []
         for device in self.add_devices:
-            result.add(seal_device(device))
+            slot = positions.get(device.name)
+            if slot is None:
+                appended.append(seal_device(device))
+            else:
+                kept[slot] = seal_device(device)
+        dropped = sorted(positions[name] for name in
+                         removed.difference(d.name for d in self.add_devices))
+        if dropped or appended:
+            # Copy on write: the revision ``circuit`` keeps its own index.
+            positions = dict(positions)
+            for slot in reversed(dropped):
+                del positions[kept.pop(slot).name]
+            if dropped:
+                first = dropped[0]
+                positions.update(zip([d.name for d in kept[first:]], range(first, len(kept))))
+            positions.update(zip([d.name for d in appended],
+                                 range(len(kept), len(kept) + len(appended))))
+            kept += appended
+        result = Circuit(flat.name, ports=list(flat.ports))
+        result.devices = _Revision(kept, positions)
         return result
 
     @classmethod
@@ -132,7 +159,10 @@ class NetlistDelta:
         same device.  Hierarchical inputs are flattened first, so two
         revisions of a hierarchical design diff in their flat namespace.
         A delta edits devices only, so revisions whose top-level port lists
-        differ raise :class:`ValueError` naming the ports.
+        differ raise :class:`ValueError` naming the ports.  When ``new``
+        keeps the shared names in ``old``'s order and lists its new names
+        last, as an edited netlist file of in-place edits does, the delta
+        applied to ``old`` lists its devices in ``new``'s order.
         """
         old_flat = old if old.is_flat else old.flatten()
         new_flat = new if new.is_flat else new.flatten()
@@ -161,3 +191,35 @@ class NetlistDelta:
     def __repr__(self) -> str:
         return (f"NetlistDelta(add={len(self.add_devices)}, "
                 f"remove={len(self.remove_devices)})")
+
+
+class _Revision(list):
+    """The device list of a revision built by :meth:`NetlistDelta.apply`.
+
+    Every device is sealed and ``_positions`` maps each device name to its
+    position.  An in-place edit of the list sets ``_positions`` to ``None``,
+    so the index can never go stale; a copy or a pickle is a plain list.
+    """
+
+    __slots__ = ("_positions",)
+
+    def __init__(self, devices: list[Device], positions: dict[str, int]):
+        super().__init__(devices)
+        self._positions = positions
+
+    def __reduce__(self):
+        return list, (list(self),)
+
+
+def _dropping_index(method):
+    def edit(self, *args, **kwargs):
+        self._positions = None
+        return method(self, *args, **kwargs)
+    edit.__name__ = method.__name__
+    return edit
+
+
+for _name in ("__setitem__", "__delitem__", "__iadd__", "__imul__", "append", "extend",
+              "insert", "pop", "remove", "clear", "sort", "reverse"):
+    setattr(_Revision, _name, _dropping_index(getattr(list, _name)))
+del _name

@@ -257,6 +257,46 @@ class TestEndToEnd:
         assert summary["recomputed"] >= 1                  # the BL0 pair
         assert summary["reused"] + summary["recomputed"] == 2
 
+    def test_reannotate_in_place_edits_keep_the_new_file_order(
+            self, workdir, artifact, tmp_path, capsys, monkeypatch):
+        """Resizing INV_X1's NMOS edits every inverter in place: the
+        revision lists the devices in the new file's order, and its records
+        equal an annotate of the new file."""
+        from repro.core.serve import AnnotationEngine
+        from repro.core.server import dumps_canonical
+        from repro.netlist import parse_spice_file
+
+        pairs = ["--pairs", "BL0,BL1", "--pairs", "rdec_sel0,rdec_n0",
+                 "--pairs", "rdec_sel1,WL1"]
+        base = tmp_path / "base.json"
+        assert main(["annotate", str(artifact), str(workdir / "user_macro.sp"), *pairs,
+                     "--json", str(base)]) == 0
+        text = (workdir / "user_macro.sp").read_text()
+        line = "MN1 Y A VSS VSS nch W=120n"
+        assert line in text
+        eco = tmp_path / "user_macro_resized.sp"
+        eco.write_text(text.replace(line, "MN1 Y A VSS VSS nch W=240n", 1))
+        revisions = []
+        reannotate = AnnotationEngine.reannotate
+
+        def spy(engine, *args, **kwargs):
+            revisions.append(reannotate(engine, *args, **kwargs))
+            return revisions[-1]
+
+        monkeypatch.setattr(AnnotationEngine, "reannotate", spy)
+        updated, scratch = tmp_path / "updated.json", tmp_path / "scratch.json"
+        assert main(["reannotate", str(artifact), str(workdir / "user_macro.sp"),
+                     str(eco), "--prev", str(base), "--json", str(updated)]) == 0
+        assert main(["annotate", str(artifact), str(eco), *pairs,
+                     "--json", str(scratch)]) == 0
+        capsys.readouterr()
+        (revision,) = revisions
+        assert revision.incremental["recomputed"] >= 1
+        new_order = [d.name for d in parse_spice_file(str(eco)).flatten().devices]
+        assert [d.name for d in revision.circuit.devices] == new_order
+        assert dumps_canonical(json.loads(updated.read_text())["records"]) \
+            == dumps_canonical(json.loads(scratch.read_text())["records"])
+
     def test_reannotate_rejects_multi_design_report(self, workdir, artifact,
                                                     tmp_path, capsys):
         bogus = tmp_path / "multi.json"

@@ -24,8 +24,9 @@ from repro.core.shard import (
 )
 from repro.core.server import dumps_canonical
 from repro.graph import netlist_to_graph
-from repro.netlist import (Circuit, Mosfet, NetlistDelta, Resistor,
+from repro.netlist import (Circuit, Device, Mosfet, NetlistDelta, Resistor,
                            hierarchical_sram, ssram)
+from repro.netlist.devices import copy_device
 
 
 @pytest.fixture(scope="module")
@@ -323,20 +324,53 @@ def two_graph_affected(old_flat: Circuit, delta: NetlistDelta, hops: int) -> set
 
 
 def random_delta(flat: Circuit, rng: np.random.Generator) -> NetlistDelta:
-    """Random removals, additions and in-place edits on ``flat``'s nets."""
+    """Random removals, additions and in-place edits on ``flat``'s nets.
+
+    Some removed devices come back under their own name (an in-place edit),
+    as one of the kinds :func:`edit_device` makes.
+    """
     devices = list(flat.devices)
-    nets = sorted(flat.nets) + [f"eco_net{i}" for i in range(3)]
+    existing = sorted(flat.nets)
+    nets = existing + [f"eco_net{i}" for i in range(3)]
     picked = rng.choice(len(devices), size=int(rng.integers(0, 4)), replace=False)
     remove = [devices[int(i)].name for i in picked]
     add = []
     for i in range(int(rng.integers(0, 4))):
         p, n = (str(net) for net in rng.choice(nets, size=2, replace=False))
         add.append(Resistor(f"RECO{i}", {"P": p, "N": n}))
-    for name in remove[:int(rng.integers(0, len(remove) + 1))]:
-        # An in-place edit: the same name comes back on new nets.
-        d, g, src, b = (str(net) for net in rng.choice(nets, size=4))
-        add.append(Mosfet(name, {"D": d, "G": g, "S": src, "B": b}))
+    for i in picked[:int(rng.integers(0, len(remove) + 1))]:
+        add.append(edit_device(devices[int(i)], rng, existing, nets))
     return NetlistDelta(add_devices=add, remove_devices=remove)
+
+
+def edit_device(device: Device, rng: np.random.Generator, existing: list[str],
+                nets: list[str]) -> Device:
+    """An in-place edit of ``device``, one of four kinds at random: a resize
+    (same type, terminals and nets; new width, length or multiplier), one
+    pin moved to another ``existing`` net, another terminal count on the
+    device's own nets, or a MOSFET on random ``nets`` (some of them fresh)."""
+    kind = int(rng.integers(4))
+    edited = copy_device(device)
+    if kind == 0:
+        sizes = [name for name in ("width", "length") if hasattr(edited, name)]
+        size = str(rng.choice(sizes + ["multiplier"]))
+        if size == "multiplier":
+            edited.multiplier += 1
+        else:
+            setattr(edited, size, getattr(edited, size) * float(rng.choice((0.5, 2.0))))
+    elif kind == 1:
+        terminal = str(rng.choice(list(edited.terminals)))
+        edited.terminals[terminal] = str(rng.choice(existing))
+    elif kind == 2:
+        own = device.nets
+        if len(own) == 2:
+            edited = Mosfet(device.name, dict(zip("DGSB", own + own)))
+        else:
+            edited = Resistor(device.name, {"P": own[0], "N": own[-1]})
+    else:
+        d, g, src, b = (str(net) for net in rng.choice(nets, size=4))
+        edited = Mosfet(device.name, {"D": d, "G": g, "S": src, "B": b})
+    return edited
 
 
 class TestAffectedNames:

@@ -138,12 +138,73 @@ class TestHandCases:
             remove_devices=["MRAIL"])
         assert_patch_matches_full_build(hand_circuit(), delta)
 
-    def test_in_place_edit_moves_a_device_to_the_end(self):
+    def test_in_place_rewire_keeps_the_slot_and_builds_new_edges(self):
+        """M1's pins move between existing nets: the patch renumbers, equal
+        to a full build, with M1 in its old slot; nothing structural is
+        shared with the input, which is left as it was."""
+        circuit = hand_circuit()
+        graph = netlist_to_graph(circuit)
         delta = NetlistDelta(
             add_devices=[Mosfet("M1", {"D": "c", "G": "b", "S": "a", "B": "VSS"},
                                 width=4e-6, length=2e-7)],
             remove_devices=["M1"])
-        assert_patch_matches_full_build(hand_circuit(), delta)
+        new = delta.apply(circuit)
+        assert [d.name for d in new.devices] == [d.name for d in circuit.devices]
+        patched = assert_patch_matches_full_build(circuit, delta)
+        devices = [patched.node_names[row] for row in patched.device_rows]
+        assert devices == [d.name for d in circuit.devices]
+        assert patched.node_names is not graph.node_names
+        assert patched._name_to_index is not graph._name_to_index
+        assert patched._csr is None  # the adjacency changed; it rebuilds lazily
+        np.testing.assert_array_equal(patched.csr.indptr, netlist_to_graph(new).csr.indptr)
+
+    def test_a_resize_shares_the_structure_read_only(self):
+        """A geometry-only edit moves no row and no edge: the new graph
+        shares every structural array and the CSR with the old one, both
+        read-only, and only ``node_stats`` is new."""
+        circuit = hand_circuit()
+        graph = netlist_to_graph(circuit)
+        (m2,) = [device for device in circuit.devices if device.name == "M2"]
+        resized = copy.deepcopy(m2)
+        resized.width *= 3
+        delta = NetlistDelta(add_devices=[resized], remove_devices=["M2"])
+        patched = assert_patch_matches_full_build(circuit, delta)
+        patched = patch_graph(graph, delta, delta.apply(circuit))
+        for name in ("node_names", "node_types", "edge_index", "edge_types", "_csr",
+                     "_name_to_index", "_device_rows"):
+            assert getattr(patched, name) is getattr(graph, name), name
+        assert patched.node_stats is not graph.node_stats
+        changed = np.flatnonzero((patched.node_stats != graph.node_stats).any(axis=1))
+        # M2's device row and the nets its width counts in (a, b, c).
+        assert [patched.node_names[row] for row in changed] == ["a", "b", "c", "M2"]
+        csr = patched.csr
+        for array in (patched.node_types, patched.edge_index, patched.edge_types,
+                      patched.node_stats, patched.device_rows, csr.indptr, csr.indices,
+                      csr.edge_ids):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            graph.edge_index[0, 0] = 0
+
+    def test_in_place_edits_that_move_rows_keep_their_slot(self):
+        """A new terminal count, or a pin moved to a fresh net or off the
+        only net it held, renumbers the rows; the edited device keeps its
+        place in the device order either way."""
+        three_pins = Resistor("R2", {"P": "p", "N": "c", "B": "a"})
+        cases = {
+            "terminal count": (hand_circuit(), Resistor("M1", {"P": "a", "N": "b"})),
+            "a pin dropped": (NetlistDelta(add_devices=[three_pins], remove_devices=["R2"])
+                              .apply(hand_circuit()), Resistor("R2", {"P": "p", "N": "c"})),
+            "fresh net": (hand_circuit(), Resistor("R2", {"P": "p", "N": "zz"})),
+            "vanishing net": (hand_circuit(), Resistor("R1", {"P": "b", "N": "a"})),
+        }
+        for case, (circuit, edited) in cases.items():
+            delta = NetlistDelta(add_devices=[edited], remove_devices=[edited.name])
+            graph = netlist_to_graph(circuit)
+            patched = assert_patch_matches_full_build(circuit, delta)
+            assert patched.node_names != graph.node_names, case
+            devices = [patched.node_names[row] for row in patched.device_rows]
+            assert devices == [d.name for d in circuit.devices], case
 
     def test_removing_every_device_leaves_the_ports(self):
         circuit = hand_circuit()
@@ -151,13 +212,23 @@ class TestHandCases:
         patched = assert_patch_matches_full_build(circuit, delta)
         assert patched.node_names == ["a", "p"]
 
-    def test_empty_delta_is_an_equal_copy(self):
+    def test_empty_delta_shares_the_whole_graph(self):
         circuit = hand_circuit()
         assert_patch_matches_full_build(circuit, NetlistDelta())
         graph = netlist_to_graph(circuit)
         patched = patch_graph(graph, NetlistDelta(), circuit)
-        assert patched.node_stats is not graph.node_stats
-        assert patched._name_to_index is not graph._name_to_index
+        assert patched is not graph
+        assert patched.node_stats is graph.node_stats
+        assert patched._name_to_index is graph._name_to_index
+        with pytest.raises(ValueError, match="read-only"):
+            graph.node_stats[0, 0] = 1.0
+
+    def test_empty_delta_leaves_the_input_names_and_index_as_they_were(self):
+        graph = netlist_to_graph(hand_circuit())
+        names, index = copy.deepcopy(graph.node_names), copy.deepcopy(graph._name_to_index)
+        patch_graph(graph, NetlistDelta(), hand_circuit())
+        assert graph.node_names == names
+        assert graph._name_to_index == index
 
     def test_a_graph_without_its_name_index(self):
         """A pickled graph drops its name index; the patch rebuilds it."""
@@ -229,6 +300,48 @@ def test_reannotate_chain_carries_the_patched_graph(engine):
     assert shipped.records == report.records
 
 
+def test_a_chain_of_resizes_shares_the_structure_and_keeps_each_report(engine):
+    """40 chained one-MOSFET resizes, the ECO of the chip_eco benchmark:
+    every report's graph is the full build of its circuit (name index
+    included) and shares the previous graph's structure and CSR; the device
+    order never changes; the records equal a from-scratch annotate; and
+    the previous report's circuit, graph and records are left as they were."""
+    circuit = hierarchical_sram(banks=1, rows=2, cols=2).flatten()
+    order = [device.name for device in circuit.devices]
+    pairs = default_candidate_pairs(netlist_to_graph(circuit), max_candidates=30,
+                                    rng=np.random.default_rng(4))
+    report = engine.annotate(circuit, pairs=pairs, seed=0)
+    mosfets = [device.name for device in circuit.devices if isinstance(device, Mosfet)]
+    rng = np.random.default_rng(17)
+    recomputed = 0
+    for step in range(40):
+        prev = report
+        kept = (copy.deepcopy(prev.circuit.devices), copy.deepcopy(prev.graph),
+                copy.deepcopy(prev.records))
+        name = mosfets[int(rng.integers(len(mosfets)))]
+        (old,) = [device for device in prev.circuit.devices if device.name == name]
+        resized = copy.deepcopy(old)
+        resized.width = old.width * float(rng.choice((0.5, 0.75, 1.5, 2.0)))
+        report = engine.reannotate(
+            prev, NetlistDelta(add_devices=[resized], remove_devices=[name]), seed=0)
+        recomputed += report.incremental["recomputed"]
+        want = netlist_to_graph(report.circuit)
+        assert_graphs_identical(report.graph, want)
+        assert report.graph._name_to_index == want._name_to_index
+        assert report.graph.edge_index is prev.graph.edge_index
+        assert report.graph._csr is prev.graph._csr is not None
+        assert [device.name for device in report.circuit.devices] == order
+        assert prev.circuit.devices == kept[0]
+        assert_graphs_identical(prev.graph, kept[1])
+        assert prev.graph._name_to_index == {n: i for i, n in enumerate(kept[1].node_names)}
+        assert prev.records == kept[2]
+        if step % 5 == 4:
+            scratch = engine.annotate(report.circuit,
+                                      pairs=[r["pair"] for r in report.records], seed=0)
+            assert dumps_canonical(report.records) == dumps_canonical(scratch.records)
+    assert recomputed > 0
+
+
 def test_reannotate_builds_a_missing_graph_once(engine):
     """A report read back from JSON has no graph; reannotate builds it."""
     from repro.core.serve import NetlistAnnotation
@@ -265,7 +378,8 @@ def test_a_restored_report_drops_records_its_circuit_never_had(engine):
 # --------------------------------------------------------------------------- #
 def test_reannotate_chain_shares_devices_and_merges_through_the_index(engine):
     """20 random ECOs, some deleting anchors and some adding pairs: each
-    revision shares its untouched devices with the one before, the carried
+    revision keeps the device order (replacements in their slots, new names
+    appended) and shares its untouched devices with the one before, the carried
     index is the one its records give, and the records are the survivors
     plus the extra pairs, equal to a from-scratch annotate."""
     from repro.core.serve import record_index
@@ -295,12 +409,17 @@ def test_reannotate_chain_shares_devices_and_merges_through_the_index(engine):
         prev = report
         report = engine.reannotate(prev, delta, seed=0, extra_pairs=extra)
         dropped += report.incremental["dropped"]
-        shared = {id(device) for device in prev.circuit.devices} if step else set()
+        # Untouched devices are shared; a replacement takes its slot and new
+        # names are appended.
         removed = set(delta.remove_devices)
-        for device in report.circuit.devices[:len(report.circuit.devices)
-                                             - len(delta.add_devices)]:
-            assert device.name not in removed
-            assert not step or id(device) in shared
+        added = {device.name for device in delta.add_devices}
+        assert [device.name for device in report.circuit.devices] \
+            == [device.name for device in prev.circuit.devices
+                if device.name not in removed - added] \
+            + [device.name for device in delta.add_devices if device.name not in removed]
+        shared = {id(device) for device in prev.circuit.devices}
+        for device in report.circuit.devices:
+            assert device.name in added or not step or id(device) in shared
         survivors = [r["pair"] for r in prev.records
                      if report.graph.has_node(r["pair"][0])
                      and report.graph.has_node(r["pair"][1])]

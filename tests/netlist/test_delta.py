@@ -36,12 +36,22 @@ class TestValidation:
 
 
 class TestApply:
-    def test_apply_preserves_survivor_order_and_appends_adds(self):
-        delta = NetlistDelta(add_devices=[Resistor("R9", {"P": "c", "N": "d"})],
-                             remove_devices=["R1"])
+    def test_apply_keeps_replacements_in_their_slots_and_appends_new_names(self):
+        """A replacement (remove + add of one name) takes the removed device's
+        slot, a plain removal drops out, and new names append in delta order."""
+        delta = NetlistDelta(add_devices=[Resistor("R9", {"P": "c", "N": "d"}),
+                                          Capacitor("C1", {"P": "b", "N": "VSS"}),
+                                          Resistor("R8", {"P": "d", "N": "a"})],
+                             remove_devices=["C1", "R2"])
         result = delta.apply(_flat_circuit())
-        assert [d.name for d in result.devices] == ["R2", "C1", "R9"]
-        assert "d" in result.nets and "b" in result.nets
+        assert [d.name for d in result.devices] == ["R1", "C1", "R9", "R8"]
+        assert result.devices[1].terminals["P"] == "b"
+        assert "d" in result.nets and "c" in result.nets
+        # Chained: the index the first revision carries places the next edit.
+        edit = Resistor("R9", {"P": "a", "N": "d"})
+        again = NetlistDelta(add_devices=[edit], remove_devices=["R1", "R9"]).apply(result)
+        assert [d.name for d in again.devices] == ["C1", "R9", "R8"]
+        assert again.devices[1] == edit
 
     def test_apply_does_not_mutate_the_input(self):
         circuit = _flat_circuit()
@@ -80,6 +90,56 @@ class TestApply:
         assert second.devices[0] is first.devices[0]
         (r2,) = [d for d in second.devices if d.name == "R2"]
         assert r2 == edit and r2 is not edit
+
+    def test_editing_a_revision_device_list_drops_its_index(self):
+        """Every in-place edit of a revision's device list makes the next
+        apply walk the list again, so its name index is never stale."""
+        def revision():
+            return NetlistDelta(remove_devices=["C1"]).apply(_flat_circuit())
+
+        edited = revision()
+        edited.devices.append(Resistor("RX", {"P": "a", "N": "b"}))
+        with pytest.raises(ValueError, match="already exist"):
+            NetlistDelta(add_devices=[Resistor("RX", {"P": "b", "N": "c"})]).apply(edited)
+        result = NetlistDelta(remove_devices=["R1"]).apply(edited)
+        assert [d.name for d in result.devices] == ["R2", "RX"]
+        with pytest.raises(AttributeError, match="sealed"):
+            result.devices[1].name = "renamed"
+
+        edited = revision()
+        edited.devices[0] = Resistor("RY", {"P": "a", "N": "b"})
+        with pytest.raises(KeyError, match="R1"):
+            NetlistDelta(remove_devices=["R1"]).apply(edited)
+        edit = Resistor("RY", {"P": "a", "N": "c"})
+        result = NetlistDelta(add_devices=[edit], remove_devices=["RY"]).apply(edited)
+        assert [d.name for d in result.devices] == ["RY", "R2"]
+        assert result.devices[0] == edit
+
+        for change in (lambda devices: devices.reverse(), lambda devices: devices.pop(0),
+                       lambda devices: devices.insert(0, Capacitor("C7", {"P": "a", "N": "b"}))):
+            edited = revision()
+            change(edited.devices)
+            names = [d.name for d in edited.devices]
+            edit = Resistor("R2", {"P": "c", "N": "b"})
+            result = NetlistDelta(add_devices=[edit], remove_devices=["R2"]).apply(edited)
+            assert [d.name for d in result.devices] == names
+            assert result.devices[names.index("R2")] == edit
+
+    def test_a_copy_or_pickle_of_a_revision_list_is_a_plain_list(self):
+        import copy
+        import pickle
+
+        result = NetlistDelta(remove_devices=["C1"]).apply(_flat_circuit())
+        for clone in (copy.copy(result.devices), copy.deepcopy(result.devices),
+                      pickle.loads(pickle.dumps(result.devices))):
+            assert type(clone) is list
+            assert clone == result.devices
+
+    def test_apply_rejects_a_circuit_with_two_devices_of_one_name(self):
+        circuit = _flat_circuit()
+        circuit.add(Resistor("R1", {"P": "b", "N": "c"}))
+        with pytest.raises(ValueError, match="two devices of one name"):
+            NetlistDelta(remove_devices=["R2"]).apply(circuit)
 
     def test_apply_unknown_removal_raises(self):
         with pytest.raises(KeyError, match="RMISSING"):
