@@ -56,11 +56,14 @@ __all__ = [
 # Positional-encoding cache
 # --------------------------------------------------------------------------- #
 class PECache:
-    """LRU cache of positional encodings.
+    """LRU cache of arrays keyed by the content they were computed from.
 
-    Keys are the exact bytes an encoding reads (:func:`pe_cache_keys`), so
-    an entry is valid for every subgraph with those inputs, whatever design,
-    link or request it came from, and a stale entry can never be returned.
+    It holds positional encodings, keyed by the exact bytes an encoding
+    reads (:func:`pe_cache_keys`), so an entry is valid for every subgraph
+    with those inputs, whatever design, link or request it came from, and a
+    stale entry can never be returned.  A serving engine also gives each of
+    its model snapshots one, of trunk output rows keyed by the
+    :meth:`~repro.graph.batch.SubgraphBatch.distinct` digests.
 
     Eviction is LRU under *two* caps: an entry-count cap (``capacity``) and an
     approximate byte budget (``capacity_bytes``, summing the stored arrays'
@@ -77,7 +80,7 @@ class PECache:
             raise ValueError("cache capacity_bytes must be positive (or None)")
         self.capacity = capacity
         self.capacity_bytes = capacity_bytes
-        self._store: OrderedDict[tuple, np.ndarray] = OrderedDict()
+        self._store: OrderedDict[tuple | bytes, np.ndarray] = OrderedDict()
         self._bytes = 0
         self.hits = 0
         self.misses = 0
@@ -97,8 +100,8 @@ class PECache:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
 
-    def get(self, key: tuple) -> np.ndarray | None:
-        """Look up an encoding; counts a hit or miss and refreshes LRU order."""
+    def get(self, key: tuple | bytes) -> np.ndarray | None:
+        """Look up an entry; counts a hit or miss and refreshes LRU order."""
         value = self._store.get(key)
         if value is None:
             self.misses += 1
@@ -107,8 +110,8 @@ class PECache:
         self.hits += 1
         return value
 
-    def put(self, key: tuple, value: np.ndarray) -> None:
-        """Store an encoding, evicting LRU entries past either capacity cap.
+    def put(self, key: tuple | bytes, value: np.ndarray) -> None:
+        """Store an entry, evicting LRU entries past either capacity cap.
 
         A single value larger than ``capacity_bytes`` is evicted immediately
         (the cache simply never retains it) rather than growing the budget.
@@ -132,8 +135,9 @@ class PECache:
         self.misses = 0
 
 
-def _entry_bytes(key: tuple, value: np.ndarray) -> int:
-    return int(value.nbytes) + sum(len(part) for part in key if isinstance(part, bytes))
+def _entry_bytes(key: tuple | bytes, value: np.ndarray) -> int:
+    parts = (key,) if isinstance(key, bytes) else key
+    return int(value.nbytes) + sum(len(part) for part in parts if isinstance(part, bytes))
 
 
 _DEFAULT_PE_CACHE = PECache()

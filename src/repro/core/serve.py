@@ -13,7 +13,8 @@ a train-once / serve-many engine:
   as it is; positional encodings go
   through one shared :class:`~repro.core.data.PECache` keyed by subgraph
   content, so a subgraph seen in any earlier netlist, request or revision
-  never has its PE recomputed.
+  never has its PE recomputed, and each model's trunk cache lets it skip
+  the GPS trunk as well.
 * :class:`NetlistAnnotation` — the structured result for one netlist:
   per-pair records, summary statistics, JSON serialisation and an annotated
   (flattened) SPICE netlist with the predicted couplings appended as
@@ -65,8 +66,8 @@ from ..graph.hetero import (
 )
 from ..netlist import Circuit, NetlistDelta, parse_spice_file, write_spice
 from ..netlist.spice import format_si_value
-from ..nn import no_grad, stable_sigmoid, use_dtype
-from ..nn.dtypes import FLOAT32, FLOAT_DTYPES
+from ..nn import Module, no_grad, stable_sigmoid, use_dtype
+from ..nn.dtypes import FLOAT_DTYPES
 from ..utils.logging import get_logger
 from ..utils.rng import get_rng, spawn_seeds
 from ..utils.serialization import save_json
@@ -83,6 +84,30 @@ logger = get_logger("repro.serve")
 
 #: Candidate cap of every entry point that draws its own candidate pairs.
 DEFAULT_MAX_CANDIDATES = 200
+
+
+#: Byte budget of each serving model's trunk cache.  At 512 KiB it holds
+#: the trunk rows of the subgraphs an ECO chain keeps re-scoring, and
+#: costs no measurable resident memory.
+TRUNK_CACHE_BYTES = 512 * 2**10
+
+
+def serving_snapshot(model: Module, precision) -> Module:
+    """A private eval-mode copy of ``model`` in ``precision``, for serving.
+
+    Its parameter and buffer arrays are read-only and it records no tape,
+    so nothing — not further training of ``model`` either — can change what
+    it computes; that is what lets it carry a trunk cache
+    (:attr:`~repro.models.CircuitGPS.trunk_cache`, :data:`TRUNK_CACHE_BYTES`).
+    """
+    snapshot = copy.deepcopy(model).cast(precision).eval()
+    for param in snapshot.parameters():
+        param.requires_grad = False
+        param.data.setflags(write=False)
+    for _, buffer in snapshot.named_buffers():
+        buffer.setflags(write=False)
+    snapshot.trunk_cache = PECache(capacity_bytes=TRUNK_CACHE_BYTES)
+    return snapshot
 
 
 def default_candidate_pairs(graph: CircuitGraph, max_candidates: int = DEFAULT_MAX_CANDIDATES,
@@ -341,6 +366,15 @@ class AnnotationEngine:
     shared through one :class:`PECache` across every request this engine
     serves.  ``workers`` forks a pool over the chunks of one netlist and, in
     :meth:`annotate_many` / :meth:`annotate_sharded`, over designs or shards.
+
+    The engine serves private snapshots of the two models
+    (:func:`serving_snapshot`), taken when it is built, and keeps no
+    reference to the pipeline: training the pipeline afterwards does not
+    change what it serves.  Each snapshot keeps
+    the trunk rows of recently scored subgraphs (its ``trunk_cache``, keyed
+    by subgraph content), so a subgraph seen before, in any request or
+    revision, skips both trunks and runs only the heads; the trunk is
+    batch-invariant, so those rows are the ones a fresh engine computes.
     """
 
     def __init__(self, pipeline: "CircuitGPSPipeline", task="edge_regression",
@@ -365,7 +399,6 @@ class AnnotationEngine:
             )
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
-        self.pipeline = pipeline
         self.task = task
         self.task_obj = task_obj
         self.mode = mode
@@ -373,26 +406,31 @@ class AnnotationEngine:
         self.threshold = float(threshold)
         self.workers = int(workers)
         self.cache = cache if cache is not None else PECache()
-        self.link_model = pipeline.pretrain_result.model
-        self.reg_model = pipeline.finetune_results[key].model
-        self.normalizer = pipeline.normalizer
-        self.config = pipeline.config
-        # Serving precision: float64 shares the pipeline's models untouched;
-        # float32 serves deep-copied casts (checkpoints and further training
-        # stay full-precision) and runs every forward under the float32 dtype
-        # policy — roughly half the memory traffic and faster BLAS on CPU,
-        # with AUC drift <= 1e-4 on the bundled designs (pinned by tests).
+        # Serving precision: float32 runs every forward under the float32
+        # dtype policy — roughly half the memory traffic and faster BLAS on
+        # CPU, with AUC drift <= 1e-4 on the bundled designs (pinned by
+        # tests) — while checkpoints and further training stay
+        # full-precision.
         self.precision = np.dtype(precision)
         if self.precision not in FLOAT_DTYPES:
             raise ValueError(
                 f"precision must be 'float64' or 'float32', got {precision!r}"
             )
-        if self.precision == FLOAT32:
-            self.link_model = copy.deepcopy(self.link_model).cast(FLOAT32)
-            self.reg_model = copy.deepcopy(self.reg_model).cast(FLOAT32)
+        self.link_model = serving_snapshot(pipeline.pretrain_result.model, self.precision)
+        self.reg_model = serving_snapshot(pipeline.finetune_results[key].model,
+                                          self.precision)
+        self.normalizer = pipeline.normalizer
+        self.config = pipeline.config
         # (distinct, total) subgraphs forwarded so far, for the DEBUG lines.
         # Plain counters like the PE cache's: forwards run on one thread.
         self._subgraphs = np.zeros(2, dtype=np.int64)
+
+    @property
+    def trunk_hit_rate(self) -> float:
+        """Fraction of both models' trunk-cache lookups served from cache."""
+        caches = (self.link_model.trunk_cache, self.reg_model.trunk_cache)
+        lookups = sum(cache.hits + cache.misses for cache in caches)
+        return sum(cache.hits for cache in caches) / lookups if lookups else 0.0
 
     # ------------------------------------------------------------------ #
     # Input resolution
@@ -447,8 +485,6 @@ class AnnotationEngine:
 
     def predict_batch(self, batch) -> tuple[np.ndarray, np.ndarray]:
         """Forward one collated batch under the serving dtype policy."""
-        self.link_model.eval()
-        self.reg_model.eval()
         with no_grad(), use_dtype(self.precision):
             probs = stable_sigmoid(self.link_model(batch, task="link").data)
             caps = self.task_obj.forward(self.reg_model, batch).data
@@ -521,8 +557,9 @@ class AnnotationEngine:
         elapsed = time.perf_counter() - start
         distinct, total = self._subgraphs - before
         logger.debug("annotated %s: %d candidates in %.3fs (PE cache hit rate %.2f, "
-                     "%d/%d subgraphs distinct)", graph.name, len(records), elapsed,
-                     self.cache.hit_rate, distinct, total)
+                     "trunk cache hit rate %.2f, %d/%d subgraphs distinct)", graph.name,
+                     len(records), elapsed, self.cache.hit_rate,
+                     self.trunk_hit_rate, distinct, total)
         return NetlistAnnotation(design=graph.name, records=records,
                                  threshold=self.threshold, elapsed_seconds=elapsed,
                                  circuit=circuit, graph=graph)
@@ -779,9 +816,10 @@ class AnnotationEngine:
         elapsed = time.perf_counter() - start
         logger.debug(
             "reannotated %s: %d reused, %d recomputed, %d dropped, %d added "
-            "in %.3fs (PE cache hit rate %.2f, %d/%d subgraphs distinct)",
+            "in %.3fs (PE cache hit rate %.2f, trunk cache hit rate %.2f, "
+            "%d/%d subgraphs distinct)",
             prev_report.design, reused, len(stale_pairs), len(dropped), len(extras),
-            elapsed, self.cache.hit_rate, distinct, total,
+            elapsed, self.cache.hit_rate, self.trunk_hit_rate, distinct, total,
         )
         return NetlistAnnotation(design=prev_report.design, records=merged,
                                  threshold=self.threshold,

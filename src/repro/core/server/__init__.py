@@ -24,8 +24,9 @@ passes of different in-flight requests into shared inference batches**:
 * :mod:`~repro.core.server.wire` — the canonical wire serialisation: floats
   are quantized to a fixed number of significant digits, which makes
   responses byte-identical whether a request was served alone or coalesced
-  into someone else's batch (batch composition perturbs raw float64 outputs
-  by ~1 ulp).
+  into someone else's batch (batch composition perturbs the raw float64
+  head outputs by ~1 ulp: the trunk is batch-invariant, but the heads'
+  one-column output layer runs as a GEMV).
 
 ``benchmarks/test_serve_concurrent_throughput.py`` pins cross-request
 micro-batching at >= 2x the throughput of sequential per-request serving,

@@ -3,10 +3,12 @@
 Two properties make the wire format reproducible enough to golden-test and
 to compare byte-for-byte across serving modes:
 
-* **Float quantization.**  Collating a subgraph into different batch
-  compositions perturbs float64 model outputs by ~1 ulp (BLAS reduction
-  order), so raw floats would differ between a request served alone and the
-  same request coalesced into a shared cross-request batch.  Every float on
+* **Float quantization.**  The GPS trunk is batch-invariant, but the
+  heads' last layer (one output column) runs as a GEMV whose rounding
+  depends on the batch, so collating a subgraph into different batch
+  compositions perturbs the float64 head outputs by ~1 ulp, and raw floats
+  would differ between a request served alone and the same request
+  coalesced into a shared cross-request batch.  Every float on
   the wire is therefore rounded to :data:`WIRE_FLOAT_DIGITS` significant
   digits — far above the noise floor, far below any physical meaning in a
   predicted coupling capacitance.

@@ -22,6 +22,7 @@ once per batch, so the trunk can run on one representative each.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
@@ -192,10 +193,11 @@ class SubgraphBatch:
 
         Two subgraphs are the same when every input the GPS trunk reads is
         byte-equal: node types, local edges, edge types, local anchors and
-        PE rows.  The comparison key is those bytes themselves, so it holds
-        for every PE kind (including ``stats`` and plugin encodings) without
-        any encoding declaring its inputs.  All subgraphs of one batch share
-        each array's dtype and PE width, so equal bytes mean equal inputs.
+        PE rows.  Each subgraph's key is a digest of those bytes and their
+        dtypes, so it holds for every PE kind (including ``stats`` and
+        plugin encodings) without any encoding declaring its inputs, and it
+        means the same in every batch: a serving model's trunk cache is
+        keyed by it.
         """
         return self._derived("_distinct_cache", lambda: _distinct_subgraphs(self))
 
@@ -320,34 +322,50 @@ class SubgraphBatch:
 class DistinctSubgraphs:
     """One representative per distinct subgraph of a batch.
 
-    ``count`` of the batch's subgraphs are distinct.  When some repeat,
-    ``batch`` collates the first occurrence of each distinct subgraph in
-    batch order, and ``node_index`` maps every node row of the full batch to
-    the matching row of ``batch``.  When every subgraph is distinct, both
-    are ``None``.
+    The distinct subgraphs are numbered in first-seen order: ``keys[g]`` is
+    distinct subgraph ``g``'s trunk-input digest, ``inverse[i]`` is the
+    distinct subgraph that the batch's subgraph ``i`` equals, and ``batch``
+    collates the first occurrence of each, in that order.  When no subgraph
+    repeats, ``batch`` is the batch itself.
     """
 
-    count: int
-    batch: SubgraphBatch | None = None
-    node_index: np.ndarray | None = None
+    keys: list[bytes]
+    inverse: np.ndarray
+    batch: SubgraphBatch
+
+    @property
+    def count(self) -> int:
+        """Number of distinct subgraphs."""
+        return len(self.keys)
 
 
 def _distinct_subgraphs(batch: SubgraphBatch) -> DistinctSubgraphs:
-    """Group a batch's subgraphs by the bytes of their trunk inputs."""
+    """Group a batch's subgraphs by the digest of their trunk inputs.
+
+    The digest covers the bytes of the node types, local edges, edge types,
+    local anchors and PE rows, the node and edge counts that split them,
+    and, once per batch, every array's dtype and the PE width.
+    """
     nodes, edges = batch.node_offsets, batch.edge_offsets
-    inverse, first = group_keys(zip(
-        segment_bytes(batch.node_types, nodes),
-        segment_bytes(batch.local_edges, edges),
-        segment_bytes(batch.edge_types, edges),
-        segment_bytes(batch.local_anchors, np.arange(batch.num_graphs + 1)),
-        segment_bytes(batch.pe, nodes),
-    ))
-    if first.size == batch.num_graphs:
-        return DistinctSubgraphs(int(first.size))
-    representatives = batch.select(first)
-    return DistinctSubgraphs(int(first.size), representatives,
-                             representatives.node_offsets[inverse[batch.batch]]
-                             + batch.segments().slots)
+    graphs = np.arange(batch.num_graphs + 1)
+    arrays = (batch.node_types, batch.local_edges, batch.edge_types, batch.local_anchors,
+              batch.pe)
+    header = hashlib.blake2b(repr([(a.dtype.str, a.shape[1:]) for a in arrays]).encode(),
+                             digest_size=16)
+    sizes = np.stack([np.diff(nodes), np.diff(edges)], axis=1)
+    digests = []
+    for parts in zip(segment_bytes(sizes, graphs),
+                     segment_bytes(batch.node_types, nodes),
+                     segment_bytes(batch.local_edges, edges),
+                     segment_bytes(batch.edge_types, edges),
+                     segment_bytes(batch.local_anchors, graphs),
+                     segment_bytes(batch.pe, nodes)):
+        digest = header.copy()
+        digest.update(b"".join(parts))
+        digests.append(digest.digest())
+    inverse, first = group_keys(digests)
+    return DistinctSubgraphs([digests[g] for g in first.tolist()], inverse,
+                             batch.select(first))
 
 
 def _collate_subgraphs(subgraphs: Sequence[Subgraph]) -> SubgraphBatch:

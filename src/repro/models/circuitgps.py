@@ -51,6 +51,12 @@ class CircuitGPS(Module):
     :data:`repro.api.ATTENTION`.
     """
 
+    #: Trunk-output cache read by eval-mode :meth:`encode`: any object with
+    #: ``get(key)`` and ``put(key, rows)``, keyed by
+    #: :class:`~repro.graph.batch.DistinctSubgraphs` digests.  Only a model
+    #: whose parameters never change again may hold one.
+    trunk_cache = None
+
     def __init__(self, dim: int = 64, num_layers: int = 3, pe_kind: str = "dspd",
                  pe_hidden: int = 8, mpnn: str = "gatedgcn", attention: str = "transformer",
                  num_heads: int = 4, dropout: float = 0.1, stats_dim: int = 13, rng=None):
@@ -93,18 +99,47 @@ class CircuitGPS(Module):
 
         In eval mode the trunk runs once per distinct subgraph of the batch
         (:meth:`~repro.graph.batch.SubgraphBatch.distinct`, computed once per
-        batch and shared by every model that reads it), and one row gather
-        expands the embeddings back to every node of the batch.  Each row's
-        result then depends only on its own subgraph, so the output equals a
-        full-batch trunk up to float rounding.  In train mode BatchNorm
-        statistics and dropout couple the rows, so the whole batch runs
-        through the trunk; so does an eval batch without repeats.
+        batch and shared by every model that reads it), and only for the
+        subgraphs that ``trunk_cache`` does not hold; one row gather expands
+        the embeddings back to every node of the batch.  The trunk is
+        batch-invariant (each subgraph's attention is padded by its own size,
+        :func:`repro.nn.functional.padded_length`), so a subgraph's rows are
+        bit-identical whether they were computed alone, in this batch or
+        read from the cache.  ``trunk_cache`` is ``None`` unless a serving
+        engine attaches one to its private snapshot
+        (:class:`repro.core.serve.AnnotationEngine`); a model without one
+        misses every lookup.  In train mode BatchNorm statistics and dropout
+        couple the rows, so the whole batch runs through the trunk.
         """
-        if not self.training:
-            distinct = batch.distinct()
-            if distinct.batch is not None:
-                return self._trunk(distinct.batch).gather_rows(distinct.node_index)
-        return self._trunk(batch)
+        if self.training:
+            return self._trunk(batch)
+        distinct = batch.distinct()
+        representatives, cache = distinct.batch, self.trunk_cache
+        found = [None if cache is None else cache.get(key) for key in distinct.keys]
+        missing = [group for group, rows in enumerate(found) if rows is None]
+        hits = [group for group, rows in enumerate(found) if rows is not None]
+        sizes = np.diff(representatives.node_offsets)
+        parts = []
+        if missing or not hits:  # an empty batch runs the (empty) trunk too
+            fresh = self._trunk(representatives.select(missing))
+            if cache is not None:
+                counts = sizes[missing].tolist()
+                for group, stop, count in zip(missing, np.cumsum(counts).tolist(), counts):
+                    rows = fresh.data[stop - count:stop].copy()
+                    rows.setflags(write=False)
+                    cache.put(distinct.keys[group], rows)
+            if not hits and representatives is batch:
+                return fresh  # every subgraph distinct and computed, in order
+            parts.append(fresh)
+        if hits:
+            parts.append(Tensor(np.concatenate([found[group] for group in hits])))
+        # First row of each distinct subgraph in the stacked parts.
+        order = np.asarray(missing + hits, dtype=np.int64)
+        start = np.empty_like(order)
+        start[order] = np.cumsum(sizes[order]) - sizes[order]
+        stacked = parts[0] if len(parts) == 1 else concat(parts, axis=0)
+        return stacked.gather_rows(start[distinct.inverse[batch.batch]]
+                                   + batch.segments().slots)
 
     def _trunk(self, batch: SubgraphBatch) -> Tensor:
         """Encoders and GPS layers over every node row of ``batch``."""

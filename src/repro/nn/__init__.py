@@ -14,7 +14,7 @@ from . import functional
 from .attention import MultiHeadSelfAttention
 from .dtypes import (FLOAT32, FLOAT64, FLOAT_DTYPES, as_float,
                      default_dtype, set_default_dtype, use_dtype)
-from .functional import BucketLayout, SegmentInfo, bucket_layout, segment_info
+from .functional import BucketLayout, SegmentInfo, bucket_layout, padded_length, segment_info
 from .layers import MLP, BatchNorm1d, Dropout, Embedding, Linear, ReLU
 from .losses import bce_with_logits, mse_loss
 from .module import Module, ModuleList, Parameter, Sequential
@@ -44,6 +44,7 @@ __all__ = [
     "segment_info",
     "BucketLayout",
     "bucket_layout",
+    "padded_length",
     "Adam",
     "CosineSchedule",
     "clip_grad_norm",

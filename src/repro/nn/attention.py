@@ -8,16 +8,19 @@ padded ``(graphs, heads, n, n)`` score tensors and masked with a large
 negative bias, so one batched softmax handles many graphs at once.
 
 Padding every graph to the batch's largest one would let a single hub-net
-subgraph set the cost for all of them, so graphs are first grouped by size
-class, the next power of two of their node count
-(:class:`repro.nn.functional.BucketLayout`, computed once per collated batch
-and cached on its :class:`~repro.nn.functional.SegmentInfo`).  Each bucket is
-padded only to its own longest graph and runs the masked softmax on its own;
-one scatter packs all buckets and one gather puts the rows back in their
-original order.  A batch where bucketing would not at least halve the padded
-score volume, or whose volume is small, is one bucket: the plain padded
-computation over the whole batch.  The original per-graph loop survives as a
-parity oracle in the test suite (``tests/oracles/nn_legacy.py``).
+subgraph set the cost for all of them, and would make a graph's result
+depend on its batch mates: the score GEMM rounds each element according to
+the padded length.  So every graph is padded to a length that depends on
+its own node count alone, a ladder of powers of two with a three-quarter
+step (:func:`repro.nn.functional.padded_length`), and graphs of one padded
+length form a bucket (:class:`repro.nn.functional.BucketLayout`, computed
+once per collated batch and cached on its
+:class:`~repro.nn.functional.SegmentInfo`).  Each bucket runs the masked
+softmax on its own; one scatter packs all buckets and one gather puts the
+rows back in their original order.  A graph's output rows are therefore
+bit-identical whatever batch it is forwarded in.  The original per-graph
+loop survives as a parity oracle in the test suite
+(``tests/oracles/nn_legacy.py``).
 """
 
 from __future__ import annotations
@@ -93,22 +96,22 @@ class MultiHeadSelfAttention(Module):
         packed = [t.scatter_add(layout.flat, layout.num_slots, unique=True)
                   for t in (q * scale, k, v)]
         mixed = []
-        for bucket, start in zip(layout.buckets, layout.offsets):
-            stop = start + bucket.num_segments * bucket.max_count
+        for mask, start in zip(layout.masks, layout.offsets):
+            stop = start + mask.size
             # A single bucket spans the whole slot axis: no slice needed.
-            parts = packed if stop - start == layout.num_slots else [t[start:stop] for t in packed]
-            mixed.append(self._attend(*parts, bucket))
+            parts = packed if mask.size == layout.num_slots else [t[start:stop] for t in packed]
+            mixed.append(self._attend(*parts, mask))
         merged = mixed[0] if len(mixed) == 1 else concat(mixed, axis=0)
         restored = merged.gather_rows(layout.flat, unique=True)
         return self.drop(self.out_proj(restored))
 
-    def _attend(self, q: Tensor, k: Tensor, v: Tensor, seg) -> Tensor:
+    def _attend(self, q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray) -> Tensor:
         """Masked softmax attention over one bucket's padded slot rows.
 
-        ``q``/``k``/``v`` hold ``seg.num_segments * seg.max_count`` rows laid
-        out as ``seg``'s padded view; the result has the same layout.
+        ``q``/``k``/``v`` hold ``mask.size`` rows laid out as ``mask.shape``
+        (graphs, padded length); the result has the same layout.
         """
-        num_graphs, length = seg.num_segments, seg.max_count
+        num_graphs, length = mask.shape
         heads, head_dim = self.num_heads, self.head_dim
 
         def split_heads(t: Tensor) -> Tensor:
@@ -118,7 +121,7 @@ class MultiHeadSelfAttention(Module):
         # Mask padded *key* slots everywhere; padded query rows degrade to a
         # finite uniform attention and are never gathered back.
         scalar = scores.dtype.type
-        bias = np.where(seg.mask, scalar(0.0), scalar(MASK_BIAS))[:, None, None, :]
+        bias = np.where(mask, scalar(0.0), scalar(MASK_BIAS))[:, None, None, :]
         if on_tape(scores):
             attn = (scores + Tensor(bias)).softmax(axis=-1)
         else:

@@ -42,6 +42,7 @@ __all__ = [
     "segment_info",
     "BucketLayout",
     "bucket_layout",
+    "padded_length",
     "segment_sum",
     "segment_mean",
     "segment_max",
@@ -159,70 +160,68 @@ def segment_info(index) -> SegmentInfo:
                        max_count=max_count, flat=flat, mask=mask)
 
 
-# Bucketing must at least halve a batch's padded volume S * L**2, and the batch
-# must be big enough (padded volume) for that saving to beat the extra ops of
-# each bucket; otherwise the whole batch stays one padded bucket.
-BUCKET_MIN_GAIN = 2
-BUCKET_MIN_VOLUME = 16384
+def padded_length(counts) -> np.ndarray:
+    """The padded attention length of segments of ``counts`` (>= 1) rows.
+
+    The smallest rung at or above each count on a fixed ladder of powers of
+    two with a three-quarter step in between: 1, 2, 3, 4, 6, 8, 12, 16, 24,
+    32, 48, ...  It depends on the count alone, never on the other segments
+    of a batch, so a segment is padded the same way wherever it is batched.
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    # ceil(log2(count)) is exact because log2 of a power of two is exact.
+    power = np.left_shift(1, np.ceil(np.log2(counts)).astype(np.int64))
+    step = 3 * power // 4
+    return np.where(counts <= step, step, power)
 
 
 @dataclass(frozen=True)
 class BucketLayout:
     """Size-class bucketing of a :class:`SegmentInfo` for padded attention.
 
-    Segments are grouped by the next power of two of their row count, and
-    each group (bucket) is padded only to its own longest segment rather than
-    to the longest segment of the batch.  The buckets' padded blocks lie end
-    to end on one slot axis: bucket ``b`` owns slots ``offsets[b]`` to
-    ``offsets[b] + buckets[b].num_segments * buckets[b].max_count``, laid out
-    as ``buckets[b]``'s ``(S_b, L_b)`` padded view.  ``flat`` places every
-    row, in original order, on that axis, so one unique-index scatter packs
-    all buckets and one gather with the same indices restores the original
-    row order.  A single-bucket layout is the plain padded layout of the
-    batch (``buckets[0] is seg`` and ``flat is seg.flat``).
+    Every segment is padded to :func:`padded_length` of its own row count,
+    and segments of one padded length form a bucket.  The buckets' padded
+    blocks lie end to end on one slot axis, in ascending length: bucket
+    ``b``'s ``(S_b, L_b)`` block ``masks[b]`` marks the slots holding a
+    row, and it owns slots ``offsets[b]`` to ``offsets[b] + S_b * L_b``,
+    laid out as ``S_b`` segments of ``L_b`` slots each, in segment order.  ``flat`` places every row, in original order, on
+    that axis, so one unique-index scatter packs all buckets and one gather
+    with the same indices restores the original row order.
+
+    Because a segment's padded length and mask do not depend on the rest of
+    the batch, neither does the attention computed over it: a subgraph's
+    output rows are bit-identical whatever batch it is forwarded in.
     """
 
-    buckets: tuple[SegmentInfo, ...]   # per size class, over that class's rows
+    masks: tuple[np.ndarray, ...]      # (S_b, L_b) bool, True where a slot holds a row
     offsets: tuple[int, ...]           # first slot of each bucket's block
     flat: np.ndarray                   # (N,) slot of each row on the joint axis
     num_slots: int                     # sum of S_b * L_b
 
 
 def bucket_layout(index) -> BucketLayout:
-    """Group a batch's segments into power-of-two size classes.
+    """Group a batch's segments by their :func:`padded_length`.
 
     Attention reads it through :attr:`SegmentInfo.buckets`, which caches it
-    per layout, so it is computed once per collated batch.  Returns a single
-    bucket (the batch's own padded layout) when bucketing would not cut the
-    padded score volume ``S * L**2`` by at least ``BUCKET_MIN_GAIN`` or when
-    that volume is below ``BUCKET_MIN_VOLUME``.
+    per layout, so it is computed once per collated batch.
     """
     seg = segment_info(index)
-    single = BucketLayout(buckets=(seg,), offsets=(0,), flat=seg.flat,
-                          num_slots=seg.num_segments * seg.max_count)
-    if seg.num_segments * seg.max_count ** 2 < BUCKET_MIN_VOLUME:
-        return single
-    # Class ceil(log2(count)); exact because log2 of a power of two is exact.
-    classes = np.ceil(np.log2(seg.counts)).astype(np.int64)
-    _, bucket_of, members = np.unique(classes, return_inverse=True, return_counts=True)
+    lengths = padded_length(seg.counts)
+    classes, bucket_of, members = np.unique(lengths, return_inverse=True, return_counts=True)
     bucket_of = bucket_of.reshape(-1)
-    longest = np.zeros(members.shape[0], dtype=np.int64)
-    np.maximum.at(longest, bucket_of, seg.counts)
-    volume = int(np.sum(members * longest ** 2))
-    if volume * BUCKET_MIN_GAIN > seg.num_segments * seg.max_count ** 2:
-        return single
-    row_bucket = bucket_of[seg.index]
-    flat = np.empty_like(seg.flat)
-    buckets, offsets, start = [], [], 0
-    for bucket in range(members.shape[0]):
-        rows = np.flatnonzero(row_bucket == bucket)
-        sub = segment_info(seg.index[rows])
-        flat[rows] = start + sub.flat
-        buckets.append(sub)
-        offsets.append(start)
-        start += sub.num_segments * sub.max_count
-    return BucketLayout(buckets=tuple(buckets), offsets=tuple(offsets),
-                        flat=flat, num_slots=start)
+    # Segments grouped by bucket, in segment order within each bucket.
+    order = np.argsort(bucket_of, kind="stable")
+    first = np.cumsum(members) - members
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.shape[0]) - np.repeat(first, members)
+    sizes = members * classes
+    offsets = np.cumsum(sizes) - sizes
+    flat = (offsets[bucket_of] + rank * lengths)[seg.index] + seg.slots
+    masks = tuple(np.arange(length) < seg.counts[order[start:start + count], None]
+                  for length, start, count in zip(classes.tolist(), first.tolist(),
+                                                  members.tolist()))
+    return BucketLayout(masks=masks, offsets=tuple(offsets.tolist()), flat=flat,
+                        num_slots=int(sizes.sum()))
 
 
 def _segment_args(index, num_segments: int | None) -> tuple[np.ndarray, int]:

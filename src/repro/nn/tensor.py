@@ -40,6 +40,8 @@ default, float32 everywhere when serving under ``use_dtype(np.float32)``.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
 from . import kernels
@@ -134,6 +136,22 @@ class Tensor:
         self._parents = tuple(_parents) if self.requires_grad else ()
         self._backward = None
         self._op = _op
+
+    def __deepcopy__(self, memo) -> "Tensor":
+        """A deep copy, slot by slot.
+
+        Equal to the generic ``copy.deepcopy``, without the slot-state
+        reduce protocol that made it most of a whole model's deep copy (a
+        serving engine copies both of its models when it is built).
+        """
+        clone = object.__new__(type(self))
+        memo[id(self)] = clone
+        for name in Tensor.__slots__:
+            setattr(clone, name, copy.deepcopy(getattr(self, name), memo))
+        extra = getattr(self, "__dict__", None)  # a subclass's own attributes
+        if extra:
+            clone.__dict__.update(copy.deepcopy(extra, memo))
+        return clone
 
     # ------------------------------------------------------------------ #
     # Basic introspection
@@ -541,11 +559,10 @@ class Tensor:
         elif len(axes) == 1 and isinstance(axes[0], (tuple, list)):
             axes = tuple(axes[0])
         out_data = self.data.transpose(axes)
-        inverse = np.argsort(axes)
 
         def backward(grad):
             if self.requires_grad:
-                self._accumulate(grad.transpose(inverse))
+                self._accumulate(grad.transpose(np.argsort(axes)))
 
         return self._make(out_data, (self,), backward, "transpose")
 

@@ -221,7 +221,7 @@ class TestEdgeCases:
         batch = collate(samples[:10])
         distinct = batch.distinct()
         assert distinct.count == batch.num_graphs
-        assert distinct.batch is None and distinct.node_index is None
+        assert distinct.batch is batch
         model = make_model().eval()
         trunk_rows = []
         trunk = CircuitGPS._trunk
@@ -257,11 +257,8 @@ class TestEdgeCases:
                      "pe", "node_stats", "labels", "targets", "link_types"):
             np.testing.assert_array_equal(getattr(distinct.batch, name),
                                           getattr(expected, name))
-        sizes = [s.num_nodes for s in picked]
-        offsets = np.cumsum([0] + [s.num_nodes for s in samples[:2]])
-        expected_index = np.concatenate([offsets[g] + np.arange(n) for g, n in
-                                         zip([0, 1, 0, 2, 1], sizes)])
-        np.testing.assert_array_equal(distinct.node_index, expected_index)
+        np.testing.assert_array_equal(distinct.inverse, [0, 1, 0, 2, 1])
+        assert len(set(distinct.keys)) == distinct.count == 3
 
 
 class TestCaching:
@@ -287,5 +284,5 @@ class TestCaching:
         assert "_distinct_cache" not in clone.__dict__
         assert "_segments_cache" not in clone.__dict__
         again = clone.distinct()
-        assert again.count == first.count
-        np.testing.assert_array_equal(again.node_index, first.node_index)
+        assert again.keys == first.keys
+        np.testing.assert_array_equal(again.inverse, first.inverse)

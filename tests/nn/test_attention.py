@@ -257,7 +257,7 @@ class TestLoopParity:
 # --------------------------------------------------------------------------- #
 def padded_attention(module: MultiHeadSelfAttention, x: Tensor, batch) -> Tensor:
     """Every segment padded to the batch's longest one: the kernel before
-    size-class bucketing, kept as the one-bucket reference."""
+    size-class bucketing, kept as a reference."""
     seg = segment_info(batch)
     q, k, v = module.q_proj(x), module.k_proj(x), module.v_proj(x)
     if seg.num_rows == 0:
@@ -315,21 +315,13 @@ def _forward(module, x, batch):
     return module(x, batch)
 
 
-def _one_bucket(module, x, batch):
-    F.BUCKET_MIN_VOLUME, saved = float("inf"), F.BUCKET_MIN_VOLUME
-    try:
-        return module(x, segment_info(batch))
-    finally:
-        F.BUCKET_MIN_VOLUME = saved
-
-
 class TestBucketedAttention:
     """Size-class bucketing must not change what attention computes."""
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("reference,name", [
         pytest.param(reference, name, id=f"{label}-{name}")
-        for label, reference in (("loop", loop_multihead_attention), ("one_bucket", _one_bucket))
+        for label, reference in (("loop", loop_multihead_attention), ("padded", padded_attention))
         for name in sorted(BUCKET_BATCHES)
         if not (name == "empty" and label == "loop")  # the loop oracle needs a graph
     ])
@@ -350,10 +342,12 @@ class TestBucketedAttention:
     def test_mixed_batches_really_bucket(self):
         for name in ("mixed", "interleaved_non_contiguous"):
             layout = segment_info(BUCKET_BATCHES[name]).buckets
-            assert len(layout.buckets) > 1, name
+            assert len(layout.masks) > 1, name
             assert layout.num_slots < 0.5 * 61 * 54  # far below S * L padded rows
-        for name in ("single_segment", "empty"):
-            assert len(segment_info(BUCKET_BATCHES[name]).buckets.buckets) == 1
+        (mask,) = segment_info(BUCKET_BATCHES["single_segment"]).buckets.masks
+        assert mask.shape == (1, 64)  # 54 rows pad to the 64 rung
+        empty = segment_info(BUCKET_BATCHES["empty"]).buckets
+        assert empty.masks == () and empty.num_slots == 0
 
     def test_layout_places_every_row_once(self):
         batch = BUCKET_BATCHES["interleaved_non_contiguous"]
@@ -361,29 +355,54 @@ class TestBucketedAttention:
         layout = seg.buckets
         assert np.unique(layout.flat).shape[0] == batch.shape[0]
         assert layout.flat.max() < layout.num_slots
-        for bucket, start in zip(layout.buckets, layout.offsets):
-            # Each bucket holds one size class: lengths within a power of two.
-            classes = np.ceil(np.log2(bucket.counts))
-            assert classes.min() == classes.max()
-            slots = np.arange(start, start + bucket.num_segments * bucket.max_count)
-            rows = np.flatnonzero(np.isin(layout.flat, slots))
-            # All rows of a bucket segment come from one original segment.
-            for local in range(bucket.num_segments):
-                owners = seg.index[rows[bucket.index == local]]
+        lengths = [mask.shape[1] for mask in layout.masks]
+        assert lengths == sorted(set(lengths))
+        for length, mask, start in zip(lengths, layout.masks, layout.offsets):
+            for local, valid in enumerate(mask):
+                slots = start + local * length + np.arange(length)
+                rows = np.flatnonzero(np.isin(layout.flat, slots))
+                # A padded segment holds exactly the rows of one original
+                # segment, in the slots its mask marks.
+                owners = seg.index[rows]
                 assert np.unique(owners).shape[0] == 1
+                assert rows.shape[0] == valid.sum() == seg.counts[owners[0]]
+                assert F.padded_length(rows.shape[0]) == length
+                np.testing.assert_array_equal(np.sort(layout.flat[rows]) - slots[0],
+                                              np.flatnonzero(valid))
 
     def test_layout_is_computed_once_per_segment_info(self):
         seg = segment_info(BUCKET_BATCHES["mixed"])
         assert seg.buckets is seg.buckets
 
-    @pytest.mark.parametrize("batch", [
-        np.repeat(np.arange(4), [3, 5, 9, 40]),         # padded volume too small
-        np.repeat(np.arange(61), [30] * 60 + [33]),     # bucketing would not halve it
-    ], ids=["tiny", "no_halving"])
-    def test_one_bucket_rule_is_the_padded_kernel(self, batch):
+    def test_padded_length_ladder(self):
+        counts = np.arange(1, 50)
+        ladder = F.padded_length(counts)
+        rungs = [1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64]
+        want = [min(rung for rung in rungs if rung >= count) for count in counts]
+        np.testing.assert_array_equal(ladder, want)
+        # Rows fill more than two thirds of every rung.
+        assert np.all(counts / ladder > 0.66)
+
+    @pytest.mark.parametrize("count", [2, 5, 7, 9, 54])
+    def test_padded_length_is_a_function_of_the_own_count(self, count):
+        """A segment pads to the same length alone and among any batch mates."""
+        for others in ([], [3], [54, 2], list(range(1, 40))):
+            sizes = [count] + others
+            layout = segment_info(np.repeat(np.arange(len(sizes)), sizes)).buckets
+            slot = layout.flat[0]  # the segment's first row
+            bucket = int(np.searchsorted(layout.offsets, slot, side="right")) - 1
+            length = layout.masks[bucket].shape[1]
+            assert length == F.padded_length(count)
+            assert (slot - layout.offsets[bucket]) % length == 0
+
+    def test_one_rung_batch_is_the_padded_kernel(self):
+        """Segments that all fill one rung exactly are one bucket, and it is
+        the plain padded kernel byte for byte."""
+        batch = np.repeat(np.arange(6), 12)
         seg = segment_info(batch)
-        (bucket,) = seg.buckets.buckets
-        assert bucket is seg and seg.buckets.flat is seg.flat
+        (mask,) = seg.buckets.masks
+        assert mask.all() and mask.shape == (6, 12)
+        np.testing.assert_array_equal(seg.buckets.flat, seg.flat)
         module = MultiHeadSelfAttention(16, num_heads=4, rng=0)
         module.eval()
         x = Tensor(np.random.default_rng(14).normal(size=(batch.shape[0], 16)))

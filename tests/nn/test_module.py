@@ -147,3 +147,35 @@ class TestCast:
         for param in target.parameters():
             assert param.data.dtype == np.float32
         assert target.scale.dtype == np.float32
+
+
+class TestDeepCopy:
+    """``Module`` and ``Tensor`` copy themselves without the reduce
+    protocol; the result must be what the generic deep copy gives."""
+
+    def test_copy_is_independent_and_shares_nothing(self):
+        import copy
+
+        model = Sequential(_ToyModel(), ModuleList([Linear(2, 2, rng=1)]))
+        model.eval()
+        first = model._items[0]
+        first.scale.grad = np.full(1, 3.0)
+        first.scale.note = ["kept"]  # a subclass's own attribute
+        clone = copy.deepcopy(model)
+        assert type(clone) is Sequential and not clone.training
+        for (name, param), (clone_name, twin) in zip(model.named_parameters(),
+                                                     clone.named_parameters()):
+            assert name == clone_name and type(twin) is type(param)
+            assert twin is not param and twin.data is not param.data
+            np.testing.assert_array_equal(twin.data, param.data)
+            assert twin.requires_grad == param.requires_grad
+        twin_scale = clone._items[0].scale
+        np.testing.assert_array_equal(twin_scale.grad, [3.0])
+        assert twin_scale.note == ["kept"] and twin_scale.note is not first.scale.note
+        # Every path to a child reaches the same copy.
+        assert clone._items[0] is clone._modules["0"]
+        assert clone._items[1]._items[0] is clone._items[1]._modules["0"]
+        assert clone._items[0].first is clone._items[0]._modules["first"]
+        assert clone._items[0].first.weight is clone._items[0].first._parameters["weight"]
+        x = Tensor(np.random.default_rng(0).normal(size=(3, 4)))
+        np.testing.assert_array_equal(clone._items[0](x).data, first(x).data)
