@@ -10,8 +10,9 @@ and its own round-trip latency in series).
 Both modes are driven by ``benchmarks/serve_loadgen.py`` — an external
 stdlib-only load-generator *process* — so the client never shares the GIL
 with the daemon's event loop and compute thread, and the sequential
-baseline (``concurrency=1`` against a zero-window daemon) uses exactly the
-same transport as the concurrent measurement.
+baseline (``concurrency=1``, so each batch holds one request's links) uses
+exactly the same transport and daemon configuration as the concurrent
+measurement.
 
 Three guarantees are asserted together, so the speedup cannot come from
 computing something different:
@@ -53,7 +54,6 @@ LOADGEN = pathlib.Path(__file__).parent / "serve_loadgen.py"
 MIN_SPEEDUP = 2.0
 NUM_REQUESTS = 40
 PAIRS_PER_REQUEST = 4
-WINDOW_MS = 2.0
 ROUNDS = 7  # alternated sequential/concurrent rounds; the gate is their median ratio
 
 
@@ -123,14 +123,13 @@ def test_cross_request_batching_at_least_2x_sequential(tmp_path):
     request_file = tmp_path / "requests.json"
     request_file.write_text(json.dumps(requests))
 
-    # Sequential baseline: window 0 (no coalescing), one request in flight.
-    # Concurrent: latency-budget window, every request in flight.
-    sequential_config = ServerConfig(port=0, batch_window_ms=0.0)
-    concurrent_config = ServerConfig(port=0, batch_window_ms=WINDOW_MS,
-                                     max_batch=256)
+    # Two daemons of one configuration.  Sequential: one request in flight,
+    # so nothing coalesces.  Concurrent: every request in flight, so links
+    # that arrive while a batch computes share the next one.
+    config = ServerConfig(port=0)
     rounds = []
-    with ThreadedServer(engine, sequential_config) as sequential_server, \
-            ThreadedServer(engine, concurrent_config) as concurrent_server:
+    with ThreadedServer(engine, config) as sequential_server, \
+            ThreadedServer(engine, config) as concurrent_server:
         for index in range(ROUNDS):
             sides = [("sequential", sequential_server, 1),
                      ("concurrent", concurrent_server, NUM_REQUESTS)]

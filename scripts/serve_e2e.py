@@ -40,6 +40,7 @@ from repro.utils import seed_all  # noqa: E402
 
 STARTUP_TIMEOUT_S = 60.0
 SHUTDOWN_TIMEOUT_S = 30.0
+DRAIN_DESIGNS = 16
 
 
 def log(message: str) -> None:
@@ -156,31 +157,46 @@ def check_graceful_drain(process: subprocess.Popen, url: str,
     """SIGTERM with requests in flight: they finish, then the daemon exits."""
     client = ServeClient(url, timeout=60.0)
     spice = netlist.read_text()
-    request = {"spice": spice, "name": "E2E_MACRO", "max_candidates": 10,
+    # Multi-design bodies: each request parses and scores DRAIN_DESIGNS
+    # netlists, long enough that work is still running when SIGTERM lands.
+    request = {"designs": [{"spice": spice, "name": f"DRAIN_{index}",
+                            "max_candidates": 10}
+                           for index in range(DRAIN_DESIGNS)],
                "seed": 9}
+
+    def annotate(body: dict) -> tuple[bytes, float]:
+        raw = client.annotate_raw(body)
+        return raw, time.monotonic()
+
     with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
-        futures = [pool.submit(client.annotate_raw, dict(request))
-                   for _ in range(4)]
-        # The long batch window keeps these requests pending; catch the
-        # daemon with work genuinely in flight.
+        futures = [pool.submit(annotate, dict(request)) for _ in range(4)]
+        # Catch the daemon with every request genuinely in flight.
         deadline = time.monotonic() + 10.0
         while time.monotonic() < deadline:
-            if client.metrics()["in_flight"] >= 1:
+            if client.metrics()["in_flight"] >= len(futures):
                 break
             time.sleep(0.01)
         else:
-            raise RuntimeError("never observed an in-flight request")
+            raise RuntimeError("never observed all 4 requests in flight")
+        signalled = time.monotonic()
         process.send_signal(signal.SIGTERM)
-        raws = [future.result(timeout=SHUTDOWN_TIMEOUT_S)
-                for future in futures]
+        results = [future.result(timeout=SHUTDOWN_TIMEOUT_S)
+                   for future in futures]
+    raws = [raw for raw, _ in results]
     for raw in raws:
         payload = json.loads(raw)
-        assert payload["status"] == "ok", payload
+        assert len(payload["reports"]) == DRAIN_DESIGNS, payload
+        for report in payload["reports"]:
+            assert report["status"] == "ok", report
     assert raws.count(raws[0]) == len(raws)
+    finished_after = sum(finished > signalled for _, finished in results)
+    assert finished_after >= 1, (
+        "every response finished before SIGTERM: the drain had nothing to do")
     process.wait(timeout=SHUTDOWN_TIMEOUT_S)
     assert process.returncode == 0, (
         f"daemon exited {process.returncode} after graceful drain")
-    log("graceful SIGTERM drain ok (4 in-flight requests completed)")
+    log(f"graceful SIGTERM drain ok (4 in-flight requests completed, "
+        f"{finished_after} after the signal)")
 
 
 def main() -> int:
@@ -200,8 +216,8 @@ def main() -> int:
                 assert rc == 0, f"daemon exited {rc} on idle SIGTERM"
         log("idle SIGTERM shutdown ok")
 
-        # A fresh daemon with a long batch window for the drain scenario.
-        process, url = start_daemon(checkpoint, "--batch-window-ms", "300")
+        # A fresh daemon for the drain scenario.
+        process, url = start_daemon(checkpoint)
         log(f"drain-test daemon up at {url} (pid {process.pid})")
         try:
             check_graceful_drain(process, url, netlist)

@@ -48,6 +48,7 @@ from ..utils.serialization import CheckpointError, load_json, save_json
 from .config import ExperimentConfig
 from .pipeline import CircuitGPSPipeline
 from .serve import DEFAULT_MAX_CANDIDATES
+from .server import ServerConfig
 
 __all__ = ["build_parser", "main"]
 
@@ -177,27 +178,27 @@ def build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser(
         "serve", help="run the persistent annotation service for an artifact")
     serve.add_argument("checkpoint", help="artifact path (directory or .npz)")
-    serve.add_argument("--host", default="127.0.0.1",
-                       help="bind address (default: 127.0.0.1)")
-    serve.add_argument("--port", type=int, default=8731,
-                       help="bind port; 0 picks a free one (default: 8731)")
+    serve_defaults = ServerConfig()
+    serve.add_argument("--host", default=serve_defaults.host,
+                       help=f"bind address (default: {serve_defaults.host})")
+    serve.add_argument("--port", type=int, default=serve_defaults.port,
+                       help="bind port; 0 picks a free one "
+                            f"(default: {serve_defaults.port})")
     serve.add_argument("--precision", default="float64",
                        choices=("float64", "float32"),
                        help="serving precision (default: float64)")
-    serve.add_argument("--batch-window-ms", type=float, default=10.0,
-                       help="micro-batch latency budget: flush when the oldest "
-                            "pending link has waited this long (default: 10)")
-    serve.add_argument("--max-batch", type=int, default=256,
-                       help="flush a shared batch at this many pending links "
-                            "(default: 256)")
+    serve.add_argument("--max-batch", type=int, default=serve_defaults.max_batch,
+                       help="at most this many pending links share one batch "
+                            f"(default: {serve_defaults.max_batch})")
     serve.add_argument("--batch-size", type=int, default=256,
                        help="engine chunk size for grouping-sensitive "
                             "extraction (default: 256)")
     serve.add_argument("--threshold", type=float, default=0.5,
                        help="coupling probability threshold (default: 0.5)")
-    serve.add_argument("--request-timeout", type=float, default=60.0,
+    serve.add_argument("--request-timeout", type=float,
+                       default=serve_defaults.request_timeout_s,
                        help="per-request wall-clock budget in seconds before "
-                            "a 504 (default: 60)")
+                            f"a 504 (default: {serve_defaults.request_timeout_s:g})")
 
     evaluate = sub.add_parser("evaluate",
                               help="zero-shot metrics of a saved artifact on test designs")
@@ -581,7 +582,7 @@ def cmd_reannotate(args) -> int:
 def cmd_serve(args) -> int:
     """``serve``: run the persistent annotation daemon for one artifact."""
     from .serve import AnnotationEngine
-    from .server import ServerConfig, run_server
+    from .server import run_server
 
     pipeline = CircuitGPSPipeline.from_checkpoint(args.checkpoint)
     engine = AnnotationEngine(pipeline, batch_size=args.batch_size,
@@ -589,7 +590,6 @@ def cmd_serve(args) -> int:
                               precision=args.precision)
     config = ServerConfig(host=args.host, port=args.port,
                           max_batch=args.max_batch,
-                          batch_window_ms=args.batch_window_ms,
                           request_timeout_s=args.request_timeout)
     run_server(engine, config,
                announce=lambda url: print(f"listening on {url}", flush=True))

@@ -5,12 +5,11 @@ into a long-lived, stdlib-only (``asyncio`` + sockets) JSON-over-HTTP
 service that keeps the loaded pipeline resident and **coalesces the forward
 passes of different in-flight requests into shared inference batches**:
 
-* :mod:`~repro.core.server.batcher` — the cross-request micro-batcher: a
-  pure flush-policy state machine (:class:`MicroBatcherCore`, fully testable
-  against a simulated clock) driven by an asyncio wrapper
-  (:class:`MicroBatcher`) that flushes on ``max_batch`` or the latency
-  budget ``batch_window_ms``, whichever comes first, and demultiplexes
-  per-item results back to their requests.
+* :mod:`~repro.core.server.batcher` — the cross-request micro-batcher
+  (:class:`MicroBatcher`): work-conserving, it starts a batch of up to
+  ``max_batch`` pending links as soon as the compute worker is free, so
+  links that arrive while a batch computes share the next one, and
+  demultiplexes per-item results back to their requests.
 * :mod:`~repro.core.server.app` — the HTTP daemon
   (:class:`AnnotationServer`): ``POST /annotate`` (single-shot or streamed
   NDJSON per design), ``GET /healthz``, ``GET /metrics``, per-request
@@ -35,7 +34,7 @@ protocol contracts.
 """
 
 from .app import AnnotationServer, ServerConfig, ThreadedServer, run_server
-from .batcher import MicroBatcher, MicroBatcherCore
+from .batcher import MicroBatcher
 from .client import ServeClient, ServeError
 from .metrics import ServerMetrics
 from .wire import WIRE_FLOAT_DIGITS, canonical, dumps_canonical, error_payload
@@ -43,7 +42,6 @@ from .wire import WIRE_FLOAT_DIGITS, canonical, dumps_canonical, error_payload
 __all__ = [
     "AnnotationServer",
     "MicroBatcher",
-    "MicroBatcherCore",
     "ServeClient",
     "ServeError",
     "ServerConfig",

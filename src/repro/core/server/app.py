@@ -67,14 +67,17 @@ _REASONS = {
 
 @dataclass
 class ServerConfig:
-    """Tunables of one daemon instance (CLI flags map 1:1 onto these)."""
+    """Tunables of one daemon instance.
+
+    ``repro serve`` exposes ``host``, ``port``, ``max_batch`` and
+    ``request_timeout_s`` as ``--host``, ``--port``, ``--max-batch`` and
+    ``--request-timeout``, with these defaults; the other fields have no flag.
+    """
 
     host: str = "127.0.0.1"
     port: int = 8731
-    #: Flush a shared batch at this many pending links ...
+    #: At most this many pending links make one shared batch.
     max_batch: int = 256
-    #: ... or when the oldest pending link has waited this long (ms).
-    batch_window_ms: float = 10.0
     #: Wall-clock budget for one /annotate request before a 504.
     request_timeout_s: float = 60.0
     #: How long drain() waits for in-flight requests at shutdown.
@@ -119,7 +122,6 @@ class AnnotationServer:
         self._batcher = MicroBatcher(
             self._run_batch,
             max_batch=self.config.max_batch,
-            window_s=self.config.batch_window_ms / 1000.0,
             executor=self._executor,
             max_queue=self.config.max_queue,
             metrics=self.metrics,
@@ -242,7 +244,7 @@ class AnnotationServer:
             links = self.engine.links_for_pairs(graph, pairs)
             link_request = self.engine.request_dataset(graph, links, seed=seed)
             # Serial chunks (one hub-subsampling RNG stream each), then one
-            # submit, so the request never waits one batch window per chunk.
+            # submit, so all of the request's links are pending together.
             # Each link is one batcher item: its chunk's block and position.
             samples = []
             for chunk in self.engine.request_chunks(len(links)):
@@ -324,6 +326,9 @@ class AnnotationServer:
             content_length = int(headers.get("content-length", "0") or "0")
         except ValueError:
             raise _HttpError(400, "bad_request", "invalid Content-Length header")
+        if content_length < 0:
+            raise _HttpError(400, "bad_request",
+                             f"negative Content-Length {content_length}")
         if content_length > self.config.max_body_bytes:
             raise _HttpError(
                 413, "payload_too_large",
@@ -348,7 +353,7 @@ class AnnotationServer:
             if method != "GET":
                 raise _HttpError(405, "method_not_allowed", f"{method} {path}")
             await self._send_json(writer, 200, self.metrics.snapshot(
-                queue_depth=self._batcher.core.depth,
+                queue_depth=self._batcher.depth,
                 extra=self._metrics_extra()))
             self.metrics.inc("responses_ok_total")
             return
@@ -367,7 +372,6 @@ class AnnotationServer:
             "task": self.engine.task,
             "mode": self.engine.mode,
             "max_batch": self.config.max_batch,
-            "batch_window_ms": self.config.batch_window_ms,
             "backend": _ENGINE,
         }
 

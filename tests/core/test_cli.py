@@ -14,6 +14,7 @@ import pytest
 import repro.__main__ as entry_point
 from repro.core import cli
 from repro.core.cli import build_parser, main
+from repro.core.server import ServerConfig
 from repro.netlist import ssram, write_spice
 
 
@@ -56,6 +57,14 @@ def test_workers_is_an_annotate_option_only(capsys):
     assert excinfo.value.code == 2
     assert "--workers" in capsys.readouterr().err
     assert build_parser().parse_args(["annotate", "ckpt", "n.sp"]).workers == 0
+
+
+def test_serve_defaults_are_the_server_config_defaults():
+    args = build_parser().parse_args(["serve", "ckpt"])
+    defaults = ServerConfig()
+    assert (args.host, args.port, args.max_batch, args.request_timeout) == (
+        defaults.host, defaults.port, defaults.max_batch,
+        defaults.request_timeout_s)
 
 
 def test_parser_presets_cover_all_configs():

@@ -30,7 +30,7 @@ from repro.netlist import parse_spice
 @pytest.fixture(scope="module")
 def server(server_engine):
     with ThreadedServer(server_engine,
-                        ServerConfig(port=0, batch_window_ms=5.0)) as threaded:
+                        ServerConfig(port=0)) as threaded:
         yield threaded
 
 
@@ -179,7 +179,7 @@ class TestGroupingSensitiveExtraction:
         pairs = default_candidate_pairs(graph, max_candidates=10,
                                         rng=np.random.default_rng(1))
         expected = local_reference(engine, server_spice, "HUB", pairs, seed=4)
-        with ThreadedServer(engine, ServerConfig(port=0, batch_window_ms=2.0)) as srv:
+        with ThreadedServer(engine, ServerConfig(port=0)) as srv:
             raw = ServeClient(srv.url).annotate_raw({
                 "spice": server_spice, "name": "HUB",
                 "pairs": [list(pair) for pair in pairs], "seed": 4})
@@ -188,10 +188,10 @@ class TestGroupingSensitiveExtraction:
 
 class TestOneSubmissionPerRequest:
     def test_multi_chunk_request_is_one_submission(self, tiny_config, server_spice):
-        """A request of several serial chunks waits one batch window, not
-        one window per chunk: all of its subgraphs reach one batch."""
+        """A request of several serial chunks submits once, not once per
+        chunk: all of its subgraphs reach one batch."""
         engine = small_batch_engine(tiny_config)
-        config = ServerConfig(port=0, max_batch=64, batch_window_ms=100.0)
+        config = ServerConfig(port=0, max_batch=64)
         with ThreadedServer(engine, config) as srv:
             client = ServeClient(srv.url, timeout=30.0)
             report = client.annotate(server_spice, name="CHUNKS", max_candidates=12)
@@ -218,7 +218,7 @@ class TestCrossDesignCoalescing:
         local = engine.annotate_many(graphs, max_candidates=6, seed=3)
         expected = dumps_canonical({"reports": [
             annotation_payload(a.design, a.records, a.threshold) for a in local]})
-        config = ServerConfig(port=0, max_batch=64, batch_window_ms=400.0)
+        config = ServerConfig(port=0, max_batch=64)
         with ThreadedServer(engine, config) as srv:
             client = ServeClient(srv.url, timeout=30.0)
             raw = client.annotate_raw({"designs": designs, "seed": 3})
@@ -277,8 +277,7 @@ class TestCliRemote:
 
 class TestTimeouts:
     def test_slow_request_times_out_with_504(self, server_engine, server_spice):
-        config = ServerConfig(port=0, batch_window_ms=0.0,
-                              request_timeout_s=0.001)
+        config = ServerConfig(port=0, request_timeout_s=0.001)
         with ThreadedServer(server_engine, config) as srv:
             client = ServeClient(srv.url, timeout=10.0)
             with pytest.raises(ServeError) as excinfo:

@@ -1,117 +1,186 @@
-"""Micro-batcher contracts: flush policy (property-based) + asyncio wrapper.
+"""Micro-batcher contracts: the work-conserving policy and its plumbing.
 
-The flush policy lives in :class:`MicroBatcherCore`, a pure state machine
-that takes the clock as an argument — so hypothesis can drive it with random
-arrival processes against a *simulated* clock and check the three service
-invariants exactly:
+:class:`MicroBatcher` has no clock: when the worker is free it takes up to
+``max_batch`` of the oldest pending items as one batch.  Hypothesis drives
+it with random submission sizes and arrival interleavings on an inline
+executor (the runner runs synchronously on the event-loop thread, so every
+batch boundary is deterministic) and checks the service invariants exactly:
 
-* no flushed batch ever exceeds ``max_batch``,
-* demultiplexing is exact: items come back FIFO, none lost, none duplicated,
-* no item's flush is initiated later than one latency budget
-  (``window_s``) past its arrival.
+* no batch ever exceeds ``max_batch``, and a batch is short only when it
+  empties the queue (a free worker never leaves work waiting),
+* batches are taken FIFO, none lost, none duplicated,
+* demultiplexing is exact: each submitter gets its own results, in order.
 
-The asyncio wrapper (:class:`MicroBatcher`) is tested with a real event
-loop: size/window flushes, cross-submitter coalescing, per-item fault
-isolation and queue backpressure.
+A gated runner (blocked on a :class:`threading.Event`) pins the timing
+contract on a real executor thread: an item sent to an idle batcher runs
+alone at once, and items sent while it runs form the next batch.  The rest
+covers cross-submitter coalescing, per-item fault isolation, queue
+backpressure and the drain on :meth:`MicroBatcher.stop`.
 """
 
 from __future__ import annotations
 
 import asyncio
+import concurrent.futures
+import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.server import MicroBatcher, MicroBatcherCore, ServerMetrics
+from repro.core.server import MicroBatcher, ServerMetrics
 
 
-# --------------------------------------------------------------------------- #
-# Simulated-clock driver
-# --------------------------------------------------------------------------- #
-def simulate(arrival_gaps, max_batch, window_s):
-    """Run the flush policy over an arrival process on a simulated clock.
-
-    Mirrors the asyncio flush loop: wake on every arrival and on every
-    pending deadline, flush whenever the core says ready.  Returns the list
-    of flushed batches as ``(flush_time, [(payload, arrival), ...])``.
-    """
-    core = MicroBatcherCore(max_batch, window_s)
-    batches = []
-    now = 0.0
-
-    def flush_ready(at):
-        while core.ready(at):
-            batches.append((at, [(item.payload, item.arrival)
-                                 for item in core.take()]))
-
-    for index, gap in enumerate(arrival_gaps):
-        # Any deadline that expires before this arrival fires first.
-        while core.depth:
-            deadline = core.next_deadline()
-            if deadline >= now + gap:
-                break
-            flush_ready(deadline)
-        now += gap
-        core.add(index, now)
-        flush_ready(now)
-    while core.depth:
-        flush_ready(core.next_deadline())
-    return batches
-
-
-arrival_processes = st.lists(
-    st.floats(min_value=0.0, max_value=0.05, allow_nan=False), min_size=1, max_size=60)
-
-
-class TestFlushPolicyProperties:
-    @settings(max_examples=200, deadline=None)
-    @given(gaps=arrival_processes, max_batch=st.integers(1, 8),
-           window_s=st.floats(0.0, 0.05, allow_nan=False))
-    def test_invariants(self, gaps, max_batch, window_s):
-        batches = simulate(gaps, max_batch, window_s)
-        # 1. No batch exceeds max_batch.
-        assert all(len(items) <= max_batch for _, items in batches)
-        # 2. Exact demultiplexing: FIFO, nothing lost, nothing duplicated.
-        flushed = [payload for _, items in batches for payload, _ in items]
-        assert flushed == list(range(len(gaps)))
-        # 3. No item waits more than one latency budget past its arrival.
-        for flush_time, items in batches:
-            for _, arrival in items:
-                assert flush_time <= arrival + window_s + 1e-12
-
-    @settings(max_examples=50, deadline=None)
-    @given(gaps=arrival_processes, max_batch=st.integers(1, 8))
-    def test_zero_window_flushes_immediately(self, gaps, max_batch):
-        # window 0 degenerates to per-arrival flushing: every batch is taken
-        # at the instant its oldest item arrived.
-        for flush_time, items in simulate(gaps, max_batch, 0.0):
-            assert flush_time == items[0][1]
-
-    def test_full_batch_flushes_before_deadline(self):
-        core = MicroBatcherCore(max_batch=2, window_s=10.0)
-        core.add("a", 0.0)
-        assert not core.ready(0.5)
-        core.add("b", 0.5)
-        assert core.ready(0.5)  # size bound hit long before the window
-        assert [item.payload for item in core.take()] == ["a", "b"]
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            MicroBatcherCore(0, 1.0)
-        with pytest.raises(ValueError):
-            MicroBatcherCore(4, -1.0)
-        with pytest.raises(ValueError):
-            MicroBatcher(lambda batch: batch, max_batch=8, max_queue=4)
-
-
-# --------------------------------------------------------------------------- #
-# Asyncio wrapper
-# --------------------------------------------------------------------------- #
 def run(coroutine):
     return asyncio.run(coroutine)
 
 
+class InlineExecutor(concurrent.futures.Executor):
+    """Runs each submitted call at once, on the calling thread."""
+
+    def submit(self, fn, /, *args, **kwargs):
+        future = concurrent.futures.Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except BaseException as exc:  # noqa: BLE001 - handed to the future
+            future.set_exception(exc)
+        return future
+
+
+class GatedRunner:
+    """A runner that records each batch and blocks until ``gate`` opens."""
+
+    def __init__(self):
+        self.gate = threading.Event()
+        self.started = threading.Event()
+        self.batches: list[list] = []
+
+    def __call__(self, batch):
+        self.batches.append(list(batch))
+        self.started.set()
+        assert self.gate.wait(timeout=30.0), "gate never opened"
+        return [payload * 10 for payload in batch]
+
+    async def wait_started(self):
+        while not self.started.is_set():
+            await asyncio.sleep(0.001)
+
+
+# --------------------------------------------------------------------------- #
+# Policy properties
+# --------------------------------------------------------------------------- #
+submissions = st.lists(
+    st.tuples(st.integers(0, 12),   # items in the submission
+              st.integers(0, 3)),   # event-loop turns before submitting
+    min_size=1, max_size=12)
+
+
+class TestPolicyProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(plan=submissions, max_batch=st.integers(1, 8))
+    def test_invariants(self, plan, max_batch):
+        batches = []  # (batch, items still pending when it was taken)
+
+        def runner(batch):
+            batches.append((list(batch), batcher.depth))
+            return [(payload, "result") for payload in batch]
+
+        batcher = MicroBatcher(runner, max_batch=max_batch,
+                               executor=InlineExecutor())
+
+        async def main():
+            submit_order = []
+
+            async def submitter(index, size, delay):
+                for _ in range(delay):
+                    await asyncio.sleep(0)
+                payloads = [(index, position) for position in range(size)]
+                # submit() enqueues without yielding, so this order is the
+                # queue order.
+                submit_order.append(payloads)
+                return await batcher.submit(payloads)
+
+            batcher.start()
+            results = await asyncio.gather(
+                *[submitter(index, size, delay)
+                  for index, (size, delay) in enumerate(plan)])
+            await batcher.stop()
+            return results, submit_order
+
+        results, submit_order = run(main())
+        # 1. No batch exceeds max_batch; a short batch emptied the queue.
+        for batch, left_pending in batches:
+            assert 1 <= len(batch) <= max_batch
+            assert len(batch) == max_batch or left_pending == 0
+        # 2. FIFO: batches concatenate to the queue order, nothing lost or
+        #    duplicated.
+        flushed = [payload for batch, _ in batches for payload in batch]
+        assert flushed == [payload for payloads in submit_order
+                           for payload in payloads]
+        # 3. Exact demultiplexing: each submitter gets its own results.
+        for index, ((size, _), result) in enumerate(zip(plan, results)):
+            assert result == [((index, position), "result")
+                              for position in range(size)]
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="max_batch"):
+            MicroBatcher(lambda batch: batch, max_batch=0)
+        with pytest.raises(ValueError, match="max_queue"):
+            MicroBatcher(lambda batch: batch, max_batch=8, max_queue=4)
+
+
+# --------------------------------------------------------------------------- #
+# Timing contract on a real executor thread
+# --------------------------------------------------------------------------- #
+class TestWorkConserving:
+    def test_idle_item_runs_alone_and_arrivals_form_the_next_batch(self):
+        runner = GatedRunner()
+
+        async def main():
+            batcher = MicroBatcher(runner, max_batch=64)
+            batcher.start()
+            first = asyncio.ensure_future(batcher.submit([1]))
+            await runner.wait_started()  # the idle worker took it at once
+            assert runner.batches == [[1]]
+            second = asyncio.ensure_future(batcher.submit([2, 3]))
+            third = asyncio.ensure_future(batcher.submit([4]))
+            while batcher.depth < 3:
+                await asyncio.sleep(0.001)
+            assert runner.batches == [[1]]  # still computing the first batch
+            runner.gate.set()
+            results = await asyncio.gather(first, second, third)
+            await batcher.stop()
+            return results
+
+        assert run(main()) == [[10], [20, 30], [40]]
+        assert runner.batches == [[1], [2, 3, 4]]
+
+    def test_stop_drains_pending_items(self):
+        runner = GatedRunner()
+
+        async def main():
+            batcher = MicroBatcher(runner, max_batch=64)
+            batcher.start()
+            busy = asyncio.ensure_future(batcher.submit([1]))
+            await runner.wait_started()
+            pending = asyncio.ensure_future(batcher.submit([2, 3, 4]))
+            while batcher.depth < 3:
+                await asyncio.sleep(0.001)
+            stopping = asyncio.ensure_future(batcher.stop())
+            await asyncio.sleep(0.01)
+            assert not pending.done() and not stopping.done()
+            runner.gate.set()
+            await stopping  # drain must run the queued items before stopping
+            assert batcher.depth == 0
+            return await busy, await pending
+
+        assert run(main()) == ([10], [20, 30, 40])
+        assert runner.batches == [[1], [2, 3, 4]]
+
+
+# --------------------------------------------------------------------------- #
+# Asyncio plumbing
+# --------------------------------------------------------------------------- #
 class TestMicroBatcher:
     def test_demultiplexes_across_submitters(self):
         """Concurrent submitters coalesce; each gets exactly its results."""
@@ -122,8 +191,7 @@ class TestMicroBatcher:
             return [payload * 10 for payload in batch]
 
         async def main():
-            batcher = MicroBatcher(runner, max_batch=64, window_s=0.02,
-                                   metrics=ServerMetrics())
+            batcher = MicroBatcher(runner, max_batch=64, metrics=ServerMetrics())
             batcher.start()
             results = await asyncio.gather(
                 batcher.submit([1, 2, 3]),
@@ -135,11 +203,11 @@ class TestMicroBatcher:
 
         results = run(main())
         assert results == [[10, 20, 30], [40, 50], [60]]
-        # All six items coalesced into one shared batch (nobody hit the
-        # window alone: the submitters enqueue in the same loop iteration).
-        assert sorted(len(batch) for batch in seen_batches)[-1] == 6
+        # All six items coalesced into one shared batch: the submitters
+        # enqueue in the same loop iteration, before the flush loop runs.
+        assert seen_batches == [[1, 2, 3, 4, 5, 6]]
 
-    def test_size_flush_happens_before_window(self):
+    def test_one_submission_splits_at_max_batch(self):
         flush_sizes = []
 
         def runner(batch):
@@ -147,9 +215,9 @@ class TestMicroBatcher:
             return list(batch)
 
         async def main():
-            batcher = MicroBatcher(runner, max_batch=4, window_s=60.0)
+            batcher = MicroBatcher(runner, max_batch=4)
             batcher.start()
-            await batcher.submit(list(range(8)))  # would wait 60s otherwise
+            await batcher.submit(list(range(8)))
             await batcher.stop()
 
         run(main())
@@ -165,8 +233,7 @@ class TestMicroBatcher:
 
         async def main():
             metrics = ServerMetrics()
-            batcher = MicroBatcher(runner, max_batch=16, window_s=0.01,
-                                   metrics=metrics)
+            batcher = MicroBatcher(runner, max_batch=16, metrics=metrics)
             batcher.start()
             good, bad = await asyncio.gather(
                 batcher.submit(["a", "b"]),
@@ -189,8 +256,8 @@ class TestMicroBatcher:
             return list(batch)
 
         async def main():
-            batcher = MicroBatcher(runner, max_batch=4, window_s=0.0,
-                                   max_queue=4, metrics=metrics)
+            batcher = MicroBatcher(runner, max_batch=4, max_queue=4,
+                                   metrics=metrics)
             batcher.start()
             results = await asyncio.gather(
                 *[batcher.submit(list(range(i * 10, i * 10 + 5)))
@@ -204,21 +271,6 @@ class TestMicroBatcher:
             sum([list(range(i * 10, i * 10 + 5)) for i in range(6)], []))
         # submit() waited for space instead of growing past the bound.
         assert metrics.max_queue_depth <= 4
-
-    def test_stop_drains_pending_items(self):
-        def runner(batch):
-            return [payload + 1 for payload in batch]
-
-        async def main():
-            batcher = MicroBatcher(runner, max_batch=64, window_s=120.0)
-            batcher.start()
-            pending = asyncio.ensure_future(batcher.submit([1, 2, 3]))
-            await asyncio.sleep(0.01)  # items are queued, window far away
-            assert not pending.done()
-            await batcher.stop()  # drain must flush them without the window
-            return await pending
-
-        assert run(main()) == [2, 3, 4]
 
     def test_submit_requires_running_batcher(self):
         async def main():

@@ -19,6 +19,7 @@ import http.client
 import json
 import logging
 import socket
+import threading
 import time
 
 import numpy as np
@@ -39,8 +40,7 @@ from repro.netlist import parse_spice
 @pytest.fixture()
 def faulty_server(server_engine):
     """A dedicated daemon per test (fault state must not leak)."""
-    config = ServerConfig(port=0, batch_window_ms=40.0, max_batch=64,
-                          max_body_bytes=64 * 1024)
+    config = ServerConfig(port=0, max_batch=64, max_body_bytes=64 * 1024)
     with ThreadedServer(server_engine, config) as threaded:
         yield threaded
 
@@ -89,6 +89,23 @@ class TestProtocolFaults:
         metrics = ServeClient(faulty_server.url).metrics()
         assert metrics["errors_total"]["payload_too_large"] == 1
 
+    def test_negative_content_length_is_a_400(self, faulty_server):
+        connection = http.client.HTTPConnection(faulty_server.server.host,
+                                                faulty_server.server.port,
+                                                timeout=10)
+        connection.putrequest("POST", "/annotate")
+        connection.putheader("Content-Length", "-5")
+        connection.endheaders()
+        response = connection.getresponse()
+        payload = json.loads(response.read())
+        connection.close()
+        assert response.status == 400
+        assert payload["error"]["type"] == "bad_request"
+        assert "Content-Length" in payload["error"]["message"]
+        metrics = ServeClient(faulty_server.url).metrics()
+        assert metrics["errors_total"]["bad_request"] == 1
+        assert "internal_error" not in metrics["errors_total"]
+
 
 class TestMidBatchEngineFault:
     def test_poisoned_design_fails_alone(self, faulty_server, server_engine,
@@ -105,23 +122,35 @@ class TestMidBatchEngineFault:
         original_dataset = server_engine.request_dataset
         original_extract = server_engine.extract_chunk
         # The daemon's batch items are (block, index) pairs; remember the
-        # blocks extracted for the POISON design's requests.
-        poison_datasets, poison_blocks = [], []
+        # blocks extracted for the HOLD and POISON designs' requests.
+        datasets = {"HOLD": [], "POISON": []}
+        blocks = {"HOLD": [], "POISON": []}
+        holding, release = threading.Event(), threading.Event()
+        poison_batches = []  # the size of every batch that carried POISON
 
         def request_dataset(graph, links, seed=0):
             dataset = original_dataset(graph, links, seed=seed)
-            if graph.name == "POISON":
-                poison_datasets.append(dataset)
+            if graph.name in datasets:
+                datasets[graph.name].append(dataset)
             return dataset
 
         def extract_chunk(dataset, indices):
             block = original_extract(dataset, indices)
-            if any(dataset is poisoned_dataset for poisoned_dataset in poison_datasets):
-                poison_blocks.append(block)
+            for name, named in datasets.items():
+                if any(dataset is candidate for candidate in named):
+                    blocks[name].append(block)
             return block
 
+        def carries(samples, name):
+            return any(block is named for block, _ in samples
+                       for named in blocks[name])
+
         def poisoned(samples):
-            if any(block is poison for block, _ in samples for poison in poison_blocks):
+            if carries(samples, "HOLD"):
+                holding.set()
+                assert release.wait(timeout=30), "HOLD batch never released"
+            if carries(samples, "POISON"):
+                poison_batches.append(len(samples))
                 raise RuntimeError("injected mid-batch failure")
             return original(samples)
 
@@ -129,30 +158,50 @@ class TestMidBatchEngineFault:
         monkeypatch.setattr(server_engine, "extract_chunk", extract_chunk)
         monkeypatch.setattr(server_engine, "predict_samples", poisoned)
         client = ServeClient(faulty_server.url)
-        good_request = {"spice": server_spice, "name": "GOOD",
-                        "pairs": [list(pair) for pair in pairs], "seed": 1}
-        poison_request = {"spice": server_spice, "name": "POISON",
-                          "pairs": [list(pair) for pair in pairs], "seed": 1}
-        # The 40 ms window guarantees both requests' links share batches.
-        with concurrent.futures.ThreadPoolExecutor(max_workers=2) as pool:
-            good_future = pool.submit(client.annotate_raw, good_request)
-            poison_future = pool.submit(client.annotate, **{
-                "spice": poison_request["spice"],
-                "name": "POISON", "pairs": pairs, "seed": 1})
-            good_raw = good_future.result(timeout=30)
-            poison_report = poison_future.result(timeout=30)
 
-        assert good_raw.strip() == expected  # batch-mate unaffected, bit-for-bit
-        assert poison_report["status"] == "error"
-        assert poison_report["design"] == "POISON"
-        assert "injected mid-batch failure" in poison_report["error"]["message"]
-        metrics = client.metrics()
-        assert metrics["batch_retries_total"] >= 1
-        assert metrics["errors_total"]["batch_item_error"] >= 1
-        assert metrics["errors_total"]["design_error"] >= 1
-        # The shared engine really was patched back in business afterwards.
-        monkeypatch.undo()
-        assert client.annotate_raw(good_request).strip() == expected
+        def request(name):
+            return {"spice": server_spice, "name": name,
+                    "pairs": [list(pair) for pair in pairs], "seed": 1}
+
+        # Forward batches run on a thread of their own, so extraction goes
+        # on while the HOLD batch keeps the flush loop busy.  GOOD and
+        # POISON both submit meanwhile, so the work-conserving batcher
+        # takes all their links as one batch.
+        with concurrent.futures.ThreadPoolExecutor(max_workers=1) as forward_thread:
+            monkeypatch.setattr(faulty_server.server._batcher, "executor",
+                                forward_thread)
+            with concurrent.futures.ThreadPoolExecutor(max_workers=3) as pool:
+                hold_future = pool.submit(client.annotate_raw, request("HOLD"))
+                assert holding.wait(timeout=30), "HOLD batch never started"
+                good_future = pool.submit(client.annotate_raw, request("GOOD"))
+                poison_future = pool.submit(client.annotate, spice=server_spice,
+                                            name="POISON", pairs=pairs, seed=1)
+                deadline = time.monotonic() + 30
+                while client.metrics()["queue_depth"] < 2 * len(pairs):
+                    assert time.monotonic() < deadline, "requests never queued"
+                    time.sleep(0.005)
+                release.set()
+                hold_future.result(timeout=30)
+                good_raw = good_future.result(timeout=30)
+                poison_report = poison_future.result(timeout=30)
+
+            assert good_raw.strip() == expected  # batch-mate unaffected, bit-for-bit
+            assert poison_report["status"] == "error"
+            assert poison_report["design"] == "POISON"
+            assert "injected mid-batch failure" in poison_report["error"]["message"]
+            # One shared batch of GOOD's and POISON's links failed, then its
+            # items were retried one by one.
+            assert poison_batches[0] == 2 * len(pairs)
+            assert set(poison_batches[1:]) == {1}
+            metrics = client.metrics()
+            assert metrics["batch_retries_total"] == 1
+            assert metrics["errors_total"]["batch_item_error"] >= 1
+            assert metrics["errors_total"]["design_error"] >= 1
+            # The shared engine really was patched back in business
+            # afterwards.  The flush loop finishes the shared batch's
+            # retries before it takes this request's batch.
+            monkeypatch.undo()
+            assert client.annotate_raw(request("GOOD")).strip() == expected
 
 
 class TestDesignFailureLogging:
@@ -196,7 +245,7 @@ class TestClientDisconnect:
                                                          server_spice):
         # Dedicated server: the multi-design body is larger than the
         # faulty_server fixture's tiny 64 KiB body cap.
-        config = ServerConfig(port=0, batch_window_ms=40.0)
+        config = ServerConfig(port=0)
         with ThreadedServer(server_engine, config) as threaded:
             self._disconnect_scenario(threaded, server_spice)
 
@@ -237,8 +286,7 @@ class TestClientDisconnect:
 class TestBackpressure:
     def test_bounded_queue_under_flood(self, server_engine, server_spice):
         """A flood fills the queue to its bound, never past it."""
-        config = ServerConfig(port=0, batch_window_ms=5.0, max_batch=8,
-                              max_queue=8)
+        config = ServerConfig(port=0, max_batch=8, max_queue=8)
         with ThreadedServer(server_engine, config) as threaded:
             client = ServeClient(threaded.url, timeout=60.0)
             request = {"spice": server_spice, "name": "FLOOD", "seed": 0,

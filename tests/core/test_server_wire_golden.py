@@ -107,9 +107,9 @@ def golden_spice() -> str:
 @pytest.fixture()
 def golden_server():
     """A fresh daemon per test: /metrics counters must be exact."""
-    # window 0: no coalescing delay, so the request sequence fully
+    # One client, one request at a time: the request sequence fully
     # determines every counter and histogram bucket.
-    config = ServerConfig(port=0, batch_window_ms=0.0)
+    config = ServerConfig(port=0)
     with ThreadedServer(_golden_engine(), config) as threaded:
         yield ServeClient(threaded.url, timeout=30.0)
 
