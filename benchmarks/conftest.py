@@ -22,11 +22,17 @@ import pytest
 
 from repro.core import (
     ExperimentConfig,
+    Trainer,
+    build_design_batch,
+    classification_metrics,
     load_design_suite,
     pretrain_link_model,
+    regression_metrics,
+    score_design_batch,
 )
 from repro.core.datasets import TEST_DESIGNS, TRAIN_DESIGNS
 from repro.utils import seed_all
+from repro.utils.rng import get_rng
 
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent / "results"
 
@@ -107,6 +113,28 @@ def record_result(name: str, payload: dict) -> pathlib.Path:
     path = RESULTS_DIR / f"{name}.json"
     path.write_text(json.dumps(payload, indent=2, sort_keys=True, default=float))
     return path
+
+
+def fit_baseline(model, task: str, designs, config: ExperimentConfig, epochs: int):
+    """Train a ParaGraph / DLPL-Cap ``model`` through :class:`Trainer` on one
+    whole-design batch per design.
+
+    Returns the baseline's RNG: it drew the training batches and goes on to
+    draw each :func:`evaluate_baseline` design's batch, in call order.
+    """
+    rng = get_rng(config.train.seed)
+    batches = [build_design_batch(design, task, config.data, rng=rng) for design in designs]
+    Trainer(model, task=task, config=config.train).fit(batches, epochs=epochs)
+    return rng
+
+
+def evaluate_baseline(model, task: str, design, config: ExperimentConfig, rng) -> dict:
+    """Classification or regression metrics of a baseline on one design."""
+    batch = build_design_batch(design, task, config.data, rng=rng)
+    scores = score_design_batch(model, batch, task)
+    if task == "link":
+        return classification_metrics(scores, batch.labels)
+    return regression_metrics(scores, batch.targets)
 
 
 def run_once(benchmark, func):

@@ -9,12 +9,12 @@ baselines on every test design.
 from __future__ import annotations
 
 from repro.analysis import format_table
-from repro.core import BaselineTrainer, evaluate_zero_shot_link
+from repro.core import evaluate_zero_shot_link
 from repro.models import DLPLCap, ParaGraph
 
 import pytest
 
-from .conftest import record_result, run_once
+from .conftest import evaluate_baseline, fit_baseline, record_result, run_once
 
 pytestmark = pytest.mark.benchmark
 
@@ -43,16 +43,13 @@ def test_table5_link_prediction_comparison(benchmark, config, suite, train_desig
             "DLPL-Cap": DLPLCap(dim=config.model.dim, num_layers=3,
                                 stats_dim=config.model.stats_dim, rng=2),
         }
-        trainers = {}
-        for name, model in baselines.items():
-            trainer = BaselineTrainer(model, task="link", config=config.train,
-                                      data_config=config.data)
-            trainer.fit(train_designs, epochs=BASELINE_EPOCHS)
-            trainers[name] = trainer
+        rngs = {name: fit_baseline(model, "link", train_designs, config,
+                                   BASELINE_EPOCHS)
+                for name, model in baselines.items()}
 
         for design in test_designs:
-            for name, trainer in trainers.items():
-                metrics = trainer.evaluate(design)
+            for name, model in baselines.items():
+                metrics = evaluate_baseline(model, "link", design, config, rngs[name])
                 rows.append({"method": name, "design": design.name, **metrics})
             metrics = evaluate_zero_shot_link(pretrained, design, config)
             rows.append({"method": "CircuitGPS", "design": design.name,

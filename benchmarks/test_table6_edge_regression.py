@@ -11,12 +11,12 @@ overall.
 from __future__ import annotations
 
 from repro.analysis import format_table
-from repro.core import BaselineTrainer, evaluate_regression
+from repro.core import evaluate_regression
 from repro.models import DLPLCap, ParaGraph
 
 import pytest
 
-from .conftest import record_result, run_once
+from .conftest import evaluate_baseline, fit_baseline, record_result, run_once
 
 pytestmark = pytest.mark.benchmark
 
@@ -51,16 +51,14 @@ def test_table6_edge_regression_comparison(benchmark, config, train_designs, tes
             "DLPL-Cap": DLPLCap(dim=config.model.dim, num_layers=3,
                                 stats_dim=config.model.stats_dim, rng=4),
         }
-        trainers = {}
-        for name, model in baselines.items():
-            trainer = BaselineTrainer(model, task="edge_regression", config=config.train,
-                                      data_config=config.data)
-            trainer.fit(train_designs, epochs=BASELINE_EPOCHS)
-            trainers[name] = trainer
+        rngs = {name: fit_baseline(model, "edge_regression", train_designs, config,
+                                   BASELINE_EPOCHS)
+                for name, model in baselines.items()}
 
         for design in test_designs:
-            for name, trainer in trainers.items():
-                rows.append({"method": name, "design": design.name, **trainer.evaluate(design)})
+            for name, model in baselines.items():
+                metrics = evaluate_baseline(model, "edge_regression", design, config, rngs[name])
+                rows.append({"method": name, "design": design.name, **metrics})
             for name, result in finetuned_variants.items():
                 metrics = evaluate_regression(result, design, config=config)
                 rows.append({"method": name, "design": design.name, "mae": metrics["mae"],

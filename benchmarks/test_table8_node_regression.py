@@ -10,12 +10,12 @@ class-specific experts.
 from __future__ import annotations
 
 from repro.analysis import format_table
-from repro.core import BaselineTrainer, evaluate_regression, finetune_task
+from repro.core import evaluate_regression, finetune_task
 from repro.models import DLPLCap, ParaGraph
 
 import pytest
 
-from .conftest import record_result, run_once
+from .conftest import evaluate_baseline, fit_baseline, record_result, run_once
 
 pytestmark = pytest.mark.benchmark
 
@@ -45,12 +45,9 @@ def test_table8_node_regression_comparison(benchmark, config, train_designs, tes
             "DLPL-Cap": DLPLCap(dim=config.model.dim, num_layers=3,
                                 stats_dim=config.model.stats_dim, rng=6),
         }
-        trainers = {}
-        for name, model in baselines.items():
-            trainer = BaselineTrainer(model, task="node_regression", config=config.train,
-                                      data_config=config.data)
-            trainer.fit(train_designs, epochs=BASELINE_EPOCHS)
-            trainers[name] = trainer
+        rngs = {name: fit_baseline(model, "node_regression", train_designs, config,
+                                   BASELINE_EPOCHS)
+                for name, model in baselines.items()}
 
         # CircuitGPS adapts the pre-trained meta-learner to the node-level task
         # (Section III-E / IV-D) with all parameters trainable.
@@ -58,8 +55,9 @@ def test_table8_node_regression_comparison(benchmark, config, train_designs, tes
                                    pretrained=pretrained.model, mode="all", config=config,
                                    epochs=CIRCUITGPS_EPOCHS)
         for design in test_designs:
-            for name, trainer in trainers.items():
-                rows.append({"method": name, "design": design.name, **trainer.evaluate(design)})
+            for name, model in baselines.items():
+                metrics = evaluate_baseline(model, "node_regression", design, config, rngs[name])
+                rows.append({"method": name, "design": design.name, **metrics})
             metrics = evaluate_regression(circuitgps, design, task="node_regression",
                                           config=config)
             rows.append({"method": "CircuitGPS", "design": design.name, "mae": metrics["mae"],

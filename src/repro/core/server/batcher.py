@@ -16,7 +16,8 @@ quantization in :mod:`repro.core.server.wire`).  Around the policy sit a
 single flush loop, an inference executor, backpressure via a bounded queue,
 a drain on :meth:`MicroBatcher.stop`, and per-item fault isolation (a batch
 that raises is retried item by item, so one poisoned sample fails alone
-instead of poisoning its batch-mates from other requests).
+instead of poisoning its batch-mates from other requests; the rest of the
+failed sample's own request is cancelled, not retried).
 """
 
 from __future__ import annotations
@@ -33,13 +34,15 @@ logger = get_logger("repro.serve.batcher")
 
 
 class _Item:
-    """One pending unit of work: an opaque payload and its result future."""
+    """One pending unit of work: an opaque payload, its result future and
+    the futures of every item of the same submission (``request``)."""
 
-    __slots__ = ("payload", "future")
+    __slots__ = ("payload", "future", "request")
 
-    def __init__(self, payload, future: asyncio.Future):
+    def __init__(self, payload, future: asyncio.Future, request: list):
         self.payload = payload
         self.future = future
+        self.request = request
 
 
 class MicroBatcher:
@@ -104,20 +107,28 @@ class MicroBatcher:
         """Enqueue ``payloads`` and await their demultiplexed results.
 
         Results come back aligned with ``payloads``.  Raises the per-item
-        exception if this item's evaluation failed (other submitters are
-        unaffected).
+        exception if one item's evaluation failed (other submitters are
+        unaffected); the request's items that have not run yet are then
+        cancelled, not computed.
         """
-        futures = [await self._enqueue(payload) for payload in payloads]
-        return await asyncio.gather(*futures)
+        futures: list[asyncio.Future] = []
+        try:
+            for payload in payloads:
+                futures.append(await self._enqueue(payload, futures))
+            return await asyncio.gather(*futures)
+        except BaseException:
+            for future in futures:
+                future.cancel()
+            raise
 
-    async def _enqueue(self, payload) -> asyncio.Future:
+    async def _enqueue(self, payload, request: list) -> asyncio.Future:
         if self._task is None:
             raise RuntimeError("micro-batcher is not running")
         while len(self._pending) >= self.max_queue:
             self._space.clear()
             await self._space.wait()
         future = asyncio.get_running_loop().create_future()
-        self._pending.append(_Item(payload, future))
+        self._pending.append(_Item(payload, future, request))
         if self.metrics is not None:
             self.metrics.observe_queue_depth(len(self._pending))
         self._wakeup.set()
@@ -188,3 +199,8 @@ class MicroBatcher:
                     self.metrics.inc_error("batch_item_error")
                 if not item.future.done():
                     item.future.set_exception(exc)
+                # The request has failed: cancel its other items here,
+                # before the next retry is dispatched, not once submit()
+                # has seen the failure.
+                for future in item.request:
+                    future.cancel()

@@ -1,14 +1,14 @@
 """Training and evaluation loops.
 
-Two trainers are provided:
-
-* :class:`Trainer` — mini-batch training of CircuitGPS on sampled enclosing
-  subgraphs (link prediction, edge regression, node regression).  Training
-  data may be a :class:`~repro.core.data.SubgraphDataset`, a
-  :class:`~repro.core.data.DataLoader` or a plain ``list[Subgraph]``.
-* :class:`BaselineTrainer` — full-graph training of the ParaGraph / DLPL-Cap
-  baselines, which (as in the paper) consume the entire circuit graph and the
-  circuit-statistics matrix without any sampling or positional encoding.
+:class:`Trainer` is the one training loop.  It trains CircuitGPS on sampled
+enclosing subgraphs (link prediction, edge regression, node regression),
+given as a :class:`~repro.core.data.SubgraphDataset`, a
+:class:`~repro.core.data.DataLoader` or a plain ``list[Subgraph]``.  It
+trains the ParaGraph / DLPL-Cap baselines on a list of
+:class:`DesignBatch` es: as in the paper, each baseline consumes a whole
+circuit graph and its circuit-statistics matrix, with no sampling or
+positional encoding (:func:`build_design_batch`,
+:func:`score_design_batch`).
 """
 
 from __future__ import annotations
@@ -19,27 +19,22 @@ import numpy as np
 
 from ..graph import balance_links, permute_negative_links
 from ..graph.hetero import Link
-from ..models import CircuitGPS, DLPLCap, FullGraphEncoder, ParaGraph
-from ..nn import (
-    Adam,
-    BatchNorm1d,
-    CosineSchedule,
-    Tensor,
-    bce_with_logits,
-    clip_grad_norm,
-    mse_loss,
-    no_grad,
-    stable_sigmoid,
-)
+from ..models import CircuitGPS, FullGraphEncoder
+from ..nn import Adam, BatchNorm1d, CosineSchedule, clip_grad_norm, no_grad, stable_sigmoid
 from ..utils.logging import MetricLogger, get_logger
 from ..nn.dtypes import FLOAT64
 from ..utils.rng import get_rng
 from .config import DataConfig, TrainConfig
 from .data import DataLoader, SubgraphDataset, as_dataset
 from .datasets import CapacitanceNormalizer, DesignData
-from .metrics import classification_metrics, regression_metrics
 
-__all__ = ["Trainer", "BaselineTrainer", "link_pairs_for_design"]
+__all__ = [
+    "Trainer",
+    "DesignBatch",
+    "build_design_batch",
+    "link_pairs_for_design",
+    "score_design_batch",
+]
 
 logger = get_logger("repro.trainer")
 
@@ -131,11 +126,14 @@ class Trainer:
         """Train for ``epochs`` epochs; returns the metric history.
 
         ``train_data`` / ``val_data`` may be a :class:`DataLoader`, a
-        :class:`SubgraphDataset` or a plain list of subgraphs.
+        :class:`SubgraphDataset` or a plain list of subgraphs.  ``train_data``
+        may also be a list of :class:`DesignBatch` es, one step each, taken
+        in the given order every epoch (no shuffle, no draw from ``rng``).
         """
         epochs = epochs if epochs is not None else self.config.epochs
-        loader = self._loader(train_data, shuffle=True, rng=self.rng)
-        steps_per_epoch = max(1, len(loader))
+        batches = (train_data if _is_design_batches(train_data)
+                   else self._loader(train_data, shuffle=True, rng=self.rng))
+        steps_per_epoch = max(1, len(batches))
         schedule = CosineSchedule(
             self.optimizer,
             total_steps=epochs * steps_per_epoch,
@@ -149,7 +147,7 @@ class Trainer:
         self.model.train()
         for epoch in range(epochs):
             losses = []
-            for batch in loader:
+            for batch in batches:
                 loss, _ = self._loss(batch)
                 self.optimizer.zero_grad()
                 loss.backward()
@@ -164,7 +162,7 @@ class Trainer:
             self.history.log(epoch, **row)
             if verbose:
                 logger.info("epoch %d: %s", epoch, row)
-        self.recalibrate_batchnorm(loader.dataset)
+        self.recalibrate_batchnorm(batches)
         return self.history
 
     def recalibrate_batchnorm(self, data) -> None:
@@ -175,19 +173,23 @@ class Trainer:
         seen during training, which mis-calibrates logits and regressed
         values.  After fitting, one streaming pass recomputes the running
         mean/variance as the *cumulative* average over the training batches.
+        ``data`` is what :meth:`fit` accepts; a list of :class:`DesignBatch`
+        es is passed over in order.
         """
         batchnorms = [m for m in self.model.modules() if isinstance(m, BatchNorm1d)]
-        dataset = as_dataset(data)
-        if not batchnorms or not len(dataset):
+        if _is_design_batches(data):
+            batches = data
+        else:
+            batches = DataLoader(data, batch_size=self.config.batch_size, shuffle=False)
+        if not batchnorms or not len(batches):
             return
         saved_momentum = [bn.momentum for bn in batchnorms]
         for bn in batchnorms:
             bn.running_mean = np.zeros_like(bn.running_mean)
             bn.running_var = np.ones_like(bn.running_var)
         self.model.train()
-        loader = DataLoader(dataset, batch_size=self.config.batch_size, shuffle=False)
         with no_grad():
-            for step, batch in enumerate(loader):
+            for step, batch in enumerate(batches):
                 for bn in batchnorms:
                     bn.momentum = 1.0 / (step + 1)
                 self.task_obj.forward(self.model, batch)
@@ -217,7 +219,7 @@ class Trainer:
 
 
 # --------------------------------------------------------------------------- #
-# Baselines
+# Whole-design batches (the ParaGraph / DLPL-Cap baselines)
 # --------------------------------------------------------------------------- #
 def link_pairs_for_design(design: DesignData, config: DataConfig = DataConfig(),
                           normalizer: CapacitanceNormalizer | None = None,
@@ -245,8 +247,10 @@ def link_pairs_for_design(design: DesignData, config: DataConfig = DataConfig(),
 
 
 @dataclass
-class _DesignBatch:
-    """Cached full-graph inputs plus target pairs/nodes for one design."""
+class DesignBatch:
+    """One design as one batch: whole-graph encoder inputs plus the target
+    pairs (a node-regression pair repeats its node), labels and normalised
+    capacitance targets."""
 
     inputs: dict
     pairs: np.ndarray
@@ -254,117 +258,53 @@ class _DesignBatch:
     targets: np.ndarray
 
 
-class BaselineTrainer:
-    """Full-graph trainer for the ParaGraph and DLPL-Cap baselines."""
+def _is_design_batches(data) -> bool:
+    return isinstance(data, list) and bool(data) and isinstance(data[0], DesignBatch)
 
-    def __init__(self, model, task: str = "link", config: TrainConfig = TrainConfig(),
-                 data_config: DataConfig = DataConfig(), rng=None):
-        if not isinstance(model, (ParaGraph, DLPLCap)):
-            raise TypeError("BaselineTrainer expects a ParaGraph or DLPLCap model")
-        if task not in ("link", "edge_regression", "node_regression"):
-            raise ValueError(f"unknown task {task!r}")
-        self.model = model
-        self.task = task
-        self.config = config
-        self.data_config = data_config
-        self.rng = get_rng(rng if rng is not None else config.seed)
-        self.normalizer = CapacitanceNormalizer(data_config.cap_min, data_config.cap_max)
-        self.optimizer = Adam(list(model.parameters()), lr=config.lr,
-                              weight_decay=config.weight_decay)
-        self.history = MetricLogger(name=f"baseline-{task}")
 
-    # ------------------------------------------------------------------ #
-    def _prepare(self, design: DesignData) -> _DesignBatch:
-        inputs = FullGraphEncoder.graph_inputs(design.graph, design.graph.node_stats)
-        if self.task == "node_regression":
-            caps = design.graph.node_ground_caps
-            nodes = [
-                i for i in range(design.graph.num_nodes)
-                if caps is not None and caps[i] > 0 and self.normalizer.in_range(caps[i])
-            ]
-            limit = self.data_config.max_nodes_per_design
-            if limit is not None and len(nodes) > limit:
-                chosen = self.rng.choice(len(nodes), size=limit, replace=False)
-                nodes = [nodes[i] for i in chosen]
-            nodes = np.array(nodes, dtype=np.int64)
-            targets = np.array([self.normalizer.normalize(caps[i]) for i in nodes])
-            pairs = np.stack([nodes, nodes], axis=1)
-            labels = np.ones(len(nodes))
-        else:
-            pairs, labels, targets = link_pairs_for_design(
-                design, self.data_config, self.normalizer,
-                regression=(self.task == "edge_regression"), rng=self.rng,
-            )
-        return _DesignBatch(inputs=inputs, pairs=pairs, labels=labels, targets=targets)
+def build_design_batch(design: DesignData, task: str, config: DataConfig = DataConfig(),
+                       rng=None) -> DesignBatch:
+    """The whole-design batch of ``task`` on ``design`` for ParaGraph / DLPL-Cap.
 
-    def _forward(self, batch: _DesignBatch):
-        embeddings = self.model.encode(batch.inputs)
-        if self.task == "link":
-            return self.model.link_logits(embeddings, batch.pairs)
-        if self.task == "edge_regression":
-            return self.model.edge_regression(embeddings, batch.pairs)
-        return self.model.node_regression(embeddings, batch.pairs[:, 0])
+    Link tasks take the balanced pairs of :func:`link_pairs_for_design`;
+    node regression takes up to ``config.max_nodes_per_design`` nodes whose
+    ground capacitance is in range.  Raises ``ValueError`` for any task
+    other than ``"link"``, ``"edge_regression"`` and ``"node_regression"``.
+    """
+    if task not in ("link", "edge_regression", "node_regression"):
+        raise ValueError(f"unknown task {task!r}")
+    rng = get_rng(rng if rng is not None else config.seed)
+    normalizer = CapacitanceNormalizer(config.cap_min, config.cap_max)
+    inputs = FullGraphEncoder.graph_inputs(design.graph, design.graph.node_stats)
+    if task == "node_regression":
+        caps = design.graph.node_ground_caps
+        nodes = [
+            i for i in range(design.graph.num_nodes)
+            if caps is not None and caps[i] > 0 and normalizer.in_range(caps[i])
+        ]
+        limit = config.max_nodes_per_design
+        if limit is not None and len(nodes) > limit:
+            chosen = rng.choice(len(nodes), size=limit, replace=False)
+            nodes = [nodes[i] for i in chosen]
+        nodes = np.array(nodes, dtype=np.int64)
+        targets = np.array([normalizer.normalize(caps[i]) for i in nodes])
+        pairs = np.stack([nodes, nodes], axis=1)
+        labels = np.ones(len(nodes))
+    else:
+        pairs, labels, targets = link_pairs_for_design(
+            design, config, normalizer, regression=(task == "edge_regression"), rng=rng,
+        )
+    return DesignBatch(inputs=inputs, pairs=pairs, labels=labels, targets=targets)
 
-    def fit(self, designs: list[DesignData], epochs: int | None = None,
-            verbose: bool = False) -> MetricLogger:
-        """Train the baseline on whole-design batches; returns the loss history."""
-        epochs = epochs if epochs is not None else self.config.epochs
-        batches = [self._prepare(design) for design in designs]
-        schedule = CosineSchedule(self.optimizer, total_steps=max(1, epochs * len(batches)),
-                                  warmup_steps=len(batches), min_lr=self.config.min_lr)
-        self.model.train()
-        for epoch in range(epochs):
-            losses = []
-            for batch in batches:
-                predictions = self._forward(batch)
-                if self.task == "link":
-                    loss = bce_with_logits(predictions, batch.labels)
-                else:
-                    loss = mse_loss(predictions, batch.targets)
-                self.optimizer.zero_grad()
-                loss.backward()
-                clip_grad_norm(self.optimizer.parameters, self.config.grad_clip)
-                self.optimizer.step()
-                schedule.step()
-                losses.append(loss.item())
-            self.history.log(epoch, loss=float(np.mean(losses)))
-            if verbose:
-                logger.info("baseline epoch %d: loss=%.4f", epoch, float(np.mean(losses)))
-        self._recalibrate_batchnorm(batches)
-        return self.history
 
-    def _recalibrate_batchnorm(self, batches: list[_DesignBatch]) -> None:
-        """Recompute BatchNorm running statistics over the training designs."""
-        batchnorms = [m for m in self.model.modules() if isinstance(m, BatchNorm1d)]
-        if not batchnorms or not batches:
-            return
-        saved = [bn.momentum for bn in batchnorms]
-        for bn in batchnorms:
-            bn.running_mean = np.zeros_like(bn.running_mean)
-            bn.running_var = np.ones_like(bn.running_var)
-        self.model.train()
-        with no_grad():
-            for step, batch in enumerate(batches):
-                for bn in batchnorms:
-                    bn.momentum = 1.0 / (step + 1)
-                self._forward(batch)
-        for bn, momentum in zip(batchnorms, saved):
-            bn.momentum = momentum
+def score_design_batch(model, batch: DesignBatch, task: str) -> np.ndarray:
+    """Eval-mode scores of a baseline ``model`` on one whole-design batch.
 
-    def predict(self, design: DesignData) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Return (scores, labels, targets) for one design."""
-        batch = self._prepare(design)
-        self.model.eval()
-        with no_grad():
-            predictions = self._forward(batch)
-        values = predictions.data.copy()
-        if self.task == "link":
-            values = stable_sigmoid(values)
-        return values, batch.labels, batch.targets
-
-    def evaluate(self, design: DesignData) -> dict[str, float]:
-        """Task metrics (classification or regression) on one design."""
-        scores, labels, targets = self.predict(design)
-        if self.task == "link":
-            return classification_metrics(scores, labels)
-        return regression_metrics(scores, targets)
+    Link scores are sigmoid probabilities.  Regression scores are the raw
+    normalised values: unlike :meth:`Trainer.predict` they are not clipped
+    to [0, 1].
+    """
+    model.eval()
+    with no_grad():
+        values = model(batch, task=task).data.copy()
+    return stable_sigmoid(values) if task == "link" else values

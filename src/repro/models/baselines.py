@@ -94,7 +94,31 @@ def _pair_features(embeddings: Tensor, pairs: np.ndarray) -> Tensor:
     return concat([a, b, a * b], axis=1)
 
 
-class ParaGraph(Module):
+class _WholeGraphBaseline(Module):
+    """What both baselines share: the whole-graph ``encoder``, the endpoint
+    ``link_scorer`` and the dispatch of a batch to the task's head."""
+
+    def encode(self, inputs: dict) -> Tensor:
+        return self.encoder(inputs)
+
+    def link_logits(self, embeddings: Tensor, pairs: np.ndarray) -> Tensor:
+        return self.link_scorer(_pair_features(embeddings, pairs)).reshape(pairs.shape[0])
+
+    def forward(self, batch, task: str = "link") -> Tensor:
+        """Predictions for the target pairs of a whole-design batch
+        (:class:`repro.core.DesignBatch`): logits for ``"link"``, raw
+        normalised capacitances for the regression tasks."""
+        embeddings = self.encode(batch.inputs)
+        if task == "link":
+            return self.link_logits(embeddings, batch.pairs)
+        if task == "edge_regression":
+            return self.edge_regression(embeddings, batch.pairs)
+        if task == "node_regression":
+            return self.node_regression(embeddings, batch.pairs[:, 0])
+        raise ValueError(f"unknown task {task!r}")
+
+
+class ParaGraph(_WholeGraphBaseline):
     """ParaGraph baseline with a three-way capacitance-magnitude ensemble."""
 
     def __init__(self, dim: int = 32, num_layers: int = 3, stats_dim: int = 13,
@@ -110,12 +134,6 @@ class ParaGraph(Module):
         self.node_regressor = MLP([dim, dim, 1], dropout=dropout, rng=rng)
         self.num_magnitude_bins = int(num_magnitude_bins)
 
-    def encode(self, inputs: dict) -> Tensor:
-        return self.encoder(inputs)
-
-    def link_logits(self, embeddings: Tensor, pairs: np.ndarray) -> Tensor:
-        return self.link_scorer(_pair_features(embeddings, pairs)).reshape(pairs.shape[0])
-
     def edge_regression(self, embeddings: Tensor, pairs: np.ndarray) -> Tensor:
         """Soft ensemble over the magnitude experts (differentiable routing)."""
         features = _pair_features(embeddings, pairs)
@@ -127,7 +145,7 @@ class ParaGraph(Module):
         return self.node_regressor(embeddings.gather_rows(nodes)).reshape(nodes.shape[0])
 
 
-class DLPLCap(Module):
+class DLPLCap(_WholeGraphBaseline):
     """DLPL-Cap baseline: GNN router plus five expert regressors.
 
     The router classifies each target into a capacitance-magnitude class; the
@@ -151,12 +169,6 @@ class DLPLCap(Module):
             MLP([dim, dim, 1], dropout=dropout, rng=rng) for _ in range(num_experts)
         ])
         self.num_experts = int(num_experts)
-
-    def encode(self, inputs: dict) -> Tensor:
-        return self.encoder(inputs)
-
-    def link_logits(self, embeddings: Tensor, pairs: np.ndarray) -> Tensor:
-        return self.link_scorer(_pair_features(embeddings, pairs)).reshape(pairs.shape[0])
 
     def router_logits(self, embeddings: Tensor, pairs: np.ndarray) -> Tensor:
         return self.router(_pair_features(embeddings, pairs))

@@ -176,6 +176,8 @@ class CircuitGPS(Module):
         """
         if task not in TASKS:
             raise ValueError(f"task must be one of {TASKS}, got {task!r}")
+        if not isinstance(batch, SubgraphBatch):
+            raise TypeError(f"CircuitGPS scores a SubgraphBatch, got {type(batch).__name__}")
         embeddings = self.encode(batch)
         seg = batch.segments()
         if task == "link":

@@ -14,7 +14,8 @@ batch boundary is deterministic) and checks the service invariants exactly:
 A gated runner (blocked on a :class:`threading.Event`) pins the timing
 contract on a real executor thread: an item sent to an idle batcher runs
 alone at once, and items sent while it runs form the next batch.  The rest
-covers cross-submitter coalescing, per-item fault isolation, queue
+covers cross-submitter coalescing, per-item fault isolation, the
+cancellation of a failed or cancelled request's remaining items, queue
 backpressure and the drain on :meth:`MicroBatcher.stop`.
 """
 
@@ -249,6 +250,43 @@ class TestMicroBatcher:
         assert metrics.get("batch_retries_total") >= 1
         assert metrics._errors.get("batch_item_error", 0) == 1
 
+    @pytest.mark.parametrize("threaded", [False, True], ids=["inline", "thread"])
+    def test_failed_request_runs_no_retries_after_its_first_failure(self, threaded):
+        """A poisoned 8-item request shares a batch with a good request: the
+        batch fails, the first poisoned retry fails, and the request's other
+        7 items are cancelled instead of run one by one."""
+        calls = []
+
+        def runner(batch):
+            calls.append(list(batch))
+            if any(payload.startswith("poison") for payload in batch):
+                raise RuntimeError("poisoned design")
+            return [f"ok:{payload}" for payload in batch]
+
+        async def main(executor):
+            metrics = ServerMetrics()
+            batcher = MicroBatcher(runner, max_batch=16, executor=executor,
+                                   metrics=metrics)
+            batcher.start()
+            bad, good = await asyncio.gather(
+                batcher.submit([f"poison{i}" for i in range(8)]),
+                batcher.submit(["a", "b", "c"]),
+                return_exceptions=True,
+            )
+            await batcher.stop()
+            return bad, good, metrics
+
+        if threaded:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=1) as executor:
+                bad, good, metrics = run(main(executor))
+        else:
+            bad, good, metrics = run(main(InlineExecutor()))
+        assert isinstance(bad, RuntimeError)
+        assert good == ["ok:a", "ok:b", "ok:c"]
+        assert calls[0] == [f"poison{i}" for i in range(8)] + ["a", "b", "c"]
+        assert calls[1:] == [["poison0"], ["a"], ["b"], ["c"]]
+        assert metrics._errors.get("batch_item_error", 0) == 1
+
     def test_backpressure_bounds_queue_depth(self):
         metrics = ServerMetrics()
 
@@ -271,6 +309,28 @@ class TestMicroBatcher:
             sum([list(range(i * 10, i * 10 + 5)) for i in range(6)], []))
         # submit() waited for space instead of growing past the bound.
         assert metrics.max_queue_depth <= 4
+
+    def test_request_cancelled_under_backpressure_runs_none_of_its_items(self):
+        """A request cancelled (timeout, disconnect) while it waits for queue
+        space leaves no item behind to compute."""
+        runner = GatedRunner()
+
+        async def main():
+            batcher = MicroBatcher(runner, max_batch=2, max_queue=2)
+            batcher.start()
+            busy = asyncio.ensure_future(batcher.submit([1]))
+            await runner.wait_started()
+            blocked = asyncio.ensure_future(batcher.submit([2, 3, 4, 5]))
+            while batcher.depth < 2:  # 2 and 3 queued, 4 waits for space
+                await asyncio.sleep(0.001)
+            blocked.cancel()
+            runner.gate.set()
+            result = await busy
+            await batcher.stop()
+            return result
+
+        assert run(main()) == [10]
+        assert runner.batches == [[1]]
 
     def test_submit_requires_running_batcher(self):
         async def main():

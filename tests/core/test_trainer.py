@@ -1,9 +1,16 @@
-"""Tests for the subgraph trainer and the full-graph baseline trainer."""
+"""Tests for the trainer: subgraph batches and whole-design baseline batches."""
 
 import numpy as np
 import pytest
 
-from repro.core import BaselineTrainer, Trainer, link_pairs_for_design
+from repro.core import (
+    Trainer,
+    build_design_batch,
+    classification_metrics,
+    link_pairs_for_design,
+    regression_metrics,
+    score_design_batch,
+)
 from repro.core.datasets import build_edge_regression_samples, build_link_samples
 from repro.core.pretrain import build_model
 from repro.models import DLPLCap, ParaGraph
@@ -74,7 +81,9 @@ class TestTrainer:
                                        before)
 
 
-class TestBaselineTrainer:
+class TestWholeDesignBaselines:
+    """ParaGraph / DLPL-Cap through :class:`Trainer` on whole-design batches."""
+
     def test_link_pairs_balanced(self, small_design, tiny_config):
         pairs, labels, targets = link_pairs_for_design(small_design, tiny_config.data, rng=0)
         assert pairs.shape[0] == labels.shape[0] == targets.shape[0]
@@ -88,30 +97,38 @@ class TestBaselineTrainer:
     @pytest.mark.parametrize("model_cls", [ParaGraph, DLPLCap])
     def test_link_training_runs_and_evaluates(self, model_cls, small_design, tiny_config):
         model = model_cls(dim=12, num_layers=2, rng=0)
-        trainer = BaselineTrainer(model, task="link", config=tiny_config.train,
-                                  data_config=tiny_config.data)
-        history = trainer.fit([small_design], epochs=3)
+        batch = build_design_batch(small_design, "link", tiny_config.data, rng=0)
+        history = Trainer(model, task="link", config=tiny_config.train).fit([batch], epochs=3)
         assert len(history.history) == 3
-        metrics = trainer.evaluate(small_design)
+        scores = score_design_batch(model, batch, "link")
+        assert np.all((scores >= 0) & (scores <= 1))
+        metrics = classification_metrics(scores, batch.labels)
         assert set(metrics) == {"accuracy", "f1", "auc"}
 
     def test_edge_regression_task(self, small_design, tiny_config):
         model = ParaGraph(dim=12, num_layers=2, rng=0)
-        trainer = BaselineTrainer(model, task="edge_regression", config=tiny_config.train,
-                                  data_config=tiny_config.data)
-        trainer.fit([small_design], epochs=2)
-        metrics = trainer.evaluate(small_design)
+        batch = build_design_batch(small_design, "edge_regression", tiny_config.data, rng=0)
+        Trainer(model, task="edge_regression", config=tiny_config.train).fit([batch], epochs=2)
+        scores = score_design_batch(model, batch, "edge_regression")
+        metrics = regression_metrics(scores, batch.targets)
         assert set(metrics) == {"mae", "rmse", "r2"}
 
     def test_node_regression_task(self, small_design, tiny_config):
         model = DLPLCap(dim=12, num_layers=2, rng=0)
-        trainer = BaselineTrainer(model, task="node_regression", config=tiny_config.train,
-                                  data_config=tiny_config.data)
-        trainer.fit([small_design], epochs=2)
-        metrics = trainer.evaluate(small_design)
-        assert np.isfinite(metrics["mae"])
+        batch = build_design_batch(small_design, "node_regression", tiny_config.data, rng=0)
+        assert np.array_equal(batch.pairs[:, 0], batch.pairs[:, 1])
+        Trainer(model, task="node_regression", config=tiny_config.train).fit([batch], epochs=2)
+        scores = score_design_batch(model, batch, "node_regression")
+        assert np.isfinite(regression_metrics(scores, batch.targets)["mae"])
 
-    def test_unknown_task_raises(self, tiny_config):
+    def test_unknown_task_raises(self, small_design, tiny_config):
         with pytest.raises(ValueError):
-            BaselineTrainer(ParaGraph(dim=8, num_layers=1, rng=0), task="foo",
-                            config=tiny_config.train, data_config=tiny_config.data)
+            build_design_batch(small_design, "foo", tiny_config.data, rng=0)
+
+    def test_design_batches_draw_nothing_from_the_trainer_rng(self, small_design,
+                                                               tiny_config):
+        batch = build_design_batch(small_design, "link", tiny_config.data, rng=0)
+        trainer = Trainer(ParaGraph(dim=8, num_layers=1, rng=0), task="link",
+                          config=tiny_config.train, rng=7)
+        trainer.fit([batch], epochs=2)
+        assert trainer.rng.random() == np.random.default_rng(7).random()

@@ -82,10 +82,33 @@ class TestDLPLCap:
             assert model.edge_regression(embeddings, pairs).shape == (7,)
             assert model.node_regression(embeddings, np.arange(9)).shape == (9,)
 
-    def test_baseline_trainer_rejects_wrong_model(self, tiny_config):
-        from repro.core import BaselineTrainer
+
+class TestWholeDesignBatches:
+    def test_trainer_rejects_circuitgps_on_a_design_batch(self, small_design, tiny_config):
+        from repro.core import Trainer, build_design_batch
         from repro.models import CircuitGPS
 
+        batch = build_design_batch(small_design, "link", tiny_config.data, rng=0)
+        trainer = Trainer(CircuitGPS(dim=16, num_layers=1, attention="none"), task="link",
+                          config=tiny_config.train)
         with pytest.raises(TypeError):
-            BaselineTrainer(CircuitGPS(dim=16, num_layers=1, attention="none"), task="link",
-                            config=tiny_config.train, data_config=tiny_config.data)
+            trainer.fit([batch], epochs=1)
+
+    @pytest.mark.parametrize("model_cls", [ParaGraph, DLPLCap])
+    def test_forward_dispatches_a_design_batch_to_the_task_head(self, model_cls,
+                                                                small_design, tiny_config):
+        from repro.core import build_design_batch
+
+        model = model_cls(dim=12, num_layers=1, rng=0)
+        batch = build_design_batch(small_design, "edge_regression", tiny_config.data, rng=0)
+        with no_grad():
+            embeddings = model.encode(batch.inputs)
+            expected = {
+                "link": model.link_logits(embeddings, batch.pairs),
+                "edge_regression": model.edge_regression(embeddings, batch.pairs),
+                "node_regression": model.node_regression(embeddings, batch.pairs[:, 0]),
+            }
+            for task, want in expected.items():
+                np.testing.assert_array_equal(model(batch, task=task).data, want.data)
+            with pytest.raises(ValueError):
+                model(batch, task="segmentation")
