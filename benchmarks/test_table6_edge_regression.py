@@ -11,7 +11,7 @@ overall.
 from __future__ import annotations
 
 from repro.analysis import format_table
-from repro.core import evaluate_regression
+from repro.core import evaluate_task
 from repro.models import DLPLCap, ParaGraph
 
 import pytest
@@ -60,7 +60,7 @@ def test_table6_edge_regression_comparison(benchmark, config, train_designs, tes
                 metrics = evaluate_baseline(model, "edge_regression", design, config, rngs[name])
                 rows.append({"method": name, "design": design.name, **metrics})
             for name, result in finetuned_variants.items():
-                metrics = evaluate_regression(result, design, config=config)
+                metrics = evaluate_task(result, design, "edge_regression", config=config)
                 rows.append({"method": name, "design": design.name, "mae": metrics["mae"],
                              "rmse": metrics["rmse"], "r2": metrics["r2"]})
         return rows

@@ -11,7 +11,7 @@ from __future__ import annotations
 import time
 
 from repro.analysis import format_table
-from repro.core import evaluate_regression, finetune_task
+from repro.core import evaluate_task, finetune_task
 
 import pytest
 
@@ -53,7 +53,8 @@ def test_table7_gps_layer_ablation_edge_regression(benchmark, config, suite):
             result = finetune_task([train_design], "edge_regression", mode="scratch",
                                    config=variant)
             elapsed = time.perf_counter() - start
-            metrics = evaluate_regression(result, test_design, config=variant)
+            metrics = evaluate_task(result, test_design, "edge_regression",
+                                    config=variant)
             rows.append({
                 "mpnn": mpnn,
                 "attention": attention,

@@ -10,7 +10,7 @@ class-specific experts.
 from __future__ import annotations
 
 from repro.analysis import format_table
-from repro.core import evaluate_regression, finetune_task
+from repro.core import evaluate_task, finetune_task
 from repro.models import DLPLCap, ParaGraph
 
 import pytest
@@ -58,8 +58,7 @@ def test_table8_node_regression_comparison(benchmark, config, train_designs, tes
             for name, model in baselines.items():
                 metrics = evaluate_baseline(model, "node_regression", design, config, rngs[name])
                 rows.append({"method": name, "design": design.name, **metrics})
-            metrics = evaluate_regression(circuitgps, design, task="node_regression",
-                                          config=config)
+            metrics = evaluate_task(circuitgps, design, "node_regression", config=config)
             rows.append({"method": "CircuitGPS", "design": design.name, "mae": metrics["mae"],
                          "rmse": metrics["rmse"], "r2": metrics["r2"]})
         return rows

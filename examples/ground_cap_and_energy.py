@@ -20,7 +20,7 @@ from repro.analysis import design_energy, energy_comparison, print_table
 from repro.core import (
     ExperimentConfig,
     Trainer,
-    evaluate_regression,
+    evaluate_task,
     finetune_task,
     load_design_suite,
 )
@@ -44,7 +44,7 @@ def main() -> None:
                                config=config)
     rows = []
     for design in test_designs:
-        metrics = evaluate_regression(node_model, design, task="node_regression", config=config)
+        metrics = evaluate_task(node_model, design, "node_regression", config=config)
         rows.append({"design": design.name, **{k: metrics[k] for k in ("mae", "rmse", "r2")}})
     print_table(rows, title="Node regression, zero-shot on the test designs")
 

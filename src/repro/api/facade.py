@@ -45,13 +45,17 @@ def fit(spec, designs=None, *, verbose: bool = False):
         :class:`~repro.core.datasets.DesignData`.  ``None`` builds the
         paper's bundled design suite.
 
-    The workflow follows the spec: the backbone is built through the
-    :data:`~repro.api.registries.BACKBONES` registry, pre-trained on link
-    prediction when ``spec.pretrain`` is true, then fine-tuned on the spec's
-    task with the spec's mode.  A ``{"task": {"type": "link"}}`` spec stops
-    after pre-training.  The returned pipeline carries the spec
-    (``pipeline.spec``) and persists it in checkpoints (schema v3), so
-    ``load`` can rebuild the exact component graph.
+    The workflow follows the spec.  The backbone is built through the
+    :data:`~repro.api.registries.BACKBONES` registry and always pre-trained
+    on link prediction first, because a saved artifact serves coupling
+    probabilities from that model.  A ``{"task": {"type": "link"}}`` spec
+    stops there, and only such a spec's ``sampling`` reaches pre-training.
+    Any other task is then fine-tuned with the spec's mode, or from scratch
+    when ``spec.pretrain`` is false; the spec's ``sampling`` reaches that
+    task through :meth:`ExperimentSpec.build_task`.  The returned pipeline
+    carries the spec (``pipeline.spec``) and persists it in checkpoints
+    (schema v3), so ``load`` can rebuild the exact component graph.
+    ``python -m repro train`` is this function followed by ``save``.
     """
     from ..core.pipeline import CircuitGPSPipeline
 
@@ -68,8 +72,8 @@ def fit(spec, designs=None, *, verbose: bool = False):
         pipeline.pretrain(verbose=verbose,
                           sampling=getattr(task, "sampling", None))
         return pipeline
-    mode = spec.mode if spec.pretrain else "scratch"
-    pipeline.finetune(mode=mode, task=task, verbose=verbose)
+    pipeline.pretrain(verbose=verbose)
+    pipeline.finetune(mode=spec.finetune_mode, task=task, verbose=verbose)
     return pipeline
 
 

@@ -229,6 +229,11 @@ class ExperimentSpec:
         """The task's registered name."""
         return Registry.spec_of(self.task)[0]
 
+    @property
+    def finetune_mode(self) -> str:
+        """The mode the task is fine-tuned in: ``scratch`` without pre-training."""
+        return self.mode if self.pretrain else "scratch"
+
     def build_backbone(self, rng=None):
         """Instantiate the backbone through the registry."""
         return BACKBONES.build(self.backbone, rng=rng)

@@ -2,9 +2,13 @@
 
 ``python -m repro`` exposes subcommands built on :mod:`repro.api`:
 
-* ``train``    — build the design suite, pre-train + fine-tune, save one
-  full-pipeline artifact (:meth:`CircuitGPSPipeline.save`); accepts a
-  declarative :class:`repro.api.ExperimentSpec` JSON file via ``--spec``,
+* ``train``    — :func:`repro.api.fit` plus :meth:`CircuitGPSPipeline.save`
+  on one :class:`repro.api.ExperimentSpec` (``--spec`` or the ``--config``
+  preset, with the flag overrides written in), so ``train --spec S`` and
+  ``fit(S).save(...)`` write the same artifact.  Pre-training always runs
+  first (``"pretrain": false`` fine-tunes from scratch next to it), a
+  link-task spec stops after it, and sampling reaches it only for a
+  link-task spec,
 * ``annotate`` — load an artifact and annotate one-or-many SPICE netlists
   with predicted couplings (:class:`~repro.core.serve.AnnotationEngine`);
   with ``--remote URL`` the netlists are sent to a running ``serve`` daemon
@@ -39,6 +43,7 @@ many times needs no Python session::
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import pathlib
 import sys
 
@@ -78,17 +83,21 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--config", default="fast", choices=sorted(CONFIG_PRESETS),
                        help="configuration preset (default: fast)")
     train.add_argument("--spec", default=None, metavar="SPEC.json",
-                       help="declarative ExperimentSpec JSON file; overrides "
-                            "--config/--tasks/--mode (CLI flags below still "
-                            "apply on top)")
+                       help="declarative ExperimentSpec JSON file, trained "
+                            "as repro.api.fit(spec) and saved; replaces "
+                            "--config, and the flags below still apply on "
+                            "top (pre-training always runs first; a link "
+                            "task stops after it)")
     train.add_argument("--out", required=True,
                        help="artifact destination: a directory (pipeline.npz is "
                             "written inside) or a .npz path")
     train.add_argument("--designs", nargs="*", default=None,
                        help="subset of paper designs to build (default: all six)")
     train.add_argument("--tasks", nargs="*", default=None,
-                       help="tasks to fine-tune (any registered task name; see "
-                            "'components'; default: edge_regression)")
+                       help="tasks to train (any registered task name; see "
+                            "'components'): the first replaces the spec's "
+                            "task, each further one is one more fine-tune; "
+                            "default: the spec's task (edge_regression)")
     train.add_argument("--mode", default=None, choices=("scratch", "head", "all"),
                        help="fine-tuning mode (default: all, or the --spec's mode)")
     train.add_argument("--epochs", type=int, default=None, help="override training epochs")
@@ -102,11 +111,13 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=("transformer", "performer", "none"),
                        help="override the attention flavour")
     train.add_argument("--sampling", default=None, metavar="SPEC",
-                       help="sampling pipeline for dataset construction: a "
-                            "registered sampler name (see 'components "
-                            "--family samplers'), inline JSON (a stage-entry "
-                            "list), or a JSON file path; default: the task's "
-                            "own pipeline / the paper's recipe")
+                       help="the spec's sampling pipeline: a registered "
+                            "sampler name (see 'components --family "
+                            "samplers'), inline JSON (a stage-entry list), "
+                            "or a JSON file path; it shapes the fine-tuned "
+                            "task's data (a task's own pipeline wins) and "
+                            "reaches pre-training only for a link task; "
+                            "default: the paper's recipe")
     train.add_argument("--verbose", action="store_true", help="log per-epoch metrics")
 
     annotate = sub.add_parser("annotate",
@@ -246,33 +257,18 @@ def build_parser() -> argparse.ArgumentParser:
 # --------------------------------------------------------------------------- #
 # Commands
 # --------------------------------------------------------------------------- #
-def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
-    train_overrides = {}
-    if args.epochs is not None:
-        train_overrides["epochs"] = args.epochs
-    if args.seed is not None:
-        train_overrides["seed"] = args.seed
-    if train_overrides:
-        config = config.with_train(**train_overrides)
-    data_overrides = {}
-    if args.scale is not None:
-        data_overrides["scale"] = args.scale
-    if getattr(args, "max_links", None) is not None:
-        data_overrides["max_links_per_design"] = args.max_links
-    if args.seed is not None:
-        data_overrides["seed"] = args.seed
-    if data_overrides:
-        config = config.with_data(**data_overrides)
-    model_overrides = {}
-    if getattr(args, "dim", None) is not None:
-        model_overrides["dim"] = args.dim
-    if getattr(args, "layers", None) is not None:
-        model_overrides["num_layers"] = args.layers
-    if getattr(args, "attention", None) is not None:
-        model_overrides["attention"] = args.attention
-    if model_overrides:
-        config = config.with_model(**model_overrides)
-    return config
+# (flag, spec section, key): where each ``train`` override flag lands in
+# the ExperimentSpec.  ``--seed`` seeds both training and design generation.
+TRAIN_OVERRIDES = (
+    ("epochs", "train", "epochs"),
+    ("seed", "train", "seed"),
+    ("seed", "data", "seed"),
+    ("scale", "data", "scale"),
+    ("max_links", "data", "max_links_per_design"),
+    ("dim", "backbone", "dim"),
+    ("layers", "backbone", "num_layers"),
+    ("attention", "backbone", "attention"),
+)
 
 
 def _parse_sampling(raw: str | None):
@@ -300,54 +296,58 @@ def _parse_sampling(raw: str | None):
     return normalize_sampling_spec(value)
 
 
-def cmd_train(args) -> int:
+def _train_spec(args):
+    """The one :class:`~repro.api.ExperimentSpec` a ``train`` call describes.
+
+    ``--spec`` (or the ``--config`` preset) gives the base; ``--tasks``
+    (first entry), ``--mode``, ``--sampling`` and the :data:`TRAIN_OVERRIDES`
+    flags are written into it.
+    """
     from ..api.spec import ExperimentSpec
 
     if args.spec:
         spec = ExperimentSpec.from_json(args.spec)
-        config = _apply_overrides(spec.to_config(), args)
-        tasks = args.tasks if args.tasks else [spec.task]
-        mode = args.mode if args.mode is not None else spec.mode
-        # CLI model flags take precedence over the spec's backbone kwargs
-        # (build_model merges the backbone spec over the config, so the
-        # overrides must land in the spec too).
-        backbone = dict(spec.backbone)
-        for key, field in (("dim", "dim"), ("layers", "num_layers"),
-                           ("attention", "attention")):
-            value = getattr(args, key, None)
-            if value is not None:
-                backbone[field] = value
-        pretrain = spec.pretrain
     else:
-        config = _apply_overrides(CONFIG_PRESETS[args.config](), args)
-        tasks = args.tasks if args.tasks else ["edge_regression"]
-        mode = args.mode if args.mode is not None else "all"
-        backbone = None
-        pretrain = True
+        spec = ExperimentSpec.from_config(CONFIG_PRESETS[args.config]())
+    if args.tasks:
+        spec.task = {"type": args.tasks[0]}
+    if args.mode is not None:
+        spec.mode = args.mode
     sampling = _parse_sampling(args.sampling)
-    if sampling is None and args.spec:
-        sampling = spec.sampling
-    if not pretrain:
-        # "pretrain": false means the task model must not adapt a meta-learner
-        # (same training as repro.api.fit: a scratch fine-tune).  The link
-        # model is still pre-trained because the saved artifact needs one to
-        # serve coupling probabilities (AnnotationEngine).
-        mode = "scratch"
-    pipeline = CircuitGPSPipeline(config, backbone=backbone)
-    print(f"Building the design suite (scale={config.data.scale}) ...")
-    pipeline.load_designs(names=args.designs)
-    print(f"Pre-training on {len(pipeline.train_designs)} training design(s) ...")
-    result = pipeline.pretrain(verbose=args.verbose, sampling=sampling)
-    metrics = {k: round(v, 4) for k, v in result.val_metrics.items()}
+    if sampling is not None:
+        spec.sampling = sampling
+    for flag, section, key in TRAIN_OVERRIDES:
+        value = getattr(args, flag)
+        if value is not None:
+            getattr(spec, section)[key] = value
+    return spec.validate()
+
+
+def cmd_train(args) -> int:
+    """``repro train``: :func:`repro.api.fit` on the spec, then save.
+
+    Each ``--tasks`` entry after the first is one more fine-tune of the
+    fitted pipeline, resolved the way the spec resolves its own task.
+    """
+    from .. import api
+    from .datasets import load_design_suite
+
+    spec = _train_spec(args)
+    data = spec.to_config().data
+    print(f"Building the design suite (scale={data.scale}) ...")
+    designs = load_design_suite(scale=data.scale, seed=data.seed, names=args.designs)
+    print(f"Training {spec.task_type} (pretrain={spec.pretrain}, "
+          f"mode={spec.finetune_mode}) ...")
+    pipeline = api.fit(spec, designs, verbose=args.verbose)
+    metrics = {k: round(v, 4) for k, v in pipeline.pretrain_result.val_metrics.items()}
     print(f"  link-prediction validation metrics: {metrics}")
-    for task in tasks:
-        name = task["type"] if isinstance(task, dict) else task
-        if sampling is not None:
-            # Tasks carrying their own pipeline keep it; --sampling fills the rest.
-            task = {"type": task} if isinstance(task, str) else dict(task)
-            task.setdefault("sampling", sampling)
-        print(f"Fine-tuning ({name}, mode={mode}) ...")
-        pipeline.finetune(mode=mode, task=task, verbose=args.verbose)
+    for name in (args.tasks or [])[1:]:
+        task = dataclasses.replace(spec, task=name).build_task()
+        if task.kind == "classification":
+            print(f"Skipping {name}: link prediction is the pre-trained model")
+            continue
+        print(f"Fine-tuning ({name}, mode={spec.finetune_mode}) ...")
+        pipeline.finetune(mode=spec.finetune_mode, task=task, verbose=args.verbose)
     path = pipeline.save(args.out)
     print(f"Saved full-pipeline artifact to {path}")
     return 0

@@ -38,7 +38,6 @@ __all__ = [
     "TrainedModel",
     "finetune_task",
     "evaluate_task",
-    "evaluate_regression",
 ]
 
 FINETUNE_MODES = ("scratch", "head", "all")
@@ -50,7 +49,7 @@ class TrainedModel(Protocol):
 
     Anything with ``state_dict``/``eval`` and a batch-callable forward
     qualifies — every :class:`repro.nn.Module` subclass does.  The explicit
-    protocol lets :func:`evaluate_regression` reject wrong arguments with a
+    protocol lets :func:`evaluate_task` reject wrong arguments with a
     ``TypeError`` up front instead of failing on a missing attribute deep in
     the evaluation loop.
     """
@@ -184,15 +183,6 @@ def finetune_task(designs: list[DesignData], task, pretrained=None,
                           config=config)
 
 
-def _require_regression(task) -> object:
-    from ..api.tasks import resolve_task
-
-    task = resolve_task(task)
-    if task.kind != "regression":
-        raise ValueError(f"task must be a regression task, got {task.name!r}")
-    return task
-
-
 def evaluate_task(result_or_model, design: DesignData, task,
                   config: ExperimentConfig | None = None, pe_kind: str | None = None,
                   normalizer: CapacitanceNormalizer | None = None,
@@ -230,16 +220,3 @@ def evaluate_task(result_or_model, design: DesignData, task,
     metrics["num_samples"] = float(len(samples))
     return metrics
 
-
-def evaluate_regression(result_or_model, design: DesignData, task: str = "edge_regression",
-                        config: ExperimentConfig | None = None, pe_kind: str | None = None,
-                        normalizer: CapacitanceNormalizer | None = None,
-                        rng=None) -> dict[str, float]:
-    """Zero-shot regression metrics of a fine-tuned model on an unseen design.
-
-    Accepts a :class:`FinetuneResult` or a :class:`TrainedModel`; any other
-    argument raises ``TypeError`` with the expected types named.
-    """
-    task = _require_regression(task)
-    return evaluate_task(result_or_model, design, task, config=config,
-                         pe_kind=pe_kind, normalizer=normalizer, rng=rng)

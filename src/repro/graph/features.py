@@ -16,7 +16,7 @@ import numpy as np
 from ..netlist.devices import Capacitor, Device, Diode, Mosfet, Resistor
 from ..nn.dtypes import FLOAT64
 
-__all__ = ["STATS_DIM", "PIN_TYPE_CODES", "normalize_stats"]
+__all__ = ["STATS_DIM", "PIN_TYPE_CODES"]
 
 STATS_DIM = 13
 
@@ -107,17 +107,3 @@ def _node_stats(num_nodes: int, kind: np.ndarray, geometry: list[tuple],
         dtype=np.int64, count=len(terminal_names))
     return stats
 
-
-def normalize_stats(stats: np.ndarray, reference: np.ndarray | None = None,
-                    eps: float = 1e-9) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Min-max normalise ``X_C`` to [0, 1] as described in Section IV-C.
-
-    Returns the normalised matrix along with the (min, range) used, so test
-    designs can be normalised with the training-set statistics.
-    """
-    ref = stats if reference is None else reference
-    minimum = ref.min(axis=0)
-    value_range = ref.max(axis=0) - minimum
-    value_range = np.where(value_range < eps, 1.0, value_range)
-    normalised = (stats - minimum) / value_range
-    return np.clip(normalised, 0.0, 1.0), minimum, value_range

@@ -5,12 +5,11 @@ import pytest
 
 from repro.core import (
     FINETUNE_MODES,
-    evaluate_regression,
+    evaluate_task,
     evaluate_zero_shot_link,
     finetune_task,
     pretrain_link_model,
 )
-from repro.core.pretrain import build_model
 
 
 @pytest.fixture(scope="module")
@@ -95,8 +94,8 @@ class TestFinetune:
         result = finetune_task([small_design], "node_regression", mode="scratch",
                                config=tiny_config, epochs=2)
         assert result.task == "node_regression"
-        metrics = evaluate_regression(result, small_design, task="node_regression",
-                                      config=tiny_config)
+        metrics = evaluate_task(result, small_design, "node_regression",
+                                config=tiny_config)
         assert np.isfinite(metrics["mae"])
 
     def test_evaluate_regression_on_unseen_design(self, pretrained, small_design,
@@ -104,11 +103,7 @@ class TestFinetune:
         result = finetune_task([small_design], "edge_regression",
                                pretrained=pretrained.model, mode="all",
                                config=tiny_config, epochs=3)
-        metrics = evaluate_regression(result, small_test_design, config=tiny_config)
+        metrics = evaluate_task(result, small_test_design, "edge_regression",
+                                config=tiny_config)
         assert metrics["mae"] < 0.5
         assert metrics["num_samples"] > 0
-
-    def test_regression_task_validation(self, small_design, tiny_config):
-        with pytest.raises(ValueError, match="regression task"):
-            evaluate_regression(build_model(tiny_config), small_design, task="link",
-                                config=tiny_config)

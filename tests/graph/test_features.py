@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.graph import STATS_DIM, netlist_to_graph, normalize_stats
+from repro.graph import STATS_DIM, netlist_to_graph
 from repro.graph.features import PIN_TYPE_CODES
 from repro.netlist import (PAPER_DESIGNS, Capacitor, Circuit, Diode, Mosfet, Resistor,
                            build_design, ssram)
@@ -114,26 +114,3 @@ class TestOnePassMatchesPerNode:
             want = per_node_stats(source, graph.node_names, graph.node_types)
             assert graph.node_stats.tobytes() == want.tobytes()
 
-
-class TestNormalization:
-    def test_normalized_range(self):
-        rng = np.random.default_rng(0)
-        stats = rng.uniform(0, 100, size=(50, STATS_DIM))
-        normalised, minimum, value_range = normalize_stats(stats)
-        assert normalised.min() >= 0.0 and normalised.max() <= 1.0
-        assert minimum.shape == (STATS_DIM,)
-        assert value_range.shape == (STATS_DIM,)
-
-    def test_constant_column_does_not_divide_by_zero(self):
-        stats = np.ones((10, STATS_DIM))
-        normalised, _, _ = normalize_stats(stats)
-        assert np.all(np.isfinite(normalised))
-
-    def test_reference_normalization_clips(self):
-        train = np.zeros((5, STATS_DIM))
-        train[:, 0] = np.arange(5)
-        test = np.zeros((2, STATS_DIM))
-        test[:, 0] = [10.0, -5.0]
-        normalised, _, _ = normalize_stats(test, reference=train)
-        assert normalised[0, 0] == 1.0
-        assert normalised[1, 0] == 0.0
